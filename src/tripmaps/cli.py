@@ -188,7 +188,10 @@ def cmd_gk(cfg: RunConfig) -> tuple[int, list[dict], list[str]]:
                 row["p_closed"] = ""
             if stats is not None:
                 f = stats.frequency(k)
-                se = math.sqrt(max(p * (1 - p), 1e-300) / stats.n_steps)
+                # orbit digits are correlated: the batch-means error can
+                # only widen the iid binomial one
+                se = max(math.sqrt(max(p * (1 - p), 1e-300) / stats.n_steps),
+                         stats.batch_stderr(k))
                 row["p_empirical"] = f
                 row["stderr"] = se
                 if t.key in ERGODIC_TRIPLES:

@@ -59,3 +59,7 @@ class NonConvergent(TripMapError):
 
 class DomainError(TripMapError):
     """Scalar argument outside a special function's domain."""
+
+
+class NotArrayNative(TripMapError):
+    """A profile or integrand cannot be evaluated on a numpy array."""

@@ -44,6 +44,11 @@ class DigitDistribution:
         }
 
 
+# orbit steps are split into this many consecutive batches of (nearly)
+# equal length for the batch-means standard error
+MC_BATCHES = 20
+
+
 @dataclass(frozen=True)
 class EmpiricalStats:
     triple: PermutationTriple
@@ -51,9 +56,23 @@ class EmpiricalStats:
     counts: dict[int, int]
     seed: int
     restarts: int = 0
+    # (batch length, digit counts) per consecutive batch of steps
+    batches: tuple[tuple[int, dict[int, int]], ...] = ()
 
     def frequency(self, k: int) -> float:
         return self.counts.get(k, 0) / self.n_steps
+
+    def batch_stderr(self, k: int) -> float:
+        """Standard error of frequency(k) from the spread of the batch
+        frequencies; unlike the binomial one it allows for correlation
+        between successive digits of an orbit.  0 with fewer than two
+        batches."""
+        if len(self.batches) < 2:
+            return 0.0
+        freqs = [c.get(k, 0) / m for m, c in self.batches]
+        mean = math.fsum(freqs) / len(freqs)
+        var = math.fsum((f - mean) ** 2 for f in freqs) / (len(freqs) - 1)
+        return math.sqrt(var / len(freqs))
 
     def as_dict(self) -> dict:
         return {
@@ -166,9 +185,10 @@ def _draw_start(rng: np.random.Generator, r) -> TrianglePoint:
 
 def empirical_digits(t: PermutationTriple, start: TrianglePoint | None,
                      n: int, seed: int) -> EmpiricalStats:
-    """Digit counts over n orbit steps of a seeded counter-based stream;
-    a boundary hit restarts the orbit from a fresh density-sampled point
-    and is tallied in the restarts field."""
+    """Digit counts over n orbit steps of a seeded counter-based stream,
+    also per batch of MC_BATCHES consecutive batches; a boundary hit
+    restarts the orbit from a fresh density-sampled point and is tallied
+    in the restarts field."""
     if n < 1:
         raise ValueError("n must be at least 1")
     rng = np.random.Generator(np.random.Philox(seed))
@@ -176,11 +196,17 @@ def empirical_digits(t: PermutationTriple, start: TrianglePoint | None,
     key = t.key
     cur = start if start is not None else _draw_start(rng, r)
     x, y = cur.x, cur.y
+    n_batches = min(MC_BATCHES, n)
+    edges = [n * (i + 1) // n_batches for i in range(n_batches)]
+    batches: list[dict[int, int]] = []
     counts: dict[int, int] = {}
     restarts = 0
     tol = 1e-12
     steps = 0
     while steps < n:
+        if steps == edges[len(batches)]:
+            batches.append(counts)
+            counts = {}
         # near-corner points carry digits ~1/y, far beyond the default
         # search cap; the affine extraction is O(1) so a large cap is free
         k = _digit(key, x, y, k_max=10 ** 12)
@@ -193,8 +219,14 @@ def empirical_digits(t: PermutationTriple, start: TrianglePoint | None,
         counts[k] = counts.get(k, 0) + 1
         steps += 1
         x, y = xp, yp
-    return EmpiricalStats(triple=t, n_steps=n, counts=counts,
-                          seed=seed, restarts=restarts)
+    batches.append(counts)
+    totals: dict[int, int] = {}
+    for batch in batches:
+        for k, c in batch.items():
+            totals[k] = totals.get(k, 0) + c
+    sizes = [b - a for a, b in zip([0] + edges, edges)]
+    return EmpiricalStats(triple=t, n_steps=n, counts=totals, seed=seed,
+                          restarts=restarts, batches=tuple(zip(sizes, batches)))
 
 
 def _rectangles(rng: np.random.Generator, count: int):

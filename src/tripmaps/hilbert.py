@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .domain import PermutationTriple, TrianglePoint
-from .errors import DomainError, NonConvergent, UnsupportedTriple
+from .errors import DomainError, NonConvergent, NotArrayNative, UnsupportedTriple
 from .specfun import (
     QuadratureRule,
     _dyadic_nodes,
@@ -130,10 +130,14 @@ def capital_E(t: PermutationTriple, k: int, p: TrianglePoint,
 
 def _bessel_kernel(z: np.ndarray) -> np.ndarray:
     """J_1(2 sqrt(z)) / sqrt(z), with the removable limit 1 at z = 0."""
-    safe = np.where(z > 1e-10, z, 1.0)
-    big = bessel_j1(2.0 * np.sqrt(safe)) / np.sqrt(safe)
-    small = 1.0 - z / 2.0 + z * z / 12.0
-    return np.where(z > 1e-10, big, small)
+    near0 = ~(z > 1e-10)
+    root = np.sqrt(np.where(near0, 1.0, z))
+    out = bessel_j1(2.0 * root)
+    out /= root
+    if near0.any():
+        zs = z[near0]
+        out[near0] = 1.0 - zs / 2.0 + zs * zs / 12.0
+    return out
 
 
 def kernel_apply(phi: ProfileFunction, x_arg: float, tpoint,
@@ -150,9 +154,11 @@ def kernel_apply(phi: ProfileFunction, x_arg: float, tpoint,
         u, w = _dyadic_nodes(rule.panels, order)
         s = -np.log(u)
         try:
-            pv = np.asarray(psi(s), dtype=float) + 0.0 * s
-        except Exception:
-            pv = np.array([psi(v) for v in s], dtype=float)
+            pv = np.broadcast_to(np.asarray(psi(s), dtype=float), s.shape)
+        except (TypeError, ValueError) as exc:
+            raise NotArrayNative(
+                f"profile {phi.description or phi.eval!r} cannot take an "
+                f"array of s: {exc}") from exc
         dm_jac = s / (1.0 - u)          # s/(e^s - 1) * ds/du with u = e^-s
         z = tarr[:, None] * s[None, :]
         kern = _bessel_kernel(z)

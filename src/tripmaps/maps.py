@@ -59,25 +59,21 @@ def apply_branch_formula(t: PermutationTriple, k: int, p: TrianglePoint):
     return _eval_formula(t.key, k, p.x, p.y)
 
 
-def _candidate_range_affine(key, x, y):
-    # both image components are affine in k; bracket the k interval that
-    # satisfies y' >= 0, x' >= y', x' <= 1, then confirm by evaluation.
-    # Any two sample digits determine the line; skip past isolated poles.
-    for base in (0, 2, 5):
-        try:
-            xa, ya = _eval_formula(key, base, x, y)
-            xb, yb = _eval_formula(key, base + 1, x, y)
-            break
-        except EvaluationSingularity:
-            continue
-    else:
-        return None
+# a first bracket this far above its base samples is refitted at itself
+_REFIT_GAP = 64
+
+
+def _line_bracket(key, x, y, base):
+    # both image components are affine in k; the line through the images
+    # at base and base + 1 brackets the k interval that satisfies y' >= 0,
+    # x' >= y', x' <= 1 (offsets from base keep the sample values exact)
+    xa, ya = _eval_formula(key, base, x, y)
+    xb, yb = _eval_formula(key, base + 1, x, y)
     dx, dy = xb - xa, yb - ya
-    x0, y0 = xa - base * dx, ya - base * dy
-    lo, hi = 0.0, float("inf")
+    lo, hi = float(-base), float("inf")
     tol = MEMBERSHIP_TOL
-    # constraints a + k*b >= 0
-    for a, b in ((y0 + tol, dy), (x0 - y0 + tol, dx - dy), (1.0 + tol - x0, -dx)):
+    # constraints a + (k - base)*b >= 0
+    for a, b in ((ya + tol, dy), (xa - ya + tol, dx - dy), (1.0 + tol - xa, -dx)):
         if abs(b) < 1e-15:
             if a < 0:
                 return None
@@ -87,9 +83,32 @@ def _candidate_range_affine(key, x, y):
             hi = min(hi, -a / b)
     if hi < lo - 1e-9:
         return None
-    k_lo = max(0, math.ceil(lo - 1e-9) - 1)
-    k_hi = math.floor(hi + 1e-9) + 1
+    k_lo = max(0, base + math.ceil(lo - 1e-9) - 1)
+    k_hi = base + math.floor(hi + 1e-9) + 1
     return k_lo, k_hi
+
+
+def _candidate_range_affine(key, x, y):
+    # any two sample digits determine the line; skip past isolated poles,
+    # then confirm the bracket by evaluation
+    for base in (0, 2, 5):
+        try:
+            rng = _line_bracket(key, x, y, base)
+            break
+        except EvaluationSingularity:
+            continue
+    else:
+        return None
+    if rng is not None and rng[0] > base + _REFIT_GAP:
+        # near an edge the digit runs to 1/y, and the slope of the base
+        # samples, a small difference of O(1) images, loses digits to
+        # cancellation that the long extrapolation multiplies: bracket
+        # again from samples at the first bracket
+        try:
+            rng = _line_bracket(key, x, y, rng[0])
+        except EvaluationSingularity:
+            pass
+    return rng
 
 
 def _member(key, k, x, y, tol):
@@ -141,6 +160,13 @@ def _digit(key, x, y, k_max=K_MAX_DEFAULT):
         # a genuine gap between admitting branches: transcription problem;
         # contiguous multi-hits are boundary-rounding ties, lowest k wins
         raise AmbiguousDigit(f"{key}: non-adjacent digits {hits} at ({x}, {y})")
+    if len(hits) > 1:
+        # at large k the eps*k allowance can also admit a neighbour whose
+        # image misses the triangle by far more than its rounding, so the
+        # lowest hit inside at the base tolerance wins first
+        for k in hits:
+            if _member(key, k, x, y, MEMBERSHIP_TOL):
+                return k
     return hits[0]
 
 

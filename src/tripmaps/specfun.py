@@ -1,5 +1,12 @@
 """Special functions and quadrature shared by the analysis modules.
 
+bessel_j1 is plain float64: below 16 a degree-15 polynomial per interval
+[2i, 2i + 2] times x, above it the Hankel form with degree-7 polynomials
+in (16/x)^2 and the phase taken through sin x and cos x.  The coefficients
+are mpmath fits (scripts/fit_bessel_j1.py) written into this file; the
+absolute error against mpmath is below 1e-15 on [0, 100], and below
+2.3e-16 on a 45k-point grid there.
+
 Half-line integrals against dm(t) = t dt / (e^t - 1) use the substitution
 t = -ln u, with panels graded dyadically toward u = 0 so the logarithmic
 endpoint behavior converges geometrically.  Integrands passed to the
@@ -59,48 +66,148 @@ def dilog(z: float) -> float:
         n += 1
 
 
-def bessel_j1(x):
-    """J1 for x >= 0; ascending series to 16, Hankel asymptotics beyond.
-    Accepts scalars or numpy arrays."""
-    scalar = np.isscalar(x)
-    arr = np.atleast_1d(np.asarray(x, dtype=np.longdouble))
-    if np.any(arr < 0):
-        raise DomainError("bessel_j1 requires x >= 0")
-    out = np.zeros_like(arr)
+# float64 J1, coefficients from scripts/fit_bessel_j1.py: Chebyshev
+# interpolation with mpmath at 40 digits, rounded to float64, highest
+# degree first.  Below _J1_X0 = 16, J1(x) = x g_i(x - (2i + 1)) on
+# [2i, 2i + 2], i = 0..7, each g_i a degree-15 fit of J1(x)/x; the largest
+# fit error in J1 is 1.5e-19.  From _J1_X0 up, the Hankel form
+# J1(x) = (p(y) (sin x - cos x) + q(y)/x (sin x + cos x)) / sqrt(x) with
+# y = (16/x)^2 in (0, 1] and p, q degree-7 fits (1/sqrt(pi) folded in); the
+# fit errors are 2.6e-18 for p and 1.9e-17 for q.  Writing the phase
+# x - 3 pi/4 through sin x and cos x keeps it free of rounding.
+_J1_X0 = 16.0
+_J1_PIECES = np.array([
+    [
+        7.121748792169982e-15, -9.065592043145979e-14, -1.8224619994758933e-12,
+        2.0893853039653138e-11, 3.512397883596008e-10, -3.5774201752645256e-09,
+        -4.940814211993301e-08, 4.4006237830550645e-07, 4.773311666781658e-06,
+        -3.6420915758631625e-05, -0.00028894121247949295, 0.0018366660788981712,
+        0.00936890383064921, -0.04767006547461604, -0.11490348493190047,
+        0.4400505857449335,
+    ],
+    [
+        3.3932850812210676e-15, 1.3310368361384375e-13, -9.375451677296012e-13,
+        -2.9585961944214364e-11, 1.97893356273998e-10, 4.8160754944584664e-09,
+        -3.1029736301375556e-08, -5.501449858716985e-07, 3.4220377740389746e-06,
+        4.044790869108672e-05, -0.00024450774800854034, -0.0016391531326910673,
+        0.009834918796146635, 0.024505383676659102, -0.16203042019529704,
+        0.11301965284197882,
+    ],
+    [
+        -8.48465318512167e-15, 2.1331448656288605e-14, 2.1465881735125085e-12,
+        -6.537507651319997e-12, -4.0553275492967746e-10, 1.451548615223027e-09,
+        5.5048441318801744e-08, -2.2638497930998198e-07, -4.97106780721361e-06,
+        2.3148698492210793e-05, 0.0002608215736390966, -0.0013713211563047263,
+        -0.005744454069681599, 0.03555182073581165, -0.009313023255550444,
+        -0.06551582751829305,
+    ],
+    [
+        1.1659093119266726e-15, -1.3202146679375816e-13, -1.5514671542588875e-13,
+        2.9330527443810785e-11, -4.4993477082805744e-12, -4.727083260170533e-09,
+        6.62879704024165e-09, 5.243131942227451e-07, -1.3483792065904163e-06,
+        -3.5847314889023904e-05, 0.00013034832163475525, 0.0012046563499810753,
+        -0.0054668495803250955, -0.008892570366136728, 0.04305960286942002,
+        -0.0006689747831922618,
+    ],
+    [
+        7.004867282623377e-15, 4.665173217578528e-14, -1.8014405930235688e-12,
+        -7.816300555398663e-12, 3.43945015315363e-10, 7.472685471392326e-10,
+        -4.6622280425722977e-08, -1.0577514854345994e-08, 4.1055149980127465e-06,
+        -5.892196001097943e-06, -0.00020028661312251954, 0.0005335202568949797,
+        0.0037992420674948686, -0.010946074410879109, -0.016094149059167107,
+        0.02725686517481392,
+    ],
+    [
+        -4.696359819709235e-15, 9.003696968055551e-14, 1.0234068959511658e-12,
+        -2.0697691334679798e-11, -1.5459307006863007e-10, 3.421718344108024e-09,
+        1.4523831381385444e-08, -3.8331082298521046e-07, -6.089430710660799e-07,
+        2.58603651956371e-05, -9.98113623331579e-06, -0.0008501733319961738,
+        0.0011673259054979501, 0.009759424978760495, -0.012640683525336479,
+        -0.01607139081424741,
+    ],
+    [
+        -3.4675987434473482e-15, -8.690852094890948e-14, 9.675573384988865e-13,
+        1.6765664104349156e-11, -1.9780786547241822e-10, -2.207833908392695e-09,
+        2.821471425356485e-08, 1.8101433154320553e-07, -2.563275170294656e-06,
+        -7.567541944355123e-06, 0.00012808594700613042, 9.767294524439992e-05,
+        -0.0028014150750065676, 0.0007718990676249968, 0.01674955878784283,
+        -0.00540908093244449,
+    ],
+    [
+        5.89692724165636e-15, -2.721648686365406e-14, -1.35813515466457e-12,
+        7.704527519295551e-12, 2.2433283945626585e-10, -1.4810898977814723e-09,
+        -2.511909883043377e-08, 1.8436795018279223e-07, 1.7207434014298932e-06,
+        -1.343196025806291e-05, -6.179650872022776e-05, 0.00048761338028355293,
+        0.0008930592171030555, -0.006559656767282422, -0.0027714451983500317,
+        0.01367360257423485,
+    ],
+])
+_J1_P = (
+    5.036799681083196e-13, -5.9461416620808235e-12, 6.187289108324982e-11,
+    -9.040418975091255e-10, 2.275261414283583e-08, -1.241357888571538e-06,
+    0.000258265495398113, 0.5641895835477563,
+)
+_J1_Q = (
+    -3.2156658496358343e-12, 3.4534479840170964e-11, -3.06016877251906e-10,
+    3.577720602782056e-09, -6.703870276625336e-08, 2.389613897671714e-06,
+    -0.0002259823084712136, 0.2115710938304086,
+)
+# elements per pass of bessel_j1: a block's temporaries stay in cache
+_J1_BLOCK = 16384
 
-    small = arr <= 16.0
-    xs = arr[small]
+
+def _horner(coeffs, t: np.ndarray) -> np.ndarray:
+    acc = np.full_like(t, coeffs[0])
+    for c in coeffs[1:]:
+        acc *= t
+        acc += c
+    return acc
+
+
+def _j1_block(x: np.ndarray, out: np.ndarray) -> None:
+    small = x < _J1_X0
+    xs = x[small]
     if xs.size:
-        half = xs / 2.0
-        q = half * half
-        term = half.copy()
-        total = term.copy()
-        for m in range(1, 42):
-            term = -term * q / (m * (m + 1))
-            total += term
-        out[small] = total
+        piece = (xs * 0.5).astype(np.intp)
+        t = xs - (2 * piece + 1)
+        acc = _J1_PIECES[piece, 0]
+        for col in _J1_PIECES.T[1:]:
+            acc *= t
+            acc += col[piece]
+        acc *= xs
+        out[small] = acc
 
-    xl = arr[~small]
+    large = ~small          # NaN lands here and stays NaN
+    xl = x[large]
     if xl.size:
         inv = 1.0 / xl
-        p_sum = np.zeros_like(xl)
-        q_sum = np.zeros_like(xl)
-        a = np.longdouble(1.0)
-        powx = np.ones_like(xl)
-        for j in range(30):
-            # Hankel coefficients a_j for nu = 1 (mu = 4)
-            if j % 2 == 0:
-                p_sum += ((-1) ** (j // 2)) * a * powx
-            else:
-                q_sum += ((-1) ** ((j - 1) // 2)) * a * powx
-            a = a * (4.0 - (2 * j + 1) ** 2) / (8.0 * (j + 1))
-            powx = powx * inv
-        omega = xl - 3.0 * np.pi / 4.0
-        out[~small] = np.sqrt(2.0 / (np.pi * xl)) * (
-            p_sum * np.cos(omega) - q_sum * np.sin(omega))
+        y = inv * inv
+        y *= _J1_X0 * _J1_X0
+        p = _horner(_J1_P, y)
+        q = _horner(_J1_Q, y)
+        q *= inv
+        # p (s - c) + q (s + c) = (p + q) s - (p - q) c
+        val = p + q
+        val *= np.sin(xl)
+        p -= q
+        p *= np.cos(xl)
+        val -= p
+        val /= np.sqrt(xl)
+        out[large] = val
 
-    result = np.asarray(out, dtype=float)
-    return float(result[0]) if scalar else result.reshape(np.shape(x))
+
+def bessel_j1(x):
+    """J1 for x >= 0 in float64: piecewise polynomials below 16, the
+    Hankel form beyond; absolute error below 1e-15 against mpmath on
+    [0, 100].  Accepts scalars or numpy arrays."""
+    scalar = np.isscalar(x)
+    arr = np.asarray(x, dtype=float).ravel()
+    if np.any(arr < 0):
+        raise DomainError("bessel_j1 requires x >= 0")
+    out = np.empty_like(arr)
+    for i in range(0, arr.size, _J1_BLOCK):
+        _j1_block(arr[i:i + _J1_BLOCK], out[i:i + _J1_BLOCK])
+    return float(out[0]) if scalar else out.reshape(np.shape(x))
 
 
 def laguerre1(k: int, t):

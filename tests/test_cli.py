@@ -59,6 +59,24 @@ def test_gk_with_simulation(capsys):
     assert abs(float(rows[0]["p_empirical"]) - 0.5) < 0.02
 
 
+def test_gk_simulate_reaches_deep_digits(capsys):
+    # this orbit meets a digit near 5e8 at the y = 0 edge
+    code, _ = run(capsys, "gk", "--triple", "12,13,12", "--kmax", "2",
+                  "--simulate", "--n", "20000", "--seed", "3")
+    assert code in (0, 1)
+
+
+def test_gk_simulate_gate_allows_for_correlation(capsys):
+    # successive e,23,e digits are correlated: p_empirical(0) is 6.2
+    # binomial sigmas from 1/2 at this seed, within 5 batch-means sigmas
+    code, out = run(capsys, "gk", "--triple", "e,23,e", "--kmax", "2",
+                    "--simulate", "--n", "100000", "--seed", "22")
+    rows = rows_of(out)
+    assert code == 0
+    binomial = (0.25 / 100000) ** 0.5
+    assert float(rows[0]["stderr"]) > binomial
+
+
 def test_gk_no_closed_form(capsys):
     code, out = run(capsys, "gk", "--triple", "12,12,12", "--kmax", "2")
     rows = rows_of(out)

@@ -6,7 +6,9 @@ import pytest
 from tripmaps.domain import PermutationTriple, TrianglePoint
 from tripmaps.errors import NoDensity
 from tripmaps.gausskuzmin import (
+    MC_BATCHES,
     DigitDistribution,
+    EmpiricalStats,
     cylinder_measure,
     density,
     digit_distribution,
@@ -118,6 +120,28 @@ def test_empirical_digits_deterministic():
     assert sum(a.counts.values()) == 2000
     c = empirical_digits(E23E, None, 2000, seed=43)
     assert c.counts != a.counts
+
+
+def test_empirical_batches():
+    st = empirical_digits(E23E, None, 2005, seed=42)
+    assert len(st.batches) == MC_BATCHES
+    assert sum(m for m, _ in st.batches) == 2005
+    assert {m for m, _ in st.batches} == {100, 101}
+    for m, counts in st.batches:
+        assert sum(counts.values()) == m
+    for k, c in st.counts.items():
+        assert sum(counts.get(k, 0) for _, counts in st.batches) == c
+    one = empirical_digits(EEE, TrianglePoint(0.57, 0.21), 1, seed=1)
+    assert one.batch_stderr(0) == 0.0
+
+
+def test_batch_stderr_is_standard_error_of_batch_means():
+    st = EmpiricalStats(EEE, 20, {0: 12, 1: 8}, seed=0,
+                        batches=((10, {0: 5, 1: 5}), (10, {0: 7, 1: 3})))
+    # batch frequencies 0.5 and 0.7: sample variance 0.02 over 2 batches
+    assert math.isclose(st.batch_stderr(0), 0.1)
+    assert math.isclose(st.batch_stderr(1), 0.1)
+    assert st.batch_stderr(5) == 0.0
 
 
 def test_empirical_single_step():

@@ -1,14 +1,16 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special as sp
 
 from tripmaps.domain import PermutationTriple, TrianglePoint
-from tripmaps.errors import DomainError, UnsupportedTriple
+from tripmaps.errors import DomainError, NotArrayNative, UnsupportedTriple
 from tripmaps.hilbert import (
     ProfileFunction,
     Theorem31Report,
+    _bessel_kernel,
     capital_E,
     eta,
     eta_profile,
@@ -104,6 +106,31 @@ def test_kernel_apply_limits():
     v0 = kernel_apply(eta_profile(0), 0.5, 0.0)
     oracle = integrate_dm(lambda s: np.exp(-s))
     assert abs(v0 - oracle) < 1e-11
+
+
+def test_bessel_kernel_against_mpmath():
+    # both sides of the z <= 1e-10 series switch, and out to 2e3; rounding
+    # sqrt(z) moves the argument 2 sqrt(z) by up to 1 ulp, which near a
+    # zero of J1 no float kernel can undo, so the gap is measured relative
+    # to the larger of the value and the envelope 1/(sqrt(pi) z^(3/4))
+    z = np.concatenate([
+        np.linspace(0.0, 2e3, 4001),
+        np.geomspace(1e-14, 1e-6, 33),
+        np.nextafter(1e-10, [0.0, 1.0]), [1e-10],
+    ])
+    with mpmath.workdps(30):
+        ref = np.array([1.0 if v == 0 else float(
+            mpmath.besselj(1, 2 * mpmath.sqrt(float(v))) / mpmath.sqrt(float(v)))
+            for v in z])
+    envelope = np.minimum(1.0, 1.0 / (math.sqrt(math.pi) * np.maximum(z, 1e-300) ** 0.75))
+    scale = np.maximum(np.abs(ref), envelope)
+    assert np.max(np.abs(_bessel_kernel(z) - ref) / scale) <= 1e-14
+
+
+def test_kernel_apply_rejects_scalar_profile():
+    scalar_only = ProfileFunction(lambda a, s: math.exp(-s), "scalar exp")
+    with pytest.raises(NotArrayNative):
+        kernel_apply(scalar_only, 0.5, 1.0)
 
 
 def test_kernel_apply_refinement_stable():

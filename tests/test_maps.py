@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from tripmaps.domain import PermutationTriple, TrianglePoint, supported_triples
 from tripmaps.errors import AmbiguousDigit, BoundaryHit, DigitNotFound
 from tripmaps import maps, transfer
+from tripmaps.tables.forward import FORWARD
 from tests.conftest import interior_points
 
 EEE = PermutationTriple("e", "e", "e")
@@ -52,6 +54,17 @@ def test_roundtrip_property(key, k, u, v):
     assert math.isclose(xb, p.x, abs_tol=1e-10)
     assert math.isclose(yb, p.y, abs_tol=1e-10)
     assert maps.extract_digit(t, q) == k
+
+
+def test_extract_digit_deep_at_bottom_edge():
+    # the digit here is about 5e8: a line fitted to the k = 0, 1 images
+    # alone misplaces it by six, so the bracket must be refitted near it
+    t = PermutationTriple("12", "13", "12")
+    x, y = 0.9961326767967214, 2.022691291157514e-09
+    k = maps.extract_digit(t, TrianglePoint(x, y))
+    # exact rational arithmetic on the same float inputs is the oracle
+    xp, yp = FORWARD[t.key].f(k, Fraction(x), Fraction(y), 1 - 2 * (k & 1))
+    assert 0 <= yp <= xp <= 1, k
 
 
 def test_step_and_expand():

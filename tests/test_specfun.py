@@ -61,10 +61,30 @@ def test_bessel_j1_against_scipy():
     assert np.max(np.abs(bessel_j1(xs) - sp.j1(xs))) < 1e-13
 
 
+def test_bessel_j1_against_mpmath():
+    # dense grid, both sides of every piece edge and of the switch to the
+    # Hankel form at 16, the first ten zeros, and tiny arguments
+    edges = np.arange(2.0, 18.0, 2.0)
+    xs = np.concatenate([
+        np.linspace(0.0, 100.0, 4001),
+        np.nextafter(edges, 0.0), edges, np.nextafter(edges, 20.0),
+        [float(mpmath.besseljzero(1, k)) for k in range(1, 11)],
+        np.geomspace(1e-8, 1e-3, 41),
+    ])
+    with mpmath.workdps(30):
+        ref = np.array([float(mpmath.besselj(1, float(x))) for x in xs])
+    assert np.max(np.abs(bessel_j1(xs) - ref)) <= 1e-15
+
+
 def test_bessel_j1_scalar_and_domain():
     assert bessel_j1(0.0) == 0.0
+    assert isinstance(bessel_j1(3.0), float)
+    assert bessel_j1(np.ones((2, 3))).shape == (2, 3)
+    assert bessel_j1(np.array(20.0)).shape == ()
     with pytest.raises(DomainError):
         bessel_j1(-1.0)
+    with pytest.raises(DomainError):
+        bessel_j1(np.array([1.0, -1e-300]))
 
 
 def test_laguerre_recurrence_vs_exact():
