@@ -1,11 +1,13 @@
 """Experiment runner: every verification suite behind one executable.
 
-Verbs: verify-branches, eigen, gk, hilbert, sum-bounds, orbit,
-list-triples.  Configuration precedence is flags > --config JSON file >
-built-in defaults.  Output is CSV (fixed header, 17 significant digits)
-or JSON, written to --out or stdout; row order follows the embedded
-table order so files diff cleanly across runs.  Exit status is 0 iff
-every tolerance asserted by the verb is met.
+Verbs: verify, verify-branches, eigen, gk, hilbert, sum-bounds, orbit,
+list-triples.  `verify` runs the claims registry (tripmaps.claims), one
+row per claim, and reads no setting but the output ones.  Configuration
+precedence is flags > --config JSON file > built-in defaults.  Output is
+CSV (fixed header, 17 significant digits) or JSON, written to --out or
+stdout; row order follows the embedded table order so files diff
+cleanly across runs.  Exit status is 0 iff every tolerance asserted by
+the verb is met.
 """
 
 from __future__ import annotations
@@ -16,15 +18,16 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import gausskuzmin, hilbert, maps, spectral, transfer
+from . import claims, gausskuzmin, hilbert, maps, spectral
 from .domain import (
     ERGODIC_TRIPLES,
     PermutationTriple,
     TrianglePoint,
+    interior_points,
     parse_triple,
     supported_triples,
 )
@@ -53,8 +56,6 @@ TOL_DEFAULTS = {
     "gk": 1e-6,
     "hilbert": 1e-4,
     "sum-bounds": 1e-9,
-    "orbit": 1e-10,
-    "list-triples": 1e-10,
 }
 
 
@@ -62,7 +63,7 @@ TOL_DEFAULTS = {
 class RunConfig:
     command: str
     triple: str
-    tolerances: dict = field(default_factory=dict)
+    tol: float | None = None      # None for the verbs that read no tolerance
     seed: int = 0
     n_steps: int = 100
     kmax: int = 10
@@ -74,8 +75,8 @@ class RunConfig:
     start: str | None = None
 
     def __post_init__(self) -> None:
-        if any(v <= 0 for v in self.tolerances.values()):
-            raise ValueError("tolerances must be positive")
+        if self.tol is not None and self.tol <= 0:
+            raise ValueError("tol must be positive")
         if self.n_steps < 1:
             raise ValueError("n must be at least 1")
         if self.format not in ("csv", "json"):
@@ -123,31 +124,22 @@ def _triples_arg(cfg: RunConfig, table=None) -> list[PermutationTriple]:
     return [parse_triple(cfg.triple)]
 
 
-def _random_points(seed: int, count: int) -> list[TrianglePoint]:
-    rng = np.random.default_rng(seed)
-    pts = []
-    while len(pts) < count:
-        u1, u2 = rng.random(2)
-        x, y = max(u1, u2), min(u1, u2)
-        if 1e-3 < y < x - 1e-3 and x < 1 - 1e-3:
-            pts.append(TrianglePoint(x, y))
-    return pts
+def cmd_verify(cfg: RunConfig) -> tuple[int, list[dict], list[str]]:
+    rows, status = [], 0
+    for claim in claims.CLAIMS:
+        value = claim.run()
+        ok = value < claim.tol
+        status |= 0 if ok else 1
+        rows.append({"claim": claim.name, "value": value, "tol": claim.tol, "pass": ok})
+    return status, rows, ["claim", "value", "tol", "pass"]
 
 
 def cmd_verify_branches(cfg: RunConfig) -> tuple[int, list[dict], list[str]]:
-    tol = cfg.tolerances["tol"]
-    pts = _random_points(cfg.seed, cfg.n_steps)
+    pts = interior_points(cfg.seed, cfg.n_steps)
     rows, status = [], 0
     for t in _triples_arg(cfg):
-        worst, digits_ok = 0.0, True
-        for k in range(cfg.kmax + 1):
-            for p in pts:
-                q = transfer.branch_point(t, k, p)
-                xb, yb = maps.apply_branch_formula(t, k, q)
-                worst = max(worst, abs(xb - p.x), abs(yb - p.y))
-                if maps.extract_digit(t, q) != k:
-                    digits_ok = False
-        ok = worst < tol and digits_ok
+        worst, digits_ok = maps.branch_roundtrip(t, cfg.kmax, pts)
+        ok = worst < cfg.tol and digits_ok
         status |= 0 if ok else 1
         rows.append({"triple": str(t), "max_roundtrip_err": worst,
                      "digits_exact": digits_ok, "pass": ok})
@@ -155,7 +147,7 @@ def cmd_verify_branches(cfg: RunConfig) -> tuple[int, list[dict], list[str]]:
 
 
 def cmd_eigen(cfg: RunConfig) -> tuple[int, list[dict], list[str]]:
-    tol = cfg.tolerances["tol"]
+    tol = cfg.tol
     grid = spectral.GridSpec(margin=cfg.margin, density=10)
     rows, status = [], 0
     for t in _triples_arg(cfg, EIGENFUNCTIONS):
@@ -168,11 +160,10 @@ def cmd_eigen(cfg: RunConfig) -> tuple[int, list[dict], list[str]]:
 
 
 def cmd_gk(cfg: RunConfig) -> tuple[int, list[dict], list[str]]:
-    tol = cfg.tolerances["tol"]
+    tol = cfg.tol
     rows, status = [], 0
     for t in _triples_arg(cfg, DENSITIES):
-        closed = {("e", "e", "e"): gausskuzmin.p_closed_eee,
-                  ("e", "23", "e"): gausskuzmin.p_integral_e23e}.get(t.key)
+        closed = gausskuzmin.CLOSED_FORMS.get(t.key)
         stats = None
         if cfg.simulate:
             stats = gausskuzmin.empirical_digits(t, None, cfg.n_steps, cfg.seed)
@@ -204,7 +195,7 @@ def cmd_gk(cfg: RunConfig) -> tuple[int, list[dict], list[str]]:
 
 
 def cmd_hilbert(cfg: RunConfig) -> tuple[int, list[dict], list[str]]:
-    tol = cfg.tolerances["tol"]
+    tol = cfg.tol
     k_eta = {"eta0": 0, "eta1": 1}.get(cfg.phi)
     if k_eta is None:
         raise ValueError(f"unknown profile {cfg.phi!r}; use eta0 or eta1")
@@ -229,7 +220,7 @@ def cmd_sumbounds(cfg: RunConfig) -> tuple[int, list[dict], list[str]]:
     grid = spectral.GridSpec(margin=cfg.margin, density=5)
     rows, status = [], 0
     for t in _triples_arg(cfg, BANACH):
-        rep = spectral.summand_bound(t, grid, eps=cfg.tolerances["tol"])
+        rep = spectral.summand_bound(t, grid, eps=cfg.tol)
         ok = all(rep.converged)
         status |= 0 if ok else 1
         rows.append({"triple": str(t), "max_sum": rep.max_sum,
@@ -244,7 +235,7 @@ def cmd_orbit(cfg: RunConfig) -> tuple[int, list[dict], list[str]]:
         x, y = (float(v) for v in cfg.start.split(","))
         p = TrianglePoint(x, y)
     else:
-        p = _random_points(cfg.seed, 1)[0]
+        p = interior_points(cfg.seed, 1)[0]
     rows = [{"step": 0, "digit": "", "x": p.x, "y": p.y}]
     for i in range(cfg.n_steps):
         try:
@@ -272,6 +263,7 @@ def cmd_list_triples(cfg: RunConfig) -> tuple[int, list[dict], list[str]]:
 
 
 COMMANDS = {
+    "verify": cmd_verify,
     "verify-branches": cmd_verify_branches,
     "eigen": cmd_eigen,
     "gk": cmd_gk,
@@ -318,11 +310,11 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
 
     tol = pick("tol")
     if tol is None:
-        tol = TOL_DEFAULTS[args.command]
+        tol = TOL_DEFAULTS.get(args.command)
     return RunConfig(
         command=args.command,
         triple=str(pick("triple")),
-        tolerances={"tol": float(tol)},
+        tol=None if tol is None else float(tol),
         seed=int(pick("seed")),
         n_steps=int(pick("n")),
         kmax=int(pick("kmax")),

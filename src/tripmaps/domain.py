@@ -1,4 +1,4 @@
-"""Core identifiers and per-triple capability records.
+"""Core identifiers, triangle points and seeded interior samples.
 
 The library supports the 108 triangle partition maps with polynomial
 branch behavior.  A map is named by a triple of permutation labels
@@ -9,13 +9,11 @@ tables, no group arithmetic is performed on them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+
+import numpy as np
 
 from .errors import OutsideTriangle, ParseError, UnsupportedTriple
-from .tables.banach import BANACH
-from .tables.eigen import DENSITIES, EIGENFUNCTIONS
 from .tables.forward import FORWARD
-from .tables.hilbert_rows import HILBERT
 
 PERMUTATION_LABELS = ("e", "12", "13", "23", "123", "132")
 
@@ -71,22 +69,6 @@ class DigitSequence:
         return len(self.digits)
 
 
-Func2 = Callable[[float, float], float]
-Func3 = Callable[[float, float, float], float]
-
-
-@dataclass(frozen=True)
-class SpectralData:
-    banach_weight_g: Optional[Func2]
-    summand: Optional[Func3]          # (k, x, y)
-    eigenfunction_h: Optional[Func2]
-    density_r: Optional[Func2]
-    hilbert_l: Optional[Func2]
-    hilbert_j: Optional[Func2]
-    hilbert_h: Optional[Func2]
-    ergodic: bool
-
-
 def parse_triple(text: str) -> PermutationTriple:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 3 or not all(parts):
@@ -107,17 +89,14 @@ def supported_triples() -> list[tuple[str, str, str]]:
     return list(FORWARD.keys())
 
 
-def spectral_data(t: PermutationTriple) -> SpectralData:
-    key = t.key
-    banach = BANACH.get(key)
-    hil = HILBERT.get(key)
-    return SpectralData(
-        banach_weight_g=banach.g if banach else None,
-        summand=banach.summand if banach else None,
-        eigenfunction_h=EIGENFUNCTIONS.get(key),
-        density_r=DENSITIES.get(key),
-        hilbert_l=hil.l if hil else None,
-        hilbert_j=hil.j if hil else None,
-        hilbert_h=hil.h if hil else None,
-        ergodic=key in ERGODIC_TRIPLES,
-    )
+def interior_points(seed: int, count: int, margin: float = 1e-3) -> list[TrianglePoint]:
+    """count seeded points with margin < y < x - margin and x < 1 - margin,
+    drawn as sorted uniform pairs and kept by rejection."""
+    rng = np.random.default_rng(seed)
+    pts = []
+    while len(pts) < count:
+        u1, u2 = rng.random(2)
+        x, y = max(u1, u2), min(u1, u2)
+        if margin < y < x - margin and x < 1 - margin:
+            pts.append(TrianglePoint(x, y))
+    return pts

@@ -36,13 +36,6 @@ class DigitDistribution:
     probs: dict[int, float]
     tail_mass: float
 
-    def as_dict(self) -> dict:
-        return {
-            "triple": str(self.triple),
-            "probs": {str(k): v for k, v in sorted(self.probs.items())},
-            "tail_mass": self.tail_mass,
-        }
-
 
 # orbit steps are split into this many consecutive batches of (nearly)
 # equal length for the batch-means standard error
@@ -73,15 +66,6 @@ class EmpiricalStats:
         mean = math.fsum(freqs) / len(freqs)
         var = math.fsum((f - mean) ** 2 for f in freqs) / (len(freqs) - 1)
         return math.sqrt(var / len(freqs))
-
-    def as_dict(self) -> dict:
-        return {
-            "triple": str(self.triple),
-            "n_steps": self.n_steps,
-            "counts": {str(k): v for k, v in sorted(self.counts.items())},
-            "seed": self.seed,
-            "restarts": self.restarts,
-        }
 
 
 def density(t: PermutationTriple):
@@ -165,6 +149,10 @@ def p_integral_e23e(k: int) -> float:
     return piece1 + piece2
 
 
+# the triples whose p(k) has a closed or printed iterated-integral form
+CLOSED_FORMS = {("e", "e", "e"): p_closed_eee, ("e", "23", "e"): p_integral_e23e}
+
+
 def _draw_start(rng: np.random.Generator, r) -> TrianglePoint:
     # rejection against Lebesgue on the triangle; the envelope constant
     # comes from a margin-0.01 grid, so the unbounded boundary sliver is
@@ -240,18 +228,18 @@ def _rectangles(rng: np.random.Generator, count: int):
 
 
 def invariance_check(t: PermutationTriple, abs_tol: float = 1e-6,
-                     rect_count: int = 20, grid_n: int = 6,
                      seed: int = 7) -> float:
-    """max over seeded rectangles R inside the triangle of
+    """max over 20 seeded rectangles R inside the triangle of
     |mu(T^-1 R) - mu(R)|.  Change of variables turns the difference into
-    int_R (Lr - r), evaluated by a midpoint grid; the integrand is the
+    int_R (Lr - r), evaluated by a 6x6 midpoint grid; the integrand is the
     pointwise eigen-residual of the density, ~1e-10, so a crude grid
     already lands far below abs_tol."""
     r = density(t)
     rng = np.random.default_rng(seed)
     pol = TruncationPolicy(eps=abs_tol / 100.0)
+    grid_n = 6
     worst = 0.0
-    for (x0, x1, y0, y1) in _rectangles(rng, rect_count):
+    for (x0, x1, y0, y1) in _rectangles(rng, 20):
         hx, hy = (x1 - x0) / grid_n, (y1 - y0) / grid_n
         acc = 0.0
         for i in range(grid_n):

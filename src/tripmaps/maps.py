@@ -21,6 +21,7 @@ from .errors import (
     TripMapError,
 )
 from .tables.forward import FORWARD
+from .transfer import branch_point
 
 MEMBERSHIP_TOL = 1e-12
 # orbits drift arbitrarily close to the corner, where the digit grows like
@@ -172,6 +173,21 @@ def _digit(key, x, y, k_max=K_MAX_DEFAULT):
 
 def extract_digit(t: PermutationTriple, p: TrianglePoint, k_max: int = K_MAX_DEFAULT) -> int:
     return _digit(t.key, p.x, p.y, k_max)
+
+
+def branch_roundtrip(t: PermutationTriple, k_max: int,
+                     points: list[TrianglePoint]) -> tuple[float, bool]:
+    """Worst |forward(branch_k(p)) - p| over k <= k_max and the points,
+    and whether extract_digit recovers every k from branch_k(p)."""
+    worst, digits_exact = 0.0, True
+    for k in range(k_max + 1):
+        for p in points:
+            q = branch_point(t, k, p)
+            xb, yb = apply_branch_formula(t, k, q)
+            worst = max(worst, abs(xb - p.x), abs(yb - p.y))
+            if extract_digit(t, q) != k:
+                digits_exact = False
+    return worst, digits_exact
 
 
 def step(t: PermutationTriple, p: TrianglePoint, k_max: int = K_MAX_DEFAULT) -> OrbitStep:

@@ -10,8 +10,8 @@ absolute error against mpmath is below 1e-15 on [0, 100], and below
 Half-line integrals against dm(t) = t dt / (e^t - 1) use the substitution
 t = -ln u, with panels graded dyadically toward u = 0 so the logarithmic
 endpoint behavior converges geometrically.  Integrands passed to the
-half-line routines are evaluated on numpy arrays (a scalar fallback kicks
-in automatically for non-vectorizable callables).
+half-line routines are evaluated on numpy arrays only; a scalar result is
+broadcast, and a callable that cannot take an array raises NotArrayNative.
 
 The triangle integrator is an adaptive subdivision scheme built on a
 degree-5 seven-point rule whose nodes are strictly interior, so integrable
@@ -27,14 +27,13 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, NonConvergent
+from .errors import DomainError, NonConvergent, NotArrayNative
 
 PI2_6 = math.pi ** 2 / 6
 
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    kind: str = "exp-substituted-halfline"
     panels: int = 48
     order: int = 12
     abs_tol: float = 1e-9
@@ -42,8 +41,6 @@ class QuadratureRule:
     def __post_init__(self) -> None:
         if self.panels < 1 or self.order < 2 or self.abs_tol <= 0:
             raise ValueError("invalid quadrature rule")
-        if self.kind not in ("gauss-legendre-composite", "exp-substituted-halfline"):
-            raise ValueError(f"unknown rule kind {self.kind!r}")
 
 
 def dilog(z: float) -> float:
@@ -254,14 +251,13 @@ def _gauss01(order: int) -> tuple[np.ndarray, np.ndarray]:
     return _GAUSS_CACHE[order]
 
 
-def _eval_vec(fun: Callable, arr: np.ndarray) -> np.ndarray:
+def _eval_vec(fun: Callable, *args: np.ndarray) -> np.ndarray:
+    """fun(*args) as a float array of the shape of args[0]; a scalar result
+    is broadcast."""
     try:
-        vals = np.asarray(fun(arr), dtype=float)
-        if vals.shape == arr.shape:
-            return vals
-    except Exception:
-        pass
-    return np.array([fun(v) for v in arr], dtype=float)
+        return np.broadcast_to(np.asarray(fun(*args), dtype=float), args[0].shape)
+    except (TypeError, ValueError) as exc:
+        raise NotArrayNative(f"integrand {fun!r} cannot take arrays: {exc}") from exc
 
 
 def _dyadic_nodes(panels: int, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -329,14 +325,14 @@ _TRI_BARY_ARR = np.array(_TRI_BARY)          # (7, 3)
 _TRI_W_ARR = np.array(_TRI_WEIGHTS)          # (7,)
 
 
-def _quad_many(fun2, tris: np.ndarray) -> np.ndarray:
+def _quad_many(fun, tris: np.ndarray) -> np.ndarray:
     """Degree-5 rule on a batch of triangles; tris has shape (n, 3, 2)."""
     xs = tris[:, :, 0] @ _TRI_BARY_ARR.T     # (n, 7)
     ys = tris[:, :, 1] @ _TRI_BARY_ARR.T
     areas = 0.5 * np.abs(
         (tris[:, 1, 0] - tris[:, 0, 0]) * (tris[:, 2, 1] - tris[:, 0, 1])
         - (tris[:, 2, 0] - tris[:, 0, 0]) * (tris[:, 1, 1] - tris[:, 0, 1]))
-    return (fun2(xs, ys) @ _TRI_W_ARR) * areas
+    return (_eval_vec(fun, xs, ys) @ _TRI_W_ARR) * areas
 
 
 def _subdivide(tris: np.ndarray) -> np.ndarray:
@@ -351,35 +347,28 @@ def _subdivide(tris: np.ndarray) -> np.ndarray:
 
 
 def integrate_triangle(fun: Callable[[float, float], float], abs_tol: float,
-                       vertices=TRIANGLE_VERTICES, max_depth: int = 40,
-                       max_leaves: int = 400_000) -> float:
-    """Adaptive integral of fun over a triangle (default: 0 < y < x < 1).
+                       max_depth: int = 40, max_leaves: int = 400_000) -> float:
+    """Adaptive integral of fun over the triangle 0 < y < x < 1.
 
     Leaves carry the one-level difference |fine - coarse| as error
     estimate (conservative: near singularities the rule drops to first
     order, so no Richardson discount is applied); only the leaves
     dominating the summed estimate get refined, so meshes grade
     geometrically into corner or edge singularities without flooding the
-    smooth interior.  fun is evaluated on numpy arrays when possible,
-    scalars otherwise.
+    smooth interior.  fun is evaluated on numpy arrays only; one that
+    cannot take them raises NotArrayNative.
     """
-    try:
-        probe = np.asarray(fun(np.array([0.51, 0.52]), np.array([0.23, 0.24])))
-        assert probe.shape == (2,)
-        fun2 = fun
-    except Exception:
-        fun2 = np.vectorize(fun, otypes=[float])
 
     def expand(tris, coarse):
         # leaf payload: children quads give the refined value and the gap
         kids = _subdivide(tris)
-        kq = _quad_many(fun2, kids.reshape(-1, 3, 2)).reshape(-1, 4)
+        kq = _quad_many(fun, kids.reshape(-1, 3, 2)).reshape(-1, 4)
         fine = kq.sum(axis=1)
         gap = np.abs(fine - coarse)
         return kids, kq, fine, gap
 
-    tris = np.array([vertices], dtype=float)
-    kids, kidq, fine, gap = expand(tris, _quad_many(fun2, tris))
+    tris = np.array([TRIANGLE_VERTICES], dtype=float)
+    kids, kidq, fine, gap = expand(tris, _quad_many(fun, tris))
     depth = np.zeros(1, dtype=int)
 
     while True:

@@ -50,14 +50,6 @@ class ResidualReport:
     max_rel_residual: float
     truncation_k: int
 
-    def as_dict(self) -> dict:
-        return {
-            "triple": str(self.triple),
-            "grid_size": len(self.grid),
-            "max_rel_residual": self.max_rel_residual,
-            "truncation_k": self.truncation_k,
-        }
-
 
 @dataclass(frozen=True)
 class SumBoundReport:
@@ -65,14 +57,6 @@ class SumBoundReport:
     grid: list[TrianglePoint]
     max_sum: float
     converged: list[bool] = field(default_factory=list)
-
-    def as_dict(self) -> dict:
-        return {
-            "triple": str(self.triple),
-            "grid_size": len(self.grid),
-            "max_sum": self.max_sum,
-            "all_converged": all(self.converged),
-        }
 
 
 def eigen_residual(t: PermutationTriple, grid_spec: GridSpec = GridSpec(),

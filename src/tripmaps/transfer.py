@@ -36,10 +36,9 @@ _GL_WEIGHTS = 0.5 * _GL_WEIGHTS
 class TruncationPolicy:
     eps: float = 1e-8
     k_max: int = 100_000
-    rho: float = 3.0  # modeled power decay of the summand
 
     def __post_init__(self) -> None:
-        if self.eps <= 0 or self.k_max < 1 or self.rho <= 1:
+        if self.eps <= 0 or self.k_max < 1:
             raise ValueError("invalid truncation policy")
 
 

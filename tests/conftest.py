@@ -1,18 +1,6 @@
-import numpy as np
 import pytest
 
-from tripmaps.domain import PermutationTriple, TrianglePoint, supported_triples
-
-
-def interior_points(seed: int, count: int, margin: float = 1e-3):
-    rng = np.random.default_rng(seed)
-    pts = []
-    while len(pts) < count:
-        u1, u2 = rng.random(2)
-        x, y = max(u1, u2), min(u1, u2)
-        if margin < y < x - margin and x < 1 - margin:
-            pts.append(TrianglePoint(x, y))
-    return pts
+from tripmaps.domain import PermutationTriple, interior_points, supported_triples
 
 
 @pytest.fixture(scope="session")

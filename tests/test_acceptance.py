@@ -1,150 +1,17 @@
-"""End-to-end acceptance suite.
+"""End-to-end acceptance suite: one test per claim of tripmaps.claims.
 
-One test per headline claim, with the tolerance stated next to each
-assertion.  These intentionally re-derive values through independent
-routes (closed forms, mpmath/scipy oracles, double quadrature) rather
-than reusing library internals wherever a second route exists.
+The registry holds each claim with its tolerance, and `tripmaps verify`
+runs the same list, so the tests and the verb gate the same values.  The
+independent oracles (mpmath and scipy, closed forms, second quadrature
+routes) live in the per-module tests and in the benchmark's checks.
 """
-
-import math
 
 import pytest
 
-from tripmaps.domain import PermutationTriple, TrianglePoint, supported_triples
-from tripmaps import gausskuzmin, hilbert, maps, spectral, transfer
-from tripmaps.specfun import dilog, integrate_dm, laguerre1
-from tripmaps.tables.banach import BANACH
-from tripmaps.tables.eigen import DENSITIES, EIGENFUNCTIONS
-from tripmaps.tables.hilbert_rows import ARG_SLOT
-from tests.conftest import interior_points
-
-SIGMA_REPS = [("e", "23", "e"), ("12", "13", "12"), ("13", "13", "13"),
-              ("23", "23", "23"), ("123", "12", "132"), ("132", "123", "123")]
+from tripmaps.claims import CLAIMS
 
 
-def test_criterion_01_branch_roundtrip():
-    # forward(branch_k(p)) = p within 1e-10 and digit recovery exact,
-    # all 108 triples, k <= 20, 100 seeded interior points
-    pts = interior_points(101, 100)
-    for key in supported_triples():
-        t = PermutationTriple(*key)
-        for k in range(21):
-            for p in pts:
-                q = transfer.branch_point(t, k, p)
-                xb, yb = maps.apply_branch_formula(t, k, q)
-                assert abs(xb - p.x) < 1e-10 and abs(yb - p.y) < 1e-10, \
-                    (key, k, p.xy)
-                assert maps.extract_digit(t, q) == k, (key, k, p.xy)
-
-
-def test_criterion_02_jacobian_oracle():
-    # tabulated weights match finite-difference Jacobians within 1e-6
-    pts = interior_points(202, 5, margin=5e-2)
-    for key in supported_triples():
-        t = PermutationTriple(*key)
-        for k in range(11):
-            for p in pts:
-                assert transfer.jacobian_residual(t, k, p) < 1e-6, (key, k)
-
-
-def test_criterion_03_eigenvalue_one():
-    # |Lh - h|/|h| < 1e-8 on the 10x10 margin-0.05 grid, all 18 rows
-    grid = spectral.GridSpec(margin=0.05, density=10)
-    for key in EIGENFUNCTIONS:
-        rep = spectral.eigen_residual(PermutationTriple(*key), grid, eps=1e-9)
-        assert rep.max_rel_residual < 1e-8, key
-
-
-def test_criterion_04_summand_convergence_and_consistency():
-    grid = spectral.GridSpec(margin=0.05, density=5)
-    pts = interior_points(404, 3, margin=5e-2)
-    for key in BANACH:
-        t = PermutationTriple(*key)
-        rep = spectral.summand_bound(t, grid, eps=1e-9)
-        assert all(rep.converged), key
-        assert math.isfinite(rep.max_sum)
-        row = BANACH[key]
-        for k in range(11):
-            for p in pts:
-                q = transfer.branch_point(t, k, p)
-                expect = (row.g(p.x, p.y) * transfer.weight(t, k, p)
-                          / row.g(q.x, q.y))
-                got = row.summand(float(k), p.x, p.y)
-                assert abs(got - expect) < 1e-10 * max(1.0, abs(expect)), \
-                    (key, k)
-
-
-def test_criterion_05_monotonicity():
-    for key in BANACH:
-        t = PermutationTriple(*key)
-        for n in (1, 2, 3):
-            assert spectral.monotonicity_check(t, n=n, trials=20,
-                                               seed=1000 + n, branches=12), \
-                (key, n)
-
-
-def test_criterion_06_density_normalization_and_invariance():
-    from tripmaps.specfun import integrate_triangle
-    for key, r in DENSITIES.items():
-        v = integrate_triangle(lambda x, y: r(x, y), 1e-9)
-        assert abs(v - 1.0) < 1e-8, key
-        t = PermutationTriple(*key)
-        assert gausskuzmin.invariance_check(t, abs_tol=1e-6) < 1e-6, key
-
-
-def test_criterion_07_gauss_kuzmin_closed_forms():
-    eee = PermutationTriple("e", "e", "e")
-    e23 = PermutationTriple("e", "23", "e")
-    assert abs(gausskuzmin.cylinder_measure(e23, 0) - 0.5) < 1e-8
-    p0 = 1.0 - (6.0 * dilog(0.25) + 12.0 * math.log(2.0) ** 2) / math.pi ** 2
-    assert abs(gausskuzmin.cylinder_measure(eee, 0) - p0) < 1e-6
-    for k in range(1, 6):
-        # this agreement also pins the (k+1) reading of the printed formula
-        assert abs(gausskuzmin.cylinder_measure(eee, k)
-                   - gausskuzmin.p_closed_eee(k)) < 1e-6, k
-        assert abs(gausskuzmin.cylinder_measure(e23, k)
-                   - gausskuzmin.p_integral_e23e(k)) < 1e-6, k
-
-
-def test_criterion_08_monte_carlo_vs_theory():
-    n = 1_000_000
-    cases = {
-        ("e", "e", "e"): gausskuzmin.p_closed_eee,
-        ("e", "23", "e"): lambda k: 0.5 if k == 0 else gausskuzmin.p_integral_e23e(k),
-    }
-    for key, theory in cases.items():
-        t = PermutationTriple(*key)
-        stats = gausskuzmin.empirical_digits(t, None, n, seed=12345)
-        for k in range(3):
-            p = theory(k)
-            sigma = math.sqrt(p * (1.0 - p) / n)
-            assert abs(stats.frequency(k) - p) < 3.0 * sigma, (key, k)
-
-
-def test_criterion_09_theorem31_identity():
-    pts = interior_points(909, 5, margin=8e-2)
-    for key in SIGMA_REPS:
-        t = PermutationTriple(*key)
-        for k_eta in (0, 1):
-            phi = hilbert.eta_profile(k_eta, var_slot=1 - ARG_SLOT[key[0]])
-            for p in pts:
-                lhs, rhs = hilbert.theorem31_check(t, phi, p)
-                assert abs(lhs - rhs) < 1e-4 * abs(lhs), (key, k_eta, p.xy)
-        phi0 = hilbert.eta_profile(0, var_slot=1 - ARG_SLOT[key[0]])
-        lhs, _ = hilbert.theorem31_check(t, phi0, pts[0])
-        partial = hilbert.laguerre_expansion_partial(t, phi0, pts[0], 50)
-        assert abs(partial - lhs) < 1e-3 * abs(lhs), key
-
-
-def test_criterion_10_special_functions():
-    for z in (0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95):
-        lhs = dilog(z) + dilog(1.0 - z)
-        rhs = math.pi ** 2 / 6 - math.log(z) * math.log1p(-z)
-        assert abs(lhs - rhs) < 1e-13
-    assert abs(integrate_dm(lambda t: 1.0 + 0.0 * t) - math.pi ** 2 / 6) < 1e-10
-    for k in range(11):
-        for t in (0.3, 1.0, 4.5):
-            exact = sum((-1) ** i * math.comb(k + 1, k - i) * t ** i
-                        / math.factorial(i) for i in range(k + 1))
-            assert math.isclose(laguerre1(k, t), exact,
-                                rel_tol=1e-10, abs_tol=1e-10)
+@pytest.mark.parametrize("claim", CLAIMS, ids=lambda c: c.name)
+def test_claim(claim):
+    value = claim.run()
+    assert value < claim.tol, f"{claim.name}: {value!r} is not below {claim.tol!r}"

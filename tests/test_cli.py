@@ -4,13 +4,15 @@ import json
 
 import pytest
 
+from tripmaps import claims
 from tripmaps.cli import main
+from tripmaps.errors import NonConvergent
 
 
 def run(capsys, *argv):
     code = main(list(argv))
-    out = capsys.readouterr().out
-    return code, out
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
 def rows_of(out: str):
@@ -18,7 +20,7 @@ def rows_of(out: str):
 
 
 def test_list_triples(capsys):
-    code, out = run(capsys, "list-triples")
+    code, out, _ = run(capsys, "list-triples")
     rows = rows_of(out)
     assert code == 0 and len(rows) == 108
     assert sum(r["banach"] == "True" for r in rows) == 47
@@ -28,31 +30,31 @@ def test_list_triples(capsys):
 
 
 def test_verify_branches_single(capsys):
-    code, out = run(capsys, "verify-branches", "--triple", "e,e,e",
-                    "--n", "10", "--kmax", "5")
+    code, out, _ = run(capsys, "verify-branches", "--triple", "e,e,e",
+                       "--n", "10", "--kmax", "5")
     rows = rows_of(out)
     assert code == 0 and len(rows) == 1
     assert float(rows[0]["max_roundtrip_err"]) < 1e-10
 
 
 def test_verify_branches_bad_triple(capsys):
-    code, _ = run(capsys, "verify-branches", "--triple", "e,e,132")
+    code, _, err = run(capsys, "verify-branches", "--triple", "e,e,132")
     assert code == 2
-    assert "unsupported" in capsys.readouterr().err.lower() or True
+    assert "unsupported triple" in err
 
 
 def test_eigen_single_and_missing(capsys):
-    code, out = run(capsys, "eigen", "--triple", "12,13,12")
+    code, out, _ = run(capsys, "eigen", "--triple", "12,13,12")
     rows = rows_of(out)
     assert code == 0 and len(rows) == 1
     assert float(rows[0]["max_rel_residual"]) < 1e-8
-    code, _ = run(capsys, "eigen", "--triple", "e,12,e")
+    code, *_ = run(capsys, "eigen", "--triple", "e,12,e")
     assert code == 2
 
 
 def test_gk_with_simulation(capsys):
-    code, out = run(capsys, "gk", "--triple", "e,23,e", "--kmax", "3",
-                    "--simulate", "--n", "20000", "--seed", "7")
+    code, out, _ = run(capsys, "gk", "--triple", "e,23,e", "--kmax", "3",
+                       "--simulate", "--n", "20000", "--seed", "7")
     rows = rows_of(out)
     assert code == 0 and len(rows) == 4
     assert abs(float(rows[0]["p_theoretical"]) - 0.5) < 1e-7
@@ -61,16 +63,16 @@ def test_gk_with_simulation(capsys):
 
 def test_gk_simulate_reaches_deep_digits(capsys):
     # this orbit meets a digit near 5e8 at the y = 0 edge
-    code, _ = run(capsys, "gk", "--triple", "12,13,12", "--kmax", "2",
-                  "--simulate", "--n", "20000", "--seed", "3")
+    code, *_ = run(capsys, "gk", "--triple", "12,13,12", "--kmax", "2",
+                   "--simulate", "--n", "20000", "--seed", "3")
     assert code in (0, 1)
 
 
 def test_gk_simulate_gate_allows_for_correlation(capsys):
     # successive e,23,e digits are correlated: p_empirical(0) is 6.2
     # binomial sigmas from 1/2 at this seed, within 5 batch-means sigmas
-    code, out = run(capsys, "gk", "--triple", "e,23,e", "--kmax", "2",
-                    "--simulate", "--n", "100000", "--seed", "22")
+    code, out, _ = run(capsys, "gk", "--triple", "e,23,e", "--kmax", "2",
+                       "--simulate", "--n", "100000", "--seed", "22")
     rows = rows_of(out)
     assert code == 0
     binomial = (0.25 / 100000) ** 0.5
@@ -78,7 +80,7 @@ def test_gk_simulate_gate_allows_for_correlation(capsys):
 
 
 def test_gk_no_closed_form(capsys):
-    code, out = run(capsys, "gk", "--triple", "12,12,12", "--kmax", "2")
+    code, out, _ = run(capsys, "gk", "--triple", "12,12,12", "--kmax", "2")
     rows = rows_of(out)
     assert code == 0
     assert rows[0]["p_closed"] == ""
@@ -86,21 +88,21 @@ def test_gk_no_closed_form(capsys):
 
 
 def test_gk_untabulated(capsys):
-    code, _ = run(capsys, "gk", "--triple", "e,12,e")
+    code, *_ = run(capsys, "gk", "--triple", "e,12,e")
     assert code == 2
 
 
 def test_sum_bounds_single(capsys):
-    code, out = run(capsys, "sum-bounds", "--triple", "13,23,123")
+    code, out, _ = run(capsys, "sum-bounds", "--triple", "13,23,123")
     rows = rows_of(out)
     assert code == 0 and rows[0]["all_converged"] == "True"
-    code, _ = run(capsys, "sum-bounds", "--triple", "e,e,23")
+    code, *_ = run(capsys, "sum-bounds", "--triple", "e,e,23")
     assert code == 2
 
 
 def test_hilbert_single_json(capsys):
-    code, out = run(capsys, "hilbert", "--triple", "123,132,132",
-                    "--format", "json")
+    code, out, _ = run(capsys, "hilbert", "--triple", "123,132,132",
+                       "--format", "json")
     data = json.loads(out)
     assert code == 0 and len(data) == 1
     assert float(data[0]["rel_gap"]) < 1e-4
@@ -108,13 +110,13 @@ def test_hilbert_single_json(capsys):
 
 
 def test_hilbert_unsupported(capsys):
-    code, _ = run(capsys, "hilbert", "--triple", "e,12,23")
+    code, *_ = run(capsys, "hilbert", "--triple", "e,12,23")
     assert code == 2
 
 
 def test_orbit_dump(capsys):
-    code, out = run(capsys, "orbit", "--triple", "e,e,e", "--n", "8",
-                    "--start", "0.573,0.211")
+    code, out, _ = run(capsys, "orbit", "--triple", "e,e,e", "--n", "8",
+                       "--start", "0.573,0.211")
     rows = rows_of(out)
     assert code == 0 and len(rows) >= 2
     assert rows[0]["step"] == "0"
@@ -133,7 +135,7 @@ def test_config_file_precedence(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"triple": "e,e,e", "kmax": 1}))
     # config supplies triple/kmax; flag overrides kmax
-    code, out = run(capsys, "gk", "--config", str(cfg), "--kmax", "2")
+    code, out, _ = run(capsys, "gk", "--config", str(cfg), "--kmax", "2")
     rows = rows_of(out)
     assert code == 0
     assert len(rows) == 3 and rows[0]["triple"] == "e,e,e"
@@ -142,3 +144,32 @@ def test_config_file_precedence(tmp_path, capsys):
 def test_bad_format_rejected(tmp_path):
     with pytest.raises(SystemExit):
         main(["gk", "--format", "yaml"])
+
+
+
+def test_verify_rows_and_status(capsys, monkeypatch):
+    passing = claims.Claim("passing", 1e-6, lambda: 1e-9)
+    failing = claims.Claim("failing", 1e-6, lambda: 2e-6)
+    monkeypatch.setattr(claims, "CLAIMS", [passing, failing])
+    code, out, _ = run(capsys, "verify")
+    assert code == 1
+    assert out.splitlines()[0] == "claim,value,tol,pass"
+    rows = rows_of(out)
+    assert [(r["claim"], r["pass"]) for r in rows] == [("passing", "True"),
+                                                       ("failing", "False")]
+    assert float(rows[1]["value"]) == 2e-6 and float(rows[1]["tol"]) == 1e-6
+
+    monkeypatch.setattr(claims, "CLAIMS", [passing])
+    code, out, _ = run(capsys, "verify", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == [{"claim": "passing", "value": 1e-9, "tol": 1e-6,
+                                "pass": True}]
+
+
+def test_verify_claim_error(capsys, monkeypatch):
+    def stalls() -> float:
+        raise NonConvergent("stalled")
+
+    monkeypatch.setattr(claims, "CLAIMS", [claims.Claim("stalls", 1.0, stalls)])
+    code, out, err = run(capsys, "verify")
+    assert code == 2 and out == "" and "stalled" in err

@@ -7,7 +7,6 @@ from tripmaps.domain import PermutationTriple, TrianglePoint
 from tripmaps.errors import NoDensity
 from tripmaps.gausskuzmin import (
     MC_BATCHES,
-    DigitDistribution,
     EmpiricalStats,
     cylinder_measure,
     density,
@@ -159,11 +158,3 @@ def test_invariance_check():
     assert invariance_check(EEE) < 1e-6
     assert invariance_check(PermutationTriple("13", "13", "13")) < 1e-6
 
-
-def test_serialization():
-    dist = DigitDistribution(EEE, {0: 0.25, 1: 0.13}, 0.62)
-    d = dist.as_dict()
-    assert d["probs"]["0"] == 0.25 and d["tail_mass"] == 0.62
-    st = empirical_digits(EEE, TrianglePoint(0.57, 0.21), 10, seed=5)
-    sd = st.as_dict()
-    assert sd["n_steps"] == 10 and sd["seed"] == 5

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
+from tripmaps.claims import SIGMA_REPS
 from tripmaps.domain import PermutationTriple, TrianglePoint
 from tripmaps.errors import DomainError, NotArrayNative, UnsupportedTriple
 from tripmaps.hilbert import (
     ProfileFunction,
-    Theorem31Report,
     _bessel_kernel,
     capital_E,
     eta,
@@ -30,16 +30,13 @@ P123 = TrianglePoint(0.6, 0.3)
 PEEE = TrianglePoint(0.5, 0.25)
 ZERO = ProfileFunction(lambda a, s: 0.0 * s, "zero")
 
-# one representative triple per sigma class
-SIGMA_REPS = [("e", "23", "e"), ("12", "13", "12"), ("13", "13", "13"),
-              ("23", "23", "23"), ("123", "12", "132"), ("132", "123", "123")]
-
 
 def _phi(sigma: str, k: int) -> ProfileFunction:
     return eta_profile(k, var_slot=1 - ARG_SLOT[sigma])
 
 
 def test_row_invariants_on_samples():
+    # l > 1 and j != 0 pointwise, or the kernel integrals diverge
     pts = [(0.5, 0.25), (0.8, 0.4), (0.3, 0.1), (0.9, 0.85), (0.2, 0.15)]
     for key, row in HILBERT.items():
         for (x, y) in pts:
@@ -190,10 +187,3 @@ def test_laguerre_expansion():
     assert abs(partial - s35) < abs(s35 - s20) + 1e-12
     with pytest.raises(ValueError):
         laguerre_expansion_partial(T123, phi, P123, -1)
-
-
-def test_report_serialization():
-    rep = Theorem31Report(T123, "eta_0", P123, 1.0, 1.0 + 1e-9)
-    d = rep.as_dict()
-    assert d["triple"] == "123,132,132"
-    assert d["abs_gap"] == pytest.approx(1e-9)

@@ -8,7 +8,6 @@ from tripmaps.domain import PermutationTriple, TrianglePoint, supported_triples
 from tripmaps.errors import AmbiguousDigit, BoundaryHit, DigitNotFound
 from tripmaps import maps, transfer
 from tripmaps.tables.forward import FORWARD
-from tests.conftest import interior_points
 
 EEE = PermutationTriple("e", "e", "e")
 E23E = PermutationTriple("e", "23", "e")

@@ -6,7 +6,7 @@ import pytest
 import scipy.special as sp
 from hypothesis import given, settings, strategies as st
 
-from tripmaps.errors import DomainError, NonConvergent
+from tripmaps.errors import DomainError, NonConvergent, NotArrayNative
 from tripmaps.specfun import (
     QuadratureRule,
     bessel_j1,
@@ -23,8 +23,7 @@ PI2_6 = math.pi ** 2 / 6
 
 def test_rule_validation():
     QuadratureRule()
-    for bad in (dict(panels=0), dict(order=1), dict(abs_tol=0.0),
-                dict(kind="simpson")):
+    for bad in (dict(panels=0), dict(order=1), dict(abs_tol=0.0)):
         with pytest.raises(ValueError):
             QuadratureRule(**bad)
 
@@ -129,10 +128,14 @@ def test_halfline_plain():
     assert abs(integrate_halfline(lambda t: t * np.exp(-2.0 * t), 2.0) - 0.25) < 1e-12
 
 
-def test_halfline_scalar_fallback():
-    # non-vectorizable integrand goes through the scalar path
-    val = integrate_halfline(lambda t: math.exp(-t), 1.0)
-    assert abs(val - 1.0) < 1e-12
+def test_halfline_scalar_integrand():
+    # an integrand that cannot take an array is an error, not a slow path
+    with pytest.raises(NotArrayNative):
+        integrate_halfline(lambda t: math.exp(-t), 1.0)
+    with pytest.raises(NotArrayNative):
+        integrate_dm(lambda t: np.ones(3))
+    # a scalar result is a constant integrand
+    assert abs(integrate_dm(lambda t: 1.0) - PI2_6) < 1e-10
 
 
 # ---------- triangle quadrature ----------
@@ -167,10 +170,11 @@ def test_triangle_log_singularity():
 
 
 def test_triangle_scalar_integrand():
-    v = integrate_triangle(lambda x, y: math.exp(x) * y, 1e-9)
-    # int_0^1 int_0^x e^x y dy dx = int x^2/2 e^x = (e-2)/2... compute oracle
-    oracle = 0.5 * (math.e - 2.0)
-    assert abs(v - oracle) < 1e-9
+    with pytest.raises(NotArrayNative):
+        integrate_triangle(lambda x, y: math.exp(x) * y, 1e-9)
+    # the array form: int_0^1 int_0^x e^x y dy dx = (e - 2)/2
+    v = integrate_triangle(lambda x, y: np.exp(x) * y, 1e-9)
+    assert abs(v - 0.5 * (math.e - 2.0)) < 1e-9
 
 
 def test_triangle_nonconvergent():

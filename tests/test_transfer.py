@@ -21,7 +21,7 @@ P = TrianglePoint(0.5, 0.25)
 
 def test_policy_validation():
     TruncationPolicy(eps=1e-10, k_max=10_000)
-    for bad in (dict(eps=0.0), dict(k_max=0), dict(rho=1.0)):
+    for bad in (dict(eps=0.0), dict(k_max=0)):
         with pytest.raises(ValueError):
             TruncationPolicy(**bad)
 
