@@ -181,7 +181,7 @@ def _theorem31_laguerre() -> float:
 
     def gap(key) -> float:
         t, phi = PermutationTriple(*key), _eta(key, 0)
-        lhs, _ = hilbert.theorem31_check(t, phi, p)
+        lhs = hilbert.theorem31_lhs(t, phi, p)
         return abs(hilbert.laguerre_expansion_partial(t, phi, p, 50) - lhs) / abs(lhs)
 
     return _worst(gap(key) for key in SIGMA_REPS)

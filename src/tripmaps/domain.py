@@ -55,20 +55,6 @@ class TrianglePoint:
         return (self.x, self.y)
 
 
-@dataclass(frozen=True)
-class DigitSequence:
-    digits: tuple[int, ...]
-    terminated: bool = False  # True when the orbit hit the boundary early
-
-    def __post_init__(self) -> None:
-        if any(d < 0 for d in self.digits):
-            raise ValueError("digits must be non-negative")
-
-    @property
-    def length(self) -> int:
-        return len(self.digits)
-
-
 def parse_triple(text: str) -> PermutationTriple:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 3 or not all(parts):

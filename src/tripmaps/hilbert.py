@@ -160,6 +160,20 @@ def kernel_apply(phi: ProfileFunction, x_arg: float, tpoint,
     return float(out[0]) if scalar else out.reshape(np.shape(tpoint))
 
 
+def theorem31_lhs(t: PermutationTriple, phi: ProfileFunction, p: TrianglePoint,
+                  inner_rule: QuadratureRule = INNER_RULE) -> float:
+    """The branch-sum side of the kernel identity at p: the transfer
+    operator applied to the transformed profile."""
+    def f(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        # transform_hat takes one point: one dm-integral per branch point
+        return np.array([transform_hat(t, phi, TrianglePoint(x, y), inner_rule)
+                         for x, y in zip(xs.ravel().tolist(), ys.ravel().tolist())]
+                        ).reshape(xs.shape)
+
+    lhs, _ = apply_transfer(t, f, p, TruncationPolicy(eps=1e-7))
+    return lhs
+
+
 def theorem31_check(t: PermutationTriple, phi: ProfileFunction,
                     p: TrianglePoint,
                     inner_rule: QuadratureRule = INNER_RULE,
@@ -170,11 +184,7 @@ def theorem31_check(t: PermutationTriple, phi: ProfileFunction,
     kernel image.  The transform argument is constant along the branch
     family, so the kernel side reuses the value at the k = 0 branch."""
     ht = hilbert_triple(t)
-
-    def f(x: float, y: float) -> float:
-        return transform_hat(t, phi, TrianglePoint(x, y), inner_rule)
-
-    lhs, _ = apply_transfer(t, f, p, TruncationPolicy(eps=1e-7))
+    lhs = theorem31_lhs(t, phi, p, inner_rule)
 
     c = ht.arg(*branch_point(t, 0, p).xy)
     decay = ht.l(p.x, p.y) - 1.0

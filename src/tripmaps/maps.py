@@ -1,4 +1,4 @@
-"""Forward iteration: branch formulas, digit extraction, orbits, expansions.
+"""Forward iteration: branch formulas, digit extraction, orbit steps.
 
 Digit extraction inverts the implicit partition of the triangle: digit k is
 the unique branch index whose formula maps the point back into the closed
@@ -12,13 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .domain import DigitSequence, PermutationTriple, TrianglePoint
+from .domain import PermutationTriple, TrianglePoint
 from .errors import (
     AmbiguousDigit,
     BoundaryHit,
     DigitNotFound,
     EvaluationSingularity,
-    TripMapError,
 )
 from .tables.forward import FORWARD
 from .transfer import branch_point
@@ -196,21 +195,3 @@ def step(t: PermutationTriple, p: TrianglePoint, k_max: int = K_MAX_DEFAULT) -> 
     if not (yp > MEMBERSHIP_TOL and xp - yp > MEMBERSHIP_TOL and xp < 1.0 - MEMBERSHIP_TOL):
         raise BoundaryHit(f"orbit of {t} hit the boundary at ({xp}, {yp})")
     return OrbitStep(digit=k, image=TrianglePoint(xp, yp))
-
-
-def expand(t: PermutationTriple, p: TrianglePoint, n: int,
-           k_max: int = K_MAX_DEFAULT) -> DigitSequence:
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    digits: list[int] = []
-    cur = p
-    for i in range(n):
-        try:
-            st = step(t, cur, k_max)
-        except BoundaryHit:
-            return DigitSequence(tuple(digits), terminated=True)
-        except TripMapError as exc:
-            raise type(exc)(f"step {i + 1}: {exc}") from exc
-        digits.append(st.digit)
-        cur = st.image
-    return DigitSequence(tuple(digits), terminated=False)

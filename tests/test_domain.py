@@ -6,7 +6,6 @@ from tripmaps.domain import (
     PERMUTATION_LABELS,
     PermutationTriple,
     TrianglePoint,
-    DigitSequence,
     in_triangle,
     parse_triple,
     supported_triples,
@@ -60,13 +59,6 @@ def test_triangle_point_validation():
 @given(st.floats(0, 1), st.floats(0, 1))
 def test_in_triangle_membership(a, b):
     assert in_triangle((a, b)) == (0.0 < b < a < 1.0)
-
-
-def test_digit_sequence():
-    s = DigitSequence((0, 3, 1), terminated=True)
-    assert s.length == 3
-    with pytest.raises(ValueError):
-        DigitSequence((0, -1))
 
 
 def test_ergodic_triples_are_flagged():

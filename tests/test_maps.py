@@ -66,22 +66,16 @@ def test_extract_digit_deep_at_bottom_edge():
     assert 0 <= yp <= xp <= 1, k
 
 
-def test_step_and_expand():
+def test_step():
     p = TrianglePoint(0.573, 0.211)
     st1 = maps.step(EEE, p)
     assert isinstance(st1.digit, int) and st1.digit >= 0
-    seq = maps.expand(EEE, p, 25)
-    assert seq.length == 25 or seq.terminated
     # deterministic
-    seq2 = maps.expand(EEE, p, 25)
-    assert seq.digits == seq2.digits
-
-
-def test_expand_terminates_on_boundary():
+    assert maps.step(EEE, p) == st1
     # (0.6, 0.3) reaches the diagonal in two steps under (e,e,e)
-    seq = maps.expand(EEE, TrianglePoint(0.6, 0.3), 50)
-    assert seq.terminated
-    assert seq.length < 50
+    q = maps.step(EEE, TrianglePoint(0.6, 0.3)).image
+    with pytest.raises(BoundaryHit):
+        maps.step(EEE, q)
 
 
 def test_digit_not_found_k_max():

@@ -1,13 +1,14 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 
+from tripmaps import spectral
 from tripmaps.domain import PermutationTriple, TrianglePoint
 from tripmaps.errors import NoBanachRow, NoEigenfunction
 from tripmaps.spectral import (
     GridSpec,
-    boundedness_ratio,
     eigen_residual,
     monotonicity_check,
     summand_bound,
@@ -15,7 +16,13 @@ from tripmaps.spectral import (
 )
 from tripmaps.tables.banach import BANACH
 from tripmaps.tables.eigen import EIGENFUNCTIONS
-from tripmaps.transfer import branch_point, weight
+from tripmaps.transfer import (
+    branch_point,
+    fold_tree,
+    partial_transfer,
+    preimage_tree,
+    weight,
+)
 
 EEE = PermutationTriple("e", "e", "e")
 P = TrianglePoint(0.5, 0.25)
@@ -102,13 +109,45 @@ def test_monotonicity_equality_boundary():
     assert a == b
 
 
-def test_boundedness_ratio():
-    h = EIGENFUNCTIONS[("e", "e", "e")]
-    assert boundedness_ratio(EEE, h) == pytest.approx(1.0)
-    # (1/x) / (1/(x(y+1))) = y+1, grid sup below 2
-    r = boundedness_ratio(EEE, lambda x, y: 1.0 / x)
-    assert 1.0 < r < 2.0
-    assert math.isfinite(
-        boundedness_ratio(PermutationTriple("13", "23", "13"), lambda x, y: 1.0))
-    with pytest.raises(NoEigenfunction):
-        boundedness_ratio(PermutationTriple("e", "12", "e"), lambda x, y: 1.0)
+def test_eigen_truncation_k_all_rows():
+    # the cutoff the eigen verb reports: K = 128 for every row at eps 1e-9
+    for key in EIGENFUNCTIONS:
+        assert eigen_residual(PermutationTriple(*key), GridSpec(), eps=1e-9).truncation_k == 128
+
+
+def _nested(t, fun, n, K):
+    """L^n fun by nested one-point partial_transfer calls."""
+    if n == 0:
+        return fun
+    inner = _nested(t, fun, n - 1, K)
+
+    def outer(xs, ys):
+        return np.array([partial_transfer(t, inner, TrianglePoint(x, y), K)
+                         for x, y in zip(xs.ravel().tolist(), ys.ravel().tolist())]
+                        ).reshape(np.shape(xs))
+
+    return outer
+
+
+def test_preimage_tree_matches_nested_recursion():
+    a = np.array([0.4, -0.7, 0.9, -0.2])
+    f = lambda x, y: spectral._smooth(a, x, y)
+    p = TrianglePoint(0.55, 0.2)
+    for key in (("e", "e", "e"), ("12", "13", "12"), ("23", "23", "23")):
+        t = PermutationTriple(*key)
+        for n in (1, 2, 3):
+            xs, ys, weights = preimage_tree(t, p, n, 12)
+            assert xs.shape == (12 ** n,) and len(weights) == n
+            tree = float(fold_tree(weights, f(xs, ys)))
+            ref = float(_nested(t, f, n, 12)(np.array([p.x]), np.array([p.y]))[0])
+            assert abs(tree - ref) <= 1e-14 * abs(ref), (key, n, tree, ref)
+
+
+def test_monotonicity_reversed_pair_fails(monkeypatch):
+    # g = f - bump lies below f, so the check must find a broken order
+    t = PermutationTriple("12", "13", "12")
+    assert monotonicity_check(t, n=2, trials=5, seed=3, branches=12)
+    bump = spectral._bump
+    monkeypatch.setattr(spectral, "_bump", lambda c, x, y: -bump(c, x, y))
+    for n in (1, 2, 3):
+        assert not monotonicity_check(t, n=n, trials=5, seed=3, branches=12)

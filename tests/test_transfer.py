@@ -1,14 +1,17 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tripmaps.domain import PermutationTriple, TrianglePoint, supported_triples
-from tripmaps.errors import TruncationFailure
+from tripmaps.errors import NotArrayNative, TruncationFailure
+from tripmaps.tables.transfer_rows import TRANSFER
 from tripmaps.transfer import (
     TruncationPolicy,
     apply_transfer,
+    apply_transfer_batch,
     branch_point,
     jacobian_residual,
     partial_transfer,
@@ -101,3 +104,76 @@ def test_branch_points_interior(sample_points):
             for p in sample_points[:3]:
                 q = branch_point(t, k, p)   # TrianglePoint validates interior
                 assert 0.0 < q.y < q.x < 1.0
+
+
+def _reference_transfer(row, f, x, y, K=512):
+    """Per-point reference: direct math.fsum over k < K plus the
+    Euler-Maclaurin tail of each parity class, in scalar arithmetic."""
+    v, w = np.polynomial.legendre.leggauss(64)
+    v, w = (0.5 * (v + 1.0)).tolist(), (0.5 * w).tolist()
+
+    def term(k, s):
+        a, b = row.branch(k, x, y, s)
+        return row.weight(k, x, y, s) * f(a, b)
+
+    def tail(u, scale):
+        quad = math.fsum(wi * u(scale * vi / (1.0 - vi)) * scale / (1.0 - vi) ** 2
+                         for vi, wi in zip(v, w))
+        d1 = (-u(1.0) + 8.0 * u(0.5) - 8.0 * u(-0.5) + u(-1.0)) / 6.0
+        d3 = (u(1.0) - 2.0 * u(0.5) + 2.0 * u(-0.5) - u(-1.0)) / 0.25
+        return quad + 0.5 * u(0.0) - d1 / 12.0 + d3 / 720.0
+
+    direct = math.fsum(term(float(k), -1.0 if k & 1 else 1.0) for k in range(K))
+    if not row.parity:
+        return direct + tail(lambda m: term(K + m, 1.0), float(K))
+    # K even: k = K + 2m is the even class
+    return (direct + tail(lambda m: term(K + 2.0 * m, 1.0), K / 2.0)
+            + tail(lambda m: term(K + 1.0 + 2.0 * m, -1.0), K / 2.0))
+
+
+def test_batched_transfer_matches_reference_all_rows():
+    # every row (both parity classes), an interior point and a point
+    # within 1e-3 of each edge: y = 0, y = x, x = 1
+    xs = np.array([0.6, 0.5, 0.5, 0.9995])
+    ys = np.array([0.3, 5e-4, 0.4995, 0.5])
+    f = lambda x, y: 1.0 + x * y - 0.3 * y
+    eps = 1e-9
+    parities = set()
+    for key in supported_triples():
+        row = TRANSFER[key]
+        parities.add(row.parity)
+        value, err, cutoff = apply_transfer_batch(
+            PermutationTriple(*key), f, xs, ys, TruncationPolicy(eps=eps))
+        assert np.all(err <= eps) and np.all(cutoff >= 32)
+        for x, y, got in zip(xs.tolist(), ys.tolist(), value.tolist()):
+            ref = _reference_transfer(row, f, x, y)
+            assert abs(got - ref) <= eps, (key, x, y, got, ref)
+    assert parities == {False, True}
+
+
+def test_one_point_face_matches_batch():
+    f = lambda x, y: x * y + 0.1
+    pol = TruncationPolicy(eps=1e-10)
+    value, err, cutoff = apply_transfer_batch(EEE, f, np.array([P.x, 0.7]),
+                                              np.array([P.y, 0.1]), pol)
+    stats = {}
+    one, one_err = apply_transfer(EEE, f, P, pol, stats=stats)
+    assert one == pytest.approx(value[0], rel=1e-15) and one_err <= pol.eps
+    assert stats["K"] == cutoff[0]
+    assert partial_transfer(EEE, f, P, 3) == pytest.approx(math.fsum(
+        weight(EEE, k, P) * f(*branch_point(EEE, k, P).xy) for k in range(3)), rel=1e-15)
+
+
+def test_scalar_result_broadcast_and_not_array_native():
+    # a constant f may return a Python float
+    one, _ = apply_transfer(EEE, lambda x, y: 1.0, P, TruncationPolicy(eps=1e-10))
+    ones, _ = apply_transfer(EEE, lambda x, y: np.ones_like(x), P,
+                             TruncationPolicy(eps=1e-10))
+    assert one == ones
+    assert partial_transfer(EEE, lambda x, y: 2.0, P, 8) == 2.0 * partial_transfer(
+        EEE, lambda x, y: 1.0, P, 8)
+    scalar_only = lambda x, y: math.exp(-x) * y
+    with pytest.raises(NotArrayNative):
+        apply_transfer(EEE, scalar_only, P)
+    with pytest.raises(NotArrayNative):
+        partial_transfer(EEE, scalar_only, P, 8)
