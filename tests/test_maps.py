@@ -66,16 +66,38 @@ def test_extract_digit_deep_at_bottom_edge():
     assert 0 <= yp <= xp <= 1, k
 
 
-def test_step():
+def _orbit(t, p, n):
+    """Digits of up to n steps of the orbit of p, and whether it hit the boundary."""
+    digits = []
+    for _ in range(n):
+        try:
+            st = maps.step(t, p)
+        except BoundaryHit:
+            return digits, True
+        digits.append(st.digit)
+        p = st.image
+    return digits, False
+
+
+def test_step_and_expand():
     p = TrianglePoint(0.573, 0.211)
     st1 = maps.step(EEE, p)
     assert isinstance(st1.digit, int) and st1.digit >= 0
+    digits, terminated = _orbit(EEE, p, 25)
+    assert len(digits) == 25 or terminated
     # deterministic
     assert maps.step(EEE, p) == st1
+    assert _orbit(EEE, p, 25) == (digits, terminated)
+
+
+def test_expand_terminates_on_boundary():
     # (0.6, 0.3) reaches the diagonal in two steps under (e,e,e)
     q = maps.step(EEE, TrianglePoint(0.6, 0.3)).image
     with pytest.raises(BoundaryHit):
         maps.step(EEE, q)
+    digits, terminated = _orbit(EEE, TrianglePoint(0.6, 0.3), 50)
+    assert terminated
+    assert len(digits) < 50
 
 
 def test_digit_not_found_k_max():
