@@ -50,11 +50,13 @@ DEFAULTS = {
     "start": None,
 }
 
+_CLAIM_TOL = {c.name: c.tol for c in claims.CLAIMS}
+
 TOL_DEFAULTS = {
     "verify-branches": 1e-10,
     "eigen": 1e-8,
     "gk": 1e-6,
-    "hilbert": 1e-4,
+    "hilbert": _CLAIM_TOL["theorem31_identity"],
     "sum-bounds": 1e-9,
 }
 
@@ -207,7 +209,7 @@ def cmd_hilbert(cfg: RunConfig) -> tuple[int, list[dict], list[str]]:
         lag = hilbert.laguerre_expansion_partial(t, phi, p, 50)
         rel = abs(lhs - rhs) / abs(lhs)
         lag_rel = abs(lag - lhs) / abs(lhs)
-        ok = rel < tol and lag_rel < 1e-3
+        ok = rel < tol and lag_rel < _CLAIM_TOL["theorem31_laguerre"]
         status |= 0 if ok else 1
         rows.append({"triple": str(t), "phi": cfg.phi, "x": p.x, "y": p.y,
                      "lhs": lhs, "rhs": rhs, "rel_gap": rel,

@@ -6,12 +6,16 @@ dm(t) = t dt/(e^t - 1).  This module evaluates both sides numerically:
 the left side is apply_transfer of the sigma-indexed transform of a
 profile phi, the right side is j(p) int_0^inf e^{-t(l(p)-1)} K(phi)(t) dt
 with a plain dt on the outside.  The Laguerre expansion over eta_k / e_k
-gives a third, series-form route to the same value.
+gives a third, series-form route to the same value.  Every dm-integral
+here goes through the one rule of specfun.integrate_dm, batched: the
+transforms at all branch points of a block, the kernel matrix over its
+t values, and the eta_k and E_k for all k <= K each take one call.
 
-Slot convention: a profile is a callable of two reals.  Four of the six
-sigma classes integrate over the second slot and carry the transform
-argument in the first; the classes 13 and 132 swap the slots, mirroring
-the printed transform rows.  ARG_SLOT records the non-integration slot.
+Slot convention: a profile is a callable of two reals, evaluated on
+numpy arrays that broadcast against each other.  Four of the six sigma
+classes integrate over the second slot and carry the transform argument
+in the first; the classes 13 and 132 swap the slots, mirroring the
+printed transform rows.  ARG_SLOT records the non-integration slot.
 """
 
 from __future__ import annotations
@@ -23,14 +27,13 @@ from typing import Callable
 import numpy as np
 
 from .domain import PermutationTriple, TrianglePoint
-from .errors import DomainError, NonConvergent, NotArrayNative, UnsupportedTriple
+from .errors import DomainError, UnsupportedTriple
 from .specfun import (
     QuadratureRule,
-    _dyadic_nodes,
+    _laguerre1_rows,
     bessel_j1,
     integrate_dm,
     integrate_halfline,
-    laguerre1,
 )
 from .tables.hilbert_rows import ARG_SLOT, HILBERT, TRANSFORM_ARG, HilbertRow
 from .transfer import TruncationPolicy, apply_transfer, branch_point
@@ -87,30 +90,42 @@ def eta_profile(k: int, var_slot: int = 1) -> ProfileFunction:
     return ProfileFunction(lambda s, a: eta(k, s), f"eta_{k}(slot 0)")
 
 
-def _placed(phi: ProfileFunction, arg: float, slot: int):
+def _placed(phi: ProfileFunction, arg, slot: int):
     if slot == 0:
         return lambda s: phi.eval(arg, s)
     return lambda s: phi.eval(s, arg)
 
 
+def _transform(ht: HilbertTriple, phi: ProfileFunction, xs, ys,
+               rule: QuadratureRule):
+    """(1/h3) int_0^inf e^(-s h3) phi(arg, s) dm(s) at the points xs, ys
+    (arrays or floats), one batched dm-integral; arg is the sigma-row
+    scalar and the slot order is the one of the printed table."""
+    h3 = np.asarray(ht.h3(xs, ys), dtype=float)[..., None]
+    psi = _placed(phi, np.asarray(ht.arg(xs, ys), dtype=float)[..., None], ht.slot)
+    return integrate_dm(lambda s: np.exp(-s * h3) * psi(s), rule) / h3[..., 0]
+
+
 def transform_hat(t: PermutationTriple, phi: ProfileFunction, p: TrianglePoint,
                   rule: QuadratureRule = INNER_RULE) -> float:
-    """(1/h3) int_0^inf e^(-s h3) phi(arg, s) dm(s), with arg the
-    sigma-row scalar and the slot order from the printed table."""
+    """The transform at one point p: the one-point face of _transform."""
+    return float(_transform(hilbert_triple(t), phi, p.x, p.y, rule))
+
+
+def _capital_E_rows(t: PermutationTriple, K: int, p: TrianglePoint,
+                    rule: QuadratureRule) -> np.ndarray:
+    """E_k(p) = j(p) int_0^inf e^{-t(l(p)-1)} L_k^(1)(t) dm(t) for
+    k = 0..K, one batched dm-integral."""
     ht = hilbert_triple(t)
-    h3 = ht.h3(p.x, p.y)
-    a = ht.arg(p.x, p.y)
-    psi = _placed(phi, a, ht.slot)
-    return integrate_dm(lambda s: np.exp(-s * h3) * psi(s), rule) / h3
+    decay = ht.l(p.x, p.y) - 1.0
+    val = integrate_dm(lambda tt: np.exp(-tt * decay) * _laguerre1_rows(K, tt), rule)
+    return ht.j(p.x, p.y) * val
 
 
 def capital_E(t: PermutationTriple, k: int, p: TrianglePoint,
               rule: QuadratureRule = INNER_RULE) -> float:
-    """E_k(p) = j(p) int_0^inf e^{-t(l(p)-1)} L_k^(1)(t) dm(t)."""
-    ht = hilbert_triple(t)
-    decay = ht.l(p.x, p.y) - 1.0
-    val = integrate_dm(lambda tt: np.exp(-tt * decay) * laguerre1(k, tt), rule)
-    return ht.j(p.x, p.y) * val
+    """E_k(p), the last of _capital_E_rows."""
+    return float(_capital_E_rows(t, k, p, rule)[k])
 
 
 def _bessel_kernel(z: np.ndarray) -> np.ndarray:
@@ -135,28 +150,15 @@ def kernel_apply(phi: ProfileFunction, x_arg: float, tpoint,
         raise DomainError("kernel_apply requires t >= 0")
     psi = _placed(phi, x_arg, slot)
 
-    def attempt(order: int) -> np.ndarray:
-        u, w = _dyadic_nodes(rule.panels, order)
-        s = -np.log(u)
-        try:
-            pv = np.broadcast_to(np.asarray(psi(s), dtype=float), s.shape)
-        except (TypeError, ValueError) as exc:
-            raise NotArrayNative(
-                f"profile {phi.description or phi.eval!r} cannot take an "
-                f"array of s: {exc}") from exc
-        dm_jac = s / (1.0 - u)          # s/(e^s - 1) * ds/du with u = e^-s
-        z = tarr[:, None] * s[None, :]
-        kern = _bessel_kernel(z)
-        # einsum, not BLAS: a threaded matrix-vector product burns CPU on
-        # every core for no wall-clock gain at these sizes
-        return np.einsum("ts,s->t", kern, w * pv * dm_jac)
+    def integrand(s: np.ndarray) -> np.ndarray:
+        # the (t x s) kernel, weighted by the profile in place
+        kern = _bessel_kernel(tarr[..., None] * s)
+        kern *= psi(s)
+        return kern
 
-    coarse = attempt(rule.order)
-    fine = attempt(2 * rule.order)
-    if np.max(np.abs(fine - coarse)) > rule.abs_tol:
-        raise NonConvergent("kernel quadrature stalled")
+    inner = integrate_dm(integrand, rule)
     front = np.where(tarr > 0, tarr / np.expm1(np.where(tarr > 0, tarr, 1.0)), 1.0)
-    out = front * fine
+    out = front * inner
     return float(out[0]) if scalar else out.reshape(np.shape(tpoint))
 
 
@@ -164,14 +166,9 @@ def theorem31_lhs(t: PermutationTriple, phi: ProfileFunction, p: TrianglePoint,
                   inner_rule: QuadratureRule = INNER_RULE) -> float:
     """The branch-sum side of the kernel identity at p: the transfer
     operator applied to the transformed profile."""
-    def f(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        # transform_hat takes one point: one dm-integral per branch point
-        return np.array([transform_hat(t, phi, TrianglePoint(x, y), inner_rule)
-                         for x, y in zip(xs.ravel().tolist(), ys.ravel().tolist())]
-                        ).reshape(xs.shape)
-
-    lhs, _ = apply_transfer(t, f, p, TruncationPolicy(eps=1e-7))
-    return lhs
+    ht = hilbert_triple(t)
+    return apply_transfer(t, lambda xs, ys: _transform(ht, phi, xs, ys, inner_rule),
+                          p, TruncationPolicy(eps=1e-7))[0]
 
 
 def theorem31_check(t: PermutationTriple, phi: ProfileFunction,
@@ -207,8 +204,6 @@ def laguerre_expansion_partial(t: PermutationTriple, phi: ProfileFunction,
     ht = hilbert_triple(t)
     c = ht.arg(*branch_point(t, 0, p).xy)
     psi = _placed(phi, c, ht.slot)
-    total = 0.0
-    for k in range(K + 1):
-        ip = integrate_dm(lambda s: psi(s) * eta(k, s), rule)
-        total += ip * capital_E(t, k, p, rule)
-    return total
+    ips = integrate_dm(
+        lambda s: psi(s) * np.stack([eta(k, s) for k in range(K + 1)]), rule)
+    return float(np.sum(ips * _capital_E_rows(t, K, p, rule)))

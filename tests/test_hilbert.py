@@ -7,7 +7,7 @@ import scipy.special as sp
 
 from tripmaps.claims import SIGMA_REPS
 from tripmaps.domain import PermutationTriple, TrianglePoint
-from tripmaps.errors import DomainError, NotArrayNative, UnsupportedTriple
+from tripmaps.errors import DomainError, NonConvergent, NotArrayNative, UnsupportedTriple
 from tripmaps.hilbert import (
     ProfileFunction,
     _bessel_kernel,
@@ -18,11 +18,12 @@ from tripmaps.hilbert import (
     kernel_apply,
     laguerre_expansion_partial,
     theorem31_check,
+    theorem31_lhs,
     transform_hat,
 )
-from tripmaps.specfun import integrate_dm, trigamma
+from tripmaps.specfun import integrate_dm
 from tripmaps.tables.hilbert_rows import ARG_SLOT, HILBERT
-from tripmaps.transfer import branch_point
+from tripmaps.transfer import TruncationPolicy, apply_transfer, branch_point
 
 T123 = PermutationTriple("123", "132", "132")
 EEE = PermutationTriple("e", "e", "e")
@@ -68,11 +69,11 @@ def test_eta_normalization():
 
 
 def test_transform_hat_trigamma_oracle():
-    # int e^{-s h} eta_0(s) dm(s) = trigamma(h+2), so hat = trigamma(h+2)/h
+    # int e^{-s h} eta_0(s) dm(s) = psi'(h+2), so hat = psi'(h+2)/h
     v = transform_hat(T123, _phi("123", 0), P123)
-    assert abs(v - trigamma(2.3) / 0.3) < 1e-10
+    assert abs(v - sp.polygamma(1, 2.3) / 0.3) < 1e-10
     v2 = transform_hat(EEE, _phi("e", 0), PEEE)
-    assert abs(v2 - trigamma(2.25) / 0.25) < 1e-10
+    assert abs(v2 - sp.polygamma(1, 2.25) / 0.25) < 1e-10
 
 
 def test_transform_hat_zero_profile():
@@ -128,6 +129,15 @@ def test_kernel_apply_rejects_scalar_profile():
     scalar_only = ProfileFunction(lambda a, s: math.exp(-s), "scalar exp")
     with pytest.raises(NotArrayNative):
         kernel_apply(scalar_only, 0.5, 1.0)
+
+
+def test_kernel_apply_nan_fails():
+    # a nan gap fails the gate: a nan profile, and one nan row of t
+    nan_tail = ProfileFunction(lambda a, s: np.where(s > 5.0, np.nan, 1.0), "nan tail")
+    with pytest.raises(NonConvergent):
+        kernel_apply(nan_tail, 0.5, np.array([0.5, 1.0]))
+    with pytest.raises(NonConvergent):
+        kernel_apply(eta_profile(0), 0.5, np.array([0.5, np.nan, 2.0]))
 
 
 def test_kernel_apply_refinement_stable():
@@ -187,3 +197,55 @@ def test_laguerre_expansion():
     assert abs(partial - s35) < abs(s35 - s20) + 1e-12
     with pytest.raises(ValueError):
         laguerre_expansion_partial(T123, phi, P123, -1)
+
+
+def _lhs_per_point(t, phi, p):
+    # reference: the branch sum with one dm-integral per branch point
+    ht = hilbert_triple(t)
+
+    def hat(x, y):
+        h3 = ht.h3(x, y)
+        a = ht.arg(x, y)
+        if ht.slot == 0:
+            return integrate_dm(lambda s: np.exp(-s * h3) * phi.eval(a, s)) / h3
+        return integrate_dm(lambda s: np.exp(-s * h3) * phi.eval(s, a)) / h3
+
+    def f(xs, ys):
+        return np.array([hat(x, y) for x, y in zip(xs.ravel().tolist(), ys.ravel().tolist())]
+                        ).reshape(xs.shape)
+
+    return apply_transfer(t, f, p, TruncationPolicy(eps=1e-7))[0]
+
+
+@pytest.mark.parametrize("k_eta", [0, 1])
+def test_theorem31_lhs_matches_per_point(k_eta):
+    p = TrianglePoint(0.6, 0.3)
+    for key in HILBERT:
+        t, phi = PermutationTriple(*key), _phi(key[0], k_eta)
+        ref = _lhs_per_point(t, phi, p)
+        assert abs(theorem31_lhs(t, phi, p) - ref) <= 1e-14 * abs(ref), key
+
+
+@pytest.mark.parametrize("K", [0, 1, 50])
+def test_laguerre_partial_matches_per_k(K):
+    phi = _phi("123", 0)
+    c = hilbert_triple(T123).arg(*branch_point(T123, 0, P123).xy)
+    ref = 0.0
+    for k in range(K + 1):
+        ip = integrate_dm(lambda s: phi.eval(c, s) * eta(k, s))
+        ref += ip * capital_E(T123, k, P123)
+    got = laguerre_expansion_partial(T123, phi, P123, K)
+    assert abs(got - ref) <= 1e-14 * abs(ref)
+
+
+def test_laguerre_partial_two_dm_calls(monkeypatch):
+    import tripmaps.hilbert as hilbert
+    calls = []
+
+    def counting(fun, rule):
+        calls.append(rule)
+        return integrate_dm(fun, rule)
+
+    monkeypatch.setattr(hilbert, "integrate_dm", counting)
+    laguerre_expansion_partial(T123, _phi("123", 0), P123, 50)
+    assert len(calls) == 2

@@ -15,7 +15,6 @@ from tripmaps.specfun import (
     integrate_halfline,
     integrate_triangle,
     laguerre1,
-    trigamma,
 )
 
 PI2_6 = math.pi ** 2 / 6
@@ -53,7 +52,7 @@ def test_dilog_domain():
         dilog(1.5)
 
 
-# ---------- bessel / laguerre / trigamma ----------
+# ---------- bessel / laguerre ----------
 
 def test_bessel_j1_against_scipy():
     xs = np.linspace(0.0, 50.0, 2001)
@@ -103,13 +102,6 @@ def test_laguerre_against_scipy():
                              - sp.eval_genlaguerre(k, 1, ts))) < 1e-8
 
 
-def test_trigamma_against_scipy():
-    for a in np.linspace(0.05, 40.0, 400):
-        assert abs(trigamma(a) - sp.polygamma(1, a)) < 1e-12
-    with pytest.raises(DomainError):
-        trigamma(0.0)
-
-
 # ---------- half-line quadrature ----------
 
 def test_dm_total_mass():
@@ -136,6 +128,38 @@ def test_halfline_scalar_integrand():
         integrate_dm(lambda t: np.ones(3))
     # a scalar result is a constant integrand
     assert abs(integrate_dm(lambda t: 1.0) - PI2_6) < 1e-10
+
+
+def test_halfline_batch_matches_rows():
+    # a (2, 3, n) integrand gives a (2, 3) result equal to its rows
+    # integrated one at a time
+    rates = np.array([[0.3, 1.0, 2.7], [0.5, 4.0, 9.0]])
+    batch = integrate_dm(lambda t: np.exp(-rates[..., None] * t))
+    assert batch.shape == rates.shape
+    plain = integrate_halfline(lambda t: np.exp(-rates[..., None] * t), 0.3)
+    assert plain.shape == rates.shape
+    for i, a in np.ndenumerate(rates):
+        one = integrate_dm(lambda t: np.exp(-a * t))
+        assert isinstance(one, float)
+        assert abs(batch[i] - one) <= 1e-15 * abs(one)
+        assert abs(plain[i] - integrate_halfline(lambda t: np.exp(-a * t), 0.3)) <= 1e-15 / a
+
+
+def _nan_tail(t):
+    return np.where(t > 5.0, np.nan, 1.0)
+
+
+def test_halfline_nan_integrand_fails():
+    # a nan gap fails the gate, for a lone integrand and for one bad row
+    # of a batch
+    with pytest.raises(NonConvergent):
+        integrate_dm(_nan_tail)
+    with pytest.raises(NonConvergent):
+        integrate_halfline(_nan_tail, 1.0)
+    with pytest.raises(NonConvergent):
+        integrate_dm(lambda t: np.stack([np.exp(-t), _nan_tail(t), np.exp(-2.0 * t)]))
+    with pytest.raises(NonConvergent):
+        integrate_halfline(lambda t: np.stack([np.exp(-t), _nan_tail(t)]), 1.0)
 
 
 # ---------- triangle quadrature ----------
