@@ -53,9 +53,9 @@ DEFAULTS = {
 _CLAIM_TOL = {c.name: c.tol for c in claims.CLAIMS}
 
 TOL_DEFAULTS = {
-    "verify-branches": 1e-10,
-    "eigen": 1e-8,
-    "gk": 1e-6,
+    "verify-branches": _CLAIM_TOL["branch_roundtrip"],
+    "eigen": _CLAIM_TOL["eigenvalue_one"],
+    "gk": _CLAIM_TOL["gauss_kuzmin_closed_forms"],
     "hilbert": _CLAIM_TOL["theorem31_identity"],
     "sum-bounds": 1e-9,
 }

@@ -21,7 +21,7 @@ import numpy as np
 
 from .domain import PermutationTriple, TrianglePoint
 from .errors import NoDensity
-from .maps import _digit, _eval_formula
+from .maps import _digit
 from .specfun import dilog, integrate_triangle
 from .tables.eigen import DENSITIES
 from .tables.transfer_rows import TRANSFER
@@ -139,15 +139,19 @@ def p_integral_e23e(k: int) -> float:
 CLOSED_FORMS = {("e", "e", "e"): p_closed_eee, ("e", "23", "e"): p_integral_e23e}
 
 
-def _draw_start(rng: np.random.Generator, r) -> TrianglePoint:
-    # rejection against Lebesgue on the triangle; the envelope constant
-    # comes from a margin-0.01 grid, so the unbounded boundary sliver is
-    # sampled slightly flat -- irrelevant for orbit starts
+def _envelope(r) -> float:
+    # the rejection constant for _draw_start, from a margin-0.01 grid, so
+    # the unbounded boundary sliver is sampled slightly flat -- irrelevant
+    # for orbit starts
     grid = [(x, y)
             for x in np.linspace(0.02, 0.99, 40)
             for y in np.linspace(0.01, 1.0, 40) * x
             if 0.01 < y < x - 0.01]
-    envelope = 1.1 * max(r(x, y) for x, y in grid)
+    return 1.1 * max(r(x, y) for x, y in grid)
+
+
+def _draw_start(rng: np.random.Generator, r, envelope: float) -> TrianglePoint:
+    # rejection against Lebesgue on the triangle
     while True:
         u1, u2 = rng.random(2)
         x, y = max(u1, u2), min(u1, u2)
@@ -167,8 +171,9 @@ def empirical_digits(t: PermutationTriple, start: TrianglePoint | None,
         raise ValueError("n must be at least 1")
     rng = np.random.Generator(np.random.Philox(seed))
     r = density(t)
+    envelope = _envelope(r)
     key = t.key
-    cur = start if start is not None else _draw_start(rng, r)
+    cur = start if start is not None else _draw_start(rng, r, envelope)
     x, y = cur.x, cur.y
     n_batches = min(MC_BATCHES, n)
     edges = [n * (i + 1) // n_batches for i in range(n_batches)]
@@ -182,12 +187,11 @@ def empirical_digits(t: PermutationTriple, start: TrianglePoint | None,
             batches.append(counts)
             counts = {}
         # near-corner points carry digits ~1/y, far beyond the default
-        # search cap; the affine extraction is O(1) so a large cap is free
-        k = _digit(key, x, y, k_max=10 ** 12)
-        xp, yp = _eval_formula(key, k, x, y)
+        # search cap; digit extraction is O(1) so a large cap is free
+        k, xp, yp = _digit(key, x, y, k_max=10 ** 12)
         if not (yp > tol and xp - yp > tol and xp < 1.0 - tol):
             restarts += 1
-            p = _draw_start(rng, r)
+            p = _draw_start(rng, r, envelope)
             x, y = p.x, p.y
             continue
         counts[k] = counts.get(k, 0) + 1

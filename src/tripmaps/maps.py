@@ -1,10 +1,21 @@
 """Forward iteration: branch formulas, digit extraction, orbit steps.
 
 Digit extraction inverts the implicit partition of the triangle: digit k is
-the unique branch index whose formula maps the point back into the closed
-triangle.  For parity-free rows (no (-1)^k anywhere) both image components
-are affine in k, so the qualifying k solves three linear inequalities and
-is found in O(1); rows with parity terms fall back to a contiguous scan.
+the branch index whose formula maps the point back into the closed
+triangle, the lowest one where rounding admits a run of them.  Within one
+parity class (k even, or k odd) both image components are linear-fractional
+in k, (a + b k)/(c + d k), with one pole between them; on parity-free rows
+(no (-1)^k anywhere) there is one class and d = 0.  So each membership
+constraint y' >= 0, x' - y' >= 0, x' <= 1 changes sign only at its zero and
+at the pole, and on each side of the pole holds on a half-line.  digits
+fits each class from three samples (two where d = 0), intersects the
+half-lines on each side of the pole and confirms the integers at the ends
+of each interval by evaluating the branch, for arrays of points at once;
+the cost does not grow with the digit.  Far out, a refit at the first
+bracket, and on parity rows a short scan around the hits, absorb the
+rounding in the samples.  _digit is the one-point face; on parity-free rows
+it keeps a scalar copy of the affine bracket for the sequential orbit, where
+numpy on one-element arrays would cost more than the step.
 """
 
 from __future__ import annotations
@@ -12,20 +23,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .domain import PermutationTriple, TrianglePoint
 from .errors import (
     AmbiguousDigit,
     BoundaryHit,
     DigitNotFound,
     EvaluationSingularity,
+    OutsideTriangle,
 )
 from .tables.forward import FORWARD
-from .transfer import branch_point
+from .tables.transfer_rows import TRANSFER
 
 MEMBERSHIP_TOL = 1e-12
 # orbits drift arbitrarily close to the corner, where the digit grows like
-# 1/y; the affine extraction is O(1) in the digit, so the default cap is
-# huge on purpose (the parity-scan path reaches such digits linearly)
+# 1/y; digit extraction is O(1) in the digit, so the default cap is huge on
+# purpose
 K_MAX_DEFAULT = 10 ** 12
 
 
@@ -59,139 +73,415 @@ def apply_branch_formula(t: PermutationTriple, k: int, p: TrianglePoint):
     return _eval_formula(t.key, k, p.x, p.y)
 
 
-# a first bracket this far above its base samples is refitted at itself
+# a first bracket this far above its base samples is refitted at itself;
+# far out, rounding moves a bracket by less than this
 _REFIT_GAP = 64
+# a bracket wider than this is far longer than a boundary tie
+_MAX_WIDTH = 64
+# samples below a singular one are retried from these bases
+_BASES = (0, 2, 5)
+# parity rows sample each class at the base and these class steps past it:
+# geometric spacing resolves a zero or pole near the base to about
+# eps*_NEAR and one at distance L to about eps*L**2/_NEAR, where two
+# neighbouring samples would lose eps*L**2
+_NEAR = 2.0 ** 20
+_FAR = 2.0 ** 40
 
 
 def _line_bracket(key, x, y, base):
     # both image components are affine in k; the line through the images
-    # at base and base + 1 brackets the k interval that satisfies y' >= 0,
-    # x' >= y', x' <= 1 (offsets from base keep the sample values exact)
+    # at base and base + 1 gives the interval lo..hi of k - base that
+    # satisfies y' >= 0, x' >= y', x' <= 1 (offsets from base keep the
+    # sample values exact), None where a constant constraint fails; and
+    # the two images by their k
     xa, ya = _eval_formula(key, base, x, y)
     xb, yb = _eval_formula(key, base + 1, x, y)
+    images = {base: (xa, ya), base + 1: (xb, yb)}
     dx, dy = xb - xa, yb - ya
     lo, hi = float(-base), float("inf")
     tol = MEMBERSHIP_TOL
+    # a slope within the rounding of the samples is none: on some rows
+    # x' - y' is constant in k, and near the corner the samples are O(1/x)
+    flat = 1e-15 * max(1.0, abs(xa) + abs(ya) + abs(xb) + abs(yb))
     # constraints a + (k - base)*b >= 0
     for a, b in ((ya + tol, dy), (xa - ya + tol, dx - dy), (1.0 + tol - xa, -dx)):
-        if abs(b) < 1e-15:
+        if abs(b) < flat:
             if a < 0:
-                return None
+                return None, images
         elif b > 0:
             lo = max(lo, -a / b)
         else:
             hi = min(hi, -a / b)
-    if hi < lo - 1e-9:
-        return None
-    k_lo = max(0, base + math.ceil(lo - 1e-9) - 1)
-    k_hi = base + math.floor(hi + 1e-9) + 1
-    return k_lo, k_hi
+    return (lo, hi), images
 
 
 def _candidate_range_affine(key, x, y):
     # any two sample digits determine the line; skip past isolated poles,
     # then confirm the bracket by evaluation
-    for base in (0, 2, 5):
+    for base in _BASES:
         try:
-            rng = _line_bracket(key, x, y, base)
+            rng, images = _line_bracket(key, x, y, base)
             break
         except EvaluationSingularity:
             continue
     else:
         return None
-    if rng is not None and rng[0] > base + _REFIT_GAP:
+    if rng is None or rng[1] < rng[0] - _REFIT_GAP:
+        return None
+    refit = max(0, base + math.ceil(rng[0] - 1e-9) - 1)
+    if refit > base + _REFIT_GAP:
         # near an edge the digit runs to 1/y, and the slope of the base
         # samples, a small difference of O(1) images, loses digits to
-        # cancellation that the long extrapolation multiplies: bracket
-        # again from samples at the first bracket
+        # cancellation that the long extrapolation multiplies, so far out
+        # the first bracket can even miss by a few steps: bracket again
+        # from samples at the first bracket
         try:
-            rng = _line_bracket(key, x, y, rng[0])
+            (rng, images), base = _line_bracket(key, x, y, refit), refit
         except EvaluationSingularity:
             pass
-    return rng
-
-
-def _member(key, k, x, y, tol):
-    # a singular branch formula cannot be the point's digit: count a miss
-    try:
-        return _in_closure(*_eval_formula(key, k, x, y), tol=tol)
-    except EvaluationSingularity:
-        return False
+        if rng is None:
+            return None
+    lo, hi = rng
+    if hi < lo - 1e-9:
+        return None
+    k_hi = base + math.floor(hi + 1e-9) + 1 if hi < math.inf else math.inf
+    return max(0, base + math.ceil(lo - 1e-9) - 1), k_hi, images
 
 
 def _digit(key, x, y, k_max=K_MAX_DEFAULT):
-    row = FORWARD[key]
-    hits: list[int] = []
-    if not row.parity:
-        rng = _candidate_range_affine(key, x, y)
-        if rng is None:
-            raise DigitNotFound(f"no branch of {key} admits ({x}, {y})")
-        k_lo, k_hi = rng
-        if k_hi - k_lo > 64:
-            # interval far longer than a boundary tie: transcription problem
-            raise AmbiguousDigit(
-                f"{key}: {k_hi - k_lo + 1} candidate digits at ({x}, {y})")
-        if k_lo > k_max:
-            raise DigitNotFound(
-                f"digit of {key} at ({x}, {y}) exceeds k_max={k_max}")
-        # the bracket is O(1) wide, so k_max never throttles this path;
-        # the formulas carry terms of size k, so rounding in the image
-        # grows like eps*k and the membership tolerance must follow it
-        for k in range(k_lo, k_hi + 1):
-            if _member(key, k, x, y, MEMBERSHIP_TOL + 1e-15 * k):
-                hits.append(k)
-    else:
-        misses_after_hit = 0
-        k = 0
-        while k <= k_max:
-            if _member(key, k, x, y, MEMBERSHIP_TOL + 1e-15 * k):
-                hits.append(k)
-                misses_after_hit = 0
-            elif hits:
-                misses_after_hit += 1
-                # both parity classes have contiguous hit runs, so six
-                # consecutive misses end the search
-                if misses_after_hit >= 6:
-                    break
-            k += 1
+    """(digit, x', y') of one point, with the image the digit was accepted
+    on."""
+    if FORWARD[key].parity:
+        k, xp, yp = _solve(key, np.array([x]), np.array([y]), k_max)
+        return int(k[0]), float(xp[0]), float(yp[0])
+    rng = _candidate_range_affine(key, x, y)
+    if rng is None:
+        raise DigitNotFound(f"no branch of {key} admits ({x}, {y})")
+    k_lo, k_hi, images = rng
+    if k_hi - k_lo > _MAX_WIDTH:
+        # interval far longer than a boundary tie: transcription problem
+        raise AmbiguousDigit(
+            f"{key}: {k_hi - k_lo + 1} candidate digits at ({x}, {y})")
+    # the formulas carry terms of size k, so rounding in the image grows
+    # like eps*k and the membership tolerance must follow it
+    hits = []
+    for k in range(k_lo, min(k_hi, k_max) + 1):
+        image = images.get(k)
+        if image is None:
+            try:
+                image = _eval_formula(key, k, x, y)
+            except EvaluationSingularity:
+                # a singular branch formula cannot be the point's digit
+                continue
+        if _in_closure(*image, MEMBERSHIP_TOL + 1e-15 * k):
+            hits.append((k, *image))
     if not hits:
         raise DigitNotFound(f"no branch of {key} admits ({x}, {y}) below k_max={k_max}")
-    if hits[-1] - hits[0] != len(hits) - 1:
+    if hits[-1][0] - hits[0][0] != len(hits) - 1:
         # a genuine gap between admitting branches: transcription problem;
         # contiguous multi-hits are boundary-rounding ties, lowest k wins
-        raise AmbiguousDigit(f"{key}: non-adjacent digits {hits} at ({x}, {y})")
+        raise AmbiguousDigit(
+            f"{key}: non-adjacent digits {[h[0] for h in hits]} at ({x}, {y})")
     if len(hits) > 1:
         # at large k the eps*k allowance can also admit a neighbour whose
         # image misses the triangle by far more than its rounding, so the
         # lowest hit inside at the base tolerance wins first
-        for k in hits:
-            if _member(key, k, x, y, MEMBERSHIP_TOL):
-                return k
+        for hit in hits:
+            if _in_closure(hit[1], hit[2]):
+                return hit
     return hits[0]
 
 
+def _classes(key):
+    """(first k, step, sign s) of each parity class of a row."""
+    if not FORWARD[key].parity:
+        return ((0, 1, 1.0),)
+    return ((0, 2, 1.0), (1, 2, -1.0))
+
+
+def _images(key, k, xs, ys, s):
+    xp, yp = FORWARD[key].f(k, xs, ys, s)
+    return np.broadcast_arrays(xp, yp, xs)[:2]
+
+
+def _pole(c0, ch, cf):
+    """d of one image component c(j) = (p + q*j)/(1 + d*j) through its
+    samples at j = 0, _NEAR, _FAR, and a measure of the error rounding puts
+    on d: inf where c takes one value at _NEAR and _FAR, so it shows no
+    pole."""
+    dh, df = ch - c0, cf - c0
+    den = df - dh
+    d = (_FAR / _NEAR * dh - df) / (_FAR * den)
+    err = (np.abs(df) * np.maximum(np.abs(c0), np.abs(ch))
+           + np.abs(dh) * np.maximum(np.abs(c0), np.abs(cf))) / den ** 2
+    none = ~(np.isfinite(d) & np.isfinite(err))
+    return np.where(none, 0.0, d), np.where(none, np.inf, err)
+
+
+def _regions(key, xs, ys, base, cls):
+    """The intervals lo..hi of j = m - base, where k = first + step*m, on
+    which one class satisfies every fitted constraint, one per side of the
+    class's pole: lo and hi of shape (sides, n), and whether each is live;
+    an interval is dead where a sample is singular, a constant constraint
+    fails or the side is empty, and may be live with hi < lo, when the
+    constraints exclude each other."""
+    first, step, s = cls
+    k0 = first + step * base
+    x0, y0 = _images(key, k0, xs, ys, s)
+    tol = MEMBERSHIP_TOL
+    # constraint i is (a + b*j) / (1 + d*j) >= 0; on parity-free rows d = 0
+    # and b is the difference of the samples at j = 0, 1
+    a = np.stack((y0 + tol, x0 - y0 + tol, 1.0 + tol - x0))
+    d = np.zeros_like(x0)
+    parity = FORWARD[key].parity
+    if parity:
+        # x' and y' share one pole, or one of them is constant in k, else
+        # x' - y' would not be linear-fractional.  Samples at j = 0,
+        # _NEAR, _FAR fix d, taken from the component that rounding
+        # disturbs least (near an edge one of them is within 1e-9 of
+        # constant); the numerators a + b*j = g(j) * (1 + d*j) follow
+        xh, yh = _images(key, k0 + step * _NEAR, xs, ys, s)
+        xf, yf = _images(key, k0 + step * _FAR, xs, ys, s)
+        ok = np.isfinite(xh) & np.isfinite(yh) & np.isfinite(xf) & np.isfinite(yf)
+        dx_, ex = _pole(x0, xh, xf)
+        dy_, ey = _pole(y0, yh, yf)
+        d = np.where(ex <= ey, dx_, dy_)
+        dx, dy = xh - x0, yh - y0
+        b = (np.stack((dy, dx - dy, -dx)) * (1.0 + d * _NEAR) + a * (d * _NEAR)) / _NEAR
+        scale = ((np.abs(x0) + np.abs(y0) + np.abs(xh) + np.abs(yh))
+                 * (1.0 + np.abs(d * _NEAR)) / _NEAR)
+    else:
+        x1, y1 = _images(key, k0 + step, xs, ys, s)
+        ok = np.isfinite(x1) & np.isfinite(y1)
+        dx, dy = x1 - x0, y1 - y0
+        b = np.stack((dy, dx - dy, -dx))
+        scale = np.abs(x0) + np.abs(y0) + np.abs(x1) + np.abs(y1)
+    ok &= np.isfinite(x0) & np.isfinite(y0)
+    # a slope within the rounding of the samples is none
+    flat = np.abs(b) < 1e-15 * np.maximum(1.0, scale)
+    pole = np.where(d != 0, -1.0 / d, np.inf)
+    root = -a / b
+    n = xs.size
+    # 1 + d*j > 0 left of the pole where d < 0, right of it where d > 0
+    sides = [(np.full(n, -np.inf), pole, np.where(d == 0, 1.0, -np.sign(d)))]
+    if parity:
+        sides.append((pole, np.full(n, np.inf), np.sign(d)))
+    lo, hi = np.empty((len(sides), n)), np.empty((len(sides), n))
+    live = np.empty((len(sides), n), dtype=bool)
+    for r, (edge_lo, edge_hi, sign) in enumerate(sides):
+        up, down = ~flat & (sign * b > 0), ~flat & (sign * b < 0)
+        lo[r] = np.maximum(np.maximum(edge_lo, -base),
+                           np.max(np.where(up, root, -np.inf), axis=0))
+        hi[r] = np.minimum(edge_hi, np.min(np.where(down, root, np.inf), axis=0))
+        live[r] = ok & (edge_lo < edge_hi) & ~(flat & (sign * a < 0)).any(axis=0)
+    return lo, hi, live, ok
+
+
+def _brackets(key, xs, ys, cls):
+    """Candidate ranges of one class: flat arrays (point, m_lo, m_hi), one
+    entry per interval of the fitted constraints, padded by one step; and
+    whether the interval was refitted."""
+    n = xs.size
+    lo, hi = np.zeros((2, n)), np.zeros((2, n))
+    live = np.zeros((2, n), dtype=bool)
+    base = np.zeros(n)
+    todo = np.arange(n)
+    for b in _BASES:
+        if todo.size == 0:
+            break
+        l, h, v, ok = _regions(key, xs[todo], ys[todo], float(b), cls)
+        done, sides = todo[ok], slice(0, l.shape[0])
+        lo[sides, done], hi[sides, done], live[sides, done] = l[:, ok], h[:, ok], v[:, ok]
+        base[done] = b
+        todo = todo[~ok]
+    # an interval that misses by less than _REFIT_GAP may be rounding
+    side, pt = np.nonzero(live & (hi >= lo - _REFIT_GAP))
+    base, lo, hi = base[pt], lo[side, pt], hi[side, pt]
+    refit = np.maximum(0.0, base + np.ceil(lo - 1e-9) - 1)
+    far = np.nonzero(refit > base + _REFIT_GAP)[0]
+    refitted = np.zeros(pt.size, dtype=bool)
+    if far.size:
+        # near an edge the digit runs to 1/y, and the fit from the base
+        # samples, small differences of O(1) images, loses digits to
+        # cancellation that the long extrapolation multiplies, so far out
+        # an interval can even miss by a few steps: fit again from samples
+        # at the first bracket (a refit singular there keeps it)
+        rb = refit[far]
+        l, h, v, ok = _regions(key, xs[pt[far]], ys[pt[far]], rb, cls)
+        side, idx = np.nonzero(v)
+        keep = np.ones(pt.size, dtype=bool)
+        keep[far[ok]] = False
+        pt = np.concatenate((pt[keep], pt[far[idx]]))
+        base = np.concatenate((base[keep], rb[idx]))
+        lo = np.concatenate((lo[keep], l[side, idx]))
+        hi = np.concatenate((hi[keep], h[side, idx]))
+        refitted = np.concatenate((refitted[keep], np.ones(idx.size, dtype=bool)))
+    met = hi >= lo - 1e-9
+    pt, base, lo, hi = pt[met], base[met], lo[met], hi[met]
+    return (pt, np.maximum(0.0, base + np.ceil(lo - 1e-9) - 1),
+            base + np.floor(hi + 1e-9) + 1, refitted[met])
+
+
+def _spread(pt, lo, hi, first=0, step=1):
+    """Every k = first + step*m, m = lo..hi, of each range (pt, lo, hi):
+    flat arrays (point, k)."""
+    count = np.maximum(hi - lo + 1, 0).astype(np.int64)
+    start = np.repeat(lo, count)
+    offset = np.arange(start.size) - np.repeat(np.cumsum(count) - count, count)
+    return np.repeat(pt, count), first + step * (start + offset)
+
+
+def _confirm(key, xs, ys, pt, k):
+    """Each candidate (pt, k) evaluated once, sorted by point and k: point,
+    k, image, and whether the image is in the closure at the eps*k
+    allowance and at the base tolerance."""
+    order = np.lexsort((k, pt))
+    pt, k = pt[order], k[order]
+    fresh = np.ones(pt.size, dtype=bool)
+    fresh[1:] = (pt[1:] != pt[:-1]) | (k[1:] != k[:-1])
+    pt, k = pt[fresh], k[fresh]
+    xp, yp = _images(key, k, xs[pt], ys[pt], np.where(k % 2 == 1, -1.0, 1.0))
+    # a singular branch formula cannot be the point's digit (nan compares
+    # false); rounding in the image grows like eps*k, and the membership
+    # tolerance follows it
+    tol = MEMBERSHIP_TOL + 1e-15 * k
+    hit = (np.isfinite(xp) & np.isfinite(yp) & (yp >= -tol) & (xp - yp >= -tol)
+           & (xp <= 1.0 + tol))
+    inside = hit & (yp >= -MEMBERSHIP_TOL) & (xp - yp >= -MEMBERSHIP_TOL) \
+        & (xp <= 1.0 + MEMBERSHIP_TOL)
+    return pt, k, xp, yp, hit, inside
+
+
+def _hit_range(n, pt, k, hit):
+    lowest, highest = np.full(n, np.inf), np.full(n, -np.inf)
+    np.minimum.at(lowest, pt[hit], k[hit])
+    np.maximum.at(highest, pt[hit], k[hit])
+    return lowest, highest
+
+
+def _lowest_run(pt, k, hit):
+    """hit kept on the lowest run of each point's hits only, pt and k
+    sorted: as in a scan from k = 0, six misses after a hit end the run."""
+    idx = np.nonzero(hit)[0]
+    hp, hk = pt[idx], k[idx]
+    head = np.ones(idx.size, dtype=bool)
+    head[1:] = hp[1:] != hp[:-1]
+    breaks = np.cumsum(~head & (np.diff(hk, prepend=0.0) >= 7))
+    first = np.maximum.accumulate(np.where(head, np.arange(idx.size), 0))
+    run = np.zeros(hit.size, dtype=bool)
+    run[idx[breaks == breaks[first]]] = True
+    return run
+
+
+# singular samples and candidates turn up as inf and nan, and count as
+# misses
+@np.errstate(all="ignore")
+def _solve(key, xs, ys, k_max):
+    """digits, and the images each digit was accepted on."""
+    n = xs.size
+    pts, ks = [], []
+    wide_from, deep = np.full(n, np.inf), np.zeros(n, dtype=bool)
+    for first, step, s in _classes(key):
+        pt, m_lo, m_hi, refitted = _brackets(key, xs, ys, (first, step, s))
+        deep[pt[refitted]] = True
+        w = m_hi - m_lo > _MAX_WIDTH
+        np.minimum.at(wide_from, pt[w], first + step * m_lo[w])
+        # candidates above k_max are not looked at
+        m_hi = np.minimum(m_hi, np.floor((k_max - first) / step))
+        p, k = _spread(pt[~w], m_lo[~w], m_hi[~w], first, step)
+        pts.append(p)
+        ks.append(k)
+    pt, k, xp, yp, hit, inside = _confirm(key, xs, ys, np.concatenate(pts), np.concatenate(ks))
+    if FORWARD[key].parity:
+        # the two classes are bracketed apart, and far out, near a vertex,
+        # rounding can shift a bracket by a few steps; there the hits are
+        # settled on every k, as a scan would, from _REFIT_GAP below the
+        # lowest run to six above it, or within _REFIT_GAP of each
+        # candidate where none hit
+        lowest, highest = _hit_range(n, pt, k, _lowest_run(pt, k, hit))
+        found = np.isfinite(lowest)
+        ids = np.nonzero(found & deep & (highest - lowest <= _MAX_WIDTH))[0]
+        near = ~found[pt]
+        if ids.size or near.any():
+            win = np.arange(-_REFIT_GAP, _REFIT_GAP + 1)
+            p1, k1 = _spread(ids, lowest[ids] - _REFIT_GAP, highest[ids] + 6)
+            p2, k2 = np.repeat(pt[near], win.size), (k[near][:, None] + win).ravel()
+            same = ~np.isin(pt, ids) & ~near
+            p = np.concatenate((pt[same], p1, p2))
+            kk = np.concatenate((k[same], k1, k2))
+            keep = (kk >= 0) & (kk <= k_max)
+            pt, k, xp, yp, hit, inside = _confirm(key, xs, ys, p[keep], kk[keep])
+    hit = _lowest_run(pt, k, hit)
+    inside &= hit
+    lowest, highest = _hit_range(n, pt, k, hit)
+    count = np.bincount(pt[hit], minlength=n)
+    # the lowest hit inside at the base tolerance wins: at large k the
+    # eps*k allowance can also admit a neighbour whose image misses the
+    # triangle by far more than its rounding
+    lowest_in, _ = _hit_range(n, pt, k, inside)
+    digit = np.where(np.isfinite(lowest_in), lowest_in, lowest)
+    # an interval far longer than a boundary tie where the digit may lie,
+    # or a gap in the run, is a transcription problem; contiguous
+    # multi-hits are boundary-rounding ties
+    wide = np.isfinite(wide_from) & (wide_from <= lowest)
+    gap = (count > 0) & (highest - lowest != count - 1)
+    bad = wide | (count == 0) | gap
+    if bad.any():
+        i = int(np.argmax(bad))
+        x, y = xs[i], ys[i]
+        if wide[i]:
+            raise AmbiguousDigit(f"{key}: more than {_MAX_WIDTH + 1} candidate "
+                                 f"digits at ({x}, {y})")
+        if gap[i]:
+            raise AmbiguousDigit(f"{key}: non-adjacent digits "
+                                 f"{k[(pt == i) & hit].astype(int).tolist()} at ({x}, {y})")
+        raise DigitNotFound(f"no branch of {key} admits ({x}, {y}) below k_max={k_max}")
+    chosen = np.nonzero(k == digit[pt])[0]
+    return digit.astype(np.int64), xp[chosen], yp[chosen]
+
+
+def digits(key, xs, ys, k_max: int = K_MAX_DEFAULT) -> np.ndarray:
+    """The digit of each point (xs[i], ys[i]) under the row key, as an
+    int64 array.  Raises DigitNotFound for a point no branch k <= k_max
+    admits and AmbiguousDigit for one that admits branches far apart."""
+    xs, ys = np.asarray(xs, dtype=float).ravel(), np.asarray(ys, dtype=float).ravel()
+    return _solve(key, xs, ys, k_max)[0]
+
+
 def extract_digit(t: PermutationTriple, p: TrianglePoint, k_max: int = K_MAX_DEFAULT) -> int:
-    return _digit(t.key, p.x, p.y, k_max)
+    return _digit(t.key, p.x, p.y, k_max)[0]
 
 
 def branch_roundtrip(t: PermutationTriple, k_max: int,
                      points: list[TrianglePoint]) -> tuple[float, bool]:
     """Worst |forward(branch_k(p)) - p| over k <= k_max and the points,
-    and whether extract_digit recovers every k from branch_k(p)."""
-    worst, digits_exact = 0.0, True
+    and whether the digit of every branch_k(p) is k."""
+    xs = np.array([p.x for p in points])
+    ys = np.array([p.y for p in points])
+    branch, forward = TRANSFER[t.key].branch, FORWARD[t.key].f
+    qx, qy, worst = [], [], 0.0
     for k in range(k_max + 1):
-        for p in points:
-            q = branch_point(t, k, p)
-            xb, yb = apply_branch_formula(t, k, q)
-            worst = max(worst, abs(xb - p.x), abs(yb - p.y))
-            if extract_digit(t, q) != k:
-                digits_exact = False
-    return worst, digits_exact
+        s = -1.0 if k & 1 else 1.0
+        with np.errstate(all="ignore"):
+            a, b = np.broadcast_arrays(*branch(k, xs, ys, s), xs)[:2]
+            xb, yb = np.broadcast_arrays(*forward(k, a, b, s), xs)[:2]
+        interior = (0.0 < b) & (b < a) & (a < 1.0)
+        if not interior.all():
+            i = int(np.argmin(interior))
+            raise OutsideTriangle(f"branch {k} of {t} at {points[i]} is ({a[i]}, {b[i]}), "
+                                  "not interior to the triangle")
+        if not (np.isfinite(xb).all() and np.isfinite(yb).all()):
+            raise EvaluationSingularity(f"branch formula {t.key} non-finite at k={k}")
+        worst = max(worst, float(np.max(np.abs(xb - xs))), float(np.max(np.abs(yb - ys))))
+        qx.append(a)
+        qy.append(b)
+    got = digits(t.key, np.concatenate(qx), np.concatenate(qy))
+    want = np.repeat(np.arange(k_max + 1), xs.size)
+    return worst, bool(np.array_equal(got, want))
 
 
 def step(t: PermutationTriple, p: TrianglePoint, k_max: int = K_MAX_DEFAULT) -> OrbitStep:
-    k = _digit(t.key, p.x, p.y, k_max)
-    xp, yp = _eval_formula(t.key, k, p.x, p.y)
+    k, xp, yp = _digit(t.key, p.x, p.y, k_max)
     if not (yp > MEMBERSHIP_TOL and xp - yp > MEMBERSHIP_TOL and xp < 1.0 - MEMBERSHIP_TOL):
         raise BoundaryHit(f"orbit of {t} hit the boundary at ({xp}, {yp})")
     return OrbitStep(digit=k, image=TrianglePoint(xp, yp))

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,6 +9,7 @@ from tripmaps.domain import PermutationTriple, TrianglePoint, supported_triples
 from tripmaps.errors import AmbiguousDigit, BoundaryHit, DigitNotFound
 from tripmaps import maps, transfer
 from tripmaps.tables.forward import FORWARD
+from tripmaps.tables.transfer_rows import TRANSFER
 
 EEE = PermutationTriple("e", "e", "e")
 E23E = PermutationTriple("e", "23", "e")
@@ -117,3 +119,211 @@ def test_negative_k_rejected():
     p = TrianglePoint(0.5, 0.25)
     with pytest.raises(ValueError):
         maps.apply_branch_formula(EEE, -1, p)
+
+
+# --- maps.digits against independent routes -------------------------------
+
+TYPED = (DigitNotFound, AmbiguousDigit)
+
+
+def _member(key, k, x, y, tol):
+    s = -1.0 if k & 1 else 1.0
+    try:
+        xp, yp = FORWARD[key].f(k, x, y, s)
+    except ZeroDivisionError:
+        return False
+    return (math.isfinite(xp) and math.isfinite(yp)
+            and yp >= -tol and xp - yp >= -tol and xp <= 1.0 + tol)
+
+
+def _scan(key, x, y, start=0, k_max=maps.K_MAX_DEFAULT):
+    """Digit by linear scan, the reference maps.digits must agree with: k
+    upward from start, six misses after a hit end the run, contiguous ties
+    go to the lowest hit inside at the base tolerance.  Its cost grows
+    with the digit."""
+    hits, misses_after_hit, k = [], 0, start
+    while k <= k_max:
+        if _member(key, k, x, y, maps.MEMBERSHIP_TOL + 1e-15 * k):
+            hits.append(k)
+            misses_after_hit = 0
+        elif hits:
+            misses_after_hit += 1
+            if misses_after_hit >= 6:
+                break
+        k += 1
+    if not hits:
+        raise DigitNotFound(f"{key} ({x}, {y})")
+    if hits[-1] - hits[0] != len(hits) - 1:
+        raise AmbiguousDigit(f"{key}: {hits}")
+    for k in hits:
+        if _member(key, k, x, y, maps.MEMBERSHIP_TOL):
+            return k
+    return hits[0]
+
+
+def _outcome(fn, *args):
+    try:
+        return int(fn(*args))
+    except TYPED as exc:
+        return type(exc).__name__
+
+
+def _branch(key, k, x, y):
+    a, b = TRANSFER[key].branch(k, x, y, -1.0 if k & 1 else 1.0)
+    return float(a), float(b)
+
+
+def _solo(key, x, y):
+    return maps.digits(key, [x], [y])[0]
+
+
+def _affine(key, x, y):
+    return maps._digit(key, x, y)[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(supported_triples()), st.integers(0, 40),
+       st.sampled_from(("bottom", "diagonal", "right")),
+       st.floats(-12.0, -9.0), st.floats(0.02, 0.98))
+def test_digits_near_cylinder_boundaries(key, k, edge, log_gap, u):
+    # branch_k of a point within 1e-9 of an edge of the triangle lies
+    # within about as much of the boundary of cylinder k, where both
+    # parity classes and the tie rules meet
+    gap = 10.0 ** log_gap
+    x, y = {"bottom": (u, gap * u), "diagonal": (u, u * (1.0 - gap)),
+            "right": (1.0 - gap, u * (1.0 - gap))}[edge]
+    qx, qy = _branch(key, k, x, y)
+    if not 0.0 < qy < qx < 1.0:
+        return
+    got = _outcome(_solo, key, qx, qy)
+    assert got == _outcome(_scan, key, qx, qy), (key, k, qx, qy)
+    if not FORWARD[key].parity:
+        assert got == _outcome(_affine, key, qx, qy)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(supported_triples()), st.floats(6.0, math.log10(5e8)),
+       st.floats(0.05, 0.95), st.floats(0.05, 0.95))
+def test_digits_deep_corner_points(key, log_k, u, v):
+    # digits of 1e6 to 5e8 sit within 1e-6 of a vertex, where both image
+    # components carry terms of size k
+    x, y = max(u, v), min(u, v)
+    if not 0.02 < y < x - 0.02:
+        return
+    qx, qy = _branch(key, int(10.0 ** log_k), x, y)
+    if not 0.0 < qy < qx < 1.0:
+        return
+    got = _outcome(_solo, key, qx, qy)
+    if not FORWARD[key].parity:
+        assert got == _outcome(_affine, key, qx, qy)
+    elif isinstance(got, int):
+        # a scan over the run below the digit finds the same digit; a full
+        # scan from k = 0 would take minutes
+        assert _scan(key, qx, qy, start=max(0, got - 32)) == got, (key, qx, qy)
+
+
+@pytest.mark.parametrize("k", [10 ** 6 + 1, 3 * 10 ** 6])
+def test_digits_deep_points_every_row(k):
+    # below about 1e7 rounding in the images stays well under the width of
+    # a cylinder, and every row finds the digit a scan finds
+    for key in supported_triples():
+        for x, y in ((0.6, 0.3), (0.8, 0.5), (0.45, 0.2)):
+            qx, qy = _branch(key, k, x, y)
+            if 0.0 < qy < qx < 1.0:
+                assert _solo(key, qx, qy) == _scan(key, qx, qy, start=k - 64), (key, x, y)
+
+
+@pytest.mark.parametrize("key, x, y, k", [
+    # x' and y' are both within 1e-7 of constant, and a bracket fitted far
+    # out misses the digit by a few steps
+    (("23", "12", "132"), 0.5000000890814965, 0.49999999992783273, 11216586),
+    (("123", "12", "23"), 0.5000000743839568, 0.49999995360096133, 8279309),
+    # one of x', y' is within 1e-7 of constant and shows no pole: the other
+    # one must place it
+    (("13", "123", "123"), 0.9999999669231615, 0.4999999810990685, 30232634),
+    (("123", "23", "23"), 0.5000000729974753, 0.5000000062986548, 14992767),
+    (("e", "e", "12"), 0.5000000739091487, 4.537797927061168e-07, 2203710),
+    (("23", "132", "132"), 0.5000000227840503, 0.49999994607037035, 13035483),
+    (("23", "132", "132"), 0.5000000019198783, 0.49999999692322383, 200133907),
+    # the bracket finds a run a few steps above the run a scan stops at
+    (("23", "123", "132"), 0.5000000078689311, 0.500000005861292, 498097523),
+    (("123", "123", "23"), 0.5000000051385803, 0.5000000018371361, 302897731),
+])
+def test_digits_next_to_a_vertex(key, x, y, k):
+    assert _solo(key, x, y) == k == _scan(key, x, y, start=k - 64)
+
+
+@pytest.mark.parametrize("key, x, y, k", [
+    # orbit points next to a vertex with a small digit, where the other
+    # class fits an interval beyond its pole, 1e8 to 1e11 out, in which
+    # the eps*k allowance admits whole runs: as in a scan from k = 0, the
+    # lowest run is the digit, and a wide interval above it is no matter
+    (("13", "123", "123"), 0.9999999999934519, 3.148059590785124e-11, 8),
+    (("23", "123", "132"), 0.9999999996031503, 0.9999999968700486, 0),
+    (("132", "123", "13"), 0.9999999998224609, 8.64292826197044e-09, 97),
+])
+def test_digits_lowest_run_wins(key, x, y, k):
+    assert _solo(key, x, y) == k == _scan(key, x, y)
+
+
+def test_digits_sample_on_a_pole():
+    # at this point both classes of the row have their pole at the far
+    # sample of the first fit, k = 2**21 and 2**21 + 1: fit from the next base
+    key, x, y = ("e", "e", "12"), 0.5, 2.0 ** -21
+    assert _solo(key, x, y) == _scan(key, x, y, start=2 ** 21 - 64) == 2 ** 21 - 3
+
+
+@pytest.mark.parametrize("key", [("e", "e", "e"), ("e", "e", "12")])
+def test_digit_at_a_vertex_is_ambiguous(key):
+    # every even branch maps the vertex (1, 0) to (0, 0): the candidate
+    # interval never closes
+    with pytest.raises(AmbiguousDigit):
+        _solo(key, 1.0, 0.0)
+    with pytest.raises(AmbiguousDigit):
+        maps._digit(key, 1.0, 0.0)
+
+
+def test_digits_deep_at_bottom_edge():
+    # the point of test_extract_digit_deep_at_bottom_edge, digit about 5e8
+    key, x, y = ("12", "13", "12"), 0.9961326767967214, 2.022691291157514e-09
+    assert _solo(key, x, y) == _affine(key, x, y) > 4 * 10 ** 8
+
+
+@pytest.mark.parametrize("x, y, k", [
+    # x' - y' is constant in k on this row, and its slope, a difference of
+    # two images of size 4e8, is pure rounding: read as a slope it
+    # excluded the digit
+    (3.9022881188351614e-09, 2.740640529743682e-09, 364878204),
+    # the bracket from the k = 0, 1 samples misses the digit by about 28
+    # on each side and comes out empty: it must be refitted all the same
+    (2.6323424541060964e-09, 2.352858154048048e-09, 425014995),
+])
+def test_digit_deep_in_bottom_left_corner(x, y, k):
+    key = ("e", "12", "e")
+    assert _solo(key, x, y) == _affine(key, x, y) == k == _scan(key, x, y, start=k - 64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(supported_triples()), st.integers(0, 29),
+       st.sampled_from(("nan", "beyond k_max")))
+def test_digits_batch_with_one_bad_point(key, where, bad):
+    pts = [(0.61, 0.22), (0.83, 0.45), (0.37, 0.11)]
+    ks = np.arange(10)
+    qx, qy = (np.array(c) for c in zip(*(_branch(key, int(k), x, y)
+                                         for k in ks for x, y in pts)))
+    assert np.array_equal(maps.digits(key, qx, qy, k_max=20), np.repeat(ks, len(pts)))
+    bx, by = (math.nan, 0.3) if bad == "nan" else _branch(key, 50, 0.61, 0.22)
+    with pytest.raises(TYPED):
+        maps.digits(key, np.insert(qx, where, bx), np.insert(qy, where, by), k_max=20)
+
+
+def test_digits_batch_matches_points_and_images(sample_points):
+    # one batched call gives each point's digit, and _digit hands back the
+    # image of the accepted branch exactly as the table formula gives it
+    for key in supported_triples():
+        qs = [_branch(key, k, p.x, p.y) for k in (0, 1, 5, 9) for p in sample_points[:4]]
+        batch = maps.digits(key, [q[0] for q in qs], [q[1] for q in qs])
+        for (x, y), k in zip(qs, batch):
+            digit, xp, yp = maps._digit(key, x, y)
+            assert digit == k == _scan(key, x, y), key
+            assert (xp, yp) == maps._eval_formula(key, digit, x, y), key
