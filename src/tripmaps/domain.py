@@ -66,8 +66,9 @@ def parse_triple(text: str) -> PermutationTriple:
 
 
 def in_triangle(p) -> bool:
+    """0 < y < x < 1, elementwise where the coordinates are arrays."""
     x, y = p[0], p[1]
-    return 0.0 < y < x < 1.0
+    return (0.0 < y) & (y < x) & (x < 1.0)
 
 
 def supported_triples() -> list[tuple[str, str, str]]:

@@ -187,7 +187,8 @@ def empirical_digits(t: PermutationTriple, start: TrianglePoint | None,
             batches.append(counts)
             counts = {}
         # near-corner points carry digits ~1/y, far beyond the default
-        # search cap; digit extraction is O(1) so a large cap is free
+        # search cap; digit extraction costs at most O(log k) evaluations,
+        # so a large cap is free
         k, xp, yp = _digit(key, x, y, k_max=10 ** 12)
         if not (yp > tol and xp - yp > tol and xp < 1.0 - tol):
             restarts += 1

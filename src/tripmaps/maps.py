@@ -2,30 +2,41 @@
 
 Digit extraction inverts the implicit partition of the triangle: digit k is
 the branch index whose formula maps the point back into the closed
-triangle, the lowest one where rounding admits a run of them.  Within one
-parity class (k even, or k odd) both image components are linear-fractional
-in k, (a + b k)/(c + d k), with one pole between them; on parity-free rows
-(no (-1)^k anywhere) there is one class and d = 0.  So each membership
-constraint y' >= 0, x' - y' >= 0, x' <= 1 changes sign only at its zero and
-at the pole, and on each side of the pole holds on a half-line.  digits
-fits each class from three samples (two where d = 0), intersects the
-half-lines on each side of the pole and confirms the integers at the ends
-of each interval by evaluating the branch, for arrays of points at once;
-the cost does not grow with the digit.  Far out, a refit at the first
-bracket, and on parity rows a short scan around the hits, absorb the
-rounding in the samples.  _digit is the one-point face; on parity-free rows
-it keeps a scalar copy of the affine bracket for the sequential orbit, where
-numpy on one-element arrays would cost more than the step.
+triangle, the lowest one where rounding admits a run of them.
+
+The inverse branches are F1^k F0, F0 the digit-0 branch, so the points of
+digit at least K form the nested triangle F1^K(triangle), and a point p
+lies in it exactly when F1^-K(p) = branch_0(T_K(p)) does, T_K the forward
+formula of digit K.  That test is monotone in K: a galloping search (K = 1,
+2, 4, ..., then bisection) finds the digit in O(log k) evaluations, for
+arrays of points at once, and the membership test confirms the integers
+next to it.  Far out the composition loses the digit: T_K carries terms of
+size K, and next to a vertex their rounding smears the test over up to
+millions of steps.  So beyond _SHALLOW, and wherever the confirmation is
+not clean, the digit comes from the row formula evaluated in exact
+rational arithmetic: within one parity class (k even, or k odd) both image
+components are linear-fractional in k, (a + b k)/(1 + d k), with one
+shared pole, so three exact samples fix each membership constraint
+y' >= 0, x' - y' >= 0, x' <= 1, and each holds on a half-line on each side
+of the pole.  A scan over the 64 steps on each side of the ranges so
+found applies the tie rules in rounded arithmetic, as a scan from k = 0
+would.
+
+_digit is the one-point face the orbit steps use, on floats: on parity-free
+rows both image components are affine in k, and the line through the
+images at k = 0 and 1 brackets the digit in two evaluations; on parity rows
+it runs the search.  Whatever it cannot settle goes to the array path.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .domain import PermutationTriple, TrianglePoint
+from .domain import PermutationTriple, TrianglePoint, in_triangle
 from .errors import (
     AmbiguousDigit,
     BoundaryHit,
@@ -38,9 +49,24 @@ from .tables.transfer_rows import TRANSFER
 
 MEMBERSHIP_TOL = 1e-12
 # orbits drift arbitrarily close to the corner, where the digit grows like
-# 1/y; digit extraction is O(1) in the digit, so the default cap is huge on
-# purpose
+# 1/y; digit extraction costs O(log k) evaluations below _SHALLOW and a
+# fixed number beyond it, so the default cap is huge on purpose
 K_MAX_DEFAULT = 10 ** 12
+
+# the galloping search stops here.  Beyond it rounding smears the composed
+# test and the eps*k allowance widens, so the exact path decides; below it
+# a wrong answer of the search finds no clean run of hits, and goes to the
+# exact path all the same
+_SHALLOW = 2 ** 20
+# a range of exact candidates wider than this is far longer than a
+# boundary tie
+_MAX_WIDTH = 64
+# the scan over exact candidates reaches this far on each side of them:
+# far out the rounded images, which the tie rules judge, can put the hits
+# some steps off the exact range
+_REACH = 64
+# exact samples on a pole are retried from these bases
+_BASES = (0, 2, 5)
 
 
 @dataclass(frozen=True)
@@ -73,123 +99,117 @@ def apply_branch_formula(t: PermutationTriple, k: int, p: TrianglePoint):
     return _eval_formula(t.key, k, p.x, p.y)
 
 
-# a first bracket this far above its base samples is refitted at itself;
-# far out, rounding moves a bracket by less than this
-_REFIT_GAP = 64
-# a bracket wider than this is far longer than a boundary tie
-_MAX_WIDTH = 64
-# samples below a singular one are retried from these bases
-_BASES = (0, 2, 5)
-# parity rows sample each class at the base and these class steps past it:
-# geometric spacing resolves a zero or pole near the base to about
-# eps*_NEAR and one at distance L to about eps*L**2/_NEAR, where two
-# neighbouring samples would lose eps*L**2
-_NEAR = 2.0 ** 20
-_FAR = 2.0 ** 40
+# --- search: digit >= k is monotone in k -----------------------------------
+
+def _deeper(f, branch, k, x, y, s):
+    """Whether the digit of (x, y) is at least k, under the row with forward
+    formula f and inverse branch branch, s = (-1)**k: whether
+    F1^-k(x, y) = branch_0(T_k(x, y)) is in the closed triangle."""
+    a, b = branch(0, *f(k, x, y, s), 1.0)
+    return (b >= 0.0) & (a >= b) & (a <= 1.0)
 
 
-def _line_bracket(key, x, y, base):
-    # both image components are affine in k; the line through the images
-    # at base and base + 1 gives the interval lo..hi of k - base that
-    # satisfies y' >= 0, x' >= y', x' <= 1 (offsets from base keep the
-    # sample values exact), None where a constant constraint fails; and
-    # the two images by their k
-    xa, ya = _eval_formula(key, base, x, y)
-    xb, yb = _eval_formula(key, base + 1, x, y)
-    images = {base: (xa, ya), base + 1: (xb, yb)}
-    dx, dy = xb - xa, yb - ya
-    lo, hi = float(-base), float("inf")
-    tol = MEMBERSHIP_TOL
-    # a slope within the rounding of the samples is none: on some rows
-    # x' - y' is constant in k, and near the corner the samples are O(1/x)
-    flat = 1e-15 * max(1.0, abs(xa) + abs(ya) + abs(xb) + abs(yb))
-    # constraints a + (k - base)*b >= 0
-    for a, b in ((ya + tol, dy), (xa - ya + tol, dx - dy), (1.0 + tol - xa, -dx)):
-        if abs(b) < flat:
-            if a < 0:
-                return None, images
-        elif b > 0:
-            lo = max(lo, -a / b)
-        else:
-            hi = min(hi, -a / b)
-    return (lo, hi), images
+def _search_one(key, x, y, limit):
+    """The largest k <= limit whose _deeper holds, by galloping from k = 1
+    and bisecting; None where that is limit itself."""
+    f, branch = FORWARD[key].f, TRANSFER[key].branch
 
-
-def _candidate_range_affine(key, x, y):
-    # any two sample digits determine the line; skip past isolated poles,
-    # then confirm the bracket by evaluation
-    for base in _BASES:
+    def deeper(k):
         try:
-            rng, images = _line_bracket(key, x, y, base)
+            return _deeper(f, branch, k, x, y, -1.0 if k & 1 else 1.0)
+        except ZeroDivisionError:
+            # counted as outside; the confirmation catches a wrong answer
+            return False
+
+    lo, hi = 0, 1
+    while True:
+        k = hi if hi < limit else limit
+        if not deeper(k):
+            hi = k
             break
-        except EvaluationSingularity:
-            continue
-    else:
-        return None
-    if rng is None or rng[1] < rng[0] - _REFIT_GAP:
-        return None
-    refit = max(0, base + math.ceil(rng[0] - 1e-9) - 1)
-    if refit > base + _REFIT_GAP:
-        # near an edge the digit runs to 1/y, and the slope of the base
-        # samples, a small difference of O(1) images, loses digits to
-        # cancellation that the long extrapolation multiplies, so far out
-        # the first bracket can even miss by a few steps: bracket again
-        # from samples at the first bracket
-        try:
-            (rng, images), base = _line_bracket(key, x, y, refit), refit
-        except EvaluationSingularity:
-            pass
-        if rng is None:
+        if k == limit:
             return None
-    lo, hi = rng
-    if hi < lo - 1e-9:
-        return None
-    k_hi = base + math.floor(hi + 1e-9) + 1 if hi < math.inf else math.inf
-    return max(0, base + math.ceil(lo - 1e-9) - 1), k_hi, images
+        lo, hi = k, 2 * k
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if deeper(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
-def _digit(key, x, y, k_max=K_MAX_DEFAULT):
-    """(digit, x', y') of one point, with the image the digit was accepted
-    on."""
-    if FORWARD[key].parity:
-        k, xp, yp = _solve(key, np.array([x]), np.array([y]), k_max)
-        return int(k[0]), float(xp[0]), float(yp[0])
-    rng = _candidate_range_affine(key, x, y)
-    if rng is None:
-        raise DigitNotFound(f"no branch of {key} admits ({x}, {y})")
-    k_lo, k_hi, images = rng
-    if k_hi - k_lo > _MAX_WIDTH:
-        # interval far longer than a boundary tie: transcription problem
-        raise AmbiguousDigit(
-            f"{key}: {k_hi - k_lo + 1} candidate digits at ({x}, {y})")
-    # the formulas carry terms of size k, so rounding in the image grows
-    # like eps*k and the membership tolerance must follow it
-    hits = []
-    for k in range(k_lo, min(k_hi, k_max) + 1):
-        image = images.get(k)
-        if image is None:
-            try:
-                image = _eval_formula(key, k, x, y)
-            except EvaluationSingularity:
-                # a singular branch formula cannot be the point's digit
-                continue
-        if _in_closure(*image, MEMBERSHIP_TOL + 1e-15 * k):
-            hits.append((k, *image))
-    if not hits:
-        raise DigitNotFound(f"no branch of {key} admits ({x}, {y}) below k_max={k_max}")
-    if hits[-1][0] - hits[0][0] != len(hits) - 1:
-        # a genuine gap between admitting branches: transcription problem;
-        # contiguous multi-hits are boundary-rounding ties, lowest k wins
-        raise AmbiguousDigit(
-            f"{key}: non-adjacent digits {[h[0] for h in hits]} at ({x}, {y})")
-    if len(hits) > 1:
-        # at large k the eps*k allowance can also admit a neighbour whose
-        # image misses the triangle by far more than its rounding, so the
-        # lowest hit inside at the base tolerance wins first
-        for hit in hits:
-            if _in_closure(hit[1], hit[2]):
-                return hit
-    return hits[0]
+def _search(key, xs, ys, limit):
+    """_search_one on arrays: the same probes, -1 for None."""
+    f, branch = FORWARD[key].f, TRANSFER[key].branch
+
+    def deeper(k, idx):
+        inside = _deeper(f, branch, k, xs[idx], ys[idx], np.where(k & 1, -1.0, 1.0))
+        return np.broadcast_to(inside, idx.shape)
+
+    n = xs.size
+    lo, hi = np.zeros(n, np.int64), np.ones(n, np.int64)
+    deep = np.zeros(n, dtype=bool)
+    todo = np.arange(n)
+    while todo.size:
+        k = np.minimum(hi[todo], limit)
+        up = deeper(k, todo)
+        lo[todo[up]] = k[up]
+        hi[todo] = np.where(up, 2 * k, k)
+        deep[todo[up & (k == limit)]] = True
+        todo = todo[up & (k < limit)]
+    todo = np.nonzero(~deep & (hi - lo > 1))[0]
+    while todo.size:
+        mid = (lo[todo] + hi[todo]) // 2
+        up = deeper(mid, todo)
+        lo[todo[up]] = mid[up]
+        hi[todo[~up]] = mid[~up]
+        todo = todo[hi[todo] - lo[todo] > 1]
+    return np.where(deep, -1, lo)
+
+
+# --- exact ranges: one linear-fractional fit per parity class --------------
+
+class _Exact(Fraction):
+    """A rational whose arithmetic with the float constants of the table
+    formulas (0.5 and the like) stays exact instead of turning float."""
+
+    __slots__ = ()
+
+    def __add__(a, b):
+        return _Exact(Fraction(a) + Fraction(b))
+
+    __radd__ = __add__
+
+    def __sub__(a, b):
+        return _Exact(Fraction(a) - Fraction(b))
+
+    def __rsub__(a, b):
+        return _Exact(Fraction(b) - Fraction(a))
+
+    def __mul__(a, b):
+        return _Exact(Fraction(a) * Fraction(b))
+
+    __rmul__ = __mul__
+
+    def __truediv__(a, b):
+        return _Exact(Fraction(a) / Fraction(b))
+
+    def __rtruediv__(a, b):
+        return _Exact(Fraction(b) / Fraction(a))
+
+    def __neg__(a):
+        return _Exact(-Fraction(a))
+
+
+def _window(key):
+    """How far the confirmation window reaches on each side of a searched
+    digit, and how many steps a clean run of hits keeps below its end.  A
+    scan from k = 0 counts hits up to six steps apart as one run, and on
+    parity rows cylinders k and k + 2 can touch; on parity-free rows the
+    cylinders form a fan, and two that are not neighbours meet only at its
+    vertex."""
+    return (7, 6) if FORWARD[key].parity else (1, 0)
 
 
 def _classes(key):
@@ -199,148 +219,74 @@ def _classes(key):
     return ((0, 2, 1.0), (1, 2, -1.0))
 
 
+def _exact_ranges(key, x, y):
+    """The k ranges on which the row formula, in exact arithmetic on the
+    float inputs, meets all three membership constraints at the base
+    tolerance: (k_lo, k_hi) pairs, each widened to the integers around it,
+    one per side of each parity class's pole; k_hi is inf where a range
+    never closes."""
+    f, xq, yq, tol = FORWARD[key].f, _Exact(x), _Exact(y), Fraction(MEMBERSHIP_TOL)
+    ranges = []
+    for first, step, s in _classes(key):
+        def constraints(j):
+            xp, yp = f(_Exact(first + step * j), xq, yq, _Exact(s))
+            return yp + tol, xp - yp + tol, 1 + tol - xp
+        for base in _BASES:
+            try:
+                c0, c1, c2 = (constraints(base + j) for j in range(3))
+                break
+            except ZeroDivisionError:
+                continue
+        else:
+            continue
+        # constraint i is (a_i + b_i*j)/(1 + d*j) at k = first + step*(base + j),
+        # a_i = c0[i]; a constant one does not show the shared d
+        d = next(((2 * v1 - v0 - v2) / (2 * (v2 - v1))
+                  for v0, v1, v2 in zip(c0, c1, c2) if v1 != v2), 0)
+        b = [v1 * (1 + d) - v0 for v0, v1 in zip(c0, c1)]
+        # on each side of the pole 1 + d*j keeps one sign
+        if d == 0:
+            sides = ((1, -math.inf, math.inf),)
+        else:
+            pole = -1 / d
+            sides = ((1, pole, math.inf), (-1, -math.inf, pole))
+            if d < 0:
+                sides = ((1, -math.inf, pole), (-1, pole, math.inf))
+        for sign, lo, hi in sides:
+            lo = max(lo, -base)
+            for a_i, b_i in zip(c0, b):
+                if sign * b_i > 0:
+                    lo = max(lo, -a_i / b_i)
+                elif sign * b_i < 0:
+                    hi = min(hi, -a_i / b_i)
+                elif sign * a_i < 0:
+                    hi = -math.inf
+            if lo <= hi:
+                k_lo = first + step * (base + math.floor(lo))
+                k_hi = first + step * (base + math.ceil(hi)) if hi < math.inf else math.inf
+                ranges.append((k_lo, k_hi))
+    return ranges
+
+
+# --- confirmation: the tie rules on candidate digits ------------------------
+
 def _images(key, k, xs, ys, s):
     xp, yp = FORWARD[key].f(k, xs, ys, s)
     return np.broadcast_arrays(xp, yp, xs)[:2]
 
 
-def _pole(c0, ch, cf):
-    """d of one image component c(j) = (p + q*j)/(1 + d*j) through its
-    samples at j = 0, _NEAR, _FAR, and a measure of the error rounding puts
-    on d: inf where c takes one value at _NEAR and _FAR, so it shows no
-    pole."""
-    dh, df = ch - c0, cf - c0
-    den = df - dh
-    d = (_FAR / _NEAR * dh - df) / (_FAR * den)
-    err = (np.abs(df) * np.maximum(np.abs(c0), np.abs(ch))
-           + np.abs(dh) * np.maximum(np.abs(c0), np.abs(cf))) / den ** 2
-    none = ~(np.isfinite(d) & np.isfinite(err))
-    return np.where(none, 0.0, d), np.where(none, np.inf, err)
-
-
-def _regions(key, xs, ys, base, cls):
-    """The intervals lo..hi of j = m - base, where k = first + step*m, on
-    which one class satisfies every fitted constraint, one per side of the
-    class's pole: lo and hi of shape (sides, n), and whether each is live;
-    an interval is dead where a sample is singular, a constant constraint
-    fails or the side is empty, and may be live with hi < lo, when the
-    constraints exclude each other."""
-    first, step, s = cls
-    k0 = first + step * base
-    x0, y0 = _images(key, k0, xs, ys, s)
-    tol = MEMBERSHIP_TOL
-    # constraint i is (a + b*j) / (1 + d*j) >= 0; on parity-free rows d = 0
-    # and b is the difference of the samples at j = 0, 1
-    a = np.stack((y0 + tol, x0 - y0 + tol, 1.0 + tol - x0))
-    d = np.zeros_like(x0)
-    parity = FORWARD[key].parity
-    if parity:
-        # x' and y' share one pole, or one of them is constant in k, else
-        # x' - y' would not be linear-fractional.  Samples at j = 0,
-        # _NEAR, _FAR fix d, taken from the component that rounding
-        # disturbs least (near an edge one of them is within 1e-9 of
-        # constant); the numerators a + b*j = g(j) * (1 + d*j) follow
-        xh, yh = _images(key, k0 + step * _NEAR, xs, ys, s)
-        xf, yf = _images(key, k0 + step * _FAR, xs, ys, s)
-        ok = np.isfinite(xh) & np.isfinite(yh) & np.isfinite(xf) & np.isfinite(yf)
-        dx_, ex = _pole(x0, xh, xf)
-        dy_, ey = _pole(y0, yh, yf)
-        d = np.where(ex <= ey, dx_, dy_)
-        dx, dy = xh - x0, yh - y0
-        b = (np.stack((dy, dx - dy, -dx)) * (1.0 + d * _NEAR) + a * (d * _NEAR)) / _NEAR
-        scale = ((np.abs(x0) + np.abs(y0) + np.abs(xh) + np.abs(yh))
-                 * (1.0 + np.abs(d * _NEAR)) / _NEAR)
-    else:
-        x1, y1 = _images(key, k0 + step, xs, ys, s)
-        ok = np.isfinite(x1) & np.isfinite(y1)
-        dx, dy = x1 - x0, y1 - y0
-        b = np.stack((dy, dx - dy, -dx))
-        scale = np.abs(x0) + np.abs(y0) + np.abs(x1) + np.abs(y1)
-    ok &= np.isfinite(x0) & np.isfinite(y0)
-    # a slope within the rounding of the samples is none
-    flat = np.abs(b) < 1e-15 * np.maximum(1.0, scale)
-    pole = np.where(d != 0, -1.0 / d, np.inf)
-    root = -a / b
-    n = xs.size
-    # 1 + d*j > 0 left of the pole where d < 0, right of it where d > 0
-    sides = [(np.full(n, -np.inf), pole, np.where(d == 0, 1.0, -np.sign(d)))]
-    if parity:
-        sides.append((pole, np.full(n, np.inf), np.sign(d)))
-    lo, hi = np.empty((len(sides), n)), np.empty((len(sides), n))
-    live = np.empty((len(sides), n), dtype=bool)
-    for r, (edge_lo, edge_hi, sign) in enumerate(sides):
-        up, down = ~flat & (sign * b > 0), ~flat & (sign * b < 0)
-        lo[r] = np.maximum(np.maximum(edge_lo, -base),
-                           np.max(np.where(up, root, -np.inf), axis=0))
-        hi[r] = np.minimum(edge_hi, np.min(np.where(down, root, np.inf), axis=0))
-        live[r] = ok & (edge_lo < edge_hi) & ~(flat & (sign * a < 0)).any(axis=0)
-    return lo, hi, live, ok
-
-
-def _brackets(key, xs, ys, cls):
-    """Candidate ranges of one class: flat arrays (point, m_lo, m_hi), one
-    entry per interval of the fitted constraints, padded by one step; and
-    whether the interval was refitted."""
-    n = xs.size
-    lo, hi = np.zeros((2, n)), np.zeros((2, n))
-    live = np.zeros((2, n), dtype=bool)
-    base = np.zeros(n)
-    todo = np.arange(n)
-    for b in _BASES:
-        if todo.size == 0:
-            break
-        l, h, v, ok = _regions(key, xs[todo], ys[todo], float(b), cls)
-        done, sides = todo[ok], slice(0, l.shape[0])
-        lo[sides, done], hi[sides, done], live[sides, done] = l[:, ok], h[:, ok], v[:, ok]
-        base[done] = b
-        todo = todo[~ok]
-    # an interval that misses by less than _REFIT_GAP may be rounding
-    side, pt = np.nonzero(live & (hi >= lo - _REFIT_GAP))
-    base, lo, hi = base[pt], lo[side, pt], hi[side, pt]
-    refit = np.maximum(0.0, base + np.ceil(lo - 1e-9) - 1)
-    far = np.nonzero(refit > base + _REFIT_GAP)[0]
-    refitted = np.zeros(pt.size, dtype=bool)
-    if far.size:
-        # near an edge the digit runs to 1/y, and the fit from the base
-        # samples, small differences of O(1) images, loses digits to
-        # cancellation that the long extrapolation multiplies, so far out
-        # an interval can even miss by a few steps: fit again from samples
-        # at the first bracket (a refit singular there keeps it)
-        rb = refit[far]
-        l, h, v, ok = _regions(key, xs[pt[far]], ys[pt[far]], rb, cls)
-        side, idx = np.nonzero(v)
-        keep = np.ones(pt.size, dtype=bool)
-        keep[far[ok]] = False
-        pt = np.concatenate((pt[keep], pt[far[idx]]))
-        base = np.concatenate((base[keep], rb[idx]))
-        lo = np.concatenate((lo[keep], l[side, idx]))
-        hi = np.concatenate((hi[keep], h[side, idx]))
-        refitted = np.concatenate((refitted[keep], np.ones(idx.size, dtype=bool)))
-    met = hi >= lo - 1e-9
-    pt, base, lo, hi = pt[met], base[met], lo[met], hi[met]
-    return (pt, np.maximum(0.0, base + np.ceil(lo - 1e-9) - 1),
-            base + np.floor(hi + 1e-9) + 1, refitted[met])
-
-
-def _spread(pt, lo, hi, first=0, step=1):
-    """Every k = first + step*m, m = lo..hi, of each range (pt, lo, hi):
-    flat arrays (point, k)."""
-    count = np.maximum(hi - lo + 1, 0).astype(np.int64)
-    start = np.repeat(lo, count)
-    offset = np.arange(start.size) - np.repeat(np.cumsum(count) - count, count)
-    return np.repeat(pt, count), first + step * (start + offset)
+def _spread(pt, lo, hi):
+    """Every k = lo..hi of each range (pt, lo, hi): flat arrays (point, k)."""
+    count = np.maximum(hi - lo + 1, 0)
+    offset = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    return np.repeat(pt, count), np.repeat(lo, count) + offset
 
 
 def _confirm(key, xs, ys, pt, k):
-    """Each candidate (pt, k) evaluated once, sorted by point and k: point,
-    k, image, and whether the image is in the closure at the eps*k
-    allowance and at the base tolerance."""
-    order = np.lexsort((k, pt))
-    pt, k = pt[order], k[order]
-    fresh = np.ones(pt.size, dtype=bool)
-    fresh[1:] = (pt[1:] != pt[:-1]) | (k[1:] != k[:-1])
-    pt, k = pt[fresh], k[fresh]
-    xp, yp = _images(key, k, xs[pt], ys[pt], np.where(k % 2 == 1, -1.0, 1.0))
+    """The image of each candidate (pt, k), sorted by point and k without
+    repeats, and whether it is in the closure at the eps*k allowance and
+    at the base tolerance."""
+    xp, yp = _images(key, k, xs[pt], ys[pt], np.where(k & 1, -1.0, 1.0))
     # a singular branch formula cannot be the point's digit (nan compares
     # false); rounding in the image grows like eps*k, and the membership
     # tolerance follows it
@@ -349,13 +295,17 @@ def _confirm(key, xs, ys, pt, k):
            & (xp <= 1.0 + tol))
     inside = hit & (yp >= -MEMBERSHIP_TOL) & (xp - yp >= -MEMBERSHIP_TOL) \
         & (xp <= 1.0 + MEMBERSHIP_TOL)
-    return pt, k, xp, yp, hit, inside
+    return xp, yp, hit, inside
 
 
 def _hit_range(n, pt, k, hit):
+    """The lowest and highest hit k of each point, pt and k sorted."""
     lowest, highest = np.full(n, np.inf), np.full(n, -np.inf)
-    np.minimum.at(lowest, pt[hit], k[hit])
-    np.maximum.at(highest, pt[hit], k[hit])
+    hp, hk = pt[hit], k[hit]
+    head = np.ones(hp.size + 1, dtype=bool)
+    head[1:-1] = hp[1:] != hp[:-1]
+    lowest[hp[head[:-1]]] = hk[head[:-1]]
+    highest[hp[head[1:]]] = hk[head[1:]]
     return lowest, highest
 
 
@@ -366,63 +316,68 @@ def _lowest_run(pt, k, hit):
     hp, hk = pt[idx], k[idx]
     head = np.ones(idx.size, dtype=bool)
     head[1:] = hp[1:] != hp[:-1]
-    breaks = np.cumsum(~head & (np.diff(hk, prepend=0.0) >= 7))
+    breaks = np.cumsum(~head & (np.diff(hk, prepend=0) >= 7))
     first = np.maximum.accumulate(np.where(head, np.arange(idx.size), 0))
     run = np.zeros(hit.size, dtype=bool)
     run[idx[breaks == breaks[first]]] = True
     return run
 
 
-# singular samples and candidates turn up as inf and nan, and count as
-# misses
-@np.errstate(all="ignore")
-def _solve(key, xs, ys, k_max):
-    """digits, and the images each digit was accepted on."""
+def _decide(key, xs, ys, pt, k):
+    """The tie rules over the candidates (pt, k), sorted by point and k
+    without repeats: per point the digit (inf where none hit), its image,
+    and the lowest hit, the highest hit and the number of hits of the
+    lowest run."""
     n = xs.size
-    pts, ks = [], []
-    wide_from, deep = np.full(n, np.inf), np.zeros(n, dtype=bool)
-    for first, step, s in _classes(key):
-        pt, m_lo, m_hi, refitted = _brackets(key, xs, ys, (first, step, s))
-        deep[pt[refitted]] = True
-        w = m_hi - m_lo > _MAX_WIDTH
-        np.minimum.at(wide_from, pt[w], first + step * m_lo[w])
-        # candidates above k_max are not looked at
-        m_hi = np.minimum(m_hi, np.floor((k_max - first) / step))
-        p, k = _spread(pt[~w], m_lo[~w], m_hi[~w], first, step)
-        pts.append(p)
-        ks.append(k)
-    pt, k, xp, yp, hit, inside = _confirm(key, xs, ys, np.concatenate(pts), np.concatenate(ks))
-    if FORWARD[key].parity:
-        # the two classes are bracketed apart, and far out, near a vertex,
-        # rounding can shift a bracket by a few steps; there the hits are
-        # settled on every k, as a scan would, from _REFIT_GAP below the
-        # lowest run to six above it, or within _REFIT_GAP of each
-        # candidate where none hit
-        lowest, highest = _hit_range(n, pt, k, _lowest_run(pt, k, hit))
-        found = np.isfinite(lowest)
-        ids = np.nonzero(found & deep & (highest - lowest <= _MAX_WIDTH))[0]
-        near = ~found[pt]
-        if ids.size or near.any():
-            win = np.arange(-_REFIT_GAP, _REFIT_GAP + 1)
-            p1, k1 = _spread(ids, lowest[ids] - _REFIT_GAP, highest[ids] + 6)
-            p2, k2 = np.repeat(pt[near], win.size), (k[near][:, None] + win).ravel()
-            same = ~np.isin(pt, ids) & ~near
-            p = np.concatenate((pt[same], p1, p2))
-            kk = np.concatenate((k[same], k1, k2))
-            keep = (kk >= 0) & (kk <= k_max)
-            pt, k, xp, yp, hit, inside = _confirm(key, xs, ys, p[keep], kk[keep])
+    xp, yp, hit, inside = _confirm(key, xs, ys, pt, k)
     hit = _lowest_run(pt, k, hit)
     inside &= hit
     lowest, highest = _hit_range(n, pt, k, hit)
     count = np.bincount(pt[hit], minlength=n)
-    # the lowest hit inside at the base tolerance wins: at large k the
-    # eps*k allowance can also admit a neighbour whose image misses the
-    # triangle by far more than its rounding
+    # contiguous multi-hits are boundary-rounding ties, and the lowest hit
+    # inside at the base tolerance wins: at large k the eps*k allowance can
+    # also admit a neighbour whose image misses the triangle by far more
+    # than its rounding
     lowest_in, _ = _hit_range(n, pt, k, inside)
     digit = np.where(np.isfinite(lowest_in), lowest_in, lowest)
-    # an interval far longer than a boundary tie where the digit may lie,
-    # or a gap in the run, is a transcription problem; contiguous
-    # multi-hits are boundary-rounding ties
+    chosen = np.nonzero(k == digit[pt])[0]
+    image_x, image_y = np.full(n, np.nan), np.full(n, np.nan)
+    image_x[pt[chosen]], image_y[pt[chosen]] = xp[chosen], yp[chosen]
+    return digit, image_x, image_y, lowest, highest, count
+
+
+def _flat(parts, dtype=np.int64):
+    return np.concatenate(parts) if parts else np.zeros(0, dtype)
+
+
+def _solve_exact(key, xs, ys, k_max):
+    """digits from the exact ranges, and the images each digit was accepted
+    on; raises for the first point without one."""
+    n = xs.size
+    pts, ks = [], []
+    wide_from = np.full(n, np.inf)
+    for i in range(n):
+        x, y = float(xs[i]), float(ys[i])
+        if not (math.isfinite(x) and math.isfinite(y)):
+            continue
+        for k_lo, k_hi in _exact_ranges(key, x, y):
+            if k_lo > k_max:
+                continue
+            if k_hi - k_lo > _MAX_WIDTH:
+                wide_from[i] = min(wide_from[i], k_lo)
+                continue
+            lo, hi = max(0, k_lo - _REACH), min(k_hi + _REACH, k_max)
+            pts.append(np.full(hi - lo + 1, i))
+            ks.append(np.arange(lo, hi + 1))
+    pt, k = _flat(pts), _flat(ks)
+    order = np.lexsort((k, pt))
+    pt, k = pt[order], k[order]
+    fresh = np.ones(pt.size, dtype=bool)
+    fresh[1:] = (pt[1:] != pt[:-1]) | (k[1:] != k[:-1])
+    digit, image_x, image_y, lowest, highest, count = _decide(
+        key, xs, ys, pt[fresh], k[fresh])
+    # a range far longer than a boundary tie where the digit may lie, or a
+    # gap in the run, is a transcription problem
     wide = np.isfinite(wide_from) & (wide_from <= lowest)
     gap = (count > 0) & (highest - lowest != count - 1)
     bad = wide | (count == 0) | gap
@@ -433,11 +388,92 @@ def _solve(key, xs, ys, k_max):
             raise AmbiguousDigit(f"{key}: more than {_MAX_WIDTH + 1} candidate "
                                  f"digits at ({x}, {y})")
         if gap[i]:
-            raise AmbiguousDigit(f"{key}: non-adjacent digits "
-                                 f"{k[(pt == i) & hit].astype(int).tolist()} at ({x}, {y})")
+            raise AmbiguousDigit(f"{key}: non-adjacent digits from {int(lowest[i])} "
+                                 f"to {int(highest[i])} at ({x}, {y})")
         raise DigitNotFound(f"no branch of {key} admits ({x}, {y}) below k_max={k_max}")
-    chosen = np.nonzero(k == digit[pt])[0]
-    return digit.astype(np.int64), xp[chosen], yp[chosen]
+    return digit, image_x, image_y
+
+
+# singular probes and candidates turn up as inf and nan, and count as misses
+@np.errstate(all="ignore")
+def _solve(key, xs, ys, k_max):
+    """digits, and the images each digit was accepted on."""
+    found = _search(key, xs, ys, min(k_max, _SHALLOW))
+    reach, margin = _window(key)
+    lo, hi = np.maximum(found - reach, 0), np.minimum(found + reach, k_max)
+    sure = found >= 0
+    idx = np.nonzero(sure)[0]
+    digit, image_x, image_y, lowest, highest, count = _decide(
+        key, xs, ys, *_spread(idx, lo[idx], hi[idx]))
+    # a run that reaches the start of the window, or comes within margin
+    # steps of its end, may go on beyond it
+    sure &= ((count > 0) & (highest - lowest == count - 1)
+             & ((lowest > lo) | (lo == 0)) & ((highest + margin < hi) | (hi == k_max)))
+    redo = np.nonzero(~sure)[0]
+    if redo.size:
+        digit[redo], image_x[redo], image_y[redo] = _solve_exact(
+            key, xs[redo], ys[redo], k_max)
+    return digit.astype(np.int64), image_x, image_y
+
+
+def _line_window(key, x, y):
+    """Candidate digits of one point on a parity-free row, where both image
+    components are affine in k: the integers next to the interval that the
+    line through the images at k = 0 and 1 keeps in the triangle, and
+    those two images by their k.  None where a sample is singular or the
+    interval is empty, wide or beyond _SHALLOW."""
+    try:
+        images = {k: _eval_formula(key, k, x, y) for k in (0, 1)}
+    except EvaluationSingularity:
+        return None
+    (xa, ya), (xb, yb) = images[0], images[1]
+    lo, hi = 0.0, float(_SHALLOW)
+    # constraints a + b*k >= 0: y' >= 0, x' - y' >= 0, x' <= 1
+    for a, b in ((ya, yb - ya), (xa - ya, xb - yb - xa + ya), (1.0 - xa, xa - xb)):
+        if b > 0:
+            lo = max(lo, -a / b)
+        elif b < 0:
+            hi = min(hi, -a / b)
+        elif a < 0:
+            return None
+    if not lo <= hi <= lo + _MAX_WIDTH:
+        return None
+    return math.ceil(lo) - 1, math.floor(hi) + 1, images
+
+
+def _digit(key, x, y, k_max=K_MAX_DEFAULT):
+    """(digit, x', y') of one point, with the image the digit was accepted
+    on.  One point runs on floats, where numpy on one-element arrays costs
+    far more than an orbit step: the line through two images on parity-free
+    rows, the search on parity rows.  A window of candidates whose run of
+    hits is not clean goes to _solve."""
+    reach, margin = _window(key)
+    if FORWARD[key].parity:
+        found = _search_one(key, x, y, min(k_max, _SHALLOW))
+        window = None if found is None else (found - reach, found + reach, {})
+    else:
+        window = _line_window(key, x, y)
+    if window is not None:
+        lo, hi, images = max(window[0], 0), min(window[1], k_max), window[2]
+        hits = []
+        for k in range(lo, hi + 1):
+            image = images.get(k)
+            if image is None:
+                try:
+                    image = _eval_formula(key, k, x, y)
+                except EvaluationSingularity:
+                    continue
+            if _in_closure(*image, MEMBERSHIP_TOL + 1e-15 * k):
+                hits.append((k, *image))
+        # clean: contiguous, above the start of the window and more than
+        # margin steps below its end, unless it stops at 0 or k_max; the tie
+        # rules of _decide then pick the same hit
+        if (hits and hits[-1][0] - hits[0][0] == len(hits) - 1
+                and (hits[0][0] > lo or lo == 0)
+                and (hits[-1][0] + margin < hi or hi == k_max)):
+            return next((h for h in hits if _in_closure(h[1], h[2])), hits[0])
+    k, xp, yp = _solve(key, np.array([x], dtype=float), np.array([y], dtype=float), k_max)
+    return int(k[0]), float(xp[0]), float(yp[0])
 
 
 def digits(key, xs, ys, k_max: int = K_MAX_DEFAULT) -> np.ndarray:
@@ -465,7 +501,9 @@ def branch_roundtrip(t: PermutationTriple, k_max: int,
         with np.errstate(all="ignore"):
             a, b = np.broadcast_arrays(*branch(k, xs, ys, s), xs)[:2]
             xb, yb = np.broadcast_arrays(*forward(k, a, b, s), xs)[:2]
-        interior = (0.0 < b) & (b < a) & (a < 1.0)
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            raise EvaluationSingularity(f"branch {k} of {t} singular")
+        interior = in_triangle((a, b))
         if not interior.all():
             i = int(np.argmin(interior))
             raise OutsideTriangle(f"branch {k} of {t} at {points[i]} is ({a[i]}, {b[i]}), "

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tripmaps.domain import PermutationTriple, TrianglePoint, supported_triples
-from tripmaps.errors import AmbiguousDigit, BoundaryHit, DigitNotFound
+from tripmaps.errors import (AmbiguousDigit, BoundaryHit, DigitNotFound, EvaluationSingularity,
+                             OutsideTriangle)
 from tripmaps import maps, transfer
 from tripmaps.tables.forward import FORWARD
 from tripmaps.tables.transfer_rows import TRANSFER
@@ -177,7 +178,7 @@ def _solo(key, x, y):
     return maps.digits(key, [x], [y])[0]
 
 
-def _affine(key, x, y):
+def _one_point(key, x, y):
     return maps._digit(key, x, y)[0]
 
 
@@ -196,9 +197,8 @@ def test_digits_near_cylinder_boundaries(key, k, edge, log_gap, u):
     if not 0.0 < qy < qx < 1.0:
         return
     got = _outcome(_solo, key, qx, qy)
-    assert got == _outcome(_scan, key, qx, qy), (key, k, qx, qy)
-    if not FORWARD[key].parity:
-        assert got == _outcome(_affine, key, qx, qy)
+    assert got == _outcome(_scan, key, qx, qy) == _outcome(_one_point, key, qx, qy), \
+        (key, k, qx, qy)
 
 
 @settings(max_examples=200, deadline=None)
@@ -206,20 +206,19 @@ def test_digits_near_cylinder_boundaries(key, k, edge, log_gap, u):
        st.floats(0.05, 0.95), st.floats(0.05, 0.95))
 def test_digits_deep_corner_points(key, log_k, u, v):
     # digits of 1e6 to 5e8 sit within 1e-6 of a vertex, where both image
-    # components carry terms of size k
+    # components carry terms of size k: the digit, or the typed error, is
+    # the one a scan over the 128 steps on each side of k gives (a full
+    # scan from k = 0 would take minutes)
     x, y = max(u, v), min(u, v)
     if not 0.02 < y < x - 0.02:
         return
-    qx, qy = _branch(key, int(10.0 ** log_k), x, y)
+    k = int(10.0 ** log_k)
+    qx, qy = _branch(key, k, x, y)
     if not 0.0 < qy < qx < 1.0:
         return
     got = _outcome(_solo, key, qx, qy)
-    if not FORWARD[key].parity:
-        assert got == _outcome(_affine, key, qx, qy)
-    elif isinstance(got, int):
-        # a scan over the run below the digit finds the same digit; a full
-        # scan from k = 0 would take minutes
-        assert _scan(key, qx, qy, start=max(0, got - 32)) == got, (key, qx, qy)
+    assert got == _outcome(_one_point, key, qx, qy), (key, qx, qy)
+    assert got == _outcome(_scan, key, qx, qy, k - 128, k + 128), (key, qx, qy)
 
 
 @pytest.mark.parametrize("k", [10 ** 6 + 1, 3 * 10 ** 6])
@@ -234,41 +233,53 @@ def test_digits_deep_points_every_row(k):
 
 
 @pytest.mark.parametrize("key, x, y, k", [
-    # x' and y' are both within 1e-7 of constant, and a bracket fitted far
-    # out misses the digit by a few steps
+    # x' and y' are both within 1e-7 of constant, and only the samples
+    # next to the digit place it
     (("23", "12", "132"), 0.5000000890814965, 0.49999999992783273, 11216586),
     (("123", "12", "23"), 0.5000000743839568, 0.49999995360096133, 8279309),
-    # one of x', y' is within 1e-7 of constant and shows no pole: the other
-    # one must place it
     (("13", "123", "123"), 0.9999999669231615, 0.4999999810990685, 30232634),
     (("123", "23", "23"), 0.5000000729974753, 0.5000000062986548, 14992767),
     (("e", "e", "12"), 0.5000000739091487, 4.537797927061168e-07, 2203710),
     (("23", "132", "132"), 0.5000000227840503, 0.49999994607037035, 13035483),
     (("23", "132", "132"), 0.5000000019198783, 0.49999999692322383, 200133907),
-    # the bracket finds a run a few steps above the run a scan stops at
+    # far from the digit the rounded images do not place it: a fit of the
+    # samples 2**20 and 2**40 steps out misses it by up to hundreds of
+    # thousands of steps, or finds no candidate
+    (("23", "12", "132"), 0.49999999478718377, 0.49999997438140337, 49005719),
+    (("23", "12", "132"), 0.5000000008858515, 0.499999998215949, 374545488),
+    (("123", "12", "23"), 0.5000000044018257, 0.5000000020536464, 425861878),
+    (("123", "12", "23"), 0.500000082508862, 0.5000000359606498, 21483099),
+    (("23", "23", "132"), 0.5000000000000734, 0.499999997014097, 334898809),
+    # parity-free rows, where the line through the rounded images at k = 0
+    # and 1 gives no digit, or a wide bracket
+    (("13", "12", "13"), 0.9999999920056255, 0.9999999766669391, 125087957),
+    (("123", "e", "132"), 0.9999999998087031, 0.9999999977094941, 476369881),
+    (("13", "e", "13"), 0.9999999924908136, 0.9999999912967648, 133170217),
+    # the rounded images put the first run of hits 30 steps above the
+    # exact digit, 498097494, and the scan stops there
     (("23", "123", "132"), 0.5000000078689311, 0.500000005861292, 498097523),
     (("123", "123", "23"), 0.5000000051385803, 0.5000000018371361, 302897731),
 ])
 def test_digits_next_to_a_vertex(key, x, y, k):
-    assert _solo(key, x, y) == k == _scan(key, x, y, start=k - 64)
+    assert _solo(key, x, y) == _one_point(key, x, y) == k == _scan(key, x, y, start=k - 64)
 
 
 @pytest.mark.parametrize("key, x, y, k", [
     # orbit points next to a vertex with a small digit, where the other
-    # class fits an interval beyond its pole, 1e8 to 1e11 out, in which
-    # the eps*k allowance admits whole runs: as in a scan from k = 0, the
-    # lowest run is the digit, and a wide interval above it is no matter
+    # parity class meets the constraints on a range beyond its pole, 1e8
+    # to 1e11 out, in which the eps*k allowance admits whole runs: as in a
+    # scan from k = 0, the lowest run is the digit
     (("13", "123", "123"), 0.9999999999934519, 3.148059590785124e-11, 8),
     (("23", "123", "132"), 0.9999999996031503, 0.9999999968700486, 0),
     (("132", "123", "13"), 0.9999999998224609, 8.64292826197044e-09, 97),
 ])
 def test_digits_lowest_run_wins(key, x, y, k):
-    assert _solo(key, x, y) == k == _scan(key, x, y)
+    assert _solo(key, x, y) == _one_point(key, x, y) == k == _scan(key, x, y)
 
 
 def test_digits_sample_on_a_pole():
-    # at this point both classes of the row have their pole at the far
-    # sample of the first fit, k = 2**21 and 2**21 + 1: fit from the next base
+    # at this point the poles of both classes of the row sit at k = 2**21
+    # and 2**21 + 1, just above the digit, beyond the search
     key, x, y = ("e", "e", "12"), 0.5, 2.0 ** -21
     assert _solo(key, x, y) == _scan(key, x, y, start=2 ** 21 - 64) == 2 ** 21 - 3
 
@@ -276,7 +287,7 @@ def test_digits_sample_on_a_pole():
 @pytest.mark.parametrize("key", [("e", "e", "e"), ("e", "e", "12")])
 def test_digit_at_a_vertex_is_ambiguous(key):
     # every even branch maps the vertex (1, 0) to (0, 0): the candidate
-    # interval never closes
+    # range never closes
     with pytest.raises(AmbiguousDigit):
         _solo(key, 1.0, 0.0)
     with pytest.raises(AmbiguousDigit):
@@ -286,21 +297,72 @@ def test_digit_at_a_vertex_is_ambiguous(key):
 def test_digits_deep_at_bottom_edge():
     # the point of test_extract_digit_deep_at_bottom_edge, digit about 5e8
     key, x, y = ("12", "13", "12"), 0.9961326767967214, 2.022691291157514e-09
-    assert _solo(key, x, y) == _affine(key, x, y) > 4 * 10 ** 8
+    assert _solo(key, x, y) == _one_point(key, x, y) > 4 * 10 ** 8
 
 
 @pytest.mark.parametrize("x, y, k", [
     # x' - y' is constant in k on this row, and its slope, a difference of
-    # two images of size 4e8, is pure rounding: read as a slope it
-    # excluded the digit
+    # two images of size 4e8, is pure rounding
     (3.9022881188351614e-09, 2.740640529743682e-09, 364878204),
-    # the bracket from the k = 0, 1 samples misses the digit by about 28
-    # on each side and comes out empty: it must be refitted all the same
+    # a line through the rounded images at k = 0 and 1 misses the digit
+    # by about 28 on each side
     (2.6323424541060964e-09, 2.352858154048048e-09, 425014995),
 ])
 def test_digit_deep_in_bottom_left_corner(x, y, k):
     key = ("e", "12", "e")
-    assert _solo(key, x, y) == _affine(key, x, y) == k == _scan(key, x, y, start=k - 64)
+    assert _solo(key, x, y) == _one_point(key, x, y) == k == _scan(key, x, y, start=k - 64)
+
+
+def test_exact_formulas_are_linear_fractional_in_each_class():
+    # the premise of the exact ranges: on every row and parity class the
+    # table formula, evaluated exactly, stays exact, and the three
+    # constraints fitted from k-steps 0, 1, 2 give a fourth sample
+    # exactly, with one pole
+    for key in supported_triples():
+        for first, step, s in maps._classes(key):
+            for x, y in ((0.61, 0.22), (0.5000000017, 0.4999999981)):
+                xq, yq = maps._Exact(x), maps._Exact(y)
+                images = [FORWARD[key].f(maps._Exact(first + step * j), xq, yq,
+                                         maps._Exact(int(s))) for j in range(4)]
+                assert all(type(v) is maps._Exact for image in images for v in image), key
+                c = [(yp, xp - yp, 1 - xp) for xp, yp in images]
+                poles = set()
+                for v0, v1, v2, v3 in zip(*c):
+                    if v1 == v2:
+                        assert v0 == v1 == v3, key
+                        continue
+                    d = (2 * v1 - v0 - v2) / (2 * (v2 - v1))
+                    b = v1 * (1 + d) - v0
+                    assert v3 == (v0 + 3 * b) / (1 + 3 * d), key
+                    poles.add(d)
+                assert len(poles) <= 1, key
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 7, 40, 1000, 30000])
+def test_deeper_is_digit_at_least_k(k, sample_points):
+    # the search relies on it: F1^-K(p) = branch_0(T_K(p)) lies in the
+    # triangle exactly when the digit of p is at least K
+    for key in supported_triples():
+        f, branch = FORWARD[key].f, TRANSFER[key].branch
+        for p in sample_points[:4]:
+            qx, qy = _branch(key, k, p.x, p.y)
+            for K in range(max(0, k - 3), k + 4):
+                s = -1.0 if K & 1 else 1.0
+                assert maps._deeper(f, branch, K, qx, qy, s) == (K <= k), (key, k, K)
+
+
+def test_one_point_stays_on_floats(monkeypatch, sample_points):
+    # an orbit step costs a few float evaluations, not a call into the
+    # array solver, wherever the digit is below the search limit
+    def no_arrays(*args):
+        raise AssertionError("array solver called")
+
+    monkeypatch.setattr(maps, "_solve", no_arrays)
+    for key in supported_triples():
+        for k in (0, 1, 5, 17, 40, 999):
+            for p in sample_points[:4]:
+                qx, qy = _branch(key, k, p.x, p.y)
+                assert maps._digit(key, qx, qy)[0] == k, (key, k)
 
 
 @settings(max_examples=60, deadline=None)
@@ -315,6 +377,24 @@ def test_digits_batch_with_one_bad_point(key, where, bad):
     bx, by = (math.nan, 0.3) if bad == "nan" else _branch(key, 50, 0.61, 0.22)
     with pytest.raises(TYPED):
         maps.digits(key, np.insert(qx, where, bx), np.insert(qy, where, by), k_max=20)
+
+
+@pytest.mark.parametrize("fault, error", [("singular", EvaluationSingularity),
+                                          ("outside", OutsideTriangle)])
+def test_branch_roundtrip_bad_branch_point(monkeypatch, sample_points, fault, error):
+    # a non-finite branch point is a singularity, reported before the
+    # interior test could call it a point outside the triangle
+    key = ("e", "e", "e")
+    row = TRANSFER[key]
+    bad = sample_points[1].x
+
+    def branch(k, x, y, s):
+        a, b = row.branch(k, x, y, s)
+        return (a / (x - bad), b) if fault == "singular" else (a, b - (x == bad))
+
+    monkeypatch.setitem(maps.TRANSFER, key, type(row)(row.parity, row.weight, branch))
+    with pytest.raises(error):
+        maps.branch_roundtrip(EEE, 3, sample_points[:3])
 
 
 def test_digits_batch_matches_points_and_images(sample_points):
