@@ -18,7 +18,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from . import gausskuzmin, hilbert, maps, spectral, transfer
-from .domain import PermutationTriple, interior_points, supported_triples
+from .domain import PermutationTriple, TrianglePoint, interior_points, supported_triples
 from .specfun import dilog, integrate_dm, integrate_triangle, laguerre1
 from .tables.banach import BANACH
 from .tables.eigen import DENSITIES, EIGENFUNCTIONS
@@ -158,6 +158,11 @@ def _monte_carlo_digits() -> float:
     return _worst(z)
 
 
+def theorem31_points() -> list[TrianglePoint]:
+    """The five points of the Theorem 3.1 claims."""
+    return interior_points(909, 5, margin=8e-2)
+
+
 def _eta(key, k_eta: int) -> hilbert.ProfileFunction:
     return hilbert.eta_profile(k_eta, var_slot=1 - ARG_SLOT[key[0]])
 
@@ -165,7 +170,7 @@ def _eta(key, k_eta: int) -> hilbert.ProfileFunction:
 @_claim("theorem31_identity", 1e-4)
 def _theorem31_identity() -> float:
     # relative gap of the kernel identity, eta_0 and eta_1, 5 points
-    pts = interior_points(909, 5, margin=8e-2)
+    pts = theorem31_points()
 
     def gap(key, k_eta, p) -> float:
         lhs, rhs = hilbert.theorem31_check(PermutationTriple(*key), _eta(key, k_eta), p)
@@ -177,7 +182,7 @@ def _theorem31_identity() -> float:
 @_claim("theorem31_laguerre", 1e-3)
 def _theorem31_laguerre() -> float:
     # the K = 50 Laguerre partial sum against the branch-sum side
-    p = interior_points(909, 5, margin=8e-2)[0]
+    p = theorem31_points()[0]
 
     def gap(key) -> float:
         t, phi = PermutationTriple(*key), _eta(key, 0)

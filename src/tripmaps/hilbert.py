@@ -4,12 +4,16 @@ For 44 triples the branch sum acting on transformed test functions equals
 an integral operator with kernel J_1(2 sqrt(st))/sqrt(st) against
 dm(t) = t dt/(e^t - 1).  This module evaluates both sides numerically:
 the left side is apply_transfer of the sigma-indexed transform of a
-profile phi, the right side is j(p) int_0^inf e^{-t(l(p)-1)} K(phi)(t) dt
-with a plain dt on the outside.  The Laguerre expansion over eta_k / e_k
-gives a third, series-form route to the same value.  Every dm-integral
-here goes through the one rule of specfun.integrate_dm, batched: the
-transforms at all branch points of a block, the kernel matrix over its
-t values, and the eta_k and E_k for all k <= K each take one call.
+profile phi, the right side is j(p) int_0^inf e^{-t(l(p)-1)} K(phi)(t) dt.
+The front factor t/(e^t - 1) of K(phi) turns that outer dt into dm(t), so
+the outer integral runs on the same rate-1 nodes as every dm-integral.
+The kernel on those nodes then depends on neither the triple, the point
+nor the profile: it is one matrix per pair of rules, built on first use
+and cached, and the right side of a check is two einsums against it.
+The Laguerre expansion over eta_k / E_k gives a third, series-form route
+to the same value.  Every other dm-integral here goes through the one
+rule of specfun.integrate_dm, batched: the transforms at all branch
+points of a block and the eta_k and E_k for all k <= K each take one call.
 
 Slot convention: a profile is a callable of two reals, evaluated on
 numpy arrays that broadcast against each other.  Four of the six sigma
@@ -20,6 +24,7 @@ printed transform rows.  ARG_SLOT records the non-integration slot.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -27,13 +32,15 @@ from typing import Callable
 import numpy as np
 
 from .domain import PermutationTriple, TrianglePoint
-from .errors import DomainError, UnsupportedTriple
+from .errors import DomainError, NonConvergent, UnsupportedTriple
 from .specfun import (
     QuadratureRule,
+    _eval_vec,
     _laguerre1_rows,
     bessel_j1,
+    gated,
+    halfline_nodes,
     integrate_dm,
-    integrate_halfline,
 )
 from .tables.hilbert_rows import ARG_SLOT, HILBERT, TRANSFORM_ARG, HilbertRow
 from .transfer import TruncationPolicy, apply_transfer, branch_point
@@ -65,21 +72,25 @@ def hilbert_triple(t: PermutationTriple) -> HilbertTriple:
                          slot=ARG_SLOT[t.sigma], arg=TRANSFORM_ARG[t.sigma])
 
 
+def _eta_rows(ks, s: np.ndarray) -> np.ndarray:
+    """eta_k(s) for each k of the sequence ks, row i of a (len(ks),) +
+    s.shape array, in one pass in the log domain: k ln s - s - ln (k+1)!,
+    with eta_0 = e^{-s} and eta_k(0) = 0 for k > 0."""
+    k = np.array(ks, dtype=float).reshape((-1,) + (1,) * s.ndim)
+    lgam = np.array([math.lgamma(i + 2) for i in ks]).reshape(k.shape)
+    pos = s > 0
+    klog = np.where(k == 0, 0.0, k * np.log(np.where(pos, s, 1.0)))
+    return np.where(pos | (k == 0), np.exp(klog - s - lgam), 0.0)
+
+
 def eta(k: int, s):
-    """eta_k(s) = s^k e^{-s} / (k+1)!; log-domain to keep large k stable."""
+    """eta_k(s) = s^k e^{-s} / (k+1)!, one row of _eta_rows."""
     if k < 0:
         raise ValueError("k must be non-negative")
     arr = np.asarray(s, dtype=float)
     if np.any(arr < 0):
         raise DomainError("eta requires s >= 0")
-    if k == 0:
-        out = np.exp(-arr)
-    else:
-        safe = np.where(arr > 0, arr, 1.0)
-        out = np.where(
-            arr > 0,
-            np.exp(k * np.log(safe) - arr - math.lgamma(k + 2)),
-            0.0)
+    out = _eta_rows([k], arr)[0]
     return float(out) if np.isscalar(s) else out
 
 
@@ -143,7 +154,8 @@ def _bessel_kernel(z: np.ndarray) -> np.ndarray:
 def kernel_apply(phi: ProfileFunction, x_arg: float, tpoint,
                  rule: QuadratureRule = INNER_RULE, slot: int = 0):
     """K(phi)(x, t) = (t/(e^t - 1)) int_0^inf J_1(2 sqrt(st))/sqrt(st)
-    phi(x, s) dm(s); accepts scalar or array tpoint."""
+    phi(x, s) dm(s); accepts scalar or array tpoint.  The one-profile face
+    of the kernel: theorem31_rhs applies the shared kernel matrix instead."""
     scalar = np.isscalar(tpoint)
     tarr = np.atleast_1d(np.asarray(tpoint, dtype=float))
     if np.any(tarr < 0):
@@ -171,26 +183,93 @@ def theorem31_lhs(t: PermutationTriple, phi: ProfileFunction, p: TrianglePoint,
                           p, TruncationPolicy(eps=1e-7))[0]
 
 
+@dataclass(frozen=True)
+class _KernelMatrix:
+    """The Bessel kernel on the node sets of an (inner, outer) rule pair.
+
+    Rows are the outer nodes tau, columns the inner nodes s, each the
+    coarse set followed by the fine one; entry (i, j) is
+    J_1(2 sqrt(tau_i s_j))/sqrt(tau_i s_j) times the dm-weight of s_j."""
+    s: np.ndarray
+    s_coarse: int           # the first s_coarse columns are the coarse set
+    tau: np.ndarray
+    tau_w: np.ndarray       # dm-weights of the outer nodes
+    tau_coarse: int
+    mat: np.ndarray
+
+
+# rows of the kernel matrix per _bessel_kernel call: the temporaries of a
+# block stay near a megabyte instead of the matrix's 24 MB
+_KERNEL_ROWS = 64
+# the decays l(p) - 1 on which the rate-1 outer nodes are shown to hold
+# (tests/test_hilbert.py): with the default rules the rhs matches the
+# closed-form route to 3e-14 up to 80, the outer gate fails from about
+# 90, and from about 1e3 the outer integral shrinks under the gate while
+# its error grows; so decays beyond 80 are refused
+DECAY_MAX = 80.0
+
+
+@functools.lru_cache(maxsize=2)
+def _kernel_matrix(inner_panels: int, inner_order: int,
+                   outer_panels: int, outer_order: int) -> _KernelMatrix:
+    """The shared kernel matrix, built on first use; the default rules
+    share one entry (the matrix does not depend on abs_tol)."""
+    s_sets = halfline_nodes(QuadratureRule(inner_panels, inner_order))
+    tau_sets = halfline_nodes(QuadratureRule(outer_panels, outer_order))
+    s, w = (np.concatenate(a) for a in zip(*s_sets))
+    tau, tau_w = (np.concatenate(a) for a in zip(*tau_sets))
+    mat = np.empty((tau.size, s.size))
+    for i in range(0, tau.size, _KERNEL_ROWS):
+        block = mat[i:i + _KERNEL_ROWS]
+        block[...] = _bessel_kernel(tau[i:i + _KERNEL_ROWS, None] * s)
+        block *= w
+    for arr in (s, tau, tau_w, mat):
+        arr.flags.writeable = False
+    return _KernelMatrix(s, s_sets[0][0].size, tau, tau_w, tau_sets[0][0].size, mat)
+
+
+def theorem31_rhs(t: PermutationTriple, phi: ProfileFunction, p: TrianglePoint,
+                  inner_rule: QuadratureRule = INNER_RULE,
+                  outer_rule: QuadratureRule = OUTER_RULE) -> float:
+    """The kernel side of the identity at p:
+    j(p) int_0^inf e^{-tau (l(p)-1)} int_0^inf K(tau, s) phi(c, s) dm(s) dm(tau),
+    where the outer dm is the dt of the identity times the front factor
+    tau/(e^tau - 1) of kernel_apply, and c is the transform argument at the
+    k = 0 branch (it is constant along the branch family).  The inner
+    integrals at every outer node are gated by inner_rule.abs_tol, the
+    outer integral by outer_rule.abs_tol, each fine set against coarse."""
+    ht = hilbert_triple(t)
+    c = ht.arg(*branch_point(t, 0, p).xy)
+    decay = ht.l(p.x, p.y) - 1.0
+    if not 0.0 < decay <= DECAY_MAX:
+        raise NonConvergent(f"decay l(p) - 1 = {decay} at {p} is outside (0, {DECAY_MAX}], "
+                            "the range the shared kernel nodes resolve")
+    km = _kernel_matrix(inner_rule.panels, inner_rule.order,
+                        outer_rule.panels, outer_rule.order)
+    psi = _eval_vec(_placed(phi, c, ht.slot), km.s)
+    # einsum, not BLAS: a threaded product raises CPU time for no gain
+    n = km.s_coarse
+    inner = gated(np.einsum("ij,j->i", km.mat[:, :n], psi[:n]),
+                  np.einsum("ij,j->i", km.mat[:, n:], psi[n:]),
+                  inner_rule.abs_tol, "Bessel-kernel inner quadrature")
+    terms = np.exp(-km.tau * decay) * km.tau_w * inner
+    m = km.tau_coarse
+    outer = gated(terms[:m].sum(), terms[m:].sum(),
+                  outer_rule.abs_tol, "Bessel-kernel outer quadrature")
+    return ht.j(p.x, p.y) * float(outer)
+
+
 def theorem31_check(t: PermutationTriple, phi: ProfileFunction,
                     p: TrianglePoint,
                     inner_rule: QuadratureRule = INNER_RULE,
                     outer_rule: QuadratureRule = OUTER_RULE
                     ) -> tuple[float, float]:
     """Both sides of the kernel identity at p: lhs is the branch sum of
-    the transformed profile, rhs the j-weighted outer integral of the
-    kernel image.  The transform argument is constant along the branch
-    family, so the kernel side reuses the value at the k = 0 branch."""
-    ht = hilbert_triple(t)
-    lhs = theorem31_lhs(t, phi, p, inner_rule)
-
-    c = ht.arg(*branch_point(t, 0, p).xy)
-    decay = ht.l(p.x, p.y) - 1.0
-    outer = integrate_halfline(
-        lambda tau: np.exp(-tau * decay)
-        * kernel_apply(phi, c, tau, inner_rule, ht.slot),
-        decay, outer_rule)
-    rhs = ht.j(p.x, p.y) * outer
-    return lhs, rhs
+    the transformed profile (theorem31_lhs), rhs the j-weighted outer
+    dm-integral of the kernel image on the shared kernel matrix
+    (theorem31_rhs)."""
+    return (theorem31_lhs(t, phi, p, inner_rule),
+            theorem31_rhs(t, phi, p, inner_rule, outer_rule))
 
 
 def laguerre_expansion_partial(t: PermutationTriple, phi: ProfileFunction,
@@ -198,12 +277,11 @@ def laguerre_expansion_partial(t: PermutationTriple, phi: ProfileFunction,
                                rule: QuadratureRule = INNER_RULE) -> float:
     """sum_{k<=K} <phi, eta_k>_dm E_k(p), the series form of the kernel
     image; the profile is pinned to the branch-family transform argument
-    exactly as in theorem31_check."""
+    exactly as in theorem31_rhs."""
     if K < 0:
         raise ValueError("K must be non-negative")
     ht = hilbert_triple(t)
     c = ht.arg(*branch_point(t, 0, p).xy)
     psi = _placed(phi, c, ht.slot)
-    ips = integrate_dm(
-        lambda s: psi(s) * np.stack([eta(k, s) for k in range(K + 1)]), rule)
+    ips = integrate_dm(lambda s: psi(s) * _eta_rows(range(K + 1), s), rule)
     return float(np.sum(ips * _capital_E_rows(t, K, p, rule)))

@@ -16,6 +16,8 @@ An integrand may return shape (..., n), the nodes on the last axis, to
 get a batch of integrals in one call.  Each call is evaluated at order
 and at 2*order, and the one gate raises NonConvergent when the worst
 |fine - coarse| in the batch exceeds abs_tol; a nan gap fails it too.
+halfline_nodes hands out those two node sets and gated the gate, for
+callers that apply a fixed matrix on the nodes instead of a callable.
 
 The triangle integrator is an adaptive subdivision scheme built on a
 degree-5 seven-point rule whose nodes are strictly interior, so integrable
@@ -262,6 +264,30 @@ def _dyadic_nodes(panels: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(us), np.concatenate(ws)
 
 
+def halfline_nodes(rule: QuadratureRule, rate: float = 1.0, dm_weight: bool = True
+                   ) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """The coarse (order) and fine (2*order) node sets of rule, each a
+    pair (t, w): t = -ln(u)/rate on the dyadic u-panels, and w the weights
+    of int f(t) dm(t) if dm_weight, else of the plain int f(t) dt."""
+
+    def nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
+        u, w = _dyadic_nodes(rule.panels, order)
+        t = -np.log(u) / rate
+        jac = t / np.expm1(t) if dm_weight else 1.0     # dm(t) = t dt/(e^t - 1)
+        return t, w * jac / (rate * u)
+
+    return nodes(rule.order), nodes(2 * rule.order)
+
+
+def gated(coarse, fine, abs_tol: float, what: str = "half-line quadrature"):
+    """fine, once the worst |fine - coarse| over the batch is within
+    abs_tol; written so that a nan gap fails the gate too."""
+    gap = float(np.max(np.abs(fine - coarse)))
+    if not gap <= abs_tol:
+        raise NonConvergent(f"{what} stalled: gap {gap} > {abs_tol}")
+    return fine
+
+
 def _halfline_weighted(fun: Callable, rate: float, rule: QuadratureRule,
                        dm_weight: bool):
     """int_0^inf fun(t) * [t/(e^t - 1) if dm_weight] dt, fun decaying at
@@ -269,11 +295,7 @@ def _halfline_weighted(fun: Callable, rate: float, rule: QuadratureRule,
     (..., n), the nodes on the last axis, for a batch of integrals; the
     result has the batch shape, a float for a 1-d integrand."""
 
-    def attempt(order: int) -> np.ndarray:
-        u, w = _dyadic_nodes(rule.panels, order)
-        t = -np.log(u) / rate
-        jac = t / np.expm1(t) if dm_weight else 1.0     # dm(t) = t dt/(e^t - 1)
-        w = w * jac / (rate * u)
+    def attempt(t: np.ndarray, w: np.ndarray) -> np.ndarray:
         try:
             vals = np.asarray(fun(t), dtype=float)
             vals = np.broadcast_to(vals, vals.shape[:-1] + t.shape)
@@ -283,13 +305,8 @@ def _halfline_weighted(fun: Callable, rate: float, rule: QuadratureRule,
         # for no wall-clock gain at these sizes
         return np.einsum("...n,n->...", vals, w)
 
-    coarse = attempt(rule.order)
-    fine = attempt(2 * rule.order)
-    # one gate for the whole batch; written so that a nan gap fails it
-    gap = float(np.max(np.abs(fine - coarse)))
-    if not gap <= rule.abs_tol:
-        raise NonConvergent(
-            f"half-line quadrature stalled: gap {gap} > {rule.abs_tol}")
+    coarse_nodes, fine_nodes = halfline_nodes(rule, rate, dm_weight)
+    fine = gated(attempt(*coarse_nodes), attempt(*fine_nodes), rule.abs_tol)
     return float(fine) if fine.ndim == 0 else fine
 
 

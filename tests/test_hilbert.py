@@ -1,16 +1,25 @@
 import math
+import os
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.special as sp
 
-from tripmaps.claims import SIGMA_REPS
+import tripmaps
+from tripmaps.claims import SIGMA_REPS, theorem31_points
 from tripmaps.domain import PermutationTriple, TrianglePoint
 from tripmaps.errors import DomainError, NonConvergent, NotArrayNative, UnsupportedTriple
 from tripmaps.hilbert import (
+    DECAY_MAX,
+    INNER_RULE,
+    OUTER_RULE,
     ProfileFunction,
     _bessel_kernel,
+    _eta_rows,
+    _kernel_matrix,
     capital_E,
     eta,
     eta_profile,
@@ -19,9 +28,10 @@ from tripmaps.hilbert import (
     laguerre_expansion_partial,
     theorem31_check,
     theorem31_lhs,
+    theorem31_rhs,
     transform_hat,
 )
-from tripmaps.specfun import integrate_dm
+from tripmaps.specfun import QuadratureRule, integrate_dm, integrate_halfline
 from tripmaps.tables.hilbert_rows import ARG_SLOT, HILBERT
 from tripmaps.transfer import TruncationPolicy, apply_transfer, branch_point
 
@@ -59,6 +69,18 @@ def test_eta_values():
         eta(0, -1.0)
     with pytest.raises(ValueError):
         eta(-1, 1.0)
+
+
+def test_eta_rows_against_mpmath():
+    # all rows k <= 50 of the one-pass log-domain form, relative
+    s = np.concatenate([[0.0], np.geomspace(1e-3, 40.0, 30)])
+    got = _eta_rows(range(51), s)
+    with mpmath.workdps(30):
+        ref = np.array([[float(mpmath.mpf(v) ** k * mpmath.exp(-v) / mpmath.factorial(k + 1))
+                         for v in s] for k in range(51)])
+    nz = ref > 1e-300
+    assert np.all(got[~nz] == 0.0) and got[0, 0] == 1.0
+    assert np.max(np.abs(got[nz] - ref[nz]) / ref[nz]) <= 1e-13
 
 
 def test_eta_normalization():
@@ -249,3 +271,151 @@ def test_laguerre_partial_two_dm_calls(monkeypatch):
     monkeypatch.setattr(hilbert, "integrate_dm", counting)
     laguerre_expansion_partial(T123, _phi("123", 0), P123, 50)
     assert len(calls) == 2
+
+
+# ---------- the kernel side on the shared kernel matrix ----------
+
+def _fubini_rhs(j: float, decay: float, k_eta: int) -> float:
+    """The kernel side for eta_0 or eta_1 without any kernel matrix.
+
+    With x_n = decay + n + 1, Fubini and two Laplace transforms,
+    e^{-decay t} t/(e^t - 1) = sum_n t e^{-x_n t} and
+    int_0^inf t e^{-x t} J_1(2 sqrt(st))/sqrt(st) dt = e^{-s/x}/x^2,
+    give rhs = j sum_n x_n^-2 int eta_k(s) e^{-s/x_n} dm(s).  The s-integral
+    is psi'(2 + 1/x) for eta_0 and -psi''(2 + 1/x)/2 for eta_1.  The n-sum
+    runs directly up to N; past it the summand's Taylor series in 1/x is
+    summed term by term, each term a Hurwitz zeta function."""
+    n_direct, n_taylor = 40, 12
+    x = decay + 1.0 + np.arange(n_direct)
+    sign = 1.0 if k_eta == 0 else -0.5
+    head = sign * sp.polygamma(1 + k_eta, 2.0 + 1.0 / x) / x ** 2
+    tail = sum(sign * sp.polygamma(r + 1 + k_eta, 2.0) / math.factorial(r)
+               * sp.zeta(r + 2, decay + 1.0 + n_direct) for r in range(n_taylor))
+    return j * (head.sum() + tail)
+
+
+def _row_decay_j(t, p):
+    ht = hilbert_triple(t)
+    return ht.l(p.x, p.y) - 1.0, ht.j(p.x, p.y)
+
+
+def test_fubini_oracle_route():
+    # the oracle itself against mpmath summing the double series
+    # sum_n sum_{m>=2} x_n^-2 (m + 1/x_n)^-(2 + k) of its derivation
+    for decay, k_eta in ((0.7, 0), (12.5, 1)):
+        with mpmath.workdps(30):
+            ref = mpmath.nsum(
+                lambda n: mpmath.zeta(2 + k_eta, 2 + 1 / (decay + n + 1)) / (decay + n + 1) ** 2,
+                [0, mpmath.inf])
+        assert abs(_fubini_rhs(1.0, decay, k_eta) - float(ref)) <= 1e-13 * float(ref)
+
+
+def test_rhs_matches_fubini_oracle_all_rows():
+    # every row at the points of the theorem31_identity claim, eta_0 and
+    # eta_1: the shared-matrix rhs against the closed-form route
+    worst = 0.0
+    for key in HILBERT:
+        t = PermutationTriple(*key)
+        for p in theorem31_points():
+            decay, j = _row_decay_j(t, p)
+            for k_eta in (0, 1):
+                ref = _fubini_rhs(j, decay, k_eta)
+                got = theorem31_rhs(t, _phi(key[0], k_eta), p)
+                worst = max(worst, abs(got - ref) / abs(ref))
+    assert worst <= 1e-9
+
+
+# one point within 1e-3 of each edge of 0 < y < x < 1; over the six l rows
+# their decays l(p) - 1 run from 0.0195 to 51.3
+EDGE_POINTS = (TrianglePoint(0.0195, 0.019), TrianglePoint(0.5, 5e-4),
+               TrianglePoint(0.9995, 0.98))
+
+
+def test_rhs_near_edges_every_row():
+    # both gates pass and the rhs matches the closed-form route on every
+    # row; where the former route (integrate_halfline at rate decay over
+    # kernel_apply) converges, here from decay 0.5 up, it matches that
+    # route too.  For the eta profiles the kernel side is j(p) times a
+    # function of the decay alone, so that route runs once per decay.
+    former = {}
+    decays = []
+    for key in HILBERT:
+        t = PermutationTriple(*key)
+        slot = hilbert_triple(t).slot
+        for p in EDGE_POINTS:
+            decay, j = _row_decay_j(t, p)
+            decays.append(decay)
+            for k_eta in (0, 1):
+                phi = _phi(key[0], k_eta)
+                got = theorem31_rhs(t, phi, p)
+                ref = _fubini_rhs(j, decay, k_eta)
+                assert abs(got - ref) <= 1e-12 * abs(ref), (key, p, k_eta)
+                if decay < 0.5 or k_eta:
+                    continue
+                if decay not in former:
+                    former[decay] = integrate_halfline(
+                        lambda tau: np.exp(-tau * decay)
+                        * kernel_apply(phi, 0.5, tau, INNER_RULE, slot), decay, OUTER_RULE)
+                assert abs(got - j * former[decay]) <= 1e-12 * abs(got), (key, p)
+    assert min(decays) < 0.02 and max(decays) > 50.0
+    assert len(former) >= 10
+
+
+def test_rhs_decay_range():
+    # decays up to 80 pass and match the closed-form route; beyond
+    # DECAY_MAX the rhs refuses with a typed error instead of trusting the gate
+    assert DECAY_MAX == 80.0
+    t = PermutationTriple("e", "e", "e")          # l = (y + 1)/x
+    y = 0.005
+    inside = TrianglePoint((y + 1.0) / 81.0 * (1 + 1e-12), y)
+    decay, j = _row_decay_j(t, inside)
+    assert 80.0 - 1e-6 < decay <= 80.0
+    for k_eta in (0, 1):
+        ref = _fubini_rhs(j, decay, k_eta)
+        assert abs(theorem31_rhs(t, _phi("e", k_eta), inside) - ref) <= 1e-12 * abs(ref)
+    # decay 99.5, where the outer gate fails too, and decay 1e4, where the
+    # outer integral has shrunk under the gate while its error is 100 %
+    for far in (TrianglePoint(0.01, y), TrianglePoint(1e-4, 5e-5)):
+        with pytest.raises(NonConvergent, match="decay"):
+            theorem31_rhs(t, _phi("e", 0), far)
+
+
+def test_rhs_gates_fail_loudly():
+    nan_tail = ProfileFunction(lambda a, s: np.where(s > 5.0, np.nan, 1.0), "nan tail")
+    with pytest.raises(NonConvergent):
+        theorem31_rhs(EEE, nan_tail, PEEE)
+    with pytest.raises(NonConvergent):
+        theorem31_check(EEE, nan_tail, PEEE)
+    # rules too coarse to pass their unchanged gates, inner and outer
+    with pytest.raises(NonConvergent, match="inner"):
+        theorem31_rhs(EEE, eta_profile(0), PEEE,
+                      inner_rule=QuadratureRule(order=2, abs_tol=INNER_RULE.abs_tol))
+    with pytest.raises(NonConvergent, match="outer"):
+        theorem31_rhs(EEE, eta_profile(0), PEEE,
+                      outer_rule=QuadratureRule(panels=8, order=2, abs_tol=OUTER_RULE.abs_tol))
+    assert theorem31_rhs(EEE, ZERO, PEEE) == 0.0
+
+
+def test_import_builds_no_kernel_matrix():
+    src = os.path.dirname(os.path.dirname(tripmaps.__file__))
+    code = ("import tripmaps.cli, tripmaps.hilbert as h; "
+            "print(h._kernel_matrix.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert out.stdout.strip() == "0"
+
+
+def test_kernel_matrix_cache_deterministic_and_bounded():
+    _kernel_matrix.cache_clear()
+    t, phi = T123, _phi("123", 1)
+    first = theorem31_check(t, phi, P123)          # builds the matrix
+    assert _kernel_matrix.cache_info().currsize == 1
+    assert theorem31_check(t, phi, P123) == first  # bit-identical
+    # the default rules share one entry; other rule pairs are bounded
+    theorem31_rhs(t, phi, P123, inner_rule=QuadratureRule(abs_tol=1e-6))
+    assert _kernel_matrix.cache_info().currsize == 1
+    for order in (3, 4, 5):
+        theorem31_rhs(t, phi, P123, outer_rule=QuadratureRule(order=order, abs_tol=1.0))
+    assert _kernel_matrix.cache_info().currsize <= _kernel_matrix.cache_info().maxsize <= 2
+    km = _kernel_matrix(48, 12, 48, 12)
+    assert km.mat.shape == (1728, 1728) and not km.mat.flags.writeable
