@@ -18,6 +18,7 @@ from .errors import NoBanachRow, NoEigenfunction, TruncationFailure
 from .tables.banach import BANACH
 from .tables.eigen import EIGENFUNCTIONS
 from .transfer import (
+    _BLOCK_TERMS,
     TruncationPolicy,
     apply_transfer_batch,
     branch_sums,
@@ -129,25 +130,45 @@ def _bump(c: np.ndarray, x, y):
     return 0.05 + c[0] * x * (1 - x) + c[1] * y + c[2] * (x - y)
 
 
+# lower and upper ends of a trial's nine draws: a (4), c (3), x and y / x
+_DRAW_LO = np.array([-1.0, -1.0, -1.0, -1.0, 0.0, 0.0, 0.0, 0.15, 0.1])
+_DRAW_HI = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.85, 0.9])
+
+
+def _draw_trials(seed: int, trials: int):
+    """The coefficients a of f, c of the bump and the root (x, y) of each
+    trial, one row per trial, from one draw of the seeded stream."""
+    d = _DRAW_LO + (_DRAW_HI - _DRAW_LO) * np.random.default_rng(seed).random((trials, 9))
+    x = d[:, 7]
+    return d[:, :4], d[:, 4:7], x, np.clip(d[:, 8] * x, 0.05, x - 0.05)
+
+
 def monotonicity_check(t: PermutationTriple, n: int = 2, trials: int = 20,
                        seed: int = 0, branches: int = 16) -> bool:
     """f < g pointwise implies L^n f < L^n g pointwise.  Checked on random
     pairs g = f + bump at random interior points; the operator iterates use
     a fixed-K truncated branch sum, which preserves strict order termwise
-    because every weight is positive.  Both iterates fold one preimage
-    tree of branches**n leaves per trial."""
+    because every weight is positive.  As L^n g - L^n f = L^n(bump) with a
+    positive bump, the check can fail only if some tree weight is <= 0 or
+    not finite.  The trials share preimage trees of branches**n leaves per
+    root, as many roots per tree as fit in _BLOCK_TERMS leaves; a singular
+    branch in any trial raises EvaluationSingularity."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        a = rng.uniform(-1.0, 1.0, size=4)
-        c = rng.uniform(0.0, 1.0, size=3)
-        x = rng.uniform(0.15, 0.85)
-        y = rng.uniform(0.1, 0.9) * x
-        y = min(max(y, 0.05), x - 0.05)
-        xs, ys, weights = preimage_tree(t, TrianglePoint(x, y), n, branches)
-        f = _smooth(a, xs, ys)
-        lf, lg = fold_tree(weights, np.stack((f, f + _bump(c, xs, ys))))
-        if not lf < lg:
-            return False
-    return True
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    if branches < 1:
+        raise ValueError("branches must be at least 1")
+    a, c, xs, ys = _draw_trials(seed, trials)
+    leaves = branches ** n
+    step = max(1, _BLOCK_TERMS // leaves)
+    ordered = True
+    for lo in range(0, trials, step):
+        roots = slice(lo, lo + step)
+        lx, ly, weights = preimage_tree(t, xs[roots], ys[roots], n, branches)
+        lx, ly = lx.reshape(-1, leaves), ly.reshape(-1, leaves)
+        f = _smooth(a[roots].T[..., None], lx, ly)
+        g = f + _bump(c[roots].T[..., None], lx, ly)
+        lf, lg = fold_tree(weights, np.stack((f.ravel(), g.ravel())))
+        ordered &= bool((lf < lg).all())
+    return ordered

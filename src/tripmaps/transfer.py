@@ -21,9 +21,10 @@ abscissae of each parity class) in one call, adds the direct terms of each
 point with math.fsum, and doubles K only for the points whose tail
 estimate is still above eps.  apply_transfer_batch is the transfer
 operator on that path and apply_transfer its one-point face.  The fixed-K
-sums of the order-preservation checks form a preimage tree, built once,
-evaluated at its leaves and folded back level by level; partial_transfer
-is its one-level, one-point face.  A test function f is called with
+sums of the order-preservation checks form one preimage tree over an
+array of roots, built once, evaluated at its leaves and folded back level
+by level to one value per root; partial_transfer is its one-level,
+one-root face.  A test function f is called with
 arrays of branch points; a scalar result is broadcast, and an f that
 cannot take arrays raises NotArrayNative.
 """
@@ -211,44 +212,49 @@ def apply_transfer(t: PermutationTriple, f: Callable[[float, float], float],
     return float(value[0]), float(err[0])
 
 
-def preimage_tree(t: PermutationTriple, p: TrianglePoint, depth: int,
+def preimage_tree(t: PermutationTriple, xs: np.ndarray, ys: np.ndarray, depth: int,
                   K: int) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """The branches k < K of p, of their branches, and so on depth times:
-    the K**depth leaves as arrays xs, ys, and the weights of each level,
-    level l of shape (K**l, K) with node i's k-th child at leaf index
-    i*K + k of the next level."""
+    """The branches k < K of each root (xs[r], ys[r]), of their branches,
+    and so on depth times: the R*K**depth leaves as arrays xs, ys, root
+    r's leaves forming the block r*K**depth .. (r+1)*K**depth - 1, and the
+    weights of each level, level l of shape (R*K**l, K) with node i's k-th
+    child at leaf index i*K + k of the next level."""
     row = _row(t)
     k, s = np.arange(K, dtype=float), _signs(K)
-    xs, ys = np.array([p.x]), np.array([p.y])
+    roots = xs, ys
     weights = []
-    for _ in range(depth):
+    for level in range(depth):
         x, y = xs[:, None], ys[:, None]
         shape = (xs.size, K)
         a, b = row.branch(k, x, y, s)
         w, a, b = (np.broadcast_to(v, shape) for v in (row.weight(k, x, y, s), a, b))
-        if not (np.isfinite(w).all() and np.isfinite(a).all() and np.isfinite(b).all()):
-            raise EvaluationSingularity(f"branch of {t} singular below {p}")
+        finite = np.isfinite(w) & np.isfinite(a) & np.isfinite(b)
+        if not finite.all():
+            r = np.argmin(finite.all(axis=1)) // K ** level
+            raise EvaluationSingularity(
+                f"branch of {t} singular below ({roots[0][r]}, {roots[1][r]})")
         weights.append(w)
         xs, ys = a.ravel(), b.ravel()
     return xs, ys, weights
 
 
 def fold_tree(weights: list[np.ndarray], leaf_values: np.ndarray) -> np.ndarray:
-    """Fold leaf values back to the root, sum_k w * value one level at a
-    time.  The leaves run along the last axis of leaf_values; leading axes
-    fold independently and are what is returned."""
+    """Fold leaf values back to the roots, sum_k w * value one level at a
+    time: one value per root.  The leaves run along the last axis of
+    leaf_values; leading axes fold independently, and the result has
+    them followed by one axis over the roots."""
     vals = leaf_values
     for w in reversed(weights):
         vals = np.sum(w * vals.reshape(vals.shape[:-1] + w.shape), axis=-1)
-    return vals[..., 0]
+    return vals
 
 
 def partial_transfer(t: PermutationTriple, f: Callable[[float, float], float],
                      p: TrianglePoint, K: int) -> float:
     """Plain truncated branch sum over k < K; exact termwise positivity
     makes this the right tool for order-preservation checks."""
-    xs, ys, weights = preimage_tree(t, p, 1, K)
-    return float(fold_tree(weights, _eval_vec(f, xs, ys)))
+    xs, ys, weights = preimage_tree(t, np.array([p.x]), np.array([p.y]), 1, K)
+    return float(fold_tree(weights, _eval_vec(f, xs, ys))[0])
 
 
 def jacobian_residual(t: PermutationTriple, k: int, p: TrianglePoint,
