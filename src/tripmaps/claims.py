@@ -151,7 +151,7 @@ def _monte_carlo_digits() -> float:
     n = 1_000_000
     z = []
     for key, theory in gausskuzmin.CLOSED_FORMS.items():
-        stats = gausskuzmin.empirical_digits(PermutationTriple(*key), None, n, seed=12345)
+        stats = gausskuzmin.empirical_digits(PermutationTriple(*key), n, seed=12345)
         for k in range(3):
             p = theory(k)
             z.append(abs(stats.frequency(k) - p) / math.sqrt(p * (1.0 - p) / n))

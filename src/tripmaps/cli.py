@@ -31,7 +31,7 @@ from .domain import (
     parse_triple,
     supported_triples,
 )
-from .errors import TripMapError
+from .errors import AmbiguousDigit, BoundaryHit, TripMapError
 from .tables.banach import BANACH
 from .tables.eigen import DENSITIES, EIGENFUNCTIONS
 from .tables.hilbert_rows import ARG_SLOT, HILBERT
@@ -168,7 +168,7 @@ def cmd_gk(cfg: RunConfig) -> tuple[int, list[dict], list[str]]:
         closed = gausskuzmin.CLOSED_FORMS.get(t.key)
         stats = None
         if cfg.simulate:
-            stats = gausskuzmin.empirical_digits(t, None, cfg.n_steps, cfg.seed)
+            stats = gausskuzmin.empirical_digits(t, cfg.n_steps, cfg.seed)
         for k in range(cfg.kmax + 1):
             p = gausskuzmin.cylinder_measure(t, k, 1e-9)
             ok = 0.0 <= p <= 1.0
@@ -242,7 +242,11 @@ def cmd_orbit(cfg: RunConfig) -> tuple[int, list[dict], list[str]]:
     for i in range(cfg.n_steps):
         try:
             st = maps.step(t, p)
-        except TripMapError:
+        except (BoundaryHit, AmbiguousDigit) as exc:
+            # an orbit on the boundary or next to a vertex ends there; any
+            # other error is a fault and reaches main
+            print(f"orbit stopped at step {i + 1}: {type(exc).__name__}: {exc}",
+                  file=sys.stderr)
             break
         p = st.image
         rows.append({"step": i + 1, "digit": st.digit, "x": p.x, "y": p.y})

@@ -141,8 +141,8 @@ CLOSED_FORMS = {("e", "e", "e"): p_closed_eee, ("e", "23", "e"): p_integral_e23e
 
 def _envelope(r) -> float:
     # the rejection constant for _draw_start, from a margin-0.01 grid, so
-    # the unbounded boundary sliver is sampled slightly flat -- irrelevant
-    # for orbit starts
+    # the unbounded boundary sliver is sampled slightly flat.  One long
+    # orbit washes that out; many short ones from fresh starts do not
     grid = [(x, y)
             for x in np.linspace(0.02, 0.99, 40)
             for y in np.linspace(0.01, 1.0, 40) * x
@@ -161,49 +161,44 @@ def _draw_start(rng: np.random.Generator, r, envelope: float) -> TrianglePoint:
             return TrianglePoint(x, y)
 
 
-def empirical_digits(t: PermutationTriple, start: TrianglePoint | None,
-                     n: int, seed: int) -> EmpiricalStats:
+def empirical_digits(t: PermutationTriple, n: int, seed: int) -> EmpiricalStats:
     """Digit counts over n orbit steps of a seeded counter-based stream,
-    also per batch of MC_BATCHES consecutive batches; a boundary hit
-    restarts the orbit from a fresh density-sampled point and is tallied
-    in the restarts field."""
+    also per batch of MC_BATCHES consecutive batches; the orbit starts from
+    a density-sampled point, a boundary hit restarts it from a fresh one
+    and is tallied in the restarts field."""
     if n < 1:
         raise ValueError("n must be at least 1")
     rng = np.random.Generator(np.random.Philox(seed))
     r = density(t)
     envelope = _envelope(r)
     key = t.key
-    cur = start if start is not None else _draw_start(rng, r, envelope)
-    x, y = cur.x, cur.y
+    p = _draw_start(rng, r, envelope)
+    x, y = p.x, p.y
     n_batches = min(MC_BATCHES, n)
-    edges = [n * (i + 1) // n_batches for i in range(n_batches)]
+    sizes = [n * (i + 1) // n_batches - n * i // n_batches for i in range(n_batches)]
     batches: list[dict[int, int]] = []
-    counts: dict[int, int] = {}
     restarts = 0
     tol = 1e-12
-    steps = 0
-    while steps < n:
-        if steps == edges[len(batches)]:
-            batches.append(counts)
-            counts = {}
-        # near-corner points carry digits ~1/y, far beyond the default
-        # search cap; digit extraction costs at most O(log k) evaluations,
-        # so a large cap is free
-        k, xp, yp = _digit(key, x, y, k_max=10 ** 12)
-        if not (yp > tol and xp - yp > tol and xp < 1.0 - tol):
-            restarts += 1
-            p = _draw_start(rng, r, envelope)
-            x, y = p.x, p.y
-            continue
-        counts[k] = counts.get(k, 0) + 1
-        steps += 1
-        x, y = xp, yp
-    batches.append(counts)
+    for size in sizes:
+        counts: dict[int, int] = {}
+        left = size
+        while left:
+            # near-corner points carry digits ~1/y; the default cap of
+            # _digit is far beyond them
+            k, xp, yp = _digit(key, x, y)
+            if not (yp > tol and xp - yp > tol and xp < 1.0 - tol):
+                restarts += 1
+                p = _draw_start(rng, r, envelope)
+                x, y = p.x, p.y
+                continue
+            counts[k] = counts.get(k, 0) + 1
+            left -= 1
+            x, y = xp, yp
+        batches.append(counts)
     totals: dict[int, int] = {}
     for batch in batches:
         for k, c in batch.items():
             totals[k] = totals.get(k, 0) + c
-    sizes = [b - a for a, b in zip([0] + edges, edges)]
     return EmpiricalStats(triple=t, n_steps=n, counts=totals, seed=seed,
                           restarts=restarts, batches=tuple(zip(sizes, batches)))
 

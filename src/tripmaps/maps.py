@@ -25,7 +25,8 @@ would.
 _digit is the one-point face the orbit steps use, on floats: on parity-free
 rows both image components are affine in k, and the line through the
 images at k = 0 and 1 brackets the digit in two evaluations; on parity rows
-it runs the search.  Whatever it cannot settle goes to the array path.
+it runs the search.  One loop over the candidates next to the bracket
+applies the tie rules; whatever it cannot settle goes to the array path.
 """
 
 from __future__ import annotations
@@ -86,10 +87,6 @@ def _eval_formula(key, k, x, y):
         raise EvaluationSingularity(
             f"branch formula {key} non-finite at k={k}, point=({x}, {y})")
     return xp, yp
-
-
-def _in_closure(xp, yp, tol=MEMBERSHIP_TOL):
-    return yp >= -tol and xp - yp >= -tol and xp <= 1.0 + tol
 
 
 def apply_branch_formula(t: PermutationTriple, k: int, p: TrianglePoint):
@@ -416,62 +413,83 @@ def _solve(key, xs, ys, k_max):
     return digit.astype(np.int64), image_x, image_y
 
 
-def _line_window(key, x, y):
-    """Candidate digits of one point on a parity-free row, where both image
-    components are affine in k: the integers next to the interval that the
-    line through the images at k = 0 and 1 keeps in the triangle, and
-    those two images by their k.  None where a sample is singular or the
-    interval is empty, wide or beyond _SHALLOW."""
-    try:
-        images = {k: _eval_formula(key, k, x, y) for k in (0, 1)}
-    except EvaluationSingularity:
-        return None
-    (xa, ya), (xb, yb) = images[0], images[1]
-    lo, hi = 0.0, float(_SHALLOW)
-    # constraints a + b*k >= 0: y' >= 0, x' - y' >= 0, x' <= 1
-    for a, b in ((ya, yb - ya), (xa - ya, xb - yb - xa + ya), (1.0 - xa, xa - xb)):
-        if b > 0:
-            lo = max(lo, -a / b)
-        elif b < 0:
-            hi = min(hi, -a / b)
-        elif a < 0:
-            return None
-    if not lo <= hi <= lo + _MAX_WIDTH:
-        return None
-    return math.ceil(lo) - 1, math.floor(hi) + 1, images
-
-
 def _digit(key, x, y, k_max=K_MAX_DEFAULT):
     """(digit, x', y') of one point, with the image the digit was accepted
     on.  One point runs on floats, where numpy on one-element arrays costs
-    far more than an orbit step: the line through two images on parity-free
-    rows, the search on parity rows.  A window of candidates whose run of
-    hits is not clean goes to _solve."""
-    reach, margin = _window(key)
-    if FORWARD[key].parity:
+    far more than an orbit step.  On parity-free rows both image components
+    are affine in k, and the window is the integers next to the interval
+    that the line through the images at k = 0 and 1 keeps in the triangle;
+    on parity rows the search gives it.  One loop then applies the tie
+    rules of _decide to the window, and a window whose run of hits is not
+    clean goes to _solve."""
+    row = FORWARD[key]
+    f = row.f
+    lo = image0 = image1 = None
+    if row.parity:
         found = _search_one(key, x, y, min(k_max, _SHALLOW))
-        window = None if found is None else (found - reach, found + reach, {})
+        reach, margin = _window(key)
+        if found is not None:
+            lo, hi = found - reach, found + reach
     else:
-        window = _line_window(key, x, y)
-    if window is not None:
-        lo, hi, images = max(window[0], 0), min(window[1], k_max), window[2]
-        hits = []
+        margin = 0
+        # no window where a sample is singular or the interval is empty,
+        # wide or beyond _SHALLOW
+        try:
+            image0 = f(0, x, y, 1.0)
+            if math.isfinite(image0[0]) and math.isfinite(image0[1]):
+                image1 = f(1, x, y, -1.0)
+        except ZeroDivisionError:
+            pass
+        if image1 is not None and math.isfinite(image1[0]) and math.isfinite(image1[1]):
+            (xa, ya), (xb, yb) = image0, image1
+            bottom, top = 0.0, float(_SHALLOW)
+            # constraints a + b*k >= 0: y' >= 0, x' - y' >= 0, x' <= 1
+            for a, b in ((ya, yb - ya), (xa - ya, xb - yb - xa + ya), (1.0 - xa, xa - xb)):
+                if b > 0:
+                    v = -a / b
+                    if v > bottom:
+                        bottom = v
+                elif b < 0:
+                    v = -a / b
+                    if v < top:
+                        top = v
+                elif a < 0:
+                    top = -math.inf
+            if bottom <= top <= bottom + _MAX_WIDTH:
+                lo, hi = math.ceil(bottom) - 1, math.floor(top) + 1
+    if lo is not None:
+        if lo < 0:
+            lo = 0
+        if hi > k_max:
+            hi = k_max
+        # the lowest hit, the lowest hit inside at the base tolerance, the
+        # highest hit and the number of hits
+        first = inside = None
+        last = count = 0
         for k in range(lo, hi + 1):
-            image = images.get(k)
-            if image is None:
+            if k > 1 or image1 is None:
                 try:
-                    image = _eval_formula(key, k, x, y)
-                except EvaluationSingularity:
+                    xp, yp = f(k, x, y, -1.0 if k & 1 else 1.0)
+                except ZeroDivisionError:
                     continue
-            if _in_closure(*image, MEMBERSHIP_TOL + 1e-15 * k):
-                hits.append((k, *image))
+            else:
+                xp, yp = image1 if k else image0
+            # a non-finite image fails a comparison, so it is no hit
+            tol = MEMBERSHIP_TOL + 1e-15 * k
+            if yp >= -tol and xp - yp >= -tol and xp <= 1.0 + tol:
+                if first is None:
+                    first = k, xp, yp
+                if inside is None and yp >= -MEMBERSHIP_TOL and xp - yp >= -MEMBERSHIP_TOL \
+                        and xp <= 1.0 + MEMBERSHIP_TOL:
+                    inside = k, xp, yp
+                last = k
+                count += 1
         # clean: contiguous, above the start of the window and more than
         # margin steps below its end, unless it stops at 0 or k_max; the tie
         # rules of _decide then pick the same hit
-        if (hits and hits[-1][0] - hits[0][0] == len(hits) - 1
-                and (hits[0][0] > lo or lo == 0)
-                and (hits[-1][0] + margin < hi or hi == k_max)):
-            return next((h for h in hits if _in_closure(h[1], h[2])), hits[0])
+        if (first is not None and last - first[0] == count - 1
+                and (first[0] > lo or lo == 0) and (last + margin < hi or hi == k_max)):
+            return first if inside is None else inside
     k, xp, yp = _solve(key, np.array([x], dtype=float), np.array([y], dtype=float), k_max)
     return int(k[0]), float(xp[0]), float(yp[0])
 

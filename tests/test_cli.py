@@ -4,9 +4,9 @@ import json
 
 import pytest
 
-from tripmaps import claims
+from tripmaps import claims, maps
 from tripmaps.cli import main
-from tripmaps.errors import NonConvergent
+from tripmaps.errors import DigitNotFound, EvaluationSingularity, NonConvergent
 
 
 def run(capsys, *argv):
@@ -120,6 +120,36 @@ def test_orbit_dump(capsys):
     rows = rows_of(out)
     assert code == 0 and len(rows) >= 2
     assert rows[0]["step"] == "0"
+
+
+@pytest.mark.parametrize("triple, start, steps, error", [
+    # (0.6, 0.3) reaches the diagonal in two steps under (e,e,e)
+    ("e,e,e", "0.6,0.3", 1, "BoundaryHit"),
+    # this orbit comes within 2e-12 of the vertex (0, 0) at step 11, where
+    # hits of one digit sit far apart
+    ("e,e,12", "0.6123,0.2871", 11, "AmbiguousDigit"),
+])
+def test_orbit_stops_on_boundary_and_vertex(capsys, triple, start, steps, error):
+    code, out, err = run(capsys, "orbit", "--triple", triple, "--n", "30", "--start", start)
+    rows = rows_of(out)
+    assert code == 0 and [r["step"] for r in rows] == [str(i) for i in range(steps + 1)]
+    assert err.startswith(f"orbit stopped at step {steps + 1}: {error}: ")
+
+
+@pytest.mark.parametrize("error", [DigitNotFound, EvaluationSingularity])
+def test_orbit_other_errors_exit_2(capsys, monkeypatch, error):
+    real, calls = maps.step, []
+
+    def step(t, p):
+        calls.append(p)
+        if len(calls) == 3:
+            raise error("table fault")
+        return real(t, p)
+
+    monkeypatch.setattr(maps, "step", step)
+    code, out, err = run(capsys, "orbit", "--triple", "e,e,e", "--n", "8",
+                         "--start", "0.573,0.211")
+    assert code == 2 and out == "" and err == "error: table fault\n"
 
 
 def test_determinism_and_out_file(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -113,16 +114,16 @@ def test_negative_digit_rejected():
 
 
 def test_empirical_digits_deterministic():
-    a = empirical_digits(E23E, None, 2000, seed=42)
-    b = empirical_digits(E23E, None, 2000, seed=42)
+    a = empirical_digits(E23E, 2000, seed=42)
+    b = empirical_digits(E23E, 2000, seed=42)
     assert a.counts == b.counts and a.restarts == b.restarts
     assert sum(a.counts.values()) == 2000
-    c = empirical_digits(E23E, None, 2000, seed=43)
+    c = empirical_digits(E23E, 2000, seed=43)
     assert c.counts != a.counts
 
 
 def test_empirical_batches():
-    st = empirical_digits(E23E, None, 2005, seed=42)
+    st = empirical_digits(E23E, 2005, seed=42)
     assert len(st.batches) == MC_BATCHES
     assert sum(m for m, _ in st.batches) == 2005
     assert {m for m, _ in st.batches} == {100, 101}
@@ -130,7 +131,7 @@ def test_empirical_batches():
         assert sum(counts.values()) == m
     for k, c in st.counts.items():
         assert sum(counts.get(k, 0) for _, counts in st.batches) == c
-    one = empirical_digits(EEE, TrianglePoint(0.57, 0.21), 1, seed=1)
+    one = empirical_digits(EEE, 1, seed=1)
     assert one.batch_stderr(0) == 0.0
 
 
@@ -144,12 +145,33 @@ def test_batch_stderr_is_standard_error_of_batch_means():
 
 
 def test_empirical_single_step():
-    st = empirical_digits(EEE, TrianglePoint(0.57, 0.21), 1, seed=1)
+    st = empirical_digits(EEE, 1, seed=1)
     assert sum(st.counts.values()) == 1
 
 
+@pytest.mark.parametrize("t, seed, restarts, c0, c1, k_top, digest", [
+    (EEE, 1, 0, 5101, 2744, 96111,
+     "1e9b41eac93fd64e5e4762e2de4a777b263a938dd8a219856e4996eeb6a7bdf3"),
+    (EEE, 12345, 0, 4998, 2683, 1508954,
+     "00cfd55f4c039f3558ec51bea9c5d4caae6a1f9f81cd40ea7bb8164d6f612f27"),
+    (E23E, 1, 0, 10029, 2553, 693771,
+     "9d32fe1f743e38c79d1d7bc343aa034e20badd68a1f8b3c202cc407ec797acc1"),
+    (E23E, 12345, 0, 9707, 2625, 131468,
+     "f36841967cd0912f83346b5517a8e3ea036ce642a96e5e82eda097262c22d946"),
+])
+def test_orbit_stream_is_pinned(t, seed, restarts, c0, c1, k_top, digest):
+    # the counts, restarts and batches of 20000 orbit steps, recorded from
+    # the former one-point digit path: a faster digit step must not move
+    # a single digit of the stream
+    st = empirical_digits(t, 20000, seed)
+    assert (st.restarts, st.counts[0], st.counts[1], max(st.counts)) == (restarts, c0, c1, k_top)
+    canon = (sorted(st.counts.items()), st.restarts,
+             [(m, sorted(c.items())) for m, c in st.batches])
+    assert hashlib.sha256(repr(canon).encode()).hexdigest() == digest
+
+
 def test_empirical_matches_theory_small_n():
-    st = empirical_digits(E23E, None, 50_000, seed=9)
+    st = empirical_digits(E23E, 50_000, seed=9)
     f0 = st.frequency(0)
     assert abs(f0 - 0.5) < 0.01
 

@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from tripmaps.domain import PermutationTriple, TrianglePoint, supported_triples
 from tripmaps.errors import (AmbiguousDigit, BoundaryHit, DigitNotFound, EvaluationSingularity,
                              OutsideTriangle)
 from tripmaps import maps, transfer
+from tripmaps.maps import (K_MAX_DEFAULT, MEMBERSHIP_TOL, _MAX_WIDTH, _SHALLOW, _eval_formula,
+                           _search_one, _solve, _window)
 from tripmaps.tables.forward import FORWARD
 from tripmaps.tables.transfer_rows import TRANSFER
 
@@ -407,3 +409,133 @@ def test_digits_batch_matches_points_and_images(sample_points):
             digit, xp, yp = maps._digit(key, x, y)
             assert digit == k == _scan(key, x, y), key
             assert (xp, yp) == maps._eval_formula(key, digit, x, y), key
+
+
+# --- the one-point digit against its former implementation -----------------
+
+# The former one-point path, copied verbatim (only _digit is renamed): a
+# dict of images, a _line_window helper and _in_closure per candidate.  The
+# lean loop of maps._digit must give bit-identical digits and images.
+def _in_closure(xp, yp, tol=MEMBERSHIP_TOL):
+    return yp >= -tol and xp - yp >= -tol and xp <= 1.0 + tol
+
+
+def _line_window(key, x, y):
+    """Candidate digits of one point on a parity-free row, where both image
+    components are affine in k: the integers next to the interval that the
+    line through the images at k = 0 and 1 keeps in the triangle, and
+    those two images by their k.  None where a sample is singular or the
+    interval is empty, wide or beyond _SHALLOW."""
+    try:
+        images = {k: _eval_formula(key, k, x, y) for k in (0, 1)}
+    except EvaluationSingularity:
+        return None
+    (xa, ya), (xb, yb) = images[0], images[1]
+    lo, hi = 0.0, float(_SHALLOW)
+    # constraints a + b*k >= 0: y' >= 0, x' - y' >= 0, x' <= 1
+    for a, b in ((ya, yb - ya), (xa - ya, xb - yb - xa + ya), (1.0 - xa, xa - xb)):
+        if b > 0:
+            lo = max(lo, -a / b)
+        elif b < 0:
+            hi = min(hi, -a / b)
+        elif a < 0:
+            return None
+    if not lo <= hi <= lo + _MAX_WIDTH:
+        return None
+    return math.ceil(lo) - 1, math.floor(hi) + 1, images
+
+
+def _former_digit(key, x, y, k_max=K_MAX_DEFAULT):
+    """(digit, x', y') of one point, with the image the digit was accepted
+    on.  One point runs on floats, where numpy on one-element arrays costs
+    far more than an orbit step: the line through two images on parity-free
+    rows, the search on parity rows.  A window of candidates whose run of
+    hits is not clean goes to _solve."""
+    reach, margin = _window(key)
+    if FORWARD[key].parity:
+        found = _search_one(key, x, y, min(k_max, _SHALLOW))
+        window = None if found is None else (found - reach, found + reach, {})
+    else:
+        window = _line_window(key, x, y)
+    if window is not None:
+        lo, hi, images = max(window[0], 0), min(window[1], k_max), window[2]
+        hits = []
+        for k in range(lo, hi + 1):
+            image = images.get(k)
+            if image is None:
+                try:
+                    image = _eval_formula(key, k, x, y)
+                except EvaluationSingularity:
+                    continue
+            if _in_closure(*image, MEMBERSHIP_TOL + 1e-15 * k):
+                hits.append((k, *image))
+        # clean: contiguous, above the start of the window and more than
+        # margin steps below its end, unless it stops at 0 or k_max; the tie
+        # rules of _decide then pick the same hit
+        if (hits and hits[-1][0] - hits[0][0] == len(hits) - 1
+                and (hits[0][0] > lo or lo == 0)
+                and (hits[-1][0] + margin < hi or hi == k_max)):
+            return next((h for h in hits if _in_closure(h[1], h[2])), hits[0])
+    k, xp, yp = _solve(key, np.array([x], dtype=float), np.array([y], dtype=float), k_max)
+    return int(k[0]), float(xp[0]), float(yp[0])
+
+
+def _bits(fn, key, x, y):
+    try:
+        k, xp, yp = fn(key, x, y)
+    except Exception as exc:  # the error type is part of the answer
+        return type(exc).__name__
+    return type(k), k, float(xp).hex(), float(yp).hex()
+
+
+_NEAR = {
+    # within gap of an edge or a vertex of the triangle, u along it
+    "bottom": lambda g, u: (u, g),
+    "diagonal": lambda g, u: (u, u - g),
+    "right": lambda g, u: (1.0 - g, u),
+    "origin": lambda g, u: (g, g * u),
+    "corner (1, 0)": lambda g, u: (1.0 - g, g * u),
+    "corner (1, 1)": lambda g, u: (1.0 - g * u, 1.0 - g),
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(supported_triples()),
+       st.sampled_from(("interior",) + tuple(_NEAR)),
+       st.floats(-14.0, -2.0), st.floats(0.001, 0.999), st.floats(0.001, 0.999))
+def test_one_point_digit_matches_former(key, where, log_gap, u, v):
+    if where == "interior":
+        x, y = max(u, v), min(u, v)
+    else:
+        x, y = _NEAR[where](10.0 ** log_gap, u)
+    assume(0.0 < y < x < 1.0)
+    assert _bits(maps._digit, key, x, y) == _bits(_former_digit, key, x, y), (key, x, y)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(supported_triples()), st.floats(1.0, 7.0),
+       st.sampled_from(("bottom", "diagonal", "right")),
+       st.floats(-17.0, -9.0), st.floats(0.02, 0.98))
+def test_one_point_digit_matches_former_at_deep_cylinder_boundaries(key, log_k, edge, log_gap,
+                                                                     u):
+    # branch_k of a point next to an edge lies next to the boundary of
+    # cylinder k, where the eps*k allowance admits neighbours of the digit
+    # and the tie rules choose among the hits
+    gap = 10.0 ** log_gap
+    x, y = {"bottom": (u, gap * u), "diagonal": (u, u * (1.0 - gap)),
+            "right": (1.0 - gap, u * (1.0 - gap))}[edge]
+    qx, qy = _branch(key, int(10.0 ** log_k), x, y)
+    assume(0.0 < qy < qx < 1.0)
+    assert _bits(maps._digit, key, qx, qy) == _bits(_former_digit, key, qx, qy), (key, qx, qy)
+
+
+def test_one_point_digit_matches_former_on_orbit_windows(sample_points):
+    # the branch points of each row: windows at the start (k = 0, 1), in
+    # the middle and deep, on both parity classes
+    for key in supported_triples():
+        for k in (0, 1, 2, 3, 17, 40000):
+            for p in sample_points[:3]:
+                qx, qy = _branch(key, k, p.x, p.y)
+                assert _bits(maps._digit, key, qx, qy) == _bits(_former_digit, key, qx, qy), \
+                    (key, k, qx, qy)
+
