@@ -65,16 +65,16 @@ TOL_DEFAULTS = {
 class RunConfig:
     command: str
     triple: str
-    tol: float | None = None      # None for the verbs that read no tolerance
-    seed: int = 0
-    n_steps: int = 100
-    kmax: int = 10
-    margin: float = 0.05
-    output_path: str | None = None
-    format: str = "csv"
-    simulate: bool = False
-    phi: str = "eta0"
-    start: str | None = None
+    tol: float | None     # None for the verbs that read no tolerance
+    seed: int
+    n_steps: int
+    kmax: int
+    margin: float
+    output_path: str | None
+    format: str
+    simulate: bool
+    phi: str
+    start: str | None
 
     def __post_init__(self) -> None:
         if self.tol is not None and self.tol <= 0:

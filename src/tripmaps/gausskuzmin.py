@@ -37,10 +37,8 @@ MC_BATCHES = 20
 
 @dataclass(frozen=True)
 class EmpiricalStats:
-    triple: PermutationTriple
     n_steps: int
     counts: dict[int, int]
-    seed: int
     restarts: int = 0
     # (batch length, digit counts) per consecutive batch of steps
     batches: tuple[tuple[int, dict[int, int]], ...] = ()
@@ -199,8 +197,8 @@ def empirical_digits(t: PermutationTriple, n: int, seed: int) -> EmpiricalStats:
     for batch in batches:
         for k, c in batch.items():
             totals[k] = totals.get(k, 0) + c
-    return EmpiricalStats(triple=t, n_steps=n, counts=totals, seed=seed,
-                          restarts=restarts, batches=tuple(zip(sizes, batches)))
+    return EmpiricalStats(n_steps=n, counts=totals, restarts=restarts,
+                          batches=tuple(zip(sizes, batches)))
 
 
 def _rectangles(rng: np.random.Generator, count: int):

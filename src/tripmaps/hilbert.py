@@ -133,12 +133,6 @@ def _capital_E_rows(t: PermutationTriple, K: int, p: TrianglePoint,
     return ht.j(p.x, p.y) * val
 
 
-def capital_E(t: PermutationTriple, k: int, p: TrianglePoint,
-              rule: QuadratureRule = INNER_RULE) -> float:
-    """E_k(p), the last of _capital_E_rows."""
-    return float(_capital_E_rows(t, k, p, rule)[k])
-
-
 def _bessel_kernel(z: np.ndarray) -> np.ndarray:
     """J_1(2 sqrt(z)) / sqrt(z), with the removable limit 1 at z = 0."""
     near0 = ~(z > 1e-10)

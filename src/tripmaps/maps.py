@@ -22,11 +22,12 @@ of the pole.  A scan over the 64 steps on each side of the ranges so
 found applies the tie rules in rounded arithmetic, as a scan from k = 0
 would.
 
-_digit is the one-point face the orbit steps use, on floats: on parity-free
-rows both image components are affine in k, and the line through the
-images at k = 0 and 1 brackets the digit in two evaluations; on parity rows
-it runs the search.  One loop over the candidates next to the bracket
-applies the tie rules; whatever it cannot settle goes to the array path.
+_digit is the one-point face the orbit steps use.  On parity-free rows,
+which include both ergodic maps, it runs on floats: both image components
+are affine in k, and the line through the images at k = 0 and 1 brackets
+the digit in two evaluations.  One loop over the candidates next to the
+bracket applies the tie rules.  Parity rows, and whatever the loop cannot
+settle, go to the array path.
 """
 
 from __future__ import annotations
@@ -106,38 +107,9 @@ def _deeper(f, branch, k, x, y, s):
     return (b >= 0.0) & (a >= b) & (a <= 1.0)
 
 
-def _search_one(key, x, y, limit):
-    """The largest k <= limit whose _deeper holds, by galloping from k = 1
-    and bisecting; None where that is limit itself."""
-    f, branch = FORWARD[key].f, TRANSFER[key].branch
-
-    def deeper(k):
-        try:
-            return _deeper(f, branch, k, x, y, -1.0 if k & 1 else 1.0)
-        except ZeroDivisionError:
-            # counted as outside; the confirmation catches a wrong answer
-            return False
-
-    lo, hi = 0, 1
-    while True:
-        k = hi if hi < limit else limit
-        if not deeper(k):
-            hi = k
-            break
-        if k == limit:
-            return None
-        lo, hi = k, 2 * k
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if deeper(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 def _search(key, xs, ys, limit):
-    """_search_one on arrays: the same probes, -1 for None."""
+    """The largest k <= limit whose _deeper holds, for each point, by
+    galloping from k = 1 and bisecting; -1 where that is limit itself."""
     f, branch = FORWARD[key].f, TRANSFER[key].branch
 
     def deeper(k, idx):
@@ -415,23 +387,17 @@ def _solve(key, xs, ys, k_max):
 
 def _digit(key, x, y, k_max=K_MAX_DEFAULT):
     """(digit, x', y') of one point, with the image the digit was accepted
-    on.  One point runs on floats, where numpy on one-element arrays costs
-    far more than an orbit step.  On parity-free rows both image components
-    are affine in k, and the window is the integers next to the interval
-    that the line through the images at k = 0 and 1 keeps in the triangle;
-    on parity rows the search gives it.  One loop then applies the tie
-    rules of _decide to the window, and a window whose run of hits is not
-    clean goes to _solve."""
+    on.  On parity-free rows one point runs on floats, where numpy on
+    one-element arrays costs far more than an orbit step: both image
+    components are affine in k, and the window is the integers next to the
+    interval that the line through the images at k = 0 and 1 keeps in the
+    triangle.  One loop then applies the tie rules of _decide to the
+    window.  A parity row, or a window whose run of hits is not clean, goes
+    to _solve on one-element arrays."""
     row = FORWARD[key]
     f = row.f
-    lo = image0 = image1 = None
-    if row.parity:
-        found = _search_one(key, x, y, min(k_max, _SHALLOW))
-        reach, margin = _window(key)
-        if found is not None:
-            lo, hi = found - reach, found + reach
-    else:
-        margin = 0
+    lo = image1 = None
+    if not row.parity:
         # no window where a sample is singular or the interval is empty,
         # wide or beyond _SHALLOW
         try:
@@ -467,7 +433,7 @@ def _digit(key, x, y, k_max=K_MAX_DEFAULT):
         first = inside = None
         last = count = 0
         for k in range(lo, hi + 1):
-            if k > 1 or image1 is None:
+            if k > 1:
                 try:
                     xp, yp = f(k, x, y, -1.0 if k & 1 else 1.0)
                 except ZeroDivisionError:
@@ -484,11 +450,11 @@ def _digit(key, x, y, k_max=K_MAX_DEFAULT):
                     inside = k, xp, yp
                 last = k
                 count += 1
-        # clean: contiguous, above the start of the window and more than
-        # margin steps below its end, unless it stops at 0 or k_max; the tie
-        # rules of _decide then pick the same hit
+        # clean: contiguous, above the start of the window and below its
+        # end, unless it stops at 0 or k_max; the tie rules of _decide then
+        # pick the same hit
         if (first is not None and last - first[0] == count - 1
-                and (first[0] > lo or lo == 0) and (last + margin < hi or hi == k_max)):
+                and (first[0] > lo or lo == 0) and (last < hi or hi == k_max)):
             return first if inside is None else inside
     k, xp, yp = _solve(key, np.array([x], dtype=float), np.array([y], dtype=float), k_max)
     return int(k[0]), float(xp[0]), float(yp[0])

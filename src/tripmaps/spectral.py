@@ -51,16 +51,12 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class ResidualReport:
-    triple: PermutationTriple
-    grid: list[TrianglePoint]
     max_rel_residual: float
     truncation_k: int
 
 
 @dataclass(frozen=True)
 class SumBoundReport:
-    triple: PermutationTriple
-    grid: list[TrianglePoint]
     max_sum: float
     converged: list[bool] = field(default_factory=list)
 
@@ -78,8 +74,7 @@ def eigen_residual(t: PermutationTriple, grid_spec: GridSpec = GridSpec(),
     xs, ys = np.array([p.x for p in pts]), np.array([p.y for p in pts])
     lh, _, cutoff = apply_transfer_batch(t, h, xs, ys, TruncationPolicy(eps=eps / 10.0))
     hp = h(xs, ys)
-    return ResidualReport(triple=t, grid=pts,
-                          max_rel_residual=float(np.max(np.abs(lh - hp) / np.abs(hp))),
+    return ResidualReport(max_rel_residual=float(np.max(np.abs(lh - hp) / np.abs(hp))),
                           truncation_k=int(np.max(cutoff)))
 
 
@@ -116,8 +111,7 @@ def summand_bound(t: PermutationTriple, grid_spec: GridSpec = GridSpec(),
     value, err, _ = _summand_sums(t, np.array([p.x for p in pts]),
                                   np.array([p.y for p in pts]), eps)
     converged = err <= eps
-    return SumBoundReport(triple=t, grid=pts,
-                          max_sum=float(np.max(np.where(converged, value, np.inf))),
+    return SumBoundReport(max_sum=float(np.max(np.where(converged, value, np.inf))),
                           converged=converged.tolist())
 
 

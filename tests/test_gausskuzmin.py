@@ -136,7 +136,7 @@ def test_empirical_batches():
 
 
 def test_batch_stderr_is_standard_error_of_batch_means():
-    st = EmpiricalStats(EEE, 20, {0: 12, 1: 8}, seed=0,
+    st = EmpiricalStats(20, {0: 12, 1: 8},
                         batches=((10, {0: 5, 1: 5}), (10, {0: 7, 1: 3})))
     # batch frequencies 0.5 and 0.7: sample variance 0.02 over 2 batches
     assert math.isclose(st.batch_stderr(0), 0.1)

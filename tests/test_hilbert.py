@@ -18,9 +18,9 @@ from tripmaps.hilbert import (
     OUTER_RULE,
     ProfileFunction,
     _bessel_kernel,
+    _capital_E_rows,
     _eta_rows,
     _kernel_matrix,
-    capital_E,
     eta,
     eta_profile,
     hilbert_triple,
@@ -106,7 +106,7 @@ def test_capital_E_k0_oracle():
     row = HILBERT[("e", "e", "e")]
     l, j = row.l(0.5, 0.25), row.j(0.5, 0.25)
     oracle = j * integrate_dm(lambda t: np.exp(-t * (l - 1.0)))
-    assert abs(capital_E(EEE, 0, PEEE) - oracle) < 1e-12
+    assert abs(_capital_E_rows(EEE, 0, PEEE, INNER_RULE)[0] - oracle) < 1e-12
 
 
 def test_capital_E_large_l_decays():
@@ -115,8 +115,8 @@ def test_capital_E_large_l_decays():
     row = HILBERT[("e", "e", "e")]
     p_near = TrianglePoint(0.9, 0.85)
     p_far = TrianglePoint(0.3, 0.05)
-    near = capital_E(EEE, 0, p_near) / row.j(*p_near.xy)
-    far = capital_E(EEE, 0, p_far) / row.j(*p_far.xy)
+    near = _capital_E_rows(EEE, 0, p_near, INNER_RULE)[0] / row.j(*p_near.xy)
+    far = _capital_E_rows(EEE, 0, p_far, INNER_RULE)[0] / row.j(*p_far.xy)
     assert 0.0 < far < near
 
 
@@ -255,7 +255,7 @@ def test_laguerre_partial_matches_per_k(K):
     ref = 0.0
     for k in range(K + 1):
         ip = integrate_dm(lambda s: phi.eval(c, s) * eta(k, s))
-        ref += ip * capital_E(T123, k, P123)
+        ref += ip * _capital_E_rows(T123, k, P123, INNER_RULE)[k]
     got = laguerre_expansion_partial(T123, phi, P123, K)
     assert abs(got - ref) <= 1e-14 * abs(ref)
 
@@ -419,3 +419,27 @@ def test_kernel_matrix_cache_deterministic_and_bounded():
     assert _kernel_matrix.cache_info().currsize <= _kernel_matrix.cache_info().maxsize <= 2
     km = _kernel_matrix(48, 12, 48, 12)
     assert km.mat.shape == (1728, 1728) and not km.mat.flags.writeable
+
+
+def test_kernel_matrix_spectrum():
+    # the kernel J_1(2 sqrt(ts))/sqrt(ts) on L^2(dm) is the Gauss map's
+    # transfer operator in Babenko's form: its leading eigenvalues are 1 and
+    # minus Wirsing's constant, and its trace is the sum over the fixed
+    # points x_n = (sqrt(n^2 + 4) - n)/2 of the branches 1/(n + x) of
+    # x_n^2/(1 + x_n^2).  Each diagonal block of the shared matrix, on one
+    # node set, is checked against them, independently of any profile
+    km = _kernel_matrix(INNER_RULE.panels, INNER_RULE.order, OUTER_RULE.panels, OUTER_RULE.order)
+    assert np.array_equal(km.s, km.tau)
+    with mpmath.workdps(30):
+        trace = float(mpmath.nsum(lambda n: (lambda x: x * x / (1 + x * x))(
+            (mpmath.sqrt(n * n + 4) - n) / 2), [1, mpmath.inf]))
+    wirsing = -0.30366300289873265859
+    for block in (slice(0, km.s_coarse), slice(km.s_coarse, None)):
+        a, root = km.mat[block, block], np.sqrt(km.tau_w[block])
+        # entries K(t_i, s_j) w_j; sqrt(w) on both sides makes it symmetric
+        sym = a * root[:, None] / root[None, :]
+        ev = np.linalg.eigvalsh((sym + sym.T) / 2)
+        ev = ev[np.argsort(-np.abs(ev))]
+        assert abs(ev[0] - 1.0) <= 1e-13, a.shape
+        assert abs(ev[1] - wirsing) <= 1e-13, a.shape
+        assert abs(np.trace(a) - trace) <= 1e-13, a.shape

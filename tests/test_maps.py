@@ -10,7 +10,7 @@ from tripmaps.errors import (AmbiguousDigit, BoundaryHit, DigitNotFound, Evaluat
                              OutsideTriangle)
 from tripmaps import maps, transfer
 from tripmaps.maps import (K_MAX_DEFAULT, MEMBERSHIP_TOL, _MAX_WIDTH, _SHALLOW, _eval_formula,
-                           _search_one, _solve, _window)
+                           _solve, _window)
 from tripmaps.tables.forward import FORWARD
 from tripmaps.tables.transfer_rows import TRANSFER
 
@@ -354,13 +354,16 @@ def test_deeper_is_digit_at_least_k(k, sample_points):
 
 
 def test_one_point_stays_on_floats(monkeypatch, sample_points):
-    # an orbit step costs a few float evaluations, not a call into the
-    # array solver, wherever the digit is below the search limit
+    # on parity-free rows an orbit step costs a few float evaluations, not
+    # a call into the array solver, wherever the digit is below the search
+    # limit
     def no_arrays(*args):
         raise AssertionError("array solver called")
 
     monkeypatch.setattr(maps, "_solve", no_arrays)
     for key in supported_triples():
+        if FORWARD[key].parity:
+            continue
         for k in (0, 1, 5, 17, 40, 999):
             for p in sample_points[:4]:
                 qx, qy = _branch(key, k, p.x, p.y)
@@ -413,9 +416,41 @@ def test_digits_batch_matches_points_and_images(sample_points):
 
 # --- the one-point digit against its former implementation -----------------
 
-# The former one-point path, copied verbatim (only _digit is renamed): a
-# dict of images, a _line_window helper and _in_closure per candidate.  The
-# lean loop of maps._digit must give bit-identical digits and images.
+# The former one-point path, copied verbatim (only _digit is renamed, and
+# _search_one calls maps._deeper): a dict of images, a _line_window helper
+# and _in_closure per candidate, and a scalar galloping search on parity
+# rows.  The lean loop of maps._digit, and _solve where it sends parity
+# rows, must give bit-identical digits and images.
+def _search_one(key, x, y, limit):
+    """The largest k <= limit whose _deeper holds, by galloping from k = 1
+    and bisecting; None where that is limit itself."""
+    f, branch = FORWARD[key].f, TRANSFER[key].branch
+
+    def deeper(k):
+        try:
+            return maps._deeper(f, branch, k, x, y, -1.0 if k & 1 else 1.0)
+        except ZeroDivisionError:
+            # counted as outside; the confirmation catches a wrong answer
+            return False
+
+    lo, hi = 0, 1
+    while True:
+        k = hi if hi < limit else limit
+        if not deeper(k):
+            hi = k
+            break
+        if k == limit:
+            return None
+        lo, hi = k, 2 * k
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if deeper(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def _in_closure(xp, yp, tol=MEMBERSHIP_TOL):
     return yp >= -tol and xp - yp >= -tol and xp <= 1.0 + tol
 
