@@ -170,7 +170,7 @@ def cmd_gk(cfg: RunConfig) -> tuple[int, list[dict], list[str]]:
         if cfg.simulate:
             stats = gausskuzmin.empirical_digits(t, cfg.n_steps, cfg.seed)
         for k in range(cfg.kmax + 1):
-            p = gausskuzmin.cylinder_measure(t, k, 1e-9)
+            p = gausskuzmin.cylinder_measure(t, k)
             ok = 0.0 <= p <= 1.0
             row = {"triple": str(t), "k": k, "p_theoretical": p}
             if closed is not None:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .domain import PermutationTriple, TrianglePoint
 from .errors import NoDensity
-from .maps import _digit
+from .maps import MEMBERSHIP_TOL, _digit
 from .specfun import dilog, integrate_triangle
 from .tables.eigen import DENSITIES
 from .tables.transfer_rows import TRANSFER
@@ -67,8 +67,9 @@ def density(t: PermutationTriple):
     return r
 
 
-def cylinder_measure(t: PermutationTriple, k: int, abs_tol: float = 1e-9) -> float:
-    """mu of the digit-k cylinder, via the inverse-branch pullback."""
+def cylinder_measure(t: PermutationTriple, k: int) -> float:
+    """mu of the digit-k cylinder, via the inverse-branch pullback, to an
+    absolute 1e-9."""
     if k < 0:
         raise ValueError("k must be non-negative")
     r = density(t)
@@ -81,7 +82,7 @@ def cylinder_measure(t: PermutationTriple, k: int, abs_tol: float = 1e-9) -> flo
         a, b = row.branch(kf, x, y, s)
         return w * r(a, b)
 
-    return integrate_triangle(fun, abs_tol)
+    return integrate_triangle(fun, 1e-9)
 
 
 def p_closed_eee(k: int) -> float:
@@ -176,7 +177,7 @@ def empirical_digits(t: PermutationTriple, n: int, seed: int) -> EmpiricalStats:
     sizes = [n * (i + 1) // n_batches - n * i // n_batches for i in range(n_batches)]
     batches: list[dict[int, int]] = []
     restarts = 0
-    tol = 1e-12
+    tol = MEMBERSHIP_TOL    # the boundary test of maps.step
     for size in sizes:
         counts: dict[int, int] = {}
         left = size

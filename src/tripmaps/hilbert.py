@@ -8,12 +8,14 @@ profile phi, the right side is j(p) int_0^inf e^{-t(l(p)-1)} K(phi)(t) dt.
 The front factor t/(e^t - 1) of K(phi) turns that outer dt into dm(t), so
 the outer integral runs on the same rate-1 nodes as every dm-integral.
 The kernel on those nodes then depends on neither the triple, the point
-nor the profile: it is one matrix per pair of rules, built on first use
-and cached, and the right side of a check is two einsums against it.
-The Laguerre expansion over eta_k / E_k gives a third, series-form route
-to the same value.  Every other dm-integral here goes through the one
-rule of specfun.integrate_dm, batched: the transforms at all branch
-points of a block and the eta_k and E_k for all k <= K each take one call.
+nor the profile: it is one matrix on the one node set of specfun's dm
+rule, built on first use and cached, and the right side of a check is two
+einsums against it.  Its inner integrals are gated by specfun.DM_TOL and
+its outer integral by OUTER_TOL.  The Laguerre expansion over eta_k / E_k
+gives a third, series-form route to the same value.  Every other
+dm-integral here goes through specfun.integrate_dm, batched: the
+transforms at all branch points of a block and the eta_k and E_k for all
+k <= K each take one call.
 
 Slot convention: a profile is a callable of two reals, evaluated on
 numpy arrays that broadcast against each other.  Four of the six sigma
@@ -34,7 +36,7 @@ import numpy as np
 from .domain import PermutationTriple, TrianglePoint
 from .errors import DomainError, NonConvergent, UnsupportedTriple
 from .specfun import (
-    QuadratureRule,
+    DM_TOL,
     _eval_vec,
     _laguerre1_rows,
     bessel_j1,
@@ -45,8 +47,8 @@ from .specfun import (
 from .tables.hilbert_rows import ARG_SLOT, HILBERT, TRANSFORM_ARG, HilbertRow
 from .transfer import TruncationPolicy, apply_transfer, branch_point
 
-INNER_RULE = QuadratureRule(abs_tol=1e-9)
-OUTER_RULE = QuadratureRule(abs_tol=1e-7)
+# the gate of the outer dm-integral of the kernel side
+OUTER_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -107,29 +109,26 @@ def _placed(phi: ProfileFunction, arg, slot: int):
     return lambda s: phi.eval(s, arg)
 
 
-def _transform(ht: HilbertTriple, phi: ProfileFunction, xs, ys,
-               rule: QuadratureRule):
+def _transform(ht: HilbertTriple, phi: ProfileFunction, xs, ys):
     """(1/h3) int_0^inf e^(-s h3) phi(arg, s) dm(s) at the points xs, ys
     (arrays or floats), one batched dm-integral; arg is the sigma-row
     scalar and the slot order is the one of the printed table."""
     h3 = np.asarray(ht.h3(xs, ys), dtype=float)[..., None]
     psi = _placed(phi, np.asarray(ht.arg(xs, ys), dtype=float)[..., None], ht.slot)
-    return integrate_dm(lambda s: np.exp(-s * h3) * psi(s), rule) / h3[..., 0]
+    return integrate_dm(lambda s: np.exp(-s * h3) * psi(s)) / h3[..., 0]
 
 
-def transform_hat(t: PermutationTriple, phi: ProfileFunction, p: TrianglePoint,
-                  rule: QuadratureRule = INNER_RULE) -> float:
+def transform_hat(t: PermutationTriple, phi: ProfileFunction, p: TrianglePoint) -> float:
     """The transform at one point p: the one-point face of _transform."""
-    return float(_transform(hilbert_triple(t), phi, p.x, p.y, rule))
+    return float(_transform(hilbert_triple(t), phi, p.x, p.y))
 
 
-def _capital_E_rows(t: PermutationTriple, K: int, p: TrianglePoint,
-                    rule: QuadratureRule) -> np.ndarray:
+def _capital_E_rows(t: PermutationTriple, K: int, p: TrianglePoint) -> np.ndarray:
     """E_k(p) = j(p) int_0^inf e^{-t(l(p)-1)} L_k^(1)(t) dm(t) for
     k = 0..K, one batched dm-integral."""
     ht = hilbert_triple(t)
     decay = ht.l(p.x, p.y) - 1.0
-    val = integrate_dm(lambda tt: np.exp(-tt * decay) * _laguerre1_rows(K, tt), rule)
+    val = integrate_dm(lambda tt: np.exp(-tt * decay) * _laguerre1_rows(K, tt))
     return ht.j(p.x, p.y) * val
 
 
@@ -145,8 +144,7 @@ def _bessel_kernel(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def kernel_apply(phi: ProfileFunction, x_arg: float, tpoint,
-                 rule: QuadratureRule = INNER_RULE, slot: int = 0):
+def kernel_apply(phi: ProfileFunction, x_arg: float, tpoint, slot: int = 0):
     """K(phi)(x, t) = (t/(e^t - 1)) int_0^inf J_1(2 sqrt(st))/sqrt(st)
     phi(x, s) dm(s); accepts scalar or array tpoint.  The one-profile face
     of the kernel: theorem31_rhs applies the shared kernel matrix instead."""
@@ -162,33 +160,29 @@ def kernel_apply(phi: ProfileFunction, x_arg: float, tpoint,
         kern *= psi(s)
         return kern
 
-    inner = integrate_dm(integrand, rule)
+    inner = integrate_dm(integrand)
     front = np.where(tarr > 0, tarr / np.expm1(np.where(tarr > 0, tarr, 1.0)), 1.0)
     out = front * inner
     return float(out[0]) if scalar else out.reshape(np.shape(tpoint))
 
 
-def theorem31_lhs(t: PermutationTriple, phi: ProfileFunction, p: TrianglePoint,
-                  inner_rule: QuadratureRule = INNER_RULE) -> float:
+def theorem31_lhs(t: PermutationTriple, phi: ProfileFunction, p: TrianglePoint) -> float:
     """The branch-sum side of the kernel identity at p: the transfer
     operator applied to the transformed profile."""
     ht = hilbert_triple(t)
-    return apply_transfer(t, lambda xs, ys: _transform(ht, phi, xs, ys, inner_rule),
+    return apply_transfer(t, lambda xs, ys: _transform(ht, phi, xs, ys),
                           p, TruncationPolicy(eps=1e-7))[0]
 
 
 @dataclass(frozen=True)
 class _KernelMatrix:
-    """The Bessel kernel on the node sets of an (inner, outer) rule pair.
-
-    Rows are the outer nodes tau, columns the inner nodes s, each the
-    coarse set followed by the fine one; entry (i, j) is
-    J_1(2 sqrt(tau_i s_j))/sqrt(tau_i s_j) times the dm-weight of s_j."""
+    """The Bessel kernel on the nodes s of the dm rule, the coarse set
+    followed by the fine one, as both the outer (rows) and the inner
+    (columns) nodes; entry (i, j) is J_1(2 sqrt(s_i s_j))/sqrt(s_i s_j)
+    times the dm-weight w_j of s_j."""
     s: np.ndarray
-    s_coarse: int           # the first s_coarse columns are the coarse set
-    tau: np.ndarray
-    tau_w: np.ndarray       # dm-weights of the outer nodes
-    tau_coarse: int
+    w: np.ndarray
+    coarse: int             # the first coarse nodes are the coarse set
     mat: np.ndarray
 
 
@@ -196,79 +190,66 @@ class _KernelMatrix:
 # block stay near a megabyte instead of the matrix's 24 MB
 _KERNEL_ROWS = 64
 # the decays l(p) - 1 on which the rate-1 outer nodes are shown to hold
-# (tests/test_hilbert.py): with the default rules the rhs matches the
+# (tests/test_hilbert.py): on the dm rule's nodes the rhs matches the
 # closed-form route to 3e-14 up to 80, the outer gate fails from about
 # 90, and from about 1e3 the outer integral shrinks under the gate while
 # its error grows; so decays beyond 80 are refused
 DECAY_MAX = 80.0
 
 
-@functools.lru_cache(maxsize=2)
-def _kernel_matrix(inner_panels: int, inner_order: int,
-                   outer_panels: int, outer_order: int) -> _KernelMatrix:
-    """The shared kernel matrix, built on first use; the default rules
-    share one entry (the matrix does not depend on abs_tol)."""
-    s_sets = halfline_nodes(QuadratureRule(inner_panels, inner_order))
-    tau_sets = halfline_nodes(QuadratureRule(outer_panels, outer_order))
-    s, w = (np.concatenate(a) for a in zip(*s_sets))
-    tau, tau_w = (np.concatenate(a) for a in zip(*tau_sets))
-    mat = np.empty((tau.size, s.size))
-    for i in range(0, tau.size, _KERNEL_ROWS):
+@functools.cache
+def _kernel_matrix() -> _KernelMatrix:
+    """The shared kernel matrix, built on first use."""
+    sets = halfline_nodes()
+    s, w = (np.concatenate(a) for a in zip(*sets))
+    mat = np.empty((s.size, s.size))
+    for i in range(0, s.size, _KERNEL_ROWS):
         block = mat[i:i + _KERNEL_ROWS]
-        block[...] = _bessel_kernel(tau[i:i + _KERNEL_ROWS, None] * s)
+        block[...] = _bessel_kernel(s[i:i + _KERNEL_ROWS, None] * s)
         block *= w
-    for arr in (s, tau, tau_w, mat):
+    for arr in (s, w, mat):
         arr.flags.writeable = False
-    return _KernelMatrix(s, s_sets[0][0].size, tau, tau_w, tau_sets[0][0].size, mat)
+    return _KernelMatrix(s, w, sets[0][0].size, mat)
 
 
-def theorem31_rhs(t: PermutationTriple, phi: ProfileFunction, p: TrianglePoint,
-                  inner_rule: QuadratureRule = INNER_RULE,
-                  outer_rule: QuadratureRule = OUTER_RULE) -> float:
+def theorem31_rhs(t: PermutationTriple, phi: ProfileFunction, p: TrianglePoint) -> float:
     """The kernel side of the identity at p:
     j(p) int_0^inf e^{-tau (l(p)-1)} int_0^inf K(tau, s) phi(c, s) dm(s) dm(tau),
     where the outer dm is the dt of the identity times the front factor
     tau/(e^tau - 1) of kernel_apply, and c is the transform argument at the
     k = 0 branch (it is constant along the branch family).  The inner
-    integrals at every outer node are gated by inner_rule.abs_tol, the
-    outer integral by outer_rule.abs_tol, each fine set against coarse."""
+    integrals at every outer node are gated by DM_TOL, the outer integral
+    by OUTER_TOL, each fine set against coarse."""
     ht = hilbert_triple(t)
     c = ht.arg(*branch_point(t, 0, p).xy)
     decay = ht.l(p.x, p.y) - 1.0
     if not 0.0 < decay <= DECAY_MAX:
         raise NonConvergent(f"decay l(p) - 1 = {decay} at {p} is outside (0, {DECAY_MAX}], "
                             "the range the shared kernel nodes resolve")
-    km = _kernel_matrix(inner_rule.panels, inner_rule.order,
-                        outer_rule.panels, outer_rule.order)
+    km = _kernel_matrix()
     psi = _eval_vec(_placed(phi, c, ht.slot), km.s)
     # einsum, not BLAS: a threaded product raises CPU time for no gain
-    n = km.s_coarse
+    n = km.coarse
     inner = gated(np.einsum("ij,j->i", km.mat[:, :n], psi[:n]),
                   np.einsum("ij,j->i", km.mat[:, n:], psi[n:]),
-                  inner_rule.abs_tol, "Bessel-kernel inner quadrature")
-    terms = np.exp(-km.tau * decay) * km.tau_w * inner
-    m = km.tau_coarse
-    outer = gated(terms[:m].sum(), terms[m:].sum(),
-                  outer_rule.abs_tol, "Bessel-kernel outer quadrature")
+                  DM_TOL, "Bessel-kernel inner quadrature")
+    terms = np.exp(-km.s * decay) * km.w * inner
+    outer = gated(terms[:n].sum(), terms[n:].sum(),
+                  OUTER_TOL, "Bessel-kernel outer quadrature")
     return ht.j(p.x, p.y) * float(outer)
 
 
 def theorem31_check(t: PermutationTriple, phi: ProfileFunction,
-                    p: TrianglePoint,
-                    inner_rule: QuadratureRule = INNER_RULE,
-                    outer_rule: QuadratureRule = OUTER_RULE
-                    ) -> tuple[float, float]:
+                    p: TrianglePoint) -> tuple[float, float]:
     """Both sides of the kernel identity at p: lhs is the branch sum of
     the transformed profile (theorem31_lhs), rhs the j-weighted outer
     dm-integral of the kernel image on the shared kernel matrix
     (theorem31_rhs)."""
-    return (theorem31_lhs(t, phi, p, inner_rule),
-            theorem31_rhs(t, phi, p, inner_rule, outer_rule))
+    return theorem31_lhs(t, phi, p), theorem31_rhs(t, phi, p)
 
 
 def laguerre_expansion_partial(t: PermutationTriple, phi: ProfileFunction,
-                               p: TrianglePoint, K: int,
-                               rule: QuadratureRule = INNER_RULE) -> float:
+                               p: TrianglePoint, K: int) -> float:
     """sum_{k<=K} <phi, eta_k>_dm E_k(p), the series form of the kernel
     image; the profile is pinned to the branch-family transform argument
     exactly as in theorem31_rhs."""
@@ -277,5 +258,5 @@ def laguerre_expansion_partial(t: PermutationTriple, phi: ProfileFunction,
     ht = hilbert_triple(t)
     c = ht.arg(*branch_point(t, 0, p).xy)
     psi = _placed(phi, c, ht.slot)
-    ips = integrate_dm(lambda s: psi(s) * _eta_rows(range(K + 1), s), rule)
-    return float(np.sum(ips * _capital_E_rows(t, K, p, rule)))
+    ips = integrate_dm(lambda s: psi(s) * _eta_rows(range(K + 1), s))
+    return float(np.sum(ips * _capital_E_rows(t, K, p)))

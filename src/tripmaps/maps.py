@@ -502,8 +502,8 @@ def branch_roundtrip(t: PermutationTriple, k_max: int,
     return worst, bool(np.array_equal(got, want))
 
 
-def step(t: PermutationTriple, p: TrianglePoint, k_max: int = K_MAX_DEFAULT) -> OrbitStep:
-    k, xp, yp = _digit(t.key, p.x, p.y, k_max)
+def step(t: PermutationTriple, p: TrianglePoint) -> OrbitStep:
+    k, xp, yp = _digit(t.key, p.x, p.y)
     if not (yp > MEMBERSHIP_TOL and xp - yp > MEMBERSHIP_TOL and xp < 1.0 - MEMBERSHIP_TOL):
         raise BoundaryHit(f"orbit of {t} hit the boundary at ({xp}, {yp})")
     return OrbitStep(digit=k, image=TrianglePoint(xp, yp))

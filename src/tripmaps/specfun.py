@@ -8,16 +8,20 @@ absolute error against mpmath is below 1e-15 on [0, 100], and below
 2.3e-16 on a 45k-point grid there.
 
 Half-line integrals against dm(t) = t dt / (e^t - 1) use the substitution
-t = -ln u, with panels graded dyadically toward u = 0 so the logarithmic
-endpoint behavior converges geometrically.  Integrands passed to the
-half-line routines are evaluated on numpy arrays only; a scalar result is
-broadcast, and a callable that cannot take an array raises NotArrayNative.
-An integrand may return shape (..., n), the nodes on the last axis, to
-get a batch of integrals in one call.  Each call is evaluated at order
-and at 2*order, and the one gate raises NonConvergent when the worst
-|fine - coarse| in the batch exceeds abs_tol; a nan gap fails it too.
-halfline_nodes hands out those two node sets and gated the gate, for
-callers that apply a fixed matrix on the nodes instead of a callable.
+t = -ln u, with DM_PANELS panels graded dyadically toward u = 0 so the
+logarithmic endpoint behavior converges geometrically.  There is one such
+rule, fixed by the constants DM_PANELS, DM_ORDER and DM_TOL: a nested or
+smaller rule is an edit of these constants, which the spectrum test of the
+shared kernel matrix (tests/test_hilbert.py) guards.  Integrands passed to
+the half-line routines are evaluated on numpy arrays only; a scalar result
+is broadcast, and a callable that cannot take an array raises
+NotArrayNative.  An integrand may return shape (..., n), the nodes on the
+last axis, to get a batch of integrals in one call.  Each call is
+evaluated at DM_ORDER and at 2*DM_ORDER nodes per panel, and the one gate
+raises NonConvergent when the worst |fine - coarse| in the batch exceeds
+DM_TOL; a nan gap fails it too.  halfline_nodes hands out those two node
+sets and gated the gate, for callers that apply a fixed matrix on the
+nodes instead of a callable.
 
 The triangle integrator is an adaptive subdivision scheme built on a
 degree-5 seven-point rule whose nodes are strictly interior, so integrable
@@ -27,8 +31,8 @@ singular set itself.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -38,15 +42,12 @@ from .errors import DomainError, NonConvergent, NotArrayNative
 PI2_6 = math.pi ** 2 / 6
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    panels: int = 48
-    order: int = 12
-    abs_tol: float = 1e-9
-
-    def __post_init__(self) -> None:
-        if self.panels < 1 or self.order < 2 or self.abs_tol <= 0:
-            raise ValueError("invalid quadrature rule")
+# the one dm rule: DM_PANELS dyadic panels with DM_ORDER Gauss-Legendre
+# nodes each (the coarse set) and 2 * DM_ORDER (the fine set), gated on
+# |fine - coarse| <= DM_TOL
+DM_PANELS = 48
+DM_ORDER = 12
+DM_TOL = 1e-9
 
 
 def dilog(z: float) -> float:
@@ -233,16 +234,6 @@ def laguerre1(k: int, t):
     return float(val) if np.isscalar(t) else val
 
 
-_GAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _gauss01(order: int) -> tuple[np.ndarray, np.ndarray]:
-    if order not in _GAUSS_CACHE:
-        nodes, weights = np.polynomial.legendre.leggauss(order)
-        _GAUSS_CACHE[order] = (0.5 * (nodes + 1.0), 0.5 * weights)
-    return _GAUSS_CACHE[order]
-
-
 def _eval_vec(fun: Callable, *args: np.ndarray) -> np.ndarray:
     """fun(*args) as a float array of the shape of args[0]; a scalar result
     is broadcast."""
@@ -252,31 +243,37 @@ def _eval_vec(fun: Callable, *args: np.ndarray) -> np.ndarray:
         raise NotArrayNative(f"integrand {fun!r} cannot take arrays: {exc}") from exc
 
 
-def _dyadic_nodes(panels: int, order: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = _gauss01(order)
+@functools.cache
+def _dyadic_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes u of the given order on each of the DM_PANELS
+    panels [2^-(i+1), 2^-i], and their weights; built once, read-only."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = 0.5 * (nodes + 1.0), 0.5 * weights
     us, ws = [], []
     hi = 1.0
-    for _ in range(panels):
+    for _ in range(DM_PANELS):
         lo = hi / 2.0
         us.append(lo + (hi - lo) * nodes)
         ws.append((hi - lo) * weights)
         hi = lo
-    return np.concatenate(us), np.concatenate(ws)
+    u, w = np.concatenate(us), np.concatenate(ws)
+    u.flags.writeable = w.flags.writeable = False
+    return u, w
 
 
-def halfline_nodes(rule: QuadratureRule, rate: float = 1.0, dm_weight: bool = True
+def halfline_nodes(rate: float = 1.0, dm_weight: bool = True
                    ) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """The coarse (order) and fine (2*order) node sets of rule, each a
-    pair (t, w): t = -ln(u)/rate on the dyadic u-panels, and w the weights
-    of int f(t) dm(t) if dm_weight, else of the plain int f(t) dt."""
+    """The coarse (DM_ORDER) and fine (2*DM_ORDER) node sets, each a pair
+    (t, w): t = -ln(u)/rate on the DM_PANELS dyadic u-panels, and w the
+    weights of int f(t) dm(t) if dm_weight, else of the plain int f(t) dt."""
 
     def nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-        u, w = _dyadic_nodes(rule.panels, order)
+        u, w = _dyadic_nodes(order)
         t = -np.log(u) / rate
         jac = t / np.expm1(t) if dm_weight else 1.0     # dm(t) = t dt/(e^t - 1)
         return t, w * jac / (rate * u)
 
-    return nodes(rule.order), nodes(2 * rule.order)
+    return nodes(DM_ORDER), nodes(2 * DM_ORDER)
 
 
 def gated(coarse, fine, abs_tol: float, what: str = "half-line quadrature"):
@@ -288,8 +285,7 @@ def gated(coarse, fine, abs_tol: float, what: str = "half-line quadrature"):
     return fine
 
 
-def _halfline_weighted(fun: Callable, rate: float, rule: QuadratureRule,
-                       dm_weight: bool):
+def _halfline_weighted(fun: Callable, rate: float, dm_weight: bool):
     """int_0^inf fun(t) * [t/(e^t - 1) if dm_weight] dt, fun decaying at
     least like e^(-rate t) up to polynomial factors.  fun may return shape
     (..., n), the nodes on the last axis, for a batch of integrals; the
@@ -305,22 +301,21 @@ def _halfline_weighted(fun: Callable, rate: float, rule: QuadratureRule,
         # for no wall-clock gain at these sizes
         return np.einsum("...n,n->...", vals, w)
 
-    coarse_nodes, fine_nodes = halfline_nodes(rule, rate, dm_weight)
-    fine = gated(attempt(*coarse_nodes), attempt(*fine_nodes), rule.abs_tol)
+    coarse_nodes, fine_nodes = halfline_nodes(rate, dm_weight)
+    fine = gated(attempt(*coarse_nodes), attempt(*fine_nodes), DM_TOL)
     return float(fine) if fine.ndim == 0 else fine
 
 
-def integrate_dm(fun: Callable, rule: QuadratureRule = QuadratureRule()):
+def integrate_dm(fun: Callable):
     """int_0^inf fun(t) dm(t) with dm(t) = t dt/(e^t - 1); batched as in
     _halfline_weighted."""
-    return _halfline_weighted(fun, 1.0, rule, dm_weight=True)
+    return _halfline_weighted(fun, 1.0, dm_weight=True)
 
 
-def integrate_halfline(fun: Callable, rate: float,
-                       rule: QuadratureRule = QuadratureRule()):
+def integrate_halfline(fun: Callable, rate: float):
     """Plain int_0^inf fun(t) dt for integrands decaying like e^(-rate t);
     batched as in _halfline_weighted."""
-    return _halfline_weighted(fun, rate, rule, dm_weight=False)
+    return _halfline_weighted(fun, rate, dm_weight=False)
 
 
 _SQRT15 = math.sqrt(15.0)

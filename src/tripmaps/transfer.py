@@ -257,11 +257,11 @@ def partial_transfer(t: PermutationTriple, f: Callable[[float, float], float],
     return float(fold_tree(weights, _eval_vec(f, xs, ys))[0])
 
 
-def jacobian_residual(t: PermutationTriple, k: int, p: TrianglePoint,
-                      h: float = 1e-5) -> float:
-    """Relative gap between the tabulated weight and the finite-difference
-    Jacobian determinant of the inverse branch."""
-    x, y = p.x, p.y
+def jacobian_residual(t: PermutationTriple, k: int, p: TrianglePoint) -> float:
+    """Relative gap between the tabulated weight and the central-difference
+    Jacobian determinant of the inverse branch, step h = 1e-5; raises
+    StencilOutOfDomain for p within h of an edge."""
+    x, y, h = p.x, p.y, 1e-5
     for (xx, yy) in ((x + h, y), (x - h, y), (x, y + h), (x, y - h)):
         if not (0.0 < yy < xx < 1.0):
             raise StencilOutOfDomain(f"stencil leaves the triangle at ({xx}, {yy})")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -14,8 +15,7 @@ from tripmaps.domain import PermutationTriple, TrianglePoint
 from tripmaps.errors import DomainError, NonConvergent, NotArrayNative, UnsupportedTriple
 from tripmaps.hilbert import (
     DECAY_MAX,
-    INNER_RULE,
-    OUTER_RULE,
+    OUTER_TOL,
     ProfileFunction,
     _bessel_kernel,
     _capital_E_rows,
@@ -31,7 +31,7 @@ from tripmaps.hilbert import (
     theorem31_rhs,
     transform_hat,
 )
-from tripmaps.specfun import QuadratureRule, integrate_dm, integrate_halfline
+from tripmaps.specfun import gated, halfline_nodes, integrate_dm
 from tripmaps.tables.hilbert_rows import ARG_SLOT, HILBERT
 from tripmaps.transfer import TruncationPolicy, apply_transfer, branch_point
 
@@ -106,7 +106,7 @@ def test_capital_E_k0_oracle():
     row = HILBERT[("e", "e", "e")]
     l, j = row.l(0.5, 0.25), row.j(0.5, 0.25)
     oracle = j * integrate_dm(lambda t: np.exp(-t * (l - 1.0)))
-    assert abs(_capital_E_rows(EEE, 0, PEEE, INNER_RULE)[0] - oracle) < 1e-12
+    assert abs(_capital_E_rows(EEE, 0, PEEE)[0] - oracle) < 1e-12
 
 
 def test_capital_E_large_l_decays():
@@ -115,8 +115,8 @@ def test_capital_E_large_l_decays():
     row = HILBERT[("e", "e", "e")]
     p_near = TrianglePoint(0.9, 0.85)
     p_far = TrianglePoint(0.3, 0.05)
-    near = _capital_E_rows(EEE, 0, p_near, INNER_RULE)[0] / row.j(*p_near.xy)
-    far = _capital_E_rows(EEE, 0, p_far, INNER_RULE)[0] / row.j(*p_far.xy)
+    near = _capital_E_rows(EEE, 0, p_near)[0] / row.j(*p_near.xy)
+    far = _capital_E_rows(EEE, 0, p_far)[0] / row.j(*p_far.xy)
     assert 0.0 < far < near
 
 
@@ -160,15 +160,6 @@ def test_kernel_apply_nan_fails():
         kernel_apply(nan_tail, 0.5, np.array([0.5, 1.0]))
     with pytest.raises(NonConvergent):
         kernel_apply(eta_profile(0), 0.5, np.array([0.5, np.nan, 2.0]))
-
-
-def test_kernel_apply_refinement_stable():
-    from tripmaps.specfun import QuadratureRule
-    coarse = kernel_apply(eta_profile(0), 0.5, 1.0,
-                          QuadratureRule(order=12, abs_tol=1e-7))
-    fine = kernel_apply(eta_profile(0), 0.5, 1.0,
-                        QuadratureRule(order=24, abs_tol=1e-9))
-    assert abs(coarse - fine) < 1e-8
 
 
 def test_w_substitution_identities():
@@ -255,7 +246,7 @@ def test_laguerre_partial_matches_per_k(K):
     ref = 0.0
     for k in range(K + 1):
         ip = integrate_dm(lambda s: phi.eval(c, s) * eta(k, s))
-        ref += ip * _capital_E_rows(T123, k, P123, INNER_RULE)[k]
+        ref += ip * _capital_E_rows(T123, k, P123)[k]
     got = laguerre_expansion_partial(T123, phi, P123, K)
     assert abs(got - ref) <= 1e-14 * abs(ref)
 
@@ -264,9 +255,9 @@ def test_laguerre_partial_two_dm_calls(monkeypatch):
     import tripmaps.hilbert as hilbert
     calls = []
 
-    def counting(fun, rule):
-        calls.append(rule)
-        return integrate_dm(fun, rule)
+    def counting(fun):
+        calls.append(fun)
+        return integrate_dm(fun)
 
     monkeypatch.setattr(hilbert, "integrate_dm", counting)
     laguerre_expansion_partial(T123, _phi("123", 0), P123, 50)
@@ -333,10 +324,11 @@ EDGE_POINTS = (TrianglePoint(0.0195, 0.019), TrianglePoint(0.5, 5e-4),
 
 def test_rhs_near_edges_every_row():
     # both gates pass and the rhs matches the closed-form route on every
-    # row; where the former route (integrate_halfline at rate decay over
-    # kernel_apply) converges, here from decay 0.5 up, it matches that
-    # route too.  For the eta profiles the kernel side is j(p) times a
-    # function of the decay alone, so that route runs once per decay.
+    # row; where the former route (a plain half-line integral at rate
+    # decay over kernel_apply, gated by OUTER_TOL) converges, here from
+    # decay 0.5 up, it matches that route too.  For the eta profiles the
+    # kernel side is j(p) times a function of the decay alone, so that
+    # route runs once per decay.
     former = {}
     decays = []
     for key in HILBERT:
@@ -353,9 +345,11 @@ def test_rhs_near_edges_every_row():
                 if decay < 0.5 or k_eta:
                     continue
                 if decay not in former:
-                    former[decay] = integrate_halfline(
-                        lambda tau: np.exp(-tau * decay)
-                        * kernel_apply(phi, 0.5, tau, INNER_RULE, slot), decay, OUTER_RULE)
+                    coarse, fine = (
+                        np.einsum("n,n->", np.exp(-tau * decay)
+                                  * kernel_apply(phi, 0.5, tau, slot), w)
+                        for tau, w in halfline_nodes(decay, dm_weight=False))
+                    former[decay] = gated(coarse, fine, OUTER_TOL)
                 assert abs(got - j * former[decay]) <= 1e-12 * abs(got), (key, p)
     assert min(decays) < 0.02 and max(decays) > 50.0
     assert len(former) >= 10
@@ -380,20 +374,27 @@ def test_rhs_decay_range():
             theorem31_rhs(t, _phi("e", 0), far)
 
 
-def test_rhs_gates_fail_loudly():
+def test_rhs_gates_fail_loudly(monkeypatch):
+    import tripmaps.hilbert as hilbert
     nan_tail = ProfileFunction(lambda a, s: np.where(s > 5.0, np.nan, 1.0), "nan tail")
     with pytest.raises(NonConvergent):
         theorem31_rhs(EEE, nan_tail, PEEE)
     with pytest.raises(NonConvergent):
         theorem31_check(EEE, nan_tail, PEEE)
-    # rules too coarse to pass their unchanged gates, inner and outer
-    with pytest.raises(NonConvergent, match="inner"):
-        theorem31_rhs(EEE, eta_profile(0), PEEE,
-                      inner_rule=QuadratureRule(order=2, abs_tol=INNER_RULE.abs_tol))
-    with pytest.raises(NonConvergent, match="outer"):
-        theorem31_rhs(EEE, eta_profile(0), PEEE,
-                      outer_rule=QuadratureRule(panels=8, order=2, abs_tol=OUTER_RULE.abs_tol))
     assert theorem31_rhs(EEE, ZERO, PEEE) == 0.0
+    # a kernel matrix whose fine set drifts from its coarse one fails the
+    # unchanged gates: the fine columns fail the inner one, the fine
+    # outer weights the outer one
+    km = _kernel_matrix()
+    n = km.coarse
+    mat, w = km.mat.copy(), km.w.copy()
+    mat[:, n:] *= 1 + 1e-6
+    w[n:] *= 1 + 1e-4
+    for drifted, gate in ((dataclasses.replace(km, mat=mat), "inner"),
+                          (dataclasses.replace(km, w=w), "outer")):
+        monkeypatch.setattr(hilbert, "_kernel_matrix", lambda: drifted)
+        with pytest.raises(NonConvergent, match=gate):
+            theorem31_rhs(EEE, eta_profile(0), PEEE)
 
 
 def test_import_builds_no_kernel_matrix():
@@ -411,13 +412,8 @@ def test_kernel_matrix_cache_deterministic_and_bounded():
     first = theorem31_check(t, phi, P123)          # builds the matrix
     assert _kernel_matrix.cache_info().currsize == 1
     assert theorem31_check(t, phi, P123) == first  # bit-identical
-    # the default rules share one entry; other rule pairs are bounded
-    theorem31_rhs(t, phi, P123, inner_rule=QuadratureRule(abs_tol=1e-6))
-    assert _kernel_matrix.cache_info().currsize == 1
-    for order in (3, 4, 5):
-        theorem31_rhs(t, phi, P123, outer_rule=QuadratureRule(order=order, abs_tol=1.0))
-    assert _kernel_matrix.cache_info().currsize <= _kernel_matrix.cache_info().maxsize <= 2
-    km = _kernel_matrix(48, 12, 48, 12)
+    km = _kernel_matrix()
+    assert _kernel_matrix.cache_info().misses == 1
     assert km.mat.shape == (1728, 1728) and not km.mat.flags.writeable
 
 
@@ -428,14 +424,13 @@ def test_kernel_matrix_spectrum():
     # points x_n = (sqrt(n^2 + 4) - n)/2 of the branches 1/(n + x) of
     # x_n^2/(1 + x_n^2).  Each diagonal block of the shared matrix, on one
     # node set, is checked against them, independently of any profile
-    km = _kernel_matrix(INNER_RULE.panels, INNER_RULE.order, OUTER_RULE.panels, OUTER_RULE.order)
-    assert np.array_equal(km.s, km.tau)
+    km = _kernel_matrix()
     with mpmath.workdps(30):
         trace = float(mpmath.nsum(lambda n: (lambda x: x * x / (1 + x * x))(
             (mpmath.sqrt(n * n + 4) - n) / 2), [1, mpmath.inf]))
     wirsing = -0.30366300289873265859
-    for block in (slice(0, km.s_coarse), slice(km.s_coarse, None)):
-        a, root = km.mat[block, block], np.sqrt(km.tau_w[block])
+    for block in (slice(0, km.coarse), slice(km.coarse, None)):
+        a, root = km.mat[block, block], np.sqrt(km.w[block])
         # entries K(t_i, s_j) w_j; sqrt(w) on both sides makes it symmetric
         sym = a * root[:, None] / root[None, :]
         ev = np.linalg.eigvalsh((sym + sym.T) / 2)

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from tripmaps.errors import DomainError, NonConvergent, NotArrayNative
 from tripmaps.specfun import (
-    QuadratureRule,
     bessel_j1,
     dilog,
     integrate_dm,
@@ -18,13 +17,6 @@ from tripmaps.specfun import (
 )
 
 PI2_6 = math.pi ** 2 / 6
-
-
-def test_rule_validation():
-    QuadratureRule()
-    for bad in (dict(panels=0), dict(order=1), dict(abs_tol=0.0)):
-        with pytest.raises(ValueError):
-            QuadratureRule(**bad)
 
 
 # ---------- dilog ----------

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tripmaps.domain import PermutationTriple, TrianglePoint, supported_triples
-from tripmaps.errors import NotArrayNative, TruncationFailure
+from tripmaps.errors import NotArrayNative, StencilOutOfDomain, TruncationFailure
+from tripmaps.tables.forward import FORWARD
 from tripmaps.tables.transfer_rows import TRANSFER
 from tripmaps.transfer import (
     TruncationPolicy,
@@ -97,6 +98,33 @@ def test_jacobian_matches_weight(key, k, u, v):
     assert jacobian_residual(t, k, TrianglePoint(x, y)) < 1e-6
 
 
+def test_jacobian_stencil_out_of_domain():
+    # the central-difference step is 1e-5: a point within it of any edge
+    # (y = 0, y = x, x = 1) would put the stencil outside the triangle
+    for p in (TrianglePoint(0.5, 5e-6), TrianglePoint(0.5, 0.5 - 5e-6),
+              TrianglePoint(1.0 - 5e-6, 0.5)):
+        with pytest.raises(StencilOutOfDomain):
+            jacobian_residual(EEE, 1, p)
+    assert jacobian_residual(EEE, 1, TrianglePoint(0.5, 2e-5)) < 1e-6
+
+
+def test_parity_flags_agree_and_match_formulas():
+    # FORWARD and TRANSFER state each row's parity flag once each; both must
+    # agree, and each be True exactly when its table's formulas for the row
+    # read s (a nan s then reaches a result at an interior point)
+    def reads_s(*formulas):
+        return any(np.isnan(np.sum(g(3.0, 0.6, 0.3, math.nan))) for g in formulas)
+
+    parity_rows = 0
+    for key in supported_triples():
+        fwd, inv = FORWARD[key], TRANSFER[key]
+        assert fwd.parity == reads_s(fwd.f), key
+        assert inv.parity == reads_s(inv.weight, inv.branch), key
+        assert inv.parity == fwd.parity, key
+        parity_rows += fwd.parity
+    assert len(supported_triples()) == 108 and parity_rows == 72
+
+
 def test_branch_points_interior(sample_points):
     for key in list(supported_triples())[::11]:
         t = PermutationTriple(*key)
@@ -158,10 +186,10 @@ def test_one_point_face_matches_batch():
                                               np.array([P.y, 0.1]), pol)
     stats = {}
     one, one_err = apply_transfer(EEE, f, P, pol, stats=stats)
-    assert one == pytest.approx(value[0], rel=1e-15) and one_err <= pol.eps
+    assert one == pytest.approx(value[0], rel=1e-15, abs=0) and one_err <= pol.eps
     assert stats["K"] == cutoff[0]
     assert partial_transfer(EEE, f, P, 3) == pytest.approx(math.fsum(
-        weight(EEE, k, P) * f(*branch_point(EEE, k, P).xy) for k in range(3)), rel=1e-15)
+        weight(EEE, k, P) * f(*branch_point(EEE, k, P).xy) for k in range(3)), rel=1e-15, abs=0)
 
 
 def test_scalar_result_broadcast_and_not_array_native():
