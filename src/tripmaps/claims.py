@@ -22,7 +22,6 @@ from .domain import PermutationTriple, TrianglePoint, interior_points, supported
 from .specfun import dilog, integrate_dm, integrate_triangle, laguerre1
 from .tables.banach import BANACH
 from .tables.eigen import DENSITIES, EIGENFUNCTIONS
-from .tables.hilbert_rows import ARG_SLOT
 
 # one triple per sigma class of the kernel-form table
 SIGMA_REPS = [("e", "23", "e"), ("12", "13", "12"), ("13", "13", "13"),
@@ -163,17 +162,14 @@ def theorem31_points() -> list[TrianglePoint]:
     return interior_points(909, 5, margin=8e-2)
 
 
-def _eta(key, k_eta: int) -> hilbert.ProfileFunction:
-    return hilbert.eta_profile(k_eta, var_slot=1 - ARG_SLOT[key[0]])
-
-
 @_claim("theorem31_identity", 1e-4)
 def _theorem31_identity() -> float:
     # relative gap of the kernel identity, eta_0 and eta_1, 5 points
     pts = theorem31_points()
 
     def gap(key, k_eta, p) -> float:
-        lhs, rhs = hilbert.theorem31_check(PermutationTriple(*key), _eta(key, k_eta), p)
+        phi = hilbert.eta_profile(k_eta)
+        lhs, rhs = hilbert.theorem31_check(PermutationTriple(*key), phi, p)
         return abs(lhs - rhs) / abs(lhs)
 
     return _worst(gap(key, k_eta, p) for key in SIGMA_REPS for k_eta in (0, 1) for p in pts)
@@ -185,7 +181,7 @@ def _theorem31_laguerre() -> float:
     p = theorem31_points()[0]
 
     def gap(key) -> float:
-        t, phi = PermutationTriple(*key), _eta(key, 0)
+        t, phi = PermutationTriple(*key), hilbert.eta_profile(0)
         lhs = hilbert.theorem31_lhs(t, phi, p)
         return abs(hilbert.laguerre_expansion_partial(t, phi, p, 50) - lhs) / abs(lhs)
 

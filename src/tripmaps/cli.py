@@ -34,7 +34,7 @@ from .domain import (
 from .errors import AmbiguousDigit, BoundaryHit, TripMapError
 from .tables.banach import BANACH
 from .tables.eigen import DENSITIES, EIGENFUNCTIONS
-from .tables.hilbert_rows import ARG_SLOT, HILBERT
+from .tables.hilbert_rows import HILBERT
 
 DEFAULTS = {
     "triple": "all",
@@ -81,6 +81,8 @@ class RunConfig:
             raise ValueError("tol must be positive")
         if self.n_steps < 1:
             raise ValueError("n must be at least 1")
+        if self.kmax < 0:
+            raise ValueError("kmax must be non-negative")
         if self.format not in ("csv", "json"):
             raise ValueError(f"unknown format {self.format!r}")
 
@@ -202,9 +204,9 @@ def cmd_hilbert(cfg: RunConfig) -> tuple[int, list[dict], list[str]]:
     if k_eta is None:
         raise ValueError(f"unknown profile {cfg.phi!r}; use eta0 or eta1")
     p = TrianglePoint(0.6, 0.3)
+    phi = hilbert.eta_profile(k_eta)
     rows, status = [], 0
     for t in _triples_arg(cfg, HILBERT):
-        phi = hilbert.eta_profile(k_eta, var_slot=1 - ARG_SLOT[t.sigma])
         lhs, rhs = hilbert.theorem31_check(t, phi, p)
         lag = hilbert.laguerre_expansion_partial(t, phi, p, 50)
         rel = abs(lhs - rhs) / abs(lhs)

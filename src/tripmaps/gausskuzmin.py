@@ -21,7 +21,7 @@ import numpy as np
 
 from .domain import PermutationTriple, TrianglePoint
 from .errors import NoDensity
-from .maps import MEMBERSHIP_TOL, _digit
+from .maps import _digit, off_boundary
 from .specfun import dilog, integrate_triangle
 from .tables.eigen import DENSITIES
 from .tables.transfer_rows import TRANSFER
@@ -105,12 +105,11 @@ _GL_N, _GL_W = np.polynomial.legendre.leggauss(24)
 
 
 def _gl_panels(f, a: float, b: float, panels: int = 8) -> float:
+    # all panels in one call of f; the panel sums are added in panel order
     edges = np.linspace(a, b, panels + 1)
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        xs = 0.5 * (hi - lo) * _GL_N + 0.5 * (hi + lo)
-        total += 0.5 * (hi - lo) * float(np.sum(_GL_W * f(xs)))
-    return total
+    half = 0.5 * (edges[1:] - edges[:-1])
+    xs = half[:, None] * _GL_N + 0.5 * (edges[1:] + edges[:-1])[:, None]
+    return np.cumsum(half * np.sum(_GL_W * f(xs), axis=1))[-1]
 
 
 def p_integral_e23e(k: int) -> float:
@@ -177,7 +176,6 @@ def empirical_digits(t: PermutationTriple, n: int, seed: int) -> EmpiricalStats:
     sizes = [n * (i + 1) // n_batches - n * i // n_batches for i in range(n_batches)]
     batches: list[dict[int, int]] = []
     restarts = 0
-    tol = MEMBERSHIP_TOL    # the boundary test of maps.step
     for size in sizes:
         counts: dict[int, int] = {}
         left = size
@@ -185,7 +183,7 @@ def empirical_digits(t: PermutationTriple, n: int, seed: int) -> EmpiricalStats:
             # near-corner points carry digits ~1/y; the default cap of
             # _digit is far beyond them
             k, xp, yp = _digit(key, x, y)
-            if not (yp > tol and xp - yp > tol and xp < 1.0 - tol):
+            if not off_boundary(xp, yp):
                 restarts += 1
                 p = _draw_start(rng, r, envelope)
                 x, y = p.x, p.y

@@ -17,11 +17,12 @@ dm-integral here goes through specfun.integrate_dm, batched: the
 transforms at all branch points of a block and the eta_k and E_k for all
 k <= K each take one call.
 
-Slot convention: a profile is a callable of two reals, evaluated on
-numpy arrays that broadcast against each other.  Four of the six sigma
-classes integrate over the second slot and carry the transform argument
-in the first; the classes 13 and 132 swap the slots, mirroring the
-printed transform rows.  ARG_SLOT records the non-integration slot.
+Profiles: a profile is a family phi(c, s) of functions of the
+integration variable s, indexed by the transform argument c, for every
+sigma class; it is evaluated on numpy arrays that broadcast against each
+other.  The printed transform rows of the classes 13 and 132 put the
+variable first (tables.hilbert_rows.ARG_SLOT); a profile phi_printed
+written in that order is passed as lambda c, s: phi_printed(s, c).
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .specfun import (
     halfline_nodes,
     integrate_dm,
 )
-from .tables.hilbert_rows import ARG_SLOT, HILBERT, TRANSFORM_ARG, HilbertRow
+from .tables.hilbert_rows import HILBERT, TRANSFORM_ARG, HilbertRow
 from .transfer import TruncationPolicy, apply_transfer, branch_point
 
 # the gate of the outer dm-integral of the kernel side
@@ -56,22 +57,18 @@ class HilbertTriple:
     l: Callable[[float, float], float]
     j: Callable[[float, float], float]
     h3: Callable[[float, float], float]
-    slot: int
     arg: Callable[[float, float], float]
 
 
-@dataclass(frozen=True)
-class ProfileFunction:
-    eval: Callable[[float, float], float]
-    description: str = ""
+# a profile phi(c, s): the transform argument c, then the integration variable s
+Profile = Callable[[float, float], float]
 
 
 def hilbert_triple(t: PermutationTriple) -> HilbertTriple:
     row: HilbertRow | None = HILBERT.get(t.key)
     if row is None:
         raise UnsupportedTriple(f"no kernel-form row for {t}")
-    return HilbertTriple(l=row.l, j=row.j, h3=row.h,
-                         slot=ARG_SLOT[t.sigma], arg=TRANSFORM_ARG[t.sigma])
+    return HilbertTriple(l=row.l, j=row.j, h3=row.h, arg=TRANSFORM_ARG[t.sigma])
 
 
 def _eta_rows(ks, s: np.ndarray) -> np.ndarray:
@@ -96,29 +93,21 @@ def eta(k: int, s):
     return float(out) if np.isscalar(s) else out
 
 
-def eta_profile(k: int, var_slot: int = 1) -> ProfileFunction:
-    """eta_k applied to the slot holding the integration variable."""
-    if var_slot == 1:
-        return ProfileFunction(lambda a, s: eta(k, s), f"eta_{k}")
-    return ProfileFunction(lambda s, a: eta(k, s), f"eta_{k}(slot 0)")
+def eta_profile(k: int) -> Profile:
+    """The profile eta_k(s), the same for every transform argument c."""
+    return lambda c, s: eta(k, s)
 
 
-def _placed(phi: ProfileFunction, arg, slot: int):
-    if slot == 0:
-        return lambda s: phi.eval(arg, s)
-    return lambda s: phi.eval(s, arg)
-
-
-def _transform(ht: HilbertTriple, phi: ProfileFunction, xs, ys):
-    """(1/h3) int_0^inf e^(-s h3) phi(arg, s) dm(s) at the points xs, ys
-    (arrays or floats), one batched dm-integral; arg is the sigma-row
-    scalar and the slot order is the one of the printed table."""
+def _transform(ht: HilbertTriple, phi: Profile, xs, ys):
+    """(1/h3) int_0^inf e^(-s h3) phi(c, s) dm(s) at the points xs, ys
+    (arrays or floats), one batched dm-integral; c is the sigma-row
+    transform argument."""
     h3 = np.asarray(ht.h3(xs, ys), dtype=float)[..., None]
-    psi = _placed(phi, np.asarray(ht.arg(xs, ys), dtype=float)[..., None], ht.slot)
-    return integrate_dm(lambda s: np.exp(-s * h3) * psi(s)) / h3[..., 0]
+    c = np.asarray(ht.arg(xs, ys), dtype=float)[..., None]
+    return integrate_dm(lambda s: np.exp(-s * h3) * phi(c, s)) / h3[..., 0]
 
 
-def transform_hat(t: PermutationTriple, phi: ProfileFunction, p: TrianglePoint) -> float:
+def transform_hat(t: PermutationTriple, phi: Profile, p: TrianglePoint) -> float:
     """The transform at one point p: the one-point face of _transform."""
     return float(_transform(hilbert_triple(t), phi, p.x, p.y))
 
@@ -144,20 +133,19 @@ def _bessel_kernel(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def kernel_apply(phi: ProfileFunction, x_arg: float, tpoint, slot: int = 0):
-    """K(phi)(x, t) = (t/(e^t - 1)) int_0^inf J_1(2 sqrt(st))/sqrt(st)
-    phi(x, s) dm(s); accepts scalar or array tpoint.  The one-profile face
+def kernel_apply(phi: Profile, c: float, tpoint):
+    """K(phi)(c, t) = (t/(e^t - 1)) int_0^inf J_1(2 sqrt(st))/sqrt(st)
+    phi(c, s) dm(s); accepts scalar or array tpoint.  The one-profile face
     of the kernel: theorem31_rhs applies the shared kernel matrix instead."""
     scalar = np.isscalar(tpoint)
     tarr = np.atleast_1d(np.asarray(tpoint, dtype=float))
     if np.any(tarr < 0):
         raise DomainError("kernel_apply requires t >= 0")
-    psi = _placed(phi, x_arg, slot)
 
     def integrand(s: np.ndarray) -> np.ndarray:
         # the (t x s) kernel, weighted by the profile in place
         kern = _bessel_kernel(tarr[..., None] * s)
-        kern *= psi(s)
+        kern *= phi(c, s)
         return kern
 
     inner = integrate_dm(integrand)
@@ -166,7 +154,7 @@ def kernel_apply(phi: ProfileFunction, x_arg: float, tpoint, slot: int = 0):
     return float(out[0]) if scalar else out.reshape(np.shape(tpoint))
 
 
-def theorem31_lhs(t: PermutationTriple, phi: ProfileFunction, p: TrianglePoint) -> float:
+def theorem31_lhs(t: PermutationTriple, phi: Profile, p: TrianglePoint) -> float:
     """The branch-sum side of the kernel identity at p: the transfer
     operator applied to the transformed profile."""
     ht = hilbert_triple(t)
@@ -212,7 +200,7 @@ def _kernel_matrix() -> _KernelMatrix:
     return _KernelMatrix(s, w, sets[0][0].size, mat)
 
 
-def theorem31_rhs(t: PermutationTriple, phi: ProfileFunction, p: TrianglePoint) -> float:
+def theorem31_rhs(t: PermutationTriple, phi: Profile, p: TrianglePoint) -> float:
     """The kernel side of the identity at p:
     j(p) int_0^inf e^{-tau (l(p)-1)} int_0^inf K(tau, s) phi(c, s) dm(s) dm(tau),
     where the outer dm is the dt of the identity times the front factor
@@ -227,7 +215,7 @@ def theorem31_rhs(t: PermutationTriple, phi: ProfileFunction, p: TrianglePoint) 
         raise NonConvergent(f"decay l(p) - 1 = {decay} at {p} is outside (0, {DECAY_MAX}], "
                             "the range the shared kernel nodes resolve")
     km = _kernel_matrix()
-    psi = _eval_vec(_placed(phi, c, ht.slot), km.s)
+    psi = _eval_vec(lambda s: phi(c, s), km.s)
     # einsum, not BLAS: a threaded product raises CPU time for no gain
     n = km.coarse
     inner = gated(np.einsum("ij,j->i", km.mat[:, :n], psi[:n]),
@@ -239,7 +227,7 @@ def theorem31_rhs(t: PermutationTriple, phi: ProfileFunction, p: TrianglePoint) 
     return ht.j(p.x, p.y) * float(outer)
 
 
-def theorem31_check(t: PermutationTriple, phi: ProfileFunction,
+def theorem31_check(t: PermutationTriple, phi: Profile,
                     p: TrianglePoint) -> tuple[float, float]:
     """Both sides of the kernel identity at p: lhs is the branch sum of
     the transformed profile (theorem31_lhs), rhs the j-weighted outer
@@ -248,7 +236,7 @@ def theorem31_check(t: PermutationTriple, phi: ProfileFunction,
     return theorem31_lhs(t, phi, p), theorem31_rhs(t, phi, p)
 
 
-def laguerre_expansion_partial(t: PermutationTriple, phi: ProfileFunction,
+def laguerre_expansion_partial(t: PermutationTriple, phi: Profile,
                                p: TrianglePoint, K: int) -> float:
     """sum_{k<=K} <phi, eta_k>_dm E_k(p), the series form of the kernel
     image; the profile is pinned to the branch-family transform argument
@@ -257,6 +245,5 @@ def laguerre_expansion_partial(t: PermutationTriple, phi: ProfileFunction,
         raise ValueError("K must be non-negative")
     ht = hilbert_triple(t)
     c = ht.arg(*branch_point(t, 0, p).xy)
-    psi = _placed(phi, c, ht.slot)
-    ips = integrate_dm(lambda s: psi(s) * _eta_rows(range(K + 1), s))
+    ips = integrate_dm(lambda s: phi(c, s) * _eta_rows(range(K + 1), s))
     return float(np.sum(ips * _capital_E_rows(t, K, p)))

@@ -502,8 +502,15 @@ def branch_roundtrip(t: PermutationTriple, k_max: int,
     return worst, bool(np.array_equal(got, want))
 
 
+def off_boundary(x: float, y: float) -> bool:
+    """The orbit boundary test: (x, y) lies more than MEMBERSHIP_TOL inside
+    every edge.  Where an image fails it, step raises BoundaryHit and the
+    Monte Carlo orbit of gausskuzmin.empirical_digits restarts."""
+    return y > MEMBERSHIP_TOL and x - y > MEMBERSHIP_TOL and x < 1.0 - MEMBERSHIP_TOL
+
+
 def step(t: PermutationTriple, p: TrianglePoint) -> OrbitStep:
     k, xp, yp = _digit(t.key, p.x, p.y)
-    if not (yp > MEMBERSHIP_TOL and xp - yp > MEMBERSHIP_TOL and xp < 1.0 - MEMBERSHIP_TOL):
+    if not off_boundary(xp, yp):
         raise BoundaryHit(f"orbit of {t} hit the boundary at ({xp}, {yp})")
     return OrbitStep(digit=k, image=TrianglePoint(xp, yp))

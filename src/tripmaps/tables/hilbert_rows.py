@@ -5,8 +5,9 @@ that recast the branch sum as an integral against the kernel
 ``J_1(2 sqrt(st)) / sqrt(st)`` over the measure ``t dt / (e^t - 1)``.
 
 ``TRANSFORM_ARG`` gives, per first permutation, the scalar carried into the
-first (or second) slot of the test function by the associated transform;
-``ARG_SLOT`` records which slot it occupies.
+test function by the associated transform.  ``ARG_SLOT`` records which slot
+it occupies in the printed rows; the library itself takes every profile as
+phi(c, s), the transform argument first (see tripmaps.hilbert).
 """
 
 from __future__ import annotations

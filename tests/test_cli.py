@@ -176,6 +176,14 @@ def test_bad_format_rejected(tmp_path):
         main(["gk", "--format", "yaml"])
 
 
+@pytest.mark.parametrize("verb", ["gk", "verify-branches"])
+def test_negative_kmax_rejected(capsys, verb):
+    # a negative kmax would check nothing (gk) or fail inside numpy
+    # (verify-branches): both verbs refuse it before any work
+    code, out, err = run(capsys, verb, "--triple", "e,e,e", "--kmax", "-1")
+    assert code == 2 and out == ""
+    assert "kmax must be non-negative" in err
+
 
 def test_verify_rows_and_status(capsys, monkeypatch):
     passing = claims.Claim("passing", 1e-6, lambda: 1e-9)

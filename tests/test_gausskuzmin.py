@@ -4,21 +4,26 @@ import math
 import numpy as np
 import pytest
 
+import tripmaps.gausskuzmin as gausskuzmin
 from tripmaps.domain import PermutationTriple, TrianglePoint
-from tripmaps.errors import NoDensity
+from tripmaps.errors import BoundaryHit, NoDensity
 from tripmaps.gausskuzmin import (
+    _GL_N,
+    _GL_W,
     MC_BATCHES,
     EmpiricalStats,
     cylinder_measure,
     density,
     empirical_digits,
+    _gl_panels,
     invariance_check,
     p_closed_eee,
     p_integral_e23e,
 )
-from tripmaps.maps import extract_digit
+from tripmaps.maps import extract_digit, step
 from tripmaps.specfun import dilog, integrate_triangle
 from tripmaps.tables.eigen import DENSITIES
+from tripmaps.transfer import branch_point
 
 EEE = PermutationTriple("e", "e", "e")
 E23E = PermutationTriple("e", "23", "e")
@@ -88,6 +93,25 @@ def test_closed_form_normalization():
     assert abs(s - 1.0) < 1e-3
     s23 = math.fsum(p_integral_e23e(k) for k in range(9001))
     assert abs(s23 - 1.0) < 1e-3
+
+
+def _gl_panels_loop(f, a, b, panels=8):
+    # reference: one f call and one sum per panel, added in panel order
+    edges = np.linspace(a, b, panels + 1)
+    total = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        xs = 0.5 * (hi - lo) * _GL_N + 0.5 * (hi + lo)
+        total += 0.5 * (hi - lo) * float(np.sum(_GL_W * f(xs)))
+    return total
+
+
+def test_gl_panels_matches_panel_loop():
+    # the batched panels keep the loop's arithmetic bit for bit
+    for k in (*range(1, 40), 99, 500, 4321, 9000):
+        for f, a, b in ((lambda x: np.log1p(-x) / x, 1.0 / (k + 2.0), 1.0 / (k + 1.0)),
+                        (lambda x: np.log(x + k) * x, 1.0 / (k + 1.0), 1.0)):
+            got = _gl_panels(f, a, b)
+            assert got == _gl_panels_loop(f, a, b) and isinstance(got, np.float64), k
 
 
 def test_pk_decreasing_tail():
@@ -168,6 +192,27 @@ def test_orbit_stream_is_pinned(t, seed, restarts, c0, c1, k_top, digest):
     canon = (sorted(st.counts.items()), st.restarts,
              [(m, sorted(c.items())) for m, c in st.batches])
     assert hashlib.sha256(repr(canon).encode()).hexdigest() == digest
+
+
+def test_orbit_boundary_test_shared(monkeypatch):
+    # maps.step and the Monte Carlo orbit stop at the same images: from
+    # preimages of points 1e-13 to 1e-11 inside each edge, the orbit
+    # restarts exactly where step raises BoundaryHit
+    good = TrianglePoint(0.6, 0.3)
+    verdicts = set()
+    for d in (1e-13, 5e-13, 2e-12, 1e-11):
+        for q in (TrianglePoint(0.5, d), TrianglePoint(0.5 + d, 0.5), TrianglePoint(1.0 - d, 0.5)):
+            p = branch_point(EEE, 0, q)
+            try:
+                step(EEE, p)
+                hit = False
+            except BoundaryHit:
+                hit = True
+            starts = iter([p, good])
+            monkeypatch.setattr(gausskuzmin, "_draw_start", lambda *_: next(starts))
+            assert empirical_digits(EEE, 1, seed=1).restarts == int(hit), (d, q)
+            verdicts.add(hit)
+    assert verdicts == {False, True}
 
 
 def test_empirical_matches_theory_small_n():

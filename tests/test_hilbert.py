@@ -16,7 +16,6 @@ from tripmaps.errors import DomainError, NonConvergent, NotArrayNative, Unsuppor
 from tripmaps.hilbert import (
     DECAY_MAX,
     OUTER_TOL,
-    ProfileFunction,
     _bessel_kernel,
     _capital_E_rows,
     _eta_rows,
@@ -39,11 +38,7 @@ T123 = PermutationTriple("123", "132", "132")
 EEE = PermutationTriple("e", "e", "e")
 P123 = TrianglePoint(0.6, 0.3)
 PEEE = TrianglePoint(0.5, 0.25)
-ZERO = ProfileFunction(lambda a, s: 0.0 * s, "zero")
-
-
-def _phi(sigma: str, k: int) -> ProfileFunction:
-    return eta_profile(k, var_slot=1 - ARG_SLOT[sigma])
+ZERO = lambda c, s: 0.0 * s  # noqa: E731
 
 
 def test_row_invariants_on_samples():
@@ -92,9 +87,9 @@ def test_eta_normalization():
 
 def test_transform_hat_trigamma_oracle():
     # int e^{-s h} eta_0(s) dm(s) = psi'(h+2), so hat = psi'(h+2)/h
-    v = transform_hat(T123, _phi("123", 0), P123)
+    v = transform_hat(T123, eta_profile(0), P123)
     assert abs(v - sp.polygamma(1, 2.3) / 0.3) < 1e-10
-    v2 = transform_hat(EEE, _phi("e", 0), PEEE)
+    v2 = transform_hat(EEE, eta_profile(0), PEEE)
     assert abs(v2 - sp.polygamma(1, 2.25) / 0.25) < 1e-10
 
 
@@ -148,14 +143,14 @@ def test_bessel_kernel_against_mpmath():
 
 
 def test_kernel_apply_rejects_scalar_profile():
-    scalar_only = ProfileFunction(lambda a, s: math.exp(-s), "scalar exp")
+    scalar_only = lambda c, s: math.exp(-s)  # noqa: E731
     with pytest.raises(NotArrayNative):
         kernel_apply(scalar_only, 0.5, 1.0)
 
 
 def test_kernel_apply_nan_fails():
     # a nan gap fails the gate: a nan profile, and one nan row of t
-    nan_tail = ProfileFunction(lambda a, s: np.where(s > 5.0, np.nan, 1.0), "nan tail")
+    nan_tail = lambda c, s: np.where(s > 5.0, np.nan, 1.0)  # noqa: E731
     with pytest.raises(NonConvergent):
         kernel_apply(nan_tail, 0.5, np.array([0.5, 1.0]))
     with pytest.raises(NonConvergent):
@@ -190,8 +185,58 @@ def test_worked_example_w():
 @pytest.mark.parametrize("k_eta", [0, 1])
 def test_theorem31_per_sigma(key, k_eta):
     t = PermutationTriple(*key)
-    lhs, rhs = theorem31_check(t, _phi(key[0], k_eta), PEEE)
+    lhs, rhs = theorem31_check(t, eta_profile(k_eta), PEEE)
     assert abs(lhs - rhs) < 1e-4 * abs(lhs)
+
+
+def _c_profile(c, s):
+    # a profile that depends on its family parameter c
+    return (1.0 + c) * eta(0, s) + c * c * eta(1, s)
+
+
+@pytest.mark.parametrize("key", SIGMA_REPS)
+def test_theorem31_c_dependent_profile(key):
+    # the branch sum transforms at the c of each branch point, the kernel
+    # side and the Laguerre series take the c of the k = 0 branch; c is
+    # constant along the branch family, so all three routes agree
+    t = PermutationTriple(*key)
+    for p in (PEEE, TrianglePoint(0.7, 0.2)):
+        lhs, rhs = theorem31_check(t, _c_profile, p)
+        lag = laguerre_expansion_partial(t, _c_profile, p, 50)
+        assert abs(lhs - rhs) <= 1e-9 * abs(lhs), p
+        assert abs(lag - lhs) <= 1e-9 * abs(lhs), p
+
+
+@pytest.mark.parametrize("key", SIGMA_REPS)
+def test_printed_order_profile(key):
+    # a profile written in the argument order of the printed rows, where
+    # ARG_SLOT is the slot of c, is passed as lambda c, s: printed(s, c) for
+    # the classes 13 and 132: transform_hat then matches a per-point
+    # transform placed by ARG_SLOT and the closed form
+    # ((1 + c) psi'(h + 2) - c^2 psi''(h + 2)/2) / h of _c_profile
+    sigma, t = key[0], PermutationTriple(*key)
+    ht = hilbert_triple(t)
+    if ARG_SLOT[sigma] == 0:
+        printed = _c_profile
+    else:
+        def printed(s, c):
+            return _c_profile(c, s)
+    passed = (lambda c, s: printed(s, c)) if sigma in ("13", "132") else printed
+    for p in (PEEE, TrianglePoint(0.7, 0.2)):
+        q = branch_point(t, 0, p)
+        h3, c = ht.h3(q.x, q.y), ht.arg(q.x, q.y)
+        if ARG_SLOT[sigma] == 0:
+            ref = integrate_dm(lambda s: np.exp(-s * h3) * printed(c, s)) / h3
+        else:
+            ref = integrate_dm(lambda s: np.exp(-s * h3) * printed(s, c)) / h3
+        closed = ((1.0 + c) * sp.polygamma(1, h3 + 2.0)
+                  - c * c * sp.polygamma(2, h3 + 2.0) / 2.0) / h3
+        got = transform_hat(t, passed, q)
+        assert abs(got - ref) <= 1e-14 * abs(ref), p
+        assert abs(got - closed) <= 1e-10 * abs(closed), p
+        if ARG_SLOT[sigma]:
+            # passed unswapped, the printed profile integrates another function
+            assert abs(transform_hat(t, printed, q) - ref) > 1e-3 * abs(ref), p
 
 
 def test_theorem31_zero_profile():
@@ -200,7 +245,7 @@ def test_theorem31_zero_profile():
 
 
 def test_laguerre_expansion():
-    phi = _phi("123", 0)
+    phi = eta_profile(0)
     lhs, rhs = theorem31_check(T123, phi, P123)
     partial = laguerre_expansion_partial(T123, phi, P123, 50)
     assert abs(partial - lhs) < 1e-3 * abs(lhs)
@@ -218,10 +263,8 @@ def _lhs_per_point(t, phi, p):
 
     def hat(x, y):
         h3 = ht.h3(x, y)
-        a = ht.arg(x, y)
-        if ht.slot == 0:
-            return integrate_dm(lambda s: np.exp(-s * h3) * phi.eval(a, s)) / h3
-        return integrate_dm(lambda s: np.exp(-s * h3) * phi.eval(s, a)) / h3
+        c = ht.arg(x, y)
+        return integrate_dm(lambda s: np.exp(-s * h3) * phi(c, s)) / h3
 
     def f(xs, ys):
         return np.array([hat(x, y) for x, y in zip(xs.ravel().tolist(), ys.ravel().tolist())]
@@ -234,18 +277,18 @@ def _lhs_per_point(t, phi, p):
 def test_theorem31_lhs_matches_per_point(k_eta):
     p = TrianglePoint(0.6, 0.3)
     for key in HILBERT:
-        t, phi = PermutationTriple(*key), _phi(key[0], k_eta)
+        t, phi = PermutationTriple(*key), eta_profile(k_eta)
         ref = _lhs_per_point(t, phi, p)
         assert abs(theorem31_lhs(t, phi, p) - ref) <= 1e-14 * abs(ref), key
 
 
 @pytest.mark.parametrize("K", [0, 1, 50])
 def test_laguerre_partial_matches_per_k(K):
-    phi = _phi("123", 0)
+    phi = eta_profile(0)
     c = hilbert_triple(T123).arg(*branch_point(T123, 0, P123).xy)
     ref = 0.0
     for k in range(K + 1):
-        ip = integrate_dm(lambda s: phi.eval(c, s) * eta(k, s))
+        ip = integrate_dm(lambda s: phi(c, s) * eta(k, s))
         ref += ip * _capital_E_rows(T123, k, P123)[k]
     got = laguerre_expansion_partial(T123, phi, P123, K)
     assert abs(got - ref) <= 1e-14 * abs(ref)
@@ -260,7 +303,7 @@ def test_laguerre_partial_two_dm_calls(monkeypatch):
         return integrate_dm(fun)
 
     monkeypatch.setattr(hilbert, "integrate_dm", counting)
-    laguerre_expansion_partial(T123, _phi("123", 0), P123, 50)
+    laguerre_expansion_partial(T123, eta_profile(0), P123, 50)
     assert len(calls) == 2
 
 
@@ -311,7 +354,7 @@ def test_rhs_matches_fubini_oracle_all_rows():
             decay, j = _row_decay_j(t, p)
             for k_eta in (0, 1):
                 ref = _fubini_rhs(j, decay, k_eta)
-                got = theorem31_rhs(t, _phi(key[0], k_eta), p)
+                got = theorem31_rhs(t, eta_profile(k_eta), p)
                 worst = max(worst, abs(got - ref) / abs(ref))
     assert worst <= 1e-9
 
@@ -333,12 +376,11 @@ def test_rhs_near_edges_every_row():
     decays = []
     for key in HILBERT:
         t = PermutationTriple(*key)
-        slot = hilbert_triple(t).slot
         for p in EDGE_POINTS:
             decay, j = _row_decay_j(t, p)
             decays.append(decay)
             for k_eta in (0, 1):
-                phi = _phi(key[0], k_eta)
+                phi = eta_profile(k_eta)
                 got = theorem31_rhs(t, phi, p)
                 ref = _fubini_rhs(j, decay, k_eta)
                 assert abs(got - ref) <= 1e-12 * abs(ref), (key, p, k_eta)
@@ -347,7 +389,7 @@ def test_rhs_near_edges_every_row():
                 if decay not in former:
                     coarse, fine = (
                         np.einsum("n,n->", np.exp(-tau * decay)
-                                  * kernel_apply(phi, 0.5, tau, slot), w)
+                                  * kernel_apply(phi, 0.5, tau), w)
                         for tau, w in halfline_nodes(decay, dm_weight=False))
                     former[decay] = gated(coarse, fine, OUTER_TOL)
                 assert abs(got - j * former[decay]) <= 1e-12 * abs(got), (key, p)
@@ -366,17 +408,17 @@ def test_rhs_decay_range():
     assert 80.0 - 1e-6 < decay <= 80.0
     for k_eta in (0, 1):
         ref = _fubini_rhs(j, decay, k_eta)
-        assert abs(theorem31_rhs(t, _phi("e", k_eta), inside) - ref) <= 1e-12 * abs(ref)
+        assert abs(theorem31_rhs(t, eta_profile(k_eta), inside) - ref) <= 1e-12 * abs(ref)
     # decay 99.5, where the outer gate fails too, and decay 1e4, where the
     # outer integral has shrunk under the gate while its error is 100 %
     for far in (TrianglePoint(0.01, y), TrianglePoint(1e-4, 5e-5)):
         with pytest.raises(NonConvergent, match="decay"):
-            theorem31_rhs(t, _phi("e", 0), far)
+            theorem31_rhs(t, eta_profile(0), far)
 
 
 def test_rhs_gates_fail_loudly(monkeypatch):
     import tripmaps.hilbert as hilbert
-    nan_tail = ProfileFunction(lambda a, s: np.where(s > 5.0, np.nan, 1.0), "nan tail")
+    nan_tail = lambda c, s: np.where(s > 5.0, np.nan, 1.0)  # noqa: E731
     with pytest.raises(NonConvergent):
         theorem31_rhs(EEE, nan_tail, PEEE)
     with pytest.raises(NonConvergent):
@@ -408,7 +450,7 @@ def test_import_builds_no_kernel_matrix():
 
 def test_kernel_matrix_cache_deterministic_and_bounded():
     _kernel_matrix.cache_clear()
-    t, phi = T123, _phi("123", 1)
+    t, phi = T123, eta_profile(1)
     first = theorem31_check(t, phi, P123)          # builds the matrix
     assert _kernel_matrix.cache_info().currsize == 1
     assert theorem31_check(t, phi, P123) == first  # bit-identical
