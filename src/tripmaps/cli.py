@@ -77,8 +77,9 @@ class RunConfig:
     start: str | None
 
     def __post_init__(self) -> None:
-        if self.tol is not None and self.tol <= 0:
-            raise ValueError("tol must be positive")
+        # written so that a nan tol fails too
+        if self.tol is not None and not 0.0 < self.tol < math.inf:
+            raise ValueError("tol must be positive and finite")
         if self.n_steps < 1:
             raise ValueError("n must be at least 1")
         if self.kmax < 0:
@@ -224,10 +225,11 @@ def cmd_sumbounds(cfg: RunConfig) -> tuple[int, list[dict], list[str]]:
     grid = spectral.GridSpec(margin=cfg.margin, density=5)
     rows, status = [], 0
     for t in _triples_arg(cfg, BANACH):
-        rep = spectral.summand_bound(t, grid, eps=cfg.tol)
-        ok = all(rep.converged)
+        max_sum = spectral.summand_bound(t, grid, eps=cfg.tol)
+        # the grid maximum is inf exactly where some sum did not converge
+        ok = math.isfinite(max_sum)
         status |= 0 if ok else 1
-        rows.append({"triple": str(t), "max_sum": rep.max_sum,
+        rows.append({"triple": str(t), "max_sum": max_sum,
                      "all_converged": ok, "pass": ok})
     return status, rows, ["triple", "max_sum", "all_converged", "pass"]
 
@@ -236,7 +238,10 @@ def cmd_orbit(cfg: RunConfig) -> tuple[int, list[dict], list[str]]:
     t = parse_triple(cfg.triple) if cfg.triple not in ("all", "all-tabulated") \
         else PermutationTriple("e", "e", "e")
     if cfg.start:
-        x, y = (float(v) for v in cfg.start.split(","))
+        try:
+            x, y = (float(v) for v in cfg.start.split(","))
+        except ValueError:
+            raise ValueError(f"--start takes x,y, not {cfg.start!r}") from None
         p = TrianglePoint(x, y)
     else:
         p = interior_points(cfg.seed, 1)[0]
@@ -307,6 +312,9 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     if args.config:
         with open(args.config) as fh:
             file_cfg = json.load(fh)
+        if not isinstance(file_cfg, dict):
+            raise ValueError(f"--config {args.config} must hold a JSON object, "
+                             f"not {type(file_cfg).__name__}")
 
     def pick(name):
         flag = getattr(args, name)

@@ -45,30 +45,24 @@ from .specfun import (
     halfline_nodes,
     integrate_dm,
 )
-from .tables.hilbert_rows import HILBERT, TRANSFORM_ARG, HilbertRow
+from .tables.hilbert_rows import HILBERT, HilbertRow
 from .transfer import TruncationPolicy, apply_transfer, branch_point
 
 # the gate of the outer dm-integral of the kernel side
 OUTER_TOL = 1e-7
 
 
-@dataclass(frozen=True)
-class HilbertTriple:
-    l: Callable[[float, float], float]
-    j: Callable[[float, float], float]
-    h3: Callable[[float, float], float]
-    arg: Callable[[float, float], float]
-
-
 # a profile phi(c, s): the transform argument c, then the integration variable s
 Profile = Callable[[float, float], float]
 
 
-def hilbert_triple(t: PermutationTriple) -> HilbertTriple:
-    row: HilbertRow | None = HILBERT.get(t.key)
+def hilbert_triple(t: PermutationTriple) -> HilbertRow:
+    """The kernel-form row of t; raises UnsupportedTriple where there is
+    none."""
+    row = HILBERT.get(t.key)
     if row is None:
         raise UnsupportedTriple(f"no kernel-form row for {t}")
-    return HilbertTriple(l=row.l, j=row.j, h3=row.h, arg=TRANSFORM_ARG[t.sigma])
+    return row
 
 
 def _eta_rows(ks, s: np.ndarray) -> np.ndarray:
@@ -98,13 +92,22 @@ def eta_profile(k: int) -> Profile:
     return lambda c, s: eta(k, s)
 
 
-def _transform(ht: HilbertTriple, phi: Profile, xs, ys):
-    """(1/h3) int_0^inf e^(-s h3) phi(c, s) dm(s) at the points xs, ys
+def _transform(row: HilbertRow, phi: Profile, xs, ys):
+    """(1/h) int_0^inf e^(-s h) phi(c, s) dm(s) at the points xs, ys
     (arrays or floats), one batched dm-integral; c is the sigma-row
     transform argument."""
-    h3 = np.asarray(ht.h3(xs, ys), dtype=float)[..., None]
-    c = np.asarray(ht.arg(xs, ys), dtype=float)[..., None]
-    return integrate_dm(lambda s: np.exp(-s * h3) * phi(c, s)) / h3[..., 0]
+    h = np.asarray(row.h(xs, ys), dtype=float)[..., None]
+    c = np.asarray(row.arg(xs, ys), dtype=float)[..., None]
+
+    def integrand(s: np.ndarray) -> np.ndarray:
+        # one (points x nodes) temporary, exponentiated and weighted in
+        # place: arrays this large are mapped afresh on every allocation
+        out = np.multiply(-s, h)
+        np.exp(out, out=out)
+        out *= phi(c, s)
+        return out
+
+    return integrate_dm(integrand) / h[..., 0]
 
 
 def transform_hat(t: PermutationTriple, phi: Profile, p: TrianglePoint) -> float:
@@ -115,10 +118,10 @@ def transform_hat(t: PermutationTriple, phi: Profile, p: TrianglePoint) -> float
 def _capital_E_rows(t: PermutationTriple, K: int, p: TrianglePoint) -> np.ndarray:
     """E_k(p) = j(p) int_0^inf e^{-t(l(p)-1)} L_k^(1)(t) dm(t) for
     k = 0..K, one batched dm-integral."""
-    ht = hilbert_triple(t)
-    decay = ht.l(p.x, p.y) - 1.0
+    row = hilbert_triple(t)
+    decay = row.l(p.x, p.y) - 1.0
     val = integrate_dm(lambda tt: np.exp(-tt * decay) * _laguerre1_rows(K, tt))
-    return ht.j(p.x, p.y) * val
+    return row.j(p.x, p.y) * val
 
 
 def _bessel_kernel(z: np.ndarray) -> np.ndarray:
@@ -157,8 +160,8 @@ def kernel_apply(phi: Profile, c: float, tpoint):
 def theorem31_lhs(t: PermutationTriple, phi: Profile, p: TrianglePoint) -> float:
     """The branch-sum side of the kernel identity at p: the transfer
     operator applied to the transformed profile."""
-    ht = hilbert_triple(t)
-    return apply_transfer(t, lambda xs, ys: _transform(ht, phi, xs, ys),
+    row = hilbert_triple(t)
+    return apply_transfer(t, lambda xs, ys: _transform(row, phi, xs, ys),
                           p, TruncationPolicy(eps=1e-7))[0]
 
 
@@ -208,9 +211,9 @@ def theorem31_rhs(t: PermutationTriple, phi: Profile, p: TrianglePoint) -> float
     k = 0 branch (it is constant along the branch family).  The inner
     integrals at every outer node are gated by DM_TOL, the outer integral
     by OUTER_TOL, each fine set against coarse."""
-    ht = hilbert_triple(t)
-    c = ht.arg(*branch_point(t, 0, p).xy)
-    decay = ht.l(p.x, p.y) - 1.0
+    row = hilbert_triple(t)
+    c = row.arg(*branch_point(t, 0, p).xy)
+    decay = row.l(p.x, p.y) - 1.0
     if not 0.0 < decay <= DECAY_MAX:
         raise NonConvergent(f"decay l(p) - 1 = {decay} at {p} is outside (0, {DECAY_MAX}], "
                             "the range the shared kernel nodes resolve")
@@ -224,7 +227,7 @@ def theorem31_rhs(t: PermutationTriple, phi: Profile, p: TrianglePoint) -> float
     terms = np.exp(-km.s * decay) * km.w * inner
     outer = gated(terms[:n].sum(), terms[n:].sum(),
                   OUTER_TOL, "Bessel-kernel outer quadrature")
-    return ht.j(p.x, p.y) * float(outer)
+    return row.j(p.x, p.y) * float(outer)
 
 
 def theorem31_check(t: PermutationTriple, phi: Profile,
@@ -243,7 +246,7 @@ def laguerre_expansion_partial(t: PermutationTriple, phi: Profile,
     exactly as in theorem31_rhs."""
     if K < 0:
         raise ValueError("K must be non-negative")
-    ht = hilbert_triple(t)
-    c = ht.arg(*branch_point(t, 0, p).xy)
+    row = hilbert_triple(t)
+    c = row.arg(*branch_point(t, 0, p).xy)
     ips = integrate_dm(lambda s: phi(c, s) * _eta_rows(range(K + 1), s))
     return float(np.sum(ips * _capital_E_rows(t, K, p)))

@@ -48,6 +48,7 @@ from .errors import (
 )
 from .tables.forward import FORWARD
 from .tables.transfer_rows import TRANSFER
+from .transfer import _parities, preimage_tree
 
 MEMBERSHIP_TOL = 1e-12
 # orbits drift arbitrarily close to the corner, where the digit grows like
@@ -181,13 +182,6 @@ def _window(key):
     return (7, 6) if FORWARD[key].parity else (1, 0)
 
 
-def _classes(key):
-    """(first k, step, sign s) of each parity class of a row."""
-    if not FORWARD[key].parity:
-        return ((0, 1, 1.0),)
-    return ((0, 2, 1.0), (1, 2, -1.0))
-
-
 def _exact_ranges(key, x, y):
     """The k ranges on which the row formula, in exact arithmetic on the
     float inputs, meets all three membership constraints at the base
@@ -196,7 +190,7 @@ def _exact_ranges(key, x, y):
     never closes."""
     f, xq, yq, tol = FORWARD[key].f, _Exact(x), _Exact(y), Fraction(MEMBERSHIP_TOL)
     ranges = []
-    for first, step, s in _classes(key):
+    for first, step, s in _parities(key):
         def constraints(j):
             xp, yp = f(_Exact(first + step * j), xq, yq, _Exact(s))
             return yp + tol, xp - yp + tol, 1 + tol - xp
@@ -475,31 +469,29 @@ def extract_digit(t: PermutationTriple, p: TrianglePoint, k_max: int = K_MAX_DEF
 def branch_roundtrip(t: PermutationTriple, k_max: int,
                      points: list[TrianglePoint]) -> tuple[float, bool]:
     """Worst |forward(branch_k(p)) - p| over k <= k_max and the points,
-    and whether the digit of every branch_k(p) is k."""
+    and whether the digit of every branch_k(p) is k.  The branch points
+    are the leaves of a one-level preimage tree, point i's branch k at
+    leaf i*(k_max + 1) + k."""
     xs = np.array([p.x for p in points])
     ys = np.array([p.y for p in points])
-    branch, forward = TRANSFER[t.key].branch, FORWARD[t.key].f
-    qx, qy, worst = [], [], 0.0
-    for k in range(k_max + 1):
-        s = -1.0 if k & 1 else 1.0
-        with np.errstate(all="ignore"):
-            a, b = np.broadcast_arrays(*branch(k, xs, ys, s), xs)[:2]
-            xb, yb = np.broadcast_arrays(*forward(k, a, b, s), xs)[:2]
-        if not (np.isfinite(a).all() and np.isfinite(b).all()):
-            raise EvaluationSingularity(f"branch {k} of {t} singular")
-        interior = in_triangle((a, b))
-        if not interior.all():
-            i = int(np.argmin(interior))
-            raise OutsideTriangle(f"branch {k} of {t} at {points[i]} is ({a[i]}, {b[i]}), "
-                                  "not interior to the triangle")
-        if not (np.isfinite(xb).all() and np.isfinite(yb).all()):
-            raise EvaluationSingularity(f"branch formula {t.key} non-finite at k={k}")
-        worst = max(worst, float(np.max(np.abs(xb - xs))), float(np.max(np.abs(yb - ys))))
-        qx.append(a)
-        qy.append(b)
-    got = digits(t.key, np.concatenate(qx), np.concatenate(qy))
-    want = np.repeat(np.arange(k_max + 1), xs.size)
-    return worst, bool(np.array_equal(got, want))
+    K = k_max + 1
+    a, b, _ = preimage_tree(t, xs, ys, 1, K)
+    interior = in_triangle((a, b))
+    if not interior.all():
+        j = int(np.argmin(interior))
+        raise OutsideTriangle(f"branch {j % K} of {t} at {points[j // K]} is ({a[j]}, {b[j]}), "
+                              "not interior to the triangle")
+    k = np.tile(np.arange(K), xs.size)
+    with np.errstate(all="ignore"):
+        xb, yb = np.broadcast_arrays(*FORWARD[t.key].f(k, a, b, np.where(k & 1, -1.0, 1.0)),
+                                     a)[:2]
+    finite = np.isfinite(xb) & np.isfinite(yb)
+    if not finite.all():
+        raise EvaluationSingularity(
+            f"branch formula {t.key} non-finite at k={int(np.argmin(finite)) % K}")
+    worst = max(float(np.max(np.abs(xb - np.repeat(xs, K)))),
+                float(np.max(np.abs(yb - np.repeat(ys, K)))))
+    return worst, bool(np.array_equal(digits(t.key, a, b), k))
 
 
 def off_boundary(x: float, y: float) -> bool:

@@ -9,7 +9,7 @@ and truncated operator iterates preserve strict pointwise order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,6 +18,7 @@ from .errors import NoBanachRow, NoEigenfunction, TruncationFailure
 from .tables.banach import BANACH
 from .tables.eigen import EIGENFUNCTIONS
 from .transfer import (
+    _ALL_K,
     _BLOCK_TERMS,
     TruncationPolicy,
     apply_transfer_batch,
@@ -55,12 +56,6 @@ class ResidualReport:
     truncation_k: int
 
 
-@dataclass(frozen=True)
-class SumBoundReport:
-    max_sum: float
-    converged: list[bool] = field(default_factory=list)
-
-
 def eigen_residual(t: PermutationTriple, grid_spec: GridSpec = GridSpec(),
                    eps: float = 1e-9) -> ResidualReport:
     """Max over the interior grid of |Lh(p) - h(p)| / |h(p)| for the
@@ -87,8 +82,9 @@ def _summand_sums(t: PermutationTriple, xs: np.ndarray, ys: np.ndarray,
     row = BANACH.get(t.key)
     if row is None:
         raise NoBanachRow(f"no weighted-norm row for {t}")
+    # the summands read no s: every k is one class, even on a parity row
     return branch_sums(lambda x, y, k, s: np.abs(row.summand(k, x, y)), xs, ys,
-                       False, TruncationPolicy(eps=eps, k_max=_SUMMAND_K_MAX))
+                       _ALL_K, TruncationPolicy(eps=eps, k_max=_SUMMAND_K_MAX))
 
 
 def summand_sum(t: PermutationTriple, p: TrianglePoint, eps: float = 1e-9) -> float:
@@ -103,16 +99,14 @@ def summand_sum(t: PermutationTriple, p: TrianglePoint, eps: float = 1e-9) -> fl
 
 
 def summand_bound(t: PermutationTriple, grid_spec: GridSpec = GridSpec(),
-                  eps: float = 1e-9) -> SumBoundReport:
+                  eps: float = 1e-9) -> float:
     """Grid maximum of summand_sum; the numerical face of "a bound
     independent of (x, y)".  A point whose sum does not converge counts
-    as inf."""
+    as inf, so the maximum is finite exactly when every sum converged."""
     pts = grid_spec.points()
     value, err, _ = _summand_sums(t, np.array([p.x for p in pts]),
                                   np.array([p.y for p in pts]), eps)
-    converged = err <= eps
-    return SumBoundReport(max_sum=float(np.max(np.where(converged, value, np.inf))),
-                          converged=converged.tolist())
+    return float(np.max(np.where(err <= eps, value, np.inf)))
 
 
 def _smooth(a: np.ndarray, x, y):

@@ -6,6 +6,8 @@ giving the image of ``(x, y)`` under the digit-``k`` branch.  ``s`` must be
 class at non-integer ``k`` (used by tail acceleration and closed-form digit
 extraction).  Rows whose formulas never reference ``s`` are flagged
 ``parity=False``; for those rows both components are affine in ``k``.
+This flag is the only statement of a row's parity: the inverse rows of
+:mod:`tripmaps.tables.transfer_rows` read ``s`` exactly when it is set.
 """
 
 from __future__ import annotations

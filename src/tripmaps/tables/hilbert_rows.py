@@ -5,9 +5,10 @@ that recast the branch sum as an integral against the kernel
 ``J_1(2 sqrt(st)) / sqrt(st)`` over the measure ``t dt / (e^t - 1)``.
 
 ``TRANSFORM_ARG`` gives, per first permutation, the scalar carried into the
-test function by the associated transform.  ``ARG_SLOT`` records which slot
-it occupies in the printed rows; the library itself takes every profile as
-phi(c, s), the transform argument first (see tripmaps.hilbert).
+test function by the associated transform; each row holds its sigma's entry
+as ``arg``.  ``ARG_SLOT`` records which slot it occupies in the printed
+rows; the library itself takes every profile as phi(c, s), the transform
+argument first (see tripmaps.hilbert).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ class HilbertRow:
     l: Func2
     j: Func2
     h: Func2
+    arg: Func2
 
 
 _L: dict[str, Func2] = {
@@ -94,11 +96,6 @@ _KEYS: dict[tuple[str, str, str], tuple[str, str, str]] = {
     ("132", "132", "123"): ("f", "w", "1-x"),
 }
 
-HILBERT: dict[tuple[str, str, str], HilbertRow] = {
-    triple: HilbertRow(l=_L[lk], j=_J[jk], h=_H[hk])
-    for triple, (lk, jk, hk) in _KEYS.items()
-}
-
 # scalar argument of the transformed test function, by first permutation
 TRANSFORM_ARG: dict[str, Func2] = {
     "e": lambda x, y: y / x,
@@ -107,6 +104,11 @@ TRANSFORM_ARG: dict[str, Func2] = {
     "23": lambda x, y: y / x,
     "123": lambda x, y: (1 - y) / (x - y),
     "132": lambda x, y: y / (1 - x),
+}
+
+HILBERT: dict[tuple[str, str, str], HilbertRow] = {
+    triple: HilbertRow(l=_L[lk], j=_J[jk], h=_H[hk], arg=TRANSFORM_ARG[triple[0]])
+    for triple, (lk, jk, hk) in _KEYS.items()
 }
 
 # slot of the non-integration argument: 0 puts it first, 1 second

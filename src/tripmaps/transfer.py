@@ -9,10 +9,14 @@ smooth function of real k and
 
     sum_{m>=0} u(m) = int_0^inf u + u(0)/2 - u'(0)/12 + u'''(0)/720 + ...
 
-applies per class.  The integral is done by 64-point Gauss-Legendre under
-m = scale*v/(1-v), which turns the polynomial tail into a polynomial in v;
-derivatives use five-point central differences (evaluating u at small
-negative m is legal, it only shifts k below K).
+applies per class.  The classes of a row, k = first + step*m with one
+sign s each, are listed once, by _parities from the forward row's flag:
+every k on a parity-free row, even and odd k on a parity row.  The tail
+columns here and the exact digit ranges of maps loop over that list.
+The integral is done by 64-point Gauss-Legendre under m = scale*v/(1-v),
+which turns the polynomial tail into a polynomial in v; derivatives use
+five-point central differences (evaluating u at small negative m is
+legal, it only shifts k below K).
 
 The sums run on arrays of points.  The table lambdas are plain arithmetic,
 so they broadcast over points x k: branch_sums evaluates a block of points
@@ -24,9 +28,10 @@ operator on that path and apply_transfer its one-point face.  The fixed-K
 sums of the order-preservation checks form one preimage tree over an
 array of roots, built once, evaluated at its leaves and folded back level
 by level to one value per root; partial_transfer is its one-level,
-one-root face.  A test function f is called with
-arrays of branch points; a scalar result is broadcast, and an f that
-cannot take arrays raises NotArrayNative.
+one-root face, and maps.branch_roundtrip takes its branch points from a
+one-level tree.  A test function f is called with arrays of branch
+points; a scalar result is broadcast, and an f that cannot take arrays
+raises NotArrayNative.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ import numpy as np
 from .domain import PermutationTriple, TrianglePoint
 from .errors import EvaluationSingularity, StencilOutOfDomain, TruncationFailure
 from .specfun import _eval_vec
+from .tables.forward import FORWARD
 from .tables.transfer_rows import TRANSFER
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
@@ -48,10 +54,14 @@ _GL_WEIGHTS = 0.5 * _GL_WEIGHTS
 # m = 0, 1/2, -1/2, 1, -1: u(0) and the central differences of u'(0), u'''(0)
 _STENCIL = np.array([0.0, 0.5, -0.5, 1.0, -1.0])
 _TAIL_N = _GL_NODES.size + _STENCIL.size
-# points x columns evaluated at once (24 to 40 points at the first K): each
-# temporary is 32 KB however far K doubles, small enough that the allocator
-# reuses it instead of growing the heap
+# points x columns evaluated at once (24 to 40 points at the first K): for
+# a pointwise test function each temporary is 32 KB however far K doubles,
+# small enough that the allocator reuses it instead of growing the heap.
+# A test function that integrates at each point multiplies that by its
+# node count: the transforms of hilbert take 576 or 1152 dm nodes a term
 _BLOCK_TERMS = 1 << 12
+# the one class of a parity-free row: every k, with s = 1
+_ALL_K = ((0, 1, 1.0),)
 
 
 @dataclass(frozen=True)
@@ -60,7 +70,8 @@ class TruncationPolicy:
     k_max: int = 100_000
 
     def __post_init__(self) -> None:
-        if self.eps <= 0 or self.k_max < 1:
+        # written so that a nan eps fails too
+        if not (0.0 < self.eps < math.inf) or self.k_max < 1:
             raise ValueError("invalid truncation policy")
 
 
@@ -120,27 +131,31 @@ def _tail_sum(vals: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
     return value, err
 
 
-def _columns(K: int, parity: bool):
+def _parities(key) -> tuple[tuple[int, int, float], ...]:
+    """(first k, step, sign s) of each parity class of a row: the terms
+    k = first + step*m, m >= 0, on which s = (-1)**k is constant."""
+    return ((0, 2, 1.0), (1, 2, -1.0)) if FORWARD[key].parity else _ALL_K
+
+
+def _columns(K: int, parities):
     """k and s of every term at cutoff K: the direct terms k < K, then the
-    tail abscissae of each parity class; and (first column, scale) of each
-    tail class."""
-    kd, sd = np.arange(K, dtype=float), _signs(K)
-    ones = np.ones(_TAIL_N)
-    if not parity:
-        k = np.concatenate((kd, K + _tail_points(float(K))))
-        return k, np.concatenate((sd, ones)), ((K, float(K)),)
-    # K is a power of two, so the class k = K + 2m is the even one
-    m = _tail_points(K / 2.0)
-    k = np.concatenate((kd, K + 2.0 * m, K + 1 + 2.0 * m))
-    s = np.concatenate((sd, ones, -ones))
-    return k, s, ((K, K / 2.0), (K + _TAIL_N, K / 2.0))
+    tail abscissae of each class of parities; and (first column, scale) of
+    each tail class.  K is a power of two, so the class k = K + first +
+    step*m has the sign of first."""
+    ks, ss, tails = [np.arange(K, dtype=float)], [_signs(K)], []
+    for first, step, s in parities:
+        tails.append((K + len(tails) * _TAIL_N, K / step))
+        ks.append(K + first + step * _tail_points(K / step))
+        ss.append(np.full(_TAIL_N, s))
+    return np.concatenate(ks), np.concatenate(ss), tails
 
 
-def branch_sums(terms: Callable, xs: np.ndarray, ys: np.ndarray, parity: bool,
+def branch_sums(terms: Callable, xs: np.ndarray, ys: np.ndarray, parities,
                 pol: TruncationPolicy) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """sum_{k>=0} u(k, x, y) at each point of the 1-d arrays xs, ys, where
     terms(x, y, k, s) gives u on a column of points x, y and a row of real
-    k with signs s.  Each point starts at K = 32 and doubles K until its
+    k with signs s, and parities lists the classes of k (_parities) along
+    which u is smooth.  Each point starts at K = 32 and doubles K until its
     tail estimate is at most pol.eps, or until doubling would pass
     pol.k_max.  Returns the value, the error estimate and the final K of
     each point; a point whose estimate never met eps keeps those of its
@@ -151,7 +166,7 @@ def branch_sums(terms: Callable, xs: np.ndarray, ys: np.ndarray, parity: bool,
     todo = np.arange(n)
     K = 32
     while True:
-        k, s, tails = _columns(K, parity)
+        k, s, tails = _columns(K, parities)
         step = max(1, _BLOCK_TERMS // k.size)
         for lo in range(0, todo.size, step):
             idx = todo[lo:lo + step]
@@ -189,7 +204,7 @@ def apply_transfer_batch(t: PermutationTriple, f: Callable, xs: np.ndarray,
         return row.weight(k, x, y, s) * _eval_vec(
             f, np.broadcast_to(a, shape), np.broadcast_to(b, shape))
 
-    value, err, cutoff = branch_sums(terms, xs, ys, row.parity, pol)
+    value, err, cutoff = branch_sums(terms, xs, ys, _parities(t.key), pol)
     bad = ~(err <= pol.eps)
     if bad.any():
         i = np.argmax(bad)
@@ -218,7 +233,8 @@ def preimage_tree(t: PermutationTriple, xs: np.ndarray, ys: np.ndarray, depth: i
     and so on depth times: the R*K**depth leaves as arrays xs, ys, root
     r's leaves forming the block r*K**depth .. (r+1)*K**depth - 1, and the
     weights of each level, level l of shape (R*K**l, K) with node i's k-th
-    child at leaf index i*K + k of the next level."""
+    child at leaf index i*K + k of the next level.  Raises
+    EvaluationSingularity where a weight or branch point is not finite."""
     row = _row(t)
     k, s = np.arange(K, dtype=float), _signs(K)
     roots = xs, ys
@@ -226,8 +242,11 @@ def preimage_tree(t: PermutationTriple, xs: np.ndarray, ys: np.ndarray, depth: i
     for level in range(depth):
         x, y = xs[:, None], ys[:, None]
         shape = (xs.size, K)
-        a, b = row.branch(k, x, y, s)
-        w, a, b = (np.broadcast_to(v, shape) for v in (row.weight(k, x, y, s), a, b))
+        # a singular branch shows as inf or nan, and fails the check below
+        with np.errstate(all="ignore"):
+            a, b = row.branch(k, x, y, s)
+            w = row.weight(k, x, y, s)
+        w, a, b = (np.broadcast_to(v, shape) for v in (w, a, b))
         finite = np.isfinite(w) & np.isfinite(a) & np.isfinite(b)
         if not finite.all():
             r = np.argmin(finite.all(axis=1)) // K ** level

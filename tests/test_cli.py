@@ -185,6 +185,33 @@ def test_negative_kmax_rejected(capsys, verb):
     assert "kmax must be non-negative" in err
 
 
+@pytest.mark.parametrize("verb", ["eigen", "sum-bounds", "gk"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-6"])
+def test_tol_must_be_positive_and_finite(capsys, verb, tol):
+    # a nan tol passed a tol <= 0 test: eigen then doubled K to k_max, and
+    # gk --tol inf passed every closed-form gate
+    code, out, err = run(capsys, verb, "--triple", "e,e,e", f"--tol={tol}")
+    assert code == 2 and out == ""
+    assert "tol must be positive and finite" in err
+
+
+@pytest.mark.parametrize("content", ["[1, 2]", '"seed n"', "3", "null"])
+def test_config_must_hold_an_object(tmp_path, capsys, content):
+    # a list was ignored, and a string ended in a TypeError traceback
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(content)
+    code, out, err = run(capsys, "gk", "--triple", "e,e,e", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert "must hold a JSON object" in err
+
+
+@pytest.mark.parametrize("start", ["0.5", "0.5,0.2,0.1", "a,b"])
+def test_orbit_start_takes_x_y(capsys, start):
+    code, out, err = run(capsys, "orbit", "--triple", "e,e,e", "--start", start)
+    assert code == 2 and out == ""
+    assert err == f"error: --start takes x,y, not {start!r}\n"
+
+
 def test_verify_rows_and_status(capsys, monkeypatch):
     passing = claims.Claim("passing", 1e-6, lambda: 1e-9)
     failing = claims.Claim("failing", 1e-6, lambda: 2e-6)

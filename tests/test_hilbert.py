@@ -168,7 +168,7 @@ def test_w_substitution_identities():
             c0 = ht.arg(*branch_point(t, 0, p).xy)
             for k in range(6):
                 q = branch_point(t, k, p)
-                assert abs(ht.h3(q.x, q.y) - 1.0 / (k + l)) < 1e-10
+                assert abs(ht.h(q.x, q.y) - 1.0 / (k + l)) < 1e-10
                 assert abs(ht.arg(q.x, q.y) - c0) < 1e-10
 
 
@@ -224,7 +224,7 @@ def test_printed_order_profile(key):
     passed = (lambda c, s: printed(s, c)) if sigma in ("13", "132") else printed
     for p in (PEEE, TrianglePoint(0.7, 0.2)):
         q = branch_point(t, 0, p)
-        h3, c = ht.h3(q.x, q.y), ht.arg(q.x, q.y)
+        h3, c = ht.h(q.x, q.y), ht.arg(q.x, q.y)
         if ARG_SLOT[sigma] == 0:
             ref = integrate_dm(lambda s: np.exp(-s * h3) * printed(c, s)) / h3
         else:
@@ -262,7 +262,7 @@ def _lhs_per_point(t, phi, p):
     ht = hilbert_triple(t)
 
     def hat(x, y):
-        h3 = ht.h3(x, y)
+        h3 = ht.h(x, y)
         c = ht.arg(x, y)
         return integrate_dm(lambda s: np.exp(-s * h3) * phi(c, s)) / h3
 

@@ -12,7 +12,7 @@ from tripmaps import maps, transfer
 from tripmaps.maps import (K_MAX_DEFAULT, MEMBERSHIP_TOL, _MAX_WIDTH, _SHALLOW, _eval_formula,
                            _solve, _window)
 from tripmaps.tables.forward import FORWARD
-from tripmaps.tables.transfer_rows import TRANSFER
+from tripmaps.tables.transfer_rows import TRANSFER, TransferRow
 
 EEE = PermutationTriple("e", "e", "e")
 E23E = PermutationTriple("e", "23", "e")
@@ -321,7 +321,7 @@ def test_exact_formulas_are_linear_fractional_in_each_class():
     # constraints fitted from k-steps 0, 1, 2 give a fourth sample
     # exactly, with one pole
     for key in supported_triples():
-        for first, step, s in maps._classes(key):
+        for first, step, s in transfer._parities(key):
             for x, y in ((0.61, 0.22), (0.5000000017, 0.4999999981)):
                 xq, yq = maps._Exact(x), maps._Exact(y)
                 images = [FORWARD[key].f(maps._Exact(first + step * j), xq, yq,
@@ -397,7 +397,7 @@ def test_branch_roundtrip_bad_branch_point(monkeypatch, sample_points, fault, er
         a, b = row.branch(k, x, y, s)
         return (a / (x - bad), b) if fault == "singular" else (a, b - (x == bad))
 
-    monkeypatch.setitem(maps.TRANSFER, key, type(row)(row.parity, row.weight, branch))
+    monkeypatch.setitem(maps.TRANSFER, key, TransferRow(row.weight, branch))
     with pytest.raises(error):
         maps.branch_roundtrip(EEE, 3, sample_points[:3])
 

@@ -90,9 +90,10 @@ def test_summand_consistency_with_transfer(sample_points):
 def test_summand_bound_grid_stability():
     # refining the grid moves the max by < 5%
     t = PermutationTriple("12", "13", "12")
-    coarse = summand_bound(t, GridSpec(margin=0.05, density=5)).max_sum
-    fine = summand_bound(t, GridSpec(margin=0.05, density=9)).max_sum
-    assert all(summand_bound(t, GridSpec(density=4)).converged)
+    coarse = summand_bound(t, GridSpec(margin=0.05, density=5))
+    fine = summand_bound(t, GridSpec(margin=0.05, density=9))
+    # a sum that does not converge makes the grid maximum inf
+    assert math.isfinite(summand_bound(t, GridSpec(density=4)))
     assert abs(fine - coarse) / coarse < 0.05
 
 
