@@ -50,6 +50,14 @@ DEFAULTS = {
     "start": None,
 }
 
+# the types a --config value may take, per setting; null only where the
+# default is null
+_CONFIG_TYPES = {
+    "triple": (str,), "kmax": (int,), "n": (int,), "seed": (int,), "margin": (int, float),
+    "tol": (int, float), "format": (str,), "out": (str,), "simulate": (bool,),
+    "phi": (str,), "start": (str,),
+}
+
 _CLAIM_TOL = {c.name: c.tol for c in claims.CLAIMS}
 
 TOL_DEFAULTS = {
@@ -184,8 +192,8 @@ def cmd_gk(cfg: RunConfig) -> tuple[int, list[dict], list[str]]:
                 row["p_closed"] = ""
             if stats is not None:
                 f = stats.frequency(k)
-                # orbit digits are correlated: the batch-means error can
-                # only widen the iid binomial one
+                # the digits of one walker are correlated: the batch-means
+                # error can only widen the iid binomial one
                 se = max(math.sqrt(max(p * (1 - p), 1e-300) / stats.n_steps),
                          stats.batch_stderr(k))
                 row["p_empirical"] = f
@@ -321,7 +329,13 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         if flag is not None:
             return flag
         if name in file_cfg:
-            return file_cfg[name]
+            value, kinds = file_cfg[name], _CONFIG_TYPES[name]
+            # type(), not isinstance: JSON true is no integer
+            if type(value) not in kinds and not (value is None and DEFAULTS[name] is None):
+                raise ValueError(f"--config {args.config}: {name} must be "
+                                 f"{' or '.join(k.__name__ for k in kinds)}, "
+                                 f"not {type(value).__name__}")
+            return value
         return DEFAULTS[name]
 
     tol = pick("tol")
@@ -329,16 +343,16 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         tol = TOL_DEFAULTS.get(args.command)
     return RunConfig(
         command=args.command,
-        triple=str(pick("triple")),
+        triple=pick("triple"),
         tol=None if tol is None else float(tol),
-        seed=int(pick("seed")),
-        n_steps=int(pick("n")),
-        kmax=int(pick("kmax")),
+        seed=pick("seed"),
+        n_steps=pick("n"),
+        kmax=pick("kmax"),
         margin=float(pick("margin")),
         output_path=pick("out"),
-        format=str(pick("format")),
-        simulate=bool(pick("simulate")),
-        phi=str(pick("phi")),
+        format=pick("format"),
+        simulate=pick("simulate"),
+        phi=pick("phi"),
         start=pick("start"),
     )
 

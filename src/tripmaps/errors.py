@@ -63,3 +63,7 @@ class DomainError(TripMapError):
 
 class NotArrayNative(TripMapError):
     """A profile or integrand cannot be evaluated on a numpy array."""
+
+
+class EnvelopeExceeded(TripMapError):
+    """A density exceeds the rejection envelope of its exact sampler."""

@@ -1,5 +1,5 @@
 """Gauss-Kuzmin digit statistics: invariant densities, cylinder-set
-measures, the two closed-form families, and seeded Monte Carlo orbits.
+measures, the two closed-form families, and seeded Monte Carlo digits.
 
 cylinder_measure evaluates p(k) = mu(cylinder k) through the inverse
 branch: the k-th branch maps the whole triangle onto the cylinder, so
@@ -10,6 +10,16 @@ by change of variables.  The integrand is smooth, which is what lets the
 adaptive quadrature actually reach 1e-8; a pointwise digit-indicator
 integral would stall at the cylinder boundary.  The indicator route is
 kept in the test suite as a coarse cross-check.
+
+empirical_digits counts the digits of walkers.  Each starts from an exact
+draw of the invariant density (_draws, rejection against one envelope
+that covers all 18 densities), so it stays distributed by the density
+after every step and needs no burn-in.  Walkers take WALKER_STEPS steps
+each, MC_CHUNK of them in lockstep through maps._solve.  Successive digits
+of one walker are correlated: on (e,23,e) at 2 steps the k = 0 standard
+error is about 1.2 times the binomial one.  The batches are groups of
+whole walkers, so they are independent and their spread is an honest
+error.
 """
 
 from __future__ import annotations
@@ -19,9 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import PermutationTriple, TrianglePoint
-from .errors import NoDensity
-from .maps import _digit, off_boundary
+from .domain import PermutationTriple, in_triangle
+from .errors import EnvelopeExceeded, NoDensity
+from .maps import K_MAX_DEFAULT, _solve, off_boundary
 from .specfun import dilog, integrate_triangle
 from .tables.eigen import DENSITIES
 from .tables.transfer_rows import TRANSFER
@@ -30,9 +40,19 @@ from .transfer import TruncationPolicy, apply_transfer_batch
 PI2 = math.pi ** 2
 
 
-# orbit steps are split into this many consecutive batches of (nearly)
-# equal length for the batch-means standard error
+# walkers are split into this many consecutive groups of (nearly) equal
+# size for the batch-means standard error
 MC_BATCHES = 20
+# the digits each walker counts, and the walkers drawn and stepped at
+# once; a chunk's temporaries in maps._solve take about 230 bytes a walker
+WALKER_STEPS = 2
+MC_CHUNK = 2 ** 12
+# every density is at most _ENVELOPE * g (see _draws); _ROUNDING allows
+# for the rounding of r and g where the bound is tight, next to a vertex.
+# _draws makes at most _PROPOSALS proposals at once
+_ENVELOPE = 12.0 / PI2
+_ROUNDING = 1e-12
+_PROPOSALS = 2 ** 13
 
 
 @dataclass(frozen=True)
@@ -40,7 +60,7 @@ class EmpiricalStats:
     n_steps: int
     counts: dict[int, int]
     restarts: int = 0
-    # (batch length, digit counts) per consecutive batch of steps
+    # (batch length, digit counts) per consecutive group of whole walkers
     batches: tuple[tuple[int, dict[int, int]], ...] = ()
 
     def frequency(self, k: int) -> float:
@@ -49,8 +69,8 @@ class EmpiricalStats:
     def batch_stderr(self, k: int) -> float:
         """Standard error of frequency(k) from the spread of the batch
         frequencies; unlike the binomial one it allows for correlation
-        between successive digits of an orbit.  0 with fewer than two
-        batches."""
+        between the successive digits of one walker.  0 with fewer than
+        two batches."""
         if len(self.batches) < 2:
             return 0.0
         freqs = [c.get(k, 0) / m for m, c in self.batches]
@@ -137,61 +157,83 @@ def p_integral_e23e(k: int) -> float:
 CLOSED_FORMS = {("e", "e", "e"): p_closed_eee, ("e", "23", "e"): p_integral_e23e}
 
 
-def _envelope(r) -> float:
-    # the rejection constant for _draw_start, from a margin-0.01 grid, so
-    # the unbounded boundary sliver is sampled slightly flat.  One long
-    # orbit washes that out; many short ones from fresh starts do not
-    grid = [(x, y)
-            for x in np.linspace(0.02, 0.99, 40)
-            for y in np.linspace(0.01, 1.0, 40) * x
-            if 0.01 < y < x - 0.01]
-    return 1.1 * max(r(x, y) for x, y in grid)
+def _draws(rng: np.random.Generator, r, m: int):
+    """m points (xs, ys) drawn exactly from the density r, by rejection
+    against the envelope _ENVELOPE * g, g = 1/x + 1/(1-y) + 1/(1-x+y).
 
-
-def _draw_start(rng: np.random.Generator, r, envelope: float) -> TrianglePoint:
-    # rejection against Lebesgue on the triangle
-    while True:
-        u1, u2 = rng.random(2)
-        x, y = max(u1, u2), min(u1, u2)
-        if not 0.0 < y < x < 1.0:
-            continue
-        if rng.random() * envelope <= r(x, y):
-            return TrianglePoint(x, y)
+    Each density is c/(L1*L2) with c <= 12/pi^2, and each factor L is
+    either a vertex factor (x, 1-y or 1-x+y: at most 1, and 0 at one
+    vertex) or at least 1.  Two vertex factors sum to at least 1, so
+    1/(V1*V2) <= 1/V1 + 1/V2, and r <= _ENVELOPE * g on all 18 rows.  Each
+    term of g has mass 1 on the triangle: a proposal picks a vertex, takes
+    its factor t uniform on (0, 1) and places the point uniformly on the
+    cross-section where the factor is t.  Acceptance is pi^2/36."""
+    xs, ys = np.empty(0), np.empty(0)
+    while xs.size < m:
+        # about 4 proposals per point needed, at most _PROPOSALS at once
+        pick, t, v, accept = rng.random((4, min(4 * (m - xs.size) + 16, _PROPOSALS)))
+        pick *= 3.0
+        # the vertex factor t is x at (0, 0) (pick < 1), 1 - x + y at
+        # (1, 0) and 1 - y at (1, 1) (pick >= 2); the last two cross-
+        # sections share x = 1 - t + t*v
+        x = np.where(pick < 1.0, t, 1.0 - t + t * v)
+        y = np.where(pick >= 2.0, 1.0 - t, t * v)
+        inside = in_triangle((x, y))
+        x, y, accept = x[inside], y[inside], accept[inside]
+        ratio = r(x, y) / (_ENVELOPE * (1.0 / x + 1.0 / (1.0 - y) + 1.0 / (1.0 - x + y)))
+        if np.any(ratio > 1.0 + _ROUNDING):
+            i = int(np.argmax(ratio))
+            raise EnvelopeExceeded(f"density {ratio[i]} times its envelope at ({x[i]}, {y[i]})")
+        keep = accept < ratio
+        xs, ys = np.concatenate((xs, x[keep])), np.concatenate((ys, y[keep]))
+    return xs[:m], ys[:m]
 
 
 def empirical_digits(t: PermutationTriple, n: int, seed: int) -> EmpiricalStats:
-    """Digit counts over n orbit steps of a seeded counter-based stream,
-    also per batch of MC_BATCHES consecutive batches; the orbit starts from
-    a density-sampled point, a boundary hit restarts it from a fresh one
-    and is tallied in the restarts field."""
+    """Digit counts over n steps of walkers that start from exact draws of
+    the invariant density, from a seeded counter-based stream, also per
+    batch of MC_BATCHES consecutive groups of whole walkers.  Each walker
+    counts WALKER_STEPS digits (the last one what is left of n); MC_CHUNK
+    walkers step in lockstep, one maps._solve call per step.  An image
+    that fails maps.off_boundary is not counted: the walker is replaced by
+    a fresh draw, tallied in the restarts field."""
     if n < 1:
         raise ValueError("n must be at least 1")
     rng = np.random.Generator(np.random.Philox(seed))
     r = density(t)
-    envelope = _envelope(r)
     key = t.key
-    p = _draw_start(rng, r, envelope)
-    x, y = p.x, p.y
-    n_batches = min(MC_BATCHES, n)
-    sizes = [n * (i + 1) // n_batches - n * i // n_batches for i in range(n_batches)]
-    batches: list[dict[int, int]] = []
+    walkers = -(-n // WALKER_STEPS)
+    n_batches = min(MC_BATCHES, walkers)
+    # batch b holds walkers bounds[b] .. bounds[b + 1] - 1
+    bounds = [walkers * i // n_batches for i in range(n_batches + 1)]
+    sizes = [min(n, WALKER_STEPS * hi) - WALKER_STEPS * lo for lo, hi in zip(bounds, bounds[1:])]
+    batches: list[dict[int, int]] = [{} for _ in range(n_batches)]
     restarts = 0
-    for size in sizes:
-        counts: dict[int, int] = {}
-        left = size
-        while left:
-            # near-corner points carry digits ~1/y; the default cap of
-            # _digit is far beyond them
-            k, xp, yp = _digit(key, x, y)
-            if not off_boundary(xp, yp):
-                restarts += 1
-                p = _draw_start(rng, r, envelope)
-                x, y = p.x, p.y
-                continue
-            counts[k] = counts.get(k, 0) + 1
-            left -= 1
-            x, y = xp, yp
-        batches.append(counts)
+    for first in range(0, walkers, MC_CHUNK):
+        ids = np.arange(first, min(first + MC_CHUNK, walkers))
+        left = np.minimum(n - WALKER_STEPS * ids, WALKER_STEPS)
+        xs, ys = _draws(rng, r, ids.size)
+        active = np.arange(ids.size)
+        counted, found = [], []
+        while active.size:
+            k, xp, yp = _solve(key, xs[active], ys[active], K_MAX_DEFAULT)
+            ok = off_boundary(xp, yp)
+            counted.append(active[ok])
+            found.append(k[ok])
+            left[active[ok]] -= 1
+            xs[active], ys[active] = xp, yp
+            lost = active[~ok]
+            if lost.size:
+                restarts += lost.size
+                xs[lost], ys[lost] = _draws(rng, r, lost.size)
+            active = active[left[active] > 0]
+        # digits reach 1e9 and more next to the y = 0 edge: tally (digit,
+        # batch) pairs by sorting, never by a table indexed by digit
+        batch = np.searchsorted(bounds, ids[np.concatenate(counted)], side="right") - 1
+        codes, counts = np.unique(np.concatenate(found) * n_batches + batch, return_counts=True)
+        for code, c in zip(codes.tolist(), counts.tolist()):
+            k, b = divmod(code, n_batches)
+            batches[b][k] = batches[b].get(k, 0) + c
     totals: dict[int, int] = {}
     for batch in batches:
         for k, c in batch.items():

@@ -494,11 +494,12 @@ def branch_roundtrip(t: PermutationTriple, k_max: int,
     return worst, bool(np.array_equal(digits(t.key, a, b), k))
 
 
-def off_boundary(x: float, y: float) -> bool:
+def off_boundary(x, y):
     """The orbit boundary test: (x, y) lies more than MEMBERSHIP_TOL inside
-    every edge.  Where an image fails it, step raises BoundaryHit and the
-    Monte Carlo orbit of gausskuzmin.empirical_digits restarts."""
-    return y > MEMBERSHIP_TOL and x - y > MEMBERSHIP_TOL and x < 1.0 - MEMBERSHIP_TOL
+    every edge, elementwise where the coordinates are arrays.  Where an
+    image fails it, step raises BoundaryHit, and the Monte Carlo walkers of
+    gausskuzmin.empirical_digits replace the walker by a fresh draw."""
+    return (y > MEMBERSHIP_TOL) & (x - y > MEMBERSHIP_TOL) & (x < 1.0 - MEMBERSHIP_TOL)
 
 
 def step(t: PermutationTriple, p: TrianglePoint) -> OrbitStep:

@@ -1,11 +1,13 @@
 import csv
 import io
 import json
+import math
 
 import pytest
 
-from tripmaps import claims, maps
+from tripmaps import claims, gausskuzmin, maps
 from tripmaps.cli import main
+from tripmaps.domain import PermutationTriple
 from tripmaps.errors import DigitNotFound, EvaluationSingularity, NonConvergent
 
 
@@ -62,21 +64,28 @@ def test_gk_with_simulation(capsys):
 
 
 def test_gk_simulate_reaches_deep_digits(capsys):
-    # this orbit meets a digit near 5e8 at the y = 0 edge
+    # these walkers meet digits above 1e5.
+    # 12,13,12 is not ergodic, so its Monte Carlo rows are not gated and
+    # only the exit code is checked; test_walker_counts_deep_digit_once in
+    # tests/test_gausskuzmin.py checks a digit beyond 2**20
     code, *_ = run(capsys, "gk", "--triple", "12,13,12", "--kmax", "2",
                    "--simulate", "--n", "20000", "--seed", "3")
     assert code in (0, 1)
 
 
 def test_gk_simulate_gate_allows_for_correlation(capsys):
-    # successive e,23,e digits are correlated: p_empirical(0) is 6.2
-    # binomial sigmas from 1/2 at this seed, within 5 batch-means sigmas
+    # the gate's sigma is the larger of the binomial and the batch-means
+    # standard errors, the latter allowing for correlated digits
+    n, seed = 100000, 22
     code, out, _ = run(capsys, "gk", "--triple", "e,23,e", "--kmax", "2",
-                       "--simulate", "--n", "100000", "--seed", "22")
+                       "--simulate", "--n", str(n), "--seed", str(seed))
     rows = rows_of(out)
     assert code == 0
-    binomial = (0.25 / 100000) ** 0.5
-    assert float(rows[0]["stderr"]) > binomial
+    stats = gausskuzmin.empirical_digits(PermutationTriple("e", "23", "e"), n, seed)
+    for row in rows:
+        p = float(row["p_theoretical"])
+        binomial = math.sqrt(p * (1 - p) / n)
+        assert float(row["stderr"]) == max(binomial, stats.batch_stderr(int(row["k"])))
 
 
 def test_gk_no_closed_form(capsys):
@@ -203,6 +212,19 @@ def test_config_must_hold_an_object(tmp_path, capsys, content):
     code, out, err = run(capsys, "gk", "--triple", "e,e,e", "--config", str(cfg))
     assert code == 2 and out == ""
     assert "must hold a JSON object" in err
+
+
+@pytest.mark.parametrize("verb, content, message", [
+    # these ended in a TypeError and an AttributeError traceback
+    ("gk", '{"kmax": [1]}', "kmax must be int, not list"),
+    ("orbit", '{"start": 5}', "start must be str, not int"),
+], ids=["kmax-list", "start-int"])
+def test_config_value_must_match_its_setting(tmp_path, capsys, verb, content, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(content)
+    code, out, err = run(capsys, verb, "--triple", "e,e,e", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err == f"error: --config {cfg}: {message}\n"
 
 
 @pytest.mark.parametrize("start", ["0.5", "0.5,0.2,0.1", "a,b"])

@@ -1,16 +1,19 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import tripmaps.gausskuzmin as gausskuzmin
-from tripmaps.domain import PermutationTriple, TrianglePoint
-from tripmaps.errors import BoundaryHit, NoDensity
+from tripmaps import maps
+from tripmaps.domain import PermutationTriple, TrianglePoint, in_triangle, interior_points
+from tripmaps.errors import BoundaryHit, EnvelopeExceeded, NoDensity
 from tripmaps.gausskuzmin import (
     _GL_N,
     _GL_W,
     MC_BATCHES,
+    WALKER_STEPS,
     EmpiricalStats,
     cylinder_measure,
     density,
@@ -20,7 +23,7 @@ from tripmaps.gausskuzmin import (
     p_closed_eee,
     p_integral_e23e,
 )
-from tripmaps.maps import extract_digit, step
+from tripmaps.maps import digits, extract_digit, step
 from tripmaps.specfun import dilog, integrate_triangle
 from tripmaps.tables.eigen import DENSITIES
 from tripmaps.transfer import branch_point
@@ -147,10 +150,14 @@ def test_empirical_digits_deterministic():
 
 
 def test_empirical_batches():
+    # batches are consecutive groups of whole walkers, as equal as can be;
+    # only the last walker counts fewer than WALKER_STEPS digits
     st = empirical_digits(E23E, 2005, seed=42)
     assert len(st.batches) == MC_BATCHES
-    assert sum(m for m, _ in st.batches) == 2005
-    assert {m for m, _ in st.batches} == {100, 101}
+    sizes = [m for m, _ in st.batches]
+    assert sum(sizes) == 2005
+    assert all(m % WALKER_STEPS == 0 for m in sizes[:-1])
+    assert max(sizes) - min(sizes) <= 2 * WALKER_STEPS
     for m, counts in st.batches:
         assert sum(counts.values()) == m
     for k, c in st.counts.items():
@@ -174,19 +181,19 @@ def test_empirical_single_step():
 
 
 @pytest.mark.parametrize("t, seed, restarts, c0, c1, k_top, digest", [
-    (EEE, 1, 0, 5101, 2744, 96111,
-     "1e9b41eac93fd64e5e4762e2de4a777b263a938dd8a219856e4996eeb6a7bdf3"),
-    (EEE, 12345, 0, 4998, 2683, 1508954,
-     "00cfd55f4c039f3558ec51bea9c5d4caae6a1f9f81cd40ea7bb8164d6f612f27"),
-    (E23E, 1, 0, 10029, 2553, 693771,
-     "9d32fe1f743e38c79d1d7bc343aa034e20badd68a1f8b3c202cc407ec797acc1"),
-    (E23E, 12345, 0, 9707, 2625, 131468,
-     "f36841967cd0912f83346b5517a8e3ea036ce642a96e5e82eda097262c22d946"),
-])
+    (EEE, 1, 0, 4981, 2794, 1223839,
+     "ed1bcb22e9646db60869d7f13c4468ad4fa61bf3d25e2797e795a1a5618c7fa9"),
+    (EEE, 12345, 0, 5271, 2703, 272423,
+     "071f6a51b90a6a9c57d356caec35345ff7035cd2a66266757ff62ea982e7b50f"),
+    (E23E, 1, 0, 10057, 2527, 504259,
+     "045bb6357debb367252c3338b0ffbebc7338f3bb37ce95cbe7365f7fff22e025"),
+    (E23E, 12345, 0, 10029, 2478, 525959,
+     "416b46fe33bf3c1365e5a969443408d27d257cde2f9611b46211c75ec4c33da6"),
+], ids=["eee-1", "eee-12345", "e23e-1", "e23e-12345"])
 def test_orbit_stream_is_pinned(t, seed, restarts, c0, c1, k_top, digest):
-    # the counts, restarts and batches of 20000 orbit steps, recorded from
-    # the former one-point digit path: a faster digit step must not move
-    # a single digit of the stream
+    # the counts, restarts and batches of 20000 walker steps, recorded from
+    # the exact sampler and the lockstep walkers: a faster digit step or
+    # sampler must not move a single digit of the stream
     st = empirical_digits(t, 20000, seed)
     assert (st.restarts, st.counts[0], st.counts[1], max(st.counts)) == (restarts, c0, c1, k_top)
     canon = (sorted(st.counts.items()), st.restarts,
@@ -194,9 +201,20 @@ def test_orbit_stream_is_pinned(t, seed, restarts, c0, c1, k_top, digest):
     assert hashlib.sha256(repr(canon).encode()).hexdigest() == digest
 
 
+def _patch_draws(monkeypatch, points):
+    # the sampler hands out the given points, one call after the other
+    it = iter(points)
+
+    def draws(rng, r, m):
+        pts = [next(it) for _ in range(m)]
+        return np.array([p.x for p in pts]), np.array([p.y for p in pts])
+
+    monkeypatch.setattr(gausskuzmin, "_draws", draws)
+
+
 def test_orbit_boundary_test_shared(monkeypatch):
-    # maps.step and the Monte Carlo orbit stop at the same images: from
-    # preimages of points 1e-13 to 1e-11 inside each edge, the orbit
+    # maps.step and the Monte Carlo walkers stop at the same images: from
+    # preimages of points 1e-13 to 1e-11 inside each edge, the walker
     # restarts exactly where step raises BoundaryHit
     good = TrianglePoint(0.6, 0.3)
     verdicts = set()
@@ -208,13 +226,79 @@ def test_orbit_boundary_test_shared(monkeypatch):
                 hit = False
             except BoundaryHit:
                 hit = True
-            starts = iter([p, good])
-            monkeypatch.setattr(gausskuzmin, "_draw_start", lambda *_: next(starts))
+            _patch_draws(monkeypatch, [p, good])
             assert empirical_digits(EEE, 1, seed=1).restarts == int(hit), (d, q)
             verdicts.add(hit)
     assert verdicts == {False, True}
 
 
+def test_walker_counts_deep_digit_once(monkeypatch):
+    # a walker next to the y = 0 edge, whose digit is beyond the galloping
+    # search, so that the exact path decides it; the digit is tallied
+    # once, without a table as long as the digit
+    deep = TrianglePoint(0.7, 3.3e-10)
+    k_deep = int(digits(EEE.key, [deep.x], [deep.y])[0])
+    assert k_deep > 2 ** 20
+    exact = []
+    real = maps._solve_exact
+
+    def solve_exact(key, xs, ys, k_max):
+        exact.append(xs.size)
+        return real(key, xs, ys, k_max)
+
+    monkeypatch.setattr(maps, "_solve_exact", solve_exact)
+    rest = interior_points(5, 99)
+    _patch_draws(monkeypatch, [deep, *rest])
+    tracemalloc.start()
+    try:
+        st = empirical_digits(EEE, 100 * WALKER_STEPS, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert exact and st.counts[k_deep] == 1 and st.restarts == 0
+    assert sum(st.counts.values()) == 100 * WALKER_STEPS
+    assert peak < 2 ** 20
+
+
+def _envelope_grid():
+    # an interior grid, and points 1e-12 to 1e-3 from each vertex and edge
+    pts = [(x, y) for x in np.linspace(0.05, 0.95, 19) for y in np.linspace(0.025, 0.975, 20) * x]
+    for d in (1e-12, 1e-9, 1e-6, 1e-3):
+        pts += [(d, d / 2), (1 - d, d / 2), (1 - d / 2, 1 - d)]
+        for u in (0.1, 0.5, 0.9):
+            pts += [(u, d), (1 - d, u), (u, u - d)]
+    return np.array(pts).T
+
+
+@pytest.mark.parametrize("key", list(DENSITIES), ids=",".join)
+def test_density_below_sampler_envelope(key):
+    # r <= (12/pi^2) g, g = 1/x + 1/(1-y) + 1/(1-x+y): the envelope the
+    # exact sampler rejects against
+    x, y = _envelope_grid()
+    g = 1 / x + 1 / (1 - y) + 1 / (1 - x + y)
+    assert np.all(DENSITIES[key](x, y) <= 12 / PI2 * g)
+
+
+def test_sampler_refuses_density_above_envelope(monkeypatch):
+    # doubled, the (e,e,e) density is twice the envelope next to (0, 0)
+    r = DENSITIES[EEE.key]
+    monkeypatch.setitem(gausskuzmin.DENSITIES, EEE.key, lambda x, y: 2 * r(x, y))
+    with pytest.raises(EnvelopeExceeded):
+        empirical_digits(EEE, 100, seed=1)
+
+
+@pytest.mark.parametrize("key", list(DENSITIES), ids=",".join)
+def test_draws_match_cylinder_measures(key):
+    # the draws are independent and exact, so the binomial sigma of their
+    # digit frequencies is honest
+    n = 20000
+    t = PermutationTriple(*key)
+    xs, ys = gausskuzmin._draws(np.random.Generator(np.random.Philox(77)), density(t), n)
+    assert xs.shape == ys.shape == (n,) and in_triangle((xs, ys)).all()
+    found = digits(key, xs, ys)
+    for k in range(3):
+        p = cylinder_measure(t, k)
+        assert abs(np.mean(found == k) - p) < 4 * math.sqrt(p * (1 - p) / n), k
 def test_empirical_matches_theory_small_n():
     st = empirical_digits(E23E, 50_000, seed=9)
     f0 = st.frequency(0)
