@@ -5,17 +5,22 @@ an integral operator with kernel J_1(2 sqrt(st))/sqrt(st) against
 dm(t) = t dt/(e^t - 1).  This module evaluates both sides numerically:
 the left side is apply_transfer of the sigma-indexed transform of a
 profile phi, the right side is j(p) int_0^inf e^{-t(l(p)-1)} K(phi)(t) dt.
-The front factor t/(e^t - 1) of K(phi) turns that outer dt into dm(t), so
-the outer integral runs on the same rate-1 nodes as every dm-integral.
-The kernel on those nodes then depends on neither the triple, the point
-nor the profile: it is one matrix on the one node set of specfun's dm
-rule, built on first use and cached, and the right side of a check is two
-einsums against it.  Its inner integrals are gated by specfun.DM_TOL and
-its outer integral by OUTER_TOL.  The Laguerre expansion over eta_k / E_k
-gives a third, series-form route to the same value.  Every other
-dm-integral here goes through specfun.integrate_dm, batched: the
+The front factor t/(e^t - 1) of K(phi) turns that outer dt into dm(t).
+
+Every dm-integral runs on specfun's one Gauss-Laguerre rule (48 coarse and
+64 fine nodes), scaled by 1 + r where r is the rate of the integrand's
+known exponential: r = h at each point of the transform, r = l(p) - 1 for
+the E_k rows and for the outer integral of the right side.  That side is
+built per point: one block of the kernel J_1(2 sqrt(st))/sqrt(st) from the
+outer nodes tau to the rate-0 inner nodes s, gated by specfun.DM_TOL, and
+the outer integral gated by OUTER_TOL.  On these nodes the inner integral
+is resolved only up to tau = TAU_MAX = 50, so outer nodes beyond it are
+left out, and the bound ||phi||_{L^1(dm)} int_50^inf e^{-tau (l(p)-1)}
+dm(tau) on what they carry (|J_1(2 sqrt z)/sqrt z| <= 1) is added to the
+outer gap before its gate.  No decay is refused.  The Laguerre expansion
+over eta_k / E_k gives a third, series-form route to the same value.  The
 transforms at all branch points of a block and the eta_k and E_k for all
-k <= K each take one call.
+k <= K each take one batched specfun.integrate_dm call.
 
 Profiles: a profile is a family phi(c, s) of functions of the
 integration variable s, indexed by the transform argument c, for every
@@ -27,15 +32,13 @@ written in that order is passed as lambda c, s: phi_printed(s, c).
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .domain import PermutationTriple, TrianglePoint
-from .errors import DomainError, NonConvergent, UnsupportedTriple
+from .errors import DomainError, UnsupportedTriple
 from .specfun import (
     DM_TOL,
     _eval_vec,
@@ -50,6 +53,10 @@ from .transfer import TruncationPolicy, apply_transfer, branch_point
 
 # the gate of the outer dm-integral of the kernel side
 OUTER_TOL = 1e-7
+# the outer nodes of the kernel side reach tau = 360/(1 + decay), but the
+# inner Bessel integral on the rate-0 nodes is resolved only up to about
+# here: for eta_0 its gap is 6e-12 at tau = 50, 1e-9 at 80, 3e-2 at 200
+TAU_MAX = 50.0
 
 
 # a profile phi(c, s): the transform argument c, then the integration variable s
@@ -107,7 +114,7 @@ def _transform(row: HilbertRow, phi: Profile, xs, ys):
         out *= phi(c, s)
         return out
 
-    return integrate_dm(integrand) / h[..., 0]
+    return integrate_dm(integrand, rate=h[..., 0]) / h[..., 0]
 
 
 def transform_hat(t: PermutationTriple, phi: Profile, p: TrianglePoint) -> float:
@@ -117,10 +124,10 @@ def transform_hat(t: PermutationTriple, phi: Profile, p: TrianglePoint) -> float
 
 def _capital_E_rows(t: PermutationTriple, K: int, p: TrianglePoint) -> np.ndarray:
     """E_k(p) = j(p) int_0^inf e^{-t(l(p)-1)} L_k^(1)(t) dm(t) for
-    k = 0..K, one batched dm-integral."""
+    k = 0..K, one batched dm-integral at rate l(p) - 1."""
     row = hilbert_triple(t)
     decay = row.l(p.x, p.y) - 1.0
-    val = integrate_dm(lambda tt: np.exp(-tt * decay) * _laguerre1_rows(K, tt))
+    val = integrate_dm(lambda tt: np.exp(-tt * decay) * _laguerre1_rows(K, tt), rate=decay)
     return row.j(p.x, p.y) * val
 
 
@@ -138,8 +145,10 @@ def _bessel_kernel(z: np.ndarray) -> np.ndarray:
 
 def kernel_apply(phi: Profile, c: float, tpoint):
     """K(phi)(c, t) = (t/(e^t - 1)) int_0^inf J_1(2 sqrt(st))/sqrt(st)
-    phi(c, s) dm(s); accepts scalar or array tpoint.  The one-profile face
-    of the kernel: theorem31_rhs applies the shared kernel matrix instead."""
+    phi(c, s) dm(s); accepts scalar or array tpoint.  The inner integral
+    runs on the rate-0 dm nodes, so its gate holds up to t of about
+    TAU_MAX = 50 and fails (NonConvergent) far beyond it.  theorem31_rhs
+    builds the same kernel block per point on its own outer nodes."""
     scalar = np.isscalar(tpoint)
     tarr = np.atleast_1d(np.asarray(tpoint, dtype=float))
     if np.any(tarr < 0):
@@ -165,42 +174,13 @@ def theorem31_lhs(t: PermutationTriple, phi: Profile, p: TrianglePoint) -> float
                           p, TruncationPolicy(eps=1e-7))[0]
 
 
-@dataclass(frozen=True)
-class _KernelMatrix:
-    """The Bessel kernel on the nodes s of the dm rule, the coarse set
-    followed by the fine one, as both the outer (rows) and the inner
-    (columns) nodes; entry (i, j) is J_1(2 sqrt(s_i s_j))/sqrt(s_i s_j)
-    times the dm-weight w_j of s_j."""
-    s: np.ndarray
-    w: np.ndarray
-    coarse: int             # the first coarse nodes are the coarse set
-    mat: np.ndarray
-
-
-# rows of the kernel matrix per _bessel_kernel call: the temporaries of a
-# block stay near a megabyte instead of the matrix's 24 MB
-_KERNEL_ROWS = 64
-# the decays l(p) - 1 on which the rate-1 outer nodes are shown to hold
-# (tests/test_hilbert.py): on the dm rule's nodes the rhs matches the
-# closed-form route to 3e-14 up to 80, the outer gate fails from about
-# 90, and from about 1e3 the outer integral shrinks under the gate while
-# its error grows; so decays beyond 80 are refused
-DECAY_MAX = 80.0
-
-
-@functools.cache
-def _kernel_matrix() -> _KernelMatrix:
-    """The shared kernel matrix, built on first use."""
-    sets = halfline_nodes()
-    s, w = (np.concatenate(a) for a in zip(*sets))
-    mat = np.empty((s.size, s.size))
-    for i in range(0, s.size, _KERNEL_ROWS):
-        block = mat[i:i + _KERNEL_ROWS]
-        block[...] = _bessel_kernel(s[i:i + _KERNEL_ROWS, None] * s)
-        block *= w
-    for arr in (s, w, mat):
-        arr.flags.writeable = False
-    return _KernelMatrix(s, w, sets[0][0].size, mat)
+def _dm_tail(decay: float) -> float:
+    """An upper bound of int_TAU_MAX^inf e^{-tau decay} dm(tau): there
+    tau/(e^tau - 1) <= tau e^{-tau}/(1 - e^{-TAU_MAX}), and
+    int_T^inf tau e^{-a tau} dtau = e^{-a T} (T/a + 1/a^2)."""
+    a = 1.0 + decay
+    return (math.exp(-a * TAU_MAX) * (TAU_MAX / a + 1.0 / (a * a))
+            / -math.expm1(-TAU_MAX))
 
 
 def theorem31_rhs(t: PermutationTriple, phi: Profile, p: TrianglePoint) -> float:
@@ -209,24 +189,27 @@ def theorem31_rhs(t: PermutationTriple, phi: Profile, p: TrianglePoint) -> float
     where the outer dm is the dt of the identity times the front factor
     tau/(e^tau - 1) of kernel_apply, and c is the transform argument at the
     k = 0 branch (it is constant along the branch family).  The inner
-    integrals at every outer node are gated by DM_TOL, the outer integral
-    by OUTER_TOL, each fine set against coarse."""
+    integrals run on the rate-0 nodes and are gated by DM_TOL at every
+    outer node; the outer integral runs on nodes at rate l(p) - 1 up to
+    TAU_MAX and is gated by OUTER_TOL, its gap raised by the bound of
+    _dm_tail times ||phi||_{L^1(dm)} on the nodes left out."""
     row = hilbert_triple(t)
     c = row.arg(*branch_point(t, 0, p).xy)
     decay = row.l(p.x, p.y) - 1.0
-    if not 0.0 < decay <= DECAY_MAX:
-        raise NonConvergent(f"decay l(p) - 1 = {decay} at {p} is outside (0, {DECAY_MAX}], "
-                            "the range the shared kernel nodes resolve")
-    km = _kernel_matrix()
-    psi = _eval_vec(lambda s: phi(c, s), km.s)
+    # the profile times the dm-weights on the coarse and the fine inner nodes
+    weighted = [(s, _eval_vec(lambda s: phi(c, s), s) * w) for s, w in halfline_nodes()]
+    outer_sets = [(tau[tau <= TAU_MAX], w[tau <= TAU_MAX])
+                  for tau, w in halfline_nodes(decay)]
+    taus, outer_w = (np.concatenate(a) for a in zip(*outer_sets))
     # einsum, not BLAS: a threaded product raises CPU time for no gain
-    n = km.coarse
-    inner = gated(np.einsum("ij,j->i", km.mat[:, :n], psi[:n]),
-                  np.einsum("ij,j->i", km.mat[:, n:], psi[n:]),
+    inner = gated(*(np.einsum("ij,j->i", _bessel_kernel(taus[:, None] * s), psi)
+                    for s, psi in weighted),
                   DM_TOL, "Bessel-kernel inner quadrature")
-    terms = np.exp(-km.s * decay) * km.w * inner
-    outer = gated(terms[:n].sum(), terms[n:].sum(),
-                  OUTER_TOL, "Bessel-kernel outer quadrature")
+    terms = np.exp(-taus * decay) * outer_w * inner
+    n = outer_sets[0][0].size
+    tail = float(np.abs(weighted[1][1]).sum()) * _dm_tail(decay)
+    outer = gated(terms[:n].sum(), terms[n:].sum(), OUTER_TOL,
+                  "Bessel-kernel outer quadrature", tail=tail)
     return row.j(p.x, p.y) * float(outer)
 
 
@@ -234,8 +217,7 @@ def theorem31_check(t: PermutationTriple, phi: Profile,
                     p: TrianglePoint) -> tuple[float, float]:
     """Both sides of the kernel identity at p: lhs is the branch sum of
     the transformed profile (theorem31_lhs), rhs the j-weighted outer
-    dm-integral of the kernel image on the shared kernel matrix
-    (theorem31_rhs)."""
+    dm-integral of the kernel image (theorem31_rhs)."""
     return theorem31_lhs(t, phi, p), theorem31_rhs(t, phi, p)
 
 

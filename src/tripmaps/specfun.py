@@ -7,21 +7,23 @@ are mpmath fits (scripts/fit_bessel_j1.py) written into this file; the
 absolute error against mpmath is below 1e-15 on [0, 100], and below
 2.3e-16 on a 45k-point grid there.
 
-Half-line integrals against dm(t) = t dt / (e^t - 1) use the substitution
-t = -ln u, with DM_PANELS panels graded dyadically toward u = 0 so the
-logarithmic endpoint behavior converges geometrically.  There is one such
-rule, fixed by the constants DM_PANELS, DM_ORDER and DM_TOL: a nested or
-smaller rule is an edit of these constants, which the spectrum test of the
-shared kernel matrix (tests/test_hilbert.py) guards.  Integrands passed to
-the half-line routines are evaluated on numpy arrays only; a scalar result
-is broadcast, and a callable that cannot take an array raises
-NotArrayNative.  An integrand may return shape (..., n), the nodes on the
-last axis, to get a batch of integrals in one call.  Each call is
-evaluated at DM_ORDER and at 2*DM_ORDER nodes per panel, and the one gate
-raises NonConvergent when the worst |fine - coarse| in the batch exceeds
-DM_TOL; a nan gap fails it too.  halfline_nodes hands out those two node
-sets and gated the gate, for callers that apply a fixed matrix on the
-nodes instead of a callable.
+Half-line integrals against dm(t) = t dt / (e^t - 1) run on Gauss-Laguerre
+nodes: a coarse set of DM_COARSE = 48 nodes and a fine set of DM_FINE = 64,
+gated on the worst |fine - coarse| <= DM_TOL = 1e-9 over the batch (a nan
+gap fails the gate too; NonConvergent otherwise).  There is no cutoff of the
+half-line.  An integrand that carries a known e^(-rate t) is integrated on
+the nodes x/(1 + rate), x the laggauss nodes, so the rule resolves every
+rate from 0 up with the same node counts; rate may be an array over the
+batch axes.  There is one such rule, fixed by these constants: a smaller or
+larger rule is an edit of them, which the spectrum test of the Bessel
+kernel on both node sets (tests/test_hilbert.py) guards.  Keep them at
+about 100 or less: laggauss's weights lose accuracy beyond that.
+Integrands passed to the half-line routines are evaluated on numpy arrays
+only; a scalar result is broadcast, and a callable that cannot take an
+array raises NotArrayNative.  An integrand may return shape (..., n), the
+nodes on the last axis, to get a batch of integrals in one call.
+halfline_nodes hands out the two node sets and gated the gate, for
+callers that apply a kernel on the nodes instead of a callable.
 
 The triangle integrator is an adaptive subdivision scheme built on a
 degree-5 seven-point rule whose nodes are strictly interior, so integrable
@@ -42,11 +44,12 @@ from .errors import DomainError, NonConvergent, NotArrayNative
 PI2_6 = math.pi ** 2 / 6
 
 
-# the one dm rule: DM_PANELS dyadic panels with DM_ORDER Gauss-Legendre
-# nodes each (the coarse set) and 2 * DM_ORDER (the fine set), gated on
-# |fine - coarse| <= DM_TOL
-DM_PANELS = 48
-DM_ORDER = 12
+# the one dm rule: DM_COARSE Gauss-Laguerre nodes (the coarse set) and
+# DM_FINE (the fine set), gated on |fine - coarse| <= DM_TOL.  The fine set
+# is not 2 * DM_COARSE: at 96 nodes laggauss's weights already cost the
+# kernel spectrum test (tests/test_hilbert.py) its 1e-13 bound
+DM_COARSE = 48
+DM_FINE = 64
 DM_TOL = 1e-9
 
 
@@ -244,77 +247,78 @@ def _eval_vec(fun: Callable, *args: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _dyadic_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes u of the given order on each of the DM_PANELS
-    panels [2^-(i+1), 2^-i], and their weights; built once, read-only."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    nodes, weights = 0.5 * (nodes + 1.0), 0.5 * weights
-    us, ws = [], []
-    hi = 1.0
-    for _ in range(DM_PANELS):
-        lo = hi / 2.0
-        us.append(lo + (hi - lo) * nodes)
-        ws.append((hi - lo) * weights)
-        hi = lo
-    u, w = np.concatenate(us), np.concatenate(ws)
-    u.flags.writeable = w.flags.writeable = False
-    return u, w
+def _laguerre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n Gauss-Laguerre nodes x and the weights w e^x of the plain
+    int_0^inf f(x) dx on them; built once, read-only."""
+    x, w = np.polynomial.laguerre.laggauss(n)
+    w = w * np.exp(x)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
-def halfline_nodes(rate: float = 1.0, dm_weight: bool = True
+def halfline_nodes(rate=0.0, dm_weight: bool = True
                    ) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """The coarse (DM_ORDER) and fine (2*DM_ORDER) node sets, each a pair
-    (t, w): t = -ln(u)/rate on the DM_PANELS dyadic u-panels, and w the
-    weights of int f(t) dm(t) if dm_weight, else of the plain int f(t) dt."""
+    """The coarse (DM_COARSE) and fine (DM_FINE) node sets, each a pair
+    (t, w) for integrands decaying like e^(-rate t): t = x/scale on the
+    Gauss-Laguerre nodes x, scale = 1 + rate for the weights of
+    int f(t) dm(t) if dm_weight (dm carries its own e^-t), else scale =
+    rate for the plain int f(t) dt.  An array rate gives t and w of shape
+    rate.shape + (n,)."""
+    scale = np.asarray(rate, dtype=float)[..., None] + (1.0 if dm_weight else 0.0)
 
-    def nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-        u, w = _dyadic_nodes(order)
-        t = -np.log(u) / rate
-        jac = t / np.expm1(t) if dm_weight else 1.0     # dm(t) = t dt/(e^t - 1)
-        return t, w * jac / (rate * u)
+    def nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
+        x, w = _laguerre_rule(n)
+        t = x / scale
+        w = w / scale
+        if dm_weight:
+            w = w * t / np.expm1(t)         # dm(t) = t dt/(e^t - 1)
+        return t, w
 
-    return nodes(DM_ORDER), nodes(2 * DM_ORDER)
+    return nodes(DM_COARSE), nodes(DM_FINE)
 
 
-def gated(coarse, fine, abs_tol: float, what: str = "half-line quadrature"):
-    """fine, once the worst |fine - coarse| over the batch is within
-    abs_tol; written so that a nan gap fails the gate too."""
-    gap = float(np.max(np.abs(fine - coarse)))
+def gated(coarse, fine, abs_tol: float, what: str = "half-line quadrature",
+          tail: float = 0.0):
+    """fine, once the worst |fine - coarse| over the batch, plus a bound
+    tail on what both node sets leave out, is within abs_tol; written so
+    that a nan gap fails the gate too."""
+    gap = float(np.max(np.abs(fine - coarse))) + tail
     if not gap <= abs_tol:
         raise NonConvergent(f"{what} stalled: gap {gap} > {abs_tol}")
     return fine
 
 
-def _halfline_weighted(fun: Callable, rate: float, dm_weight: bool):
+def _halfline_weighted(fun: Callable, rate, dm_weight: bool):
     """int_0^inf fun(t) * [t/(e^t - 1) if dm_weight] dt, fun decaying at
     least like e^(-rate t) up to polynomial factors.  fun may return shape
-    (..., n), the nodes on the last axis, for a batch of integrals; the
-    result has the batch shape, a float for a 1-d integrand."""
+    (..., n), the nodes on the last axis, for a batch of integrals; rate
+    may be an array that broadcasts against the batch shape.  The result
+    has the batch shape, a float for a 1-d integrand."""
 
     def attempt(t: np.ndarray, w: np.ndarray) -> np.ndarray:
         try:
             vals = np.asarray(fun(t), dtype=float)
-            vals = np.broadcast_to(vals, vals.shape[:-1] + t.shape)
+            vals = np.broadcast_to(vals, np.broadcast_shapes(vals.shape, t.shape))
         except (TypeError, ValueError) as exc:
             raise NotArrayNative(f"integrand {fun!r} cannot take arrays: {exc}") from exc
         # einsum, not BLAS: a threaded product burns CPU on every core
         # for no wall-clock gain at these sizes
-        return np.einsum("...n,n->...", vals, w)
+        return np.einsum("...n,...n->...", vals, w)
 
     coarse_nodes, fine_nodes = halfline_nodes(rate, dm_weight)
     fine = gated(attempt(*coarse_nodes), attempt(*fine_nodes), DM_TOL)
     return float(fine) if fine.ndim == 0 else fine
 
 
-def integrate_dm(fun: Callable):
-    """int_0^inf fun(t) dm(t) with dm(t) = t dt/(e^t - 1); batched as in
-    _halfline_weighted."""
-    return _halfline_weighted(fun, 1.0, dm_weight=True)
+def integrate_dm(fun: Callable, rate=0.0):
+    """int_0^inf fun(t) dm(t) with dm(t) = t dt/(e^t - 1), fun decaying
+    like e^(-rate t); batched as in _halfline_weighted."""
+    return _halfline_weighted(fun, rate, dm_weight=True)
 
 
-def integrate_halfline(fun: Callable, rate: float):
-    """Plain int_0^inf fun(t) dt for integrands decaying like e^(-rate t);
-    batched as in _halfline_weighted."""
+def integrate_halfline(fun: Callable, rate):
+    """Plain int_0^inf fun(t) dt for integrands decaying like e^(-rate t),
+    rate > 0; batched as in _halfline_weighted."""
     return _halfline_weighted(fun, rate, dm_weight=False)
 
 

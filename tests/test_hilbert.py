@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import os
 import subprocess
@@ -14,12 +13,11 @@ from tripmaps.claims import SIGMA_REPS, theorem31_points
 from tripmaps.domain import PermutationTriple, TrianglePoint
 from tripmaps.errors import DomainError, NonConvergent, NotArrayNative, UnsupportedTriple
 from tripmaps.hilbert import (
-    DECAY_MAX,
     OUTER_TOL,
+    TAU_MAX,
     _bessel_kernel,
     _capital_E_rows,
     _eta_rows,
-    _kernel_matrix,
     eta,
     eta_profile,
     hilbert_triple,
@@ -226,9 +224,9 @@ def test_printed_order_profile(key):
         q = branch_point(t, 0, p)
         h3, c = ht.h(q.x, q.y), ht.arg(q.x, q.y)
         if ARG_SLOT[sigma] == 0:
-            ref = integrate_dm(lambda s: np.exp(-s * h3) * printed(c, s)) / h3
+            ref = integrate_dm(lambda s: np.exp(-s * h3) * printed(c, s), rate=h3) / h3
         else:
-            ref = integrate_dm(lambda s: np.exp(-s * h3) * printed(s, c)) / h3
+            ref = integrate_dm(lambda s: np.exp(-s * h3) * printed(s, c), rate=h3) / h3
         closed = ((1.0 + c) * sp.polygamma(1, h3 + 2.0)
                   - c * c * sp.polygamma(2, h3 + 2.0) / 2.0) / h3
         got = transform_hat(t, passed, q)
@@ -264,7 +262,7 @@ def _lhs_per_point(t, phi, p):
     def hat(x, y):
         h3 = ht.h(x, y)
         c = ht.arg(x, y)
-        return integrate_dm(lambda s: np.exp(-s * h3) * phi(c, s)) / h3
+        return integrate_dm(lambda s: np.exp(-s * h3) * phi(c, s), rate=h3) / h3
 
     def f(xs, ys):
         return np.array([hat(x, y) for x, y in zip(xs.ravel().tolist(), ys.ravel().tolist())]
@@ -298,16 +296,16 @@ def test_laguerre_partial_two_dm_calls(monkeypatch):
     import tripmaps.hilbert as hilbert
     calls = []
 
-    def counting(fun):
+    def counting(fun, rate=0.0):
         calls.append(fun)
-        return integrate_dm(fun)
+        return integrate_dm(fun, rate)
 
     monkeypatch.setattr(hilbert, "integrate_dm", counting)
     laguerre_expansion_partial(T123, eta_profile(0), P123, 50)
     assert len(calls) == 2
 
 
-# ---------- the kernel side on the shared kernel matrix ----------
+# ---------- the kernel side, per point on the Gauss-Laguerre nodes ----------
 
 def _fubini_rhs(j: float, decay: float, k_eta: int) -> float:
     """The kernel side for eta_0 or eta_1 without any kernel matrix.
@@ -346,7 +344,7 @@ def test_fubini_oracle_route():
 
 def test_rhs_matches_fubini_oracle_all_rows():
     # every row at the points of the theorem31_identity claim, eta_0 and
-    # eta_1: the shared-matrix rhs against the closed-form route
+    # eta_1: the rhs against the closed-form route
     worst = 0.0
     for key in HILBERT:
         t = PermutationTriple(*key)
@@ -367,11 +365,11 @@ EDGE_POINTS = (TrianglePoint(0.0195, 0.019), TrianglePoint(0.5, 5e-4),
 
 def test_rhs_near_edges_every_row():
     # both gates pass and the rhs matches the closed-form route on every
-    # row; where the former route (a plain half-line integral at rate
-    # decay over kernel_apply, gated by OUTER_TOL) converges, here from
-    # decay 0.5 up, it matches that route too.  For the eta profiles the
-    # kernel side is j(p) times a function of the decay alone, so that
-    # route runs once per decay.
+    # row, and it matches the former route too: a plain half-line integral
+    # over kernel_apply at the rate decay + 1 of its integrand, on the
+    # outer nodes with tau <= TAU_MAX, gated by OUTER_TOL.  For the eta
+    # profiles the kernel side is j(p) times a function of the decay alone,
+    # so that route runs once per decay.
     former = {}
     decays = []
     for key in HILBERT:
@@ -384,36 +382,66 @@ def test_rhs_near_edges_every_row():
                 got = theorem31_rhs(t, phi, p)
                 ref = _fubini_rhs(j, decay, k_eta)
                 assert abs(got - ref) <= 1e-12 * abs(ref), (key, p, k_eta)
-                if decay < 0.5 or k_eta:
+                if k_eta:
                     continue
                 if decay not in former:
                     coarse, fine = (
-                        np.einsum("n,n->", np.exp(-tau * decay)
-                                  * kernel_apply(phi, 0.5, tau), w)
-                        for tau, w in halfline_nodes(decay, dm_weight=False))
+                        np.einsum("n,n->", np.exp(-tau[tau <= TAU_MAX] * decay)
+                                  * kernel_apply(phi, 0.5, tau[tau <= TAU_MAX]),
+                                  w[tau <= TAU_MAX])
+                        for tau, w in halfline_nodes(decay + 1.0, dm_weight=False))
                     former[decay] = gated(coarse, fine, OUTER_TOL)
                 assert abs(got - j * former[decay]) <= 1e-12 * abs(got), (key, p)
     assert min(decays) < 0.02 and max(decays) > 50.0
     assert len(former) >= 10
 
 
+# e,e,e points (l = (y + 1)/x) at decays 51.3, 82.8 and 999.5, where the
+# E_k integrals of the Laguerre route once missed their gate
+LARGE_DECAY_POINTS = (TrianglePoint(0.0195, 0.019), TrianglePoint(0.012, 0.005),
+                      TrianglePoint(1e-3, 5e-4))
+
+
+@pytest.mark.parametrize("p", LARGE_DECAY_POINTS)
+@pytest.mark.parametrize("k_eta", [0, 1])
+def test_rhs_and_laguerre_at_large_decays(p, k_eta):
+    decay, j = _row_decay_j(EEE, p)
+    assert decay > 50.0
+    ref = _fubini_rhs(j, decay, k_eta)
+    phi = eta_profile(k_eta)
+    assert abs(theorem31_rhs(EEE, phi, p) - ref) <= 1e-12 * abs(ref)
+    assert abs(laguerre_expansion_partial(EEE, phi, p, 50) - ref) <= 1e-12 * abs(ref)
+
+
 def test_rhs_decay_range():
-    # decays up to 80 pass and match the closed-form route; beyond
-    # DECAY_MAX the rhs refuses with a typed error instead of trusting the gate
-    assert DECAY_MAX == 80.0
-    t = PermutationTriple("e", "e", "e")          # l = (y + 1)/x
+    # no decay is refused: from 80 up to about 1e4 the rhs matches the
+    # closed-form route, the outer nodes scaled to the decay
+    t = EEE                                        # l = (y + 1)/x
     y = 0.005
-    inside = TrianglePoint((y + 1.0) / 81.0 * (1 + 1e-12), y)
-    decay, j = _row_decay_j(t, inside)
-    assert 80.0 - 1e-6 < decay <= 80.0
-    for k_eta in (0, 1):
-        ref = _fubini_rhs(j, decay, k_eta)
-        assert abs(theorem31_rhs(t, eta_profile(k_eta), inside) - ref) <= 1e-12 * abs(ref)
-    # decay 99.5, where the outer gate fails too, and decay 1e4, where the
-    # outer integral has shrunk under the gate while its error is 100 %
-    for far in (TrianglePoint(0.01, y), TrianglePoint(1e-4, 5e-5)):
-        with pytest.raises(NonConvergent, match="decay"):
-            theorem31_rhs(t, eta_profile(0), far)
+    points = (TrianglePoint((y + 1.0) / 81.0, y), TrianglePoint(0.01, y),
+              TrianglePoint(1e-3, 5e-4), TrianglePoint(1e-4, 5e-5))
+    decays = [_row_decay_j(t, p)[0] for p in points]
+    assert np.allclose(decays, [80.0, 99.5, 999.5, 9999.5])
+    for p in points:
+        decay, j = _row_decay_j(t, p)
+        for k_eta in (0, 1):
+            ref = _fubini_rhs(j, decay, k_eta)
+            assert abs(theorem31_rhs(t, eta_profile(k_eta), p) - ref) <= 1e-12 * abs(ref), decay
+
+
+def test_rhs_tail_bound():
+    # the bound on the outer nodes left out is an upper bound of the dm
+    # mass of e^{-tau decay} beyond TAU_MAX, and negligible; the mass is
+    # sum_{m>=1} e^{-a T} (T/a + 1/a^2) with a = decay + m, T = TAU_MAX
+    import tripmaps.hilbert as hilbert
+    for decay in (0.0, 0.02, 1.0, 50.0):
+        with mpmath.workdps(30):
+            ref = float(mpmath.nsum(lambda m: mpmath.exp(-(decay + m) * TAU_MAX)
+                                    * (TAU_MAX / (decay + m) + 1 / (decay + m) ** 2),
+                                    [1, mpmath.inf]))
+        bound = hilbert._dm_tail(decay)
+        assert ref <= bound <= ref * (1 + 1e-12), decay
+    assert hilbert._dm_tail(0.0) < 1e-19
 
 
 def test_rhs_gates_fail_loudly(monkeypatch):
@@ -424,39 +452,32 @@ def test_rhs_gates_fail_loudly(monkeypatch):
     with pytest.raises(NonConvergent):
         theorem31_check(EEE, nan_tail, PEEE)
     assert theorem31_rhs(EEE, ZERO, PEEE) == 0.0
-    # a kernel matrix whose fine set drifts from its coarse one fails the
-    # unchanged gates: the fine columns fail the inner one, the fine
-    # outer weights the outer one
-    km = _kernel_matrix()
-    n = km.coarse
-    mat, w = km.mat.copy(), km.w.copy()
-    mat[:, n:] *= 1 + 1e-6
-    w[n:] *= 1 + 1e-4
-    for drifted, gate in ((dataclasses.replace(km, mat=mat), "inner"),
-                          (dataclasses.replace(km, w=w), "outer")):
-        monkeypatch.setattr(hilbert, "_kernel_matrix", lambda: drifted)
+    # node sets whose fine weights drift from the coarse ones fail the
+    # unchanged gates: the fine inner (rate-0) weights fail the inner one,
+    # the fine outer weights (at the decay of PEEE) the outer one
+    decay = _row_decay_j(EEE, PEEE)[0]
+    for drifted_rate, factor, gate in ((0.0, 1 + 1e-6, "inner"), (decay, 1 + 1e-4, "outer")):
+        def drifted(rate=0.0, dm_weight=True, drifted_rate=drifted_rate, factor=factor):
+            coarse, (t, w) = halfline_nodes(rate, dm_weight)
+            return coarse, (t, w * factor if rate == drifted_rate else w)
+
+        monkeypatch.setattr(hilbert, "halfline_nodes", drifted)
         with pytest.raises(NonConvergent, match=gate):
             theorem31_rhs(EEE, eta_profile(0), PEEE)
 
 
-def test_import_builds_no_kernel_matrix():
+def test_import_builds_no_laguerre_rule():
     src = os.path.dirname(os.path.dirname(tripmaps.__file__))
-    code = ("import tripmaps.cli, tripmaps.hilbert as h; "
-            "print(h._kernel_matrix.cache_info().currsize)")
+    code = ("import tripmaps.cli, tripmaps.specfun as f; "
+            "print(f._laguerre_rule.cache_info().currsize)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=src), check=True)
     assert out.stdout.strip() == "0"
 
 
-def test_kernel_matrix_cache_deterministic_and_bounded():
-    _kernel_matrix.cache_clear()
+def test_theorem31_check_deterministic():
     t, phi = T123, eta_profile(1)
-    first = theorem31_check(t, phi, P123)          # builds the matrix
-    assert _kernel_matrix.cache_info().currsize == 1
-    assert theorem31_check(t, phi, P123) == first  # bit-identical
-    km = _kernel_matrix()
-    assert _kernel_matrix.cache_info().misses == 1
-    assert km.mat.shape == (1728, 1728) and not km.mat.flags.writeable
+    assert theorem31_check(t, phi, P123) == theorem31_check(t, phi, P123)
 
 
 def test_kernel_matrix_spectrum():
@@ -464,19 +485,28 @@ def test_kernel_matrix_spectrum():
     # transfer operator in Babenko's form: its leading eigenvalues are 1 and
     # minus Wirsing's constant, and its trace is the sum over the fixed
     # points x_n = (sqrt(n^2 + 4) - n)/2 of the branches 1/(n + x) of
-    # x_n^2/(1 + x_n^2).  Each diagonal block of the shared matrix, on one
-    # node set, is checked against them, independently of any profile
-    km = _kernel_matrix()
+    # x_n^2/(1 + x_n^2).  The kernel matrix on each of the two rate-0 node
+    # sets is checked against them, independently of any profile
     with mpmath.workdps(30):
         trace = float(mpmath.nsum(lambda n: (lambda x: x * x / (1 + x * x))(
             (mpmath.sqrt(n * n + 4) - n) / 2), [1, mpmath.inf]))
     wirsing = -0.30366300289873265859
-    for block in (slice(0, km.coarse), slice(km.coarse, None)):
-        a, root = km.mat[block, block], np.sqrt(km.w[block])
+    for s, w in halfline_nodes():
         # entries K(t_i, s_j) w_j; sqrt(w) on both sides makes it symmetric
+        a, root = _bessel_kernel(s[:, None] * s) * w, np.sqrt(w)
         sym = a * root[:, None] / root[None, :]
         ev = np.linalg.eigvalsh((sym + sym.T) / 2)
         ev = ev[np.argsort(-np.abs(ev))]
         assert abs(ev[0] - 1.0) <= 1e-13, a.shape
         assert abs(ev[1] - wirsing) <= 1e-13, a.shape
         assert abs(np.trace(a) - trace) <= 1e-13, a.shape
+
+
+def test_dm_eta_norms_closed_form():
+    # ||eta_k||^2_dm = (2k+1)!/((k+1)!)^2 zeta(2k + 2, 3) for k <= 60, from
+    # t/(e^t - 1) = sum_m t e^{-mt}; one batched call on the rate-0 nodes
+    got = integrate_dm(lambda s: _eta_rows(range(61), s) ** 2)
+    with mpmath.workdps(30):
+        ref = np.array([float(mpmath.factorial(2 * k + 1) / mpmath.factorial(k + 1) ** 2
+                              * mpmath.zeta(2 * k + 2, 3)) for k in range(61)])
+    assert np.max(np.abs(got - ref) / ref) <= 1e-11

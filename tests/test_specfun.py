@@ -8,9 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from tripmaps.errors import DomainError, NonConvergent, NotArrayNative
 from tripmaps.specfun import (
+    DM_TOL,
     bessel_j1,
     dilog,
     integrate_dm,
+    halfline_nodes,
     integrate_halfline,
     integrate_triangle,
     laguerre1,
@@ -124,17 +126,51 @@ def test_halfline_scalar_integrand():
 
 def test_halfline_batch_matches_rows():
     # a (2, 3, n) integrand gives a (2, 3) result equal to its rows
-    # integrated one at a time
+    # integrated one at a time, each row at its own rate
     rates = np.array([[0.3, 1.0, 2.7], [0.5, 4.0, 9.0]])
-    batch = integrate_dm(lambda t: np.exp(-rates[..., None] * t))
+    batch = integrate_dm(lambda t: np.exp(-rates[..., None] * t), rate=rates)
     assert batch.shape == rates.shape
-    plain = integrate_halfline(lambda t: np.exp(-rates[..., None] * t), 0.3)
+    plain = integrate_halfline(lambda t: np.exp(-rates[..., None] * t), rates)
     assert plain.shape == rates.shape
     for i, a in np.ndenumerate(rates):
-        one = integrate_dm(lambda t: np.exp(-a * t))
+        one = integrate_dm(lambda t: np.exp(-a * t), rate=a)
         assert isinstance(one, float)
         assert abs(batch[i] - one) <= 1e-15 * abs(one)
-        assert abs(plain[i] - integrate_halfline(lambda t: np.exp(-a * t), 0.3)) <= 1e-15 / a
+        assert abs(plain[i] - integrate_halfline(lambda t: np.exp(-a * t), a)) <= 1e-15 / a
+
+
+def test_dm_decaying_integrand_against_mpmath():
+    # int e^{-td}/(1 + t) dm(t) on the nodes scaled to the rate d, from no
+    # decay up to 1e5
+    for d in (0.0, 1.0, 10.0, 1e5):
+        got = integrate_dm(lambda t: np.exp(-t * d) / (1.0 + t), rate=d)
+        with mpmath.workdps(30):
+            ref = float(mpmath.quad(lambda t: mpmath.exp(-t * d) / (1 + t) * t / mpmath.expm1(t),
+                                    [0, 1e-5, 1e-3, 0.1, 1, 10, mpmath.inf]))
+        assert abs(got - ref) <= 1e-12 * ref, d
+
+
+def test_dm_laguerre_norms_against_mpmath():
+    # ||L_k^(1)||^2_dm, a polynomial of degree 2k + 1 times t/(1 - e^-t)
+    # against the Gauss-Laguerre weight: at k = 10 both node sets resolve
+    # it, and the result matches mpmath quad; at k = 20 and 40 the coarse
+    # set truly misses it by more than DM_TOL, and the gate says so
+    def norm2(k):
+        return integrate_dm(lambda t: laguerre1(k, t) ** 2)
+
+    with mpmath.workdps(20):
+        ref = {k: float(mpmath.quad(lambda t: mpmath.laguerre(k, 1, t) ** 2 * t / mpmath.expm1(t),
+                                    [0, 5, 10, 20, 40, 80, 160, mpmath.inf]))
+               for k in (10, 20, 40)}
+    assert ref[10] == pytest.approx(20.65, abs=5e-3)
+    assert ref[20] == pytest.approx(40.12, abs=5e-3)
+    assert ref[40] == pytest.approx(79.37, abs=5e-3)
+    assert abs(norm2(10) - ref[10]) <= 1e-12 * ref[10]
+    for k in (20, 40):
+        with pytest.raises(NonConvergent):
+            norm2(k)
+        (t, w), _ = halfline_nodes()
+        assert abs(np.sum(laguerre1(k, t) ** 2 * w) - ref[k]) > DM_TOL
 
 
 def _nan_tail(t):
