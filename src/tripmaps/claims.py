@@ -136,11 +136,10 @@ def _gauss_kuzmin_closed_forms() -> float:
     # cylinder quadrature against the closed forms, k <= 5; at k = 1..5
     # this agreement also pins the (k+1) reading of the printed (e,e,e)
     # formula
-    cases = [(("e", "e", "e"), k) for k in range(6)]
-    cases += [(("e", "23", "e"), k) for k in range(1, 6)]
-    return _worst(abs(gausskuzmin.cylinder_measure(PermutationTriple(*key), k)
-                      - gausskuzmin.CLOSED_FORMS[key](k))
-                  for key, k in cases)
+    cases = [(("e", "e", "e"), range(6)), (("e", "23", "e"), range(1, 6))]
+    return _worst(abs(p - gausskuzmin.CLOSED_FORMS[key](k))
+                  for key, ks in cases
+                  for k, p in zip(ks, gausskuzmin.cylinder_measures(PermutationTriple(*key), ks)))
 
 
 @_claim("monte_carlo_digits", 3.0)

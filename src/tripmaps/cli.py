@@ -180,8 +180,8 @@ def cmd_gk(cfg: RunConfig) -> tuple[int, list[dict], list[str]]:
         stats = None
         if cfg.simulate:
             stats = gausskuzmin.empirical_digits(t, cfg.n_steps, cfg.seed)
-        for k in range(cfg.kmax + 1):
-            p = gausskuzmin.cylinder_measure(t, k)
+        measures = gausskuzmin.cylinder_measures(t, range(cfg.kmax + 1)).tolist()
+        for k, p in enumerate(measures):
             ok = 0.0 <= p <= 1.0
             row = {"triple": str(t), "k": k, "p_theoretical": p}
             if closed is not None:

@@ -1,7 +1,7 @@
 """Gauss-Kuzmin digit statistics: invariant densities, cylinder-set
 measures, the two closed-form families, and seeded Monte Carlo digits.
 
-cylinder_measure evaluates p(k) = mu(cylinder k) through the inverse
+cylinder_measures evaluates p(k) = mu(cylinder k) through the inverse
 branch: the k-th branch maps the whole triangle onto the cylinder, so
 
     p(k) = int_tri r(branch_k(q)) * weight(k, q) dq
@@ -9,7 +9,9 @@ branch: the k-th branch maps the whole triangle onto the cylinder, so
 by change of variables.  The integrand is smooth, which is what lets the
 adaptive quadrature actually reach 1e-8; a pointwise digit-indicator
 integral would stall at the cylinder boundary.  The indicator route is
-kept in the test suite as a coarse cross-check.
+kept in the test suite as a coarse cross-check.  The digits of one call
+run as one batch of integrals (specfun.integrate_triangles), with k and
+s = (-1)**k read per leaf; each keeps the value it would have alone.
 
 empirical_digits counts the digits of walkers.  Each starts from an exact
 draw of the invariant density (_draws, rejection against one envelope
@@ -32,7 +34,7 @@ import numpy as np
 from .domain import PermutationTriple, in_triangle
 from .errors import EnvelopeExceeded, NoDensity
 from .maps import K_MAX_DEFAULT, _solve, off_boundary
-from .specfun import dilog, integrate_triangle
+from .specfun import dilog, integrate_triangles
 from .tables.eigen import DENSITIES
 from .tables.transfer_rows import TRANSFER
 from .transfer import TruncationPolicy, apply_transfer_batch
@@ -87,22 +89,28 @@ def density(t: PermutationTriple):
     return r
 
 
-def cylinder_measure(t: PermutationTriple, k: int) -> float:
-    """mu of the digit-k cylinder, via the inverse-branch pullback, to an
-    absolute 1e-9."""
-    if k < 0:
+def cylinder_measures(t: PermutationTriple, ks) -> np.ndarray:
+    """mu of the digit-k cylinder for each k of ks, via the inverse-branch
+    pullback, each to an absolute 1e-9, in one batch of integrals."""
+    ks = np.asarray(ks, dtype=np.int64)
+    if (ks < 0).any():
         raise ValueError("k must be non-negative")
     r = density(t)
     row = TRANSFER[t.key]
-    s = -1.0 if (k & 1) else 1.0
-    kf = float(k)
+    kf, sf = ks.astype(float), np.where(ks & 1, -1.0, 1.0)
 
-    def fun(x, y):
-        w = row.weight(kf, x, y, s)
-        a, b = row.branch(kf, x, y, s)
+    def fun(x, y, i):
+        k, s = kf[i], sf[i]
+        w = row.weight(k, x, y, s)
+        a, b = row.branch(k, x, y, s)
         return w * r(a, b)
 
-    return integrate_triangle(fun, 1e-9)
+    return integrate_triangles(fun, ks.size, 1e-9)
+
+
+def cylinder_measure(t: PermutationTriple, k: int) -> float:
+    """mu of the digit-k cylinder: the one-digit face of cylinder_measures."""
+    return float(cylinder_measures(t, [k])[0])
 
 
 def p_closed_eee(k: int) -> float:

@@ -4,30 +4,33 @@ Digit extraction inverts the implicit partition of the triangle: digit k is
 the branch index whose formula maps the point back into the closed
 triangle, the lowest one where rounding admits a run of them.
 
-The inverse branches are F1^k F0, F0 the digit-0 branch, so the points of
-digit at least K form the nested triangle F1^K(triangle), and a point p
-lies in it exactly when F1^-K(p) = branch_0(T_K(p)) does, T_K the forward
-formula of digit K.  That test is monotone in K: a galloping search (K = 1,
-2, 4, ..., then bisection) finds the digit in O(log k) evaluations, for
-arrays of points at once, and the membership test confirms the integers
-next to it.  Far out the composition loses the digit: T_K carries terms of
-size K, and next to a vertex their rounding smears the test over up to
-millions of steps.  So beyond _SHALLOW, and wherever the confirmation is
-not clean, the digit comes from the row formula evaluated in exact
-rational arithmetic: within one parity class (k even, or k odd) both image
+On parity-free rows, which include all 18 density rows and both ergodic
+maps, both image components are affine in k, and the line through the
+images at k = 0 and 1 brackets the digit in two evaluations (_lines).
+The array path (_solve, _bracket) and the one-point path that orbit steps
+use (_digit, on Python floats) both take their window of candidates from
+that bracket; _digit hands parity rows, and whatever its loop cannot
+settle, to _solve on one-element arrays.
+
+On parity rows the window comes from a search.  The inverse branches are
+F1^k F0, F0 the digit-0 branch, so the points of digit at least K form the
+nested triangle F1^K(triangle), and a point p lies in it exactly when
+F1^-K(p) = branch_0(T_K(p)) does, T_K the forward formula of digit K.
+That test is monotone in K: a galloping search (K = 1, 2, 4, ..., then
+bisection) finds the digit in O(log k) evaluations, for arrays of points
+at once, and the membership test confirms the integers next to it.
+
+Far out either window loses the digit: T_K carries terms of size K, and
+next to a vertex their rounding smears the test over up to millions of
+steps.  So beyond _SHALLOW, and wherever the confirmation is not clean,
+the digit comes from the row formula evaluated in exact rational
+arithmetic: within one parity class (k even, or k odd) both image
 components are linear-fractional in k, (a + b k)/(1 + d k), with one
 shared pole, so three exact samples fix each membership constraint
 y' >= 0, x' - y' >= 0, x' <= 1, and each holds on a half-line on each side
 of the pole.  A scan over the 64 steps on each side of the ranges so
 found applies the tie rules in rounded arithmetic, as a scan from k = 0
 would.
-
-_digit is the one-point face the orbit steps use.  On parity-free rows,
-which include both ergodic maps, it runs on floats: both image components
-are affine in k, and the line through the images at k = 0 and 1 brackets
-the digit in two evaluations.  One loop over the candidates next to the
-bracket applies the tie rules.  Parity rows, and whatever the loop cannot
-settle, go to the array path.
 """
 
 from __future__ import annotations
@@ -110,7 +113,8 @@ def _deeper(f, branch, k, x, y, s):
 
 def _search(key, xs, ys, limit):
     """The largest k <= limit whose _deeper holds, for each point, by
-    galloping from k = 1 and bisecting; -1 where that is limit itself."""
+    galloping from k = 1 and bisecting; -1 where that is limit itself.
+    _solve searches on parity rows only."""
     f, branch = FORWARD[key].f, TRANSFER[key].branch
 
     def deeper(k, idx):
@@ -136,6 +140,35 @@ def _search(key, xs, ys, limit):
         hi[todo[~up]] = mid[~up]
         todo = todo[hi[todo] - lo[todo] > 1]
     return np.where(deep, -1, lo)
+
+
+# --- line bracket: parity-free rows ------------------------------------------
+
+def _lines(image0, image1):
+    """The membership constraints y' >= 0, x' - y' >= 0, x' <= 1 of a
+    parity-free row, as pairs (a, b) of lines a + b*k >= 0 through the
+    images at k = 0 and 1; on floats or on arrays."""
+    (xa, ya), (xb, yb) = image0, image1
+    return (ya, yb - ya), (xa - ya, xb - yb - xa + ya), (1.0 - xa, xa - xb)
+
+
+def _bracket(key, xs, ys):
+    """The window of candidate digits of each point on a parity-free row,
+    as in _digit: the integers lo..hi next to the interval that the lines
+    keep in the triangle, and whether there is one.  There is none where a
+    sample is not finite or the interval is empty, wider than _MAX_WIDTH
+    or beyond _SHALLOW."""
+    image0, image1 = _images(key, 0, xs, ys, 1.0), _images(key, 1, xs, ys, -1.0)
+    bottom, top = np.zeros(xs.size), np.full(xs.size, float(_SHALLOW))
+    for a, b in _lines(image0, image1):
+        v = -a / b
+        bottom = np.where(b > 0, np.maximum(bottom, v), bottom)
+        top = np.where(b < 0, np.minimum(top, v), np.where((b == 0) & (a < 0), -np.inf, top))
+    ok = (np.isfinite(image0[0]) & np.isfinite(image0[1]) & np.isfinite(image1[0])
+          & np.isfinite(image1[1]) & (bottom <= top) & (top <= bottom + _MAX_WIDTH))
+    lo = np.where(ok, np.ceil(bottom) - 1, 0).astype(np.int64)
+    hi = np.where(ok, np.floor(top) + 1, 0).astype(np.int64)
+    return lo, hi, ok
 
 
 # --- exact ranges: one linear-fractional fit per parity class --------------
@@ -178,7 +211,8 @@ def _window(key):
     scan from k = 0 counts hits up to six steps apart as one run, and on
     parity rows cylinders k and k + 2 can touch; on parity-free rows the
     cylinders form a fan, and two that are not neighbours meet only at its
-    vertex."""
+    vertex.  _solve reads the reach on parity rows only: on parity-free
+    rows its window is the line bracket."""
     return (7, 6) if FORWARD[key].parity else (1, 0)
 
 
@@ -361,10 +395,13 @@ def _solve_exact(key, xs, ys, k_max):
 @np.errstate(all="ignore")
 def _solve(key, xs, ys, k_max):
     """digits, and the images each digit was accepted on."""
-    found = _search(key, xs, ys, min(k_max, _SHALLOW))
     reach, margin = _window(key)
-    lo, hi = np.maximum(found - reach, 0), np.minimum(found + reach, k_max)
-    sure = found >= 0
+    if FORWARD[key].parity:
+        found = _search(key, xs, ys, min(k_max, _SHALLOW))
+        lo, hi, sure = found - reach, found + reach, found >= 0
+    else:
+        lo, hi, sure = _bracket(key, xs, ys)
+    lo, hi = np.maximum(lo, 0), np.minimum(hi, k_max)
     idx = np.nonzero(sure)[0]
     digit, image_x, image_y, lowest, highest, count = _decide(
         key, xs, ys, *_spread(idx, lo[idx], hi[idx]))
@@ -401,10 +438,8 @@ def _digit(key, x, y, k_max=K_MAX_DEFAULT):
         except ZeroDivisionError:
             pass
         if image1 is not None and math.isfinite(image1[0]) and math.isfinite(image1[1]):
-            (xa, ya), (xb, yb) = image0, image1
             bottom, top = 0.0, float(_SHALLOW)
-            # constraints a + b*k >= 0: y' >= 0, x' - y' >= 0, x' <= 1
-            for a, b in ((ya, yb - ya), (xa - ya, xb - yb - xa + ya), (1.0 - xa, xa - xb)):
+            for a, b in _lines(image0, image1):
                 if b > 0:
                     v = -a / b
                     if v > bottom:

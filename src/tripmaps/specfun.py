@@ -28,7 +28,8 @@ callers that apply a kernel on the nodes instead of a callable.
 The triangle integrator is an adaptive subdivision scheme built on a
 degree-5 seven-point rule whose nodes are strictly interior, so integrable
 boundary singularities (1/x, 1/(1-y), log types) never get sampled on the
-singular set itself.
+singular set itself.  integrate_triangles runs a batch of integrals in one
+loop, each on its own leaves; integrate_triangle is its one-integrand face.
 """
 
 from __future__ import annotations
@@ -339,30 +340,32 @@ _TRI_BARY_ARR = np.array(_TRI_BARY)          # (7, 3)
 _TRI_W_ARR = np.array(_TRI_WEIGHTS)          # (7,)
 
 
-def _quad_many(fun, tris: np.ndarray) -> np.ndarray:
-    """Degree-5 rule on a batch of triangles; tris has shape (n, 3, 2)."""
+def _quad_many(fun, tris: np.ndarray, which: np.ndarray) -> np.ndarray:
+    """Degree-5 rule on a batch of triangles; tris has shape (n, 3, 2), and
+    triangle j belongs to integral which[j] of fun."""
     xs = tris[:, :, 0] @ _TRI_BARY_ARR.T     # (n, 7)
     ys = tris[:, :, 1] @ _TRI_BARY_ARR.T
     areas = 0.5 * np.abs(
         (tris[:, 1, 0] - tris[:, 0, 0]) * (tris[:, 2, 1] - tris[:, 0, 1])
         - (tris[:, 2, 0] - tris[:, 0, 0]) * (tris[:, 1, 1] - tris[:, 0, 1]))
-    return (_eval_vec(fun, xs, ys) @ _TRI_W_ARR) * areas
+    return (_eval_vec(fun, xs, ys, which[:, None]) @ _TRI_W_ARR) * areas
+
+
+# the four children of a triangle (a, b, c), as rows of a, b, c and the
+# midpoints of ab, bc and ca
+_CHILDREN = np.array([[0, 3, 5], [3, 1, 4], [5, 4, 2], [3, 4, 5]])
 
 
 def _subdivide(tris: np.ndarray) -> np.ndarray:
-    a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
-    m_ab, m_bc, m_ca = (a + b) / 2, (b + c) / 2, (c + a) / 2
-    kids = np.empty((tris.shape[0], 4, 3, 2))
-    kids[:, 0] = np.stack([a, m_ab, m_ca], axis=1)
-    kids[:, 1] = np.stack([m_ab, b, m_bc], axis=1)
-    kids[:, 2] = np.stack([m_ca, m_bc, c], axis=1)
-    kids[:, 3] = np.stack([m_ab, m_bc, m_ca], axis=1)
-    return kids
+    corners = np.concatenate([tris, (tris + tris[:, [1, 2, 0]]) / 2], axis=1)
+    return corners[:, _CHILDREN]
 
 
-def integrate_triangle(fun: Callable[[float, float], float], abs_tol: float,
-                       max_depth: int = 40, max_leaves: int = 400_000) -> float:
-    """Adaptive integral of fun over the triangle 0 < y < x < 1.
+def integrate_triangles(fun: Callable, m: int, abs_tol: float, max_depth: int = 40,
+                        max_leaves: int = 400_000) -> np.ndarray:
+    """m adaptive integrals over the triangle 0 < y < x < 1 in one loop:
+    integral i is that of fun(x, y, i), where fun gets the integral of each
+    point as an integer array that broadcasts against x and y.
 
     Leaves carry the one-level difference |fine - coarse| as error
     estimate (conservative: near singularities the rule drops to first
@@ -371,42 +374,82 @@ def integrate_triangle(fun: Callable[[float, float], float], abs_tol: float,
     geometrically into corner or edge singularities without flooding the
     smooth interior.  fun is evaluated on numpy arrays only; one that
     cannot take them raises NotArrayNative.
+
+    Each integral runs its own rule on its own leaves: its refinement
+    threshold, its fallback to its largest leaf, its stop at 0.9 abs_tol
+    and its max_depth and max_leaves.  Its leaves stay together, in the
+    order a loop over it alone would keep, so its value has the bits of
+    that loop whatever its batch.  The first integral to get stuck raises
+    NonConvergent.
     """
 
-    def expand(tris, coarse):
+    def expand(tris, owner, coarse):
         # leaf payload: children quads give the refined value and the gap
         kids = _subdivide(tris)
-        kq = _quad_many(fun, kids.reshape(-1, 3, 2)).reshape(-1, 4)
+        kq = _quad_many(fun, kids.reshape(-1, 3, 2), np.repeat(owner, 4)).reshape(-1, 4)
         fine = kq.sum(axis=1)
         gap = np.abs(fine - coarse)
         return kids, kq, fine, gap
 
-    tris = np.array([TRIANGLE_VERTICES], dtype=float)
-    kids, kidq, fine, gap = expand(tris, _quad_many(fun, tris))
-    depth = np.zeros(1, dtype=int)
+    # the integrals still running, and the row of each leaf's integral
+    # among them
+    ids = which = np.arange(m)
+    tris = np.repeat(np.array([TRIANGLE_VERTICES], dtype=float), m, axis=0)
+    kids, kidq, fine, gap = expand(tris, ids, _quad_many(fun, tris, ids))
+    depth = np.zeros(m, dtype=int)
+    values = np.empty(m)
 
-    while True:
-        est = gap
-        total_err = float(est.sum())
-        if total_err <= 0.9 * abs_tol:
-            break
+    while ids.size:
+        # integral i's leaves are order[starts[i]:ends[i]], in the order a
+        # loop over it alone keeps them: its kept leaves, then its new ones
+        order = np.argsort(which, kind="stable")
+        leaves = np.bincount(which, minlength=ids.size)
+        ends = np.cumsum(leaves)
+        starts = ends - leaves
+        spans = list(zip(starts.tolist(), ends.tolist()))
+        # np.sum adds pairwise, np.add.reduceat in a row: one sum per integral
+        est = gap[order]
+        total_err = np.array([est[a:b].sum() for a, b in spans])
+        done = total_err <= 0.9 * abs_tol
+        if done.any():
+            # a converged integral keeps its value, and its leaves go
+            part = fine[order]
+            values[ids[done]] = [part[a:b].sum() for (a, b), d in zip(spans, done) if d]
+            keep = ~done[which]
+            ids, which = ids[~done], (np.cumsum(~done) - 1)[which[keep]]
+            kids, kidq, fine, gap, depth = (v[keep] for v in (kids, kidq, fine, gap, depth))
+            continue
         refinable = depth < max_depth
-        if not refinable.any() or fine.size > max_leaves:
+        worst = np.maximum.reduceat(np.where(refinable, gap, -np.inf)[order], starts)
+        # a nan estimate selects no leaf, and would never leave the loop
+        stuck = np.isnan(total_err) | (worst == -np.inf) | (leaves > max_leaves)
+        if stuck.any():
+            i = int(np.argmax(stuck))
             raise NonConvergent(
-                f"triangle quadrature stuck at error {total_err:.3e} "
-                f"with {fine.size} leaves")
-        thr = max(total_err / (2.0 * fine.size),
-                  float(est[refinable].max()) / 64.0)
-        sel = refinable & (est >= thr)
-        if not sel.any():
-            sel = refinable & (est == est[refinable].max())
-        nk, nkq, nfine, ngap = expand(kids[sel].reshape(-1, 3, 2),
+                f"triangle quadrature of integral {ids[i]} stuck at error {total_err[i]:.3e} "
+                f"with {leaves[i]} leaves")
+        thr = np.maximum(total_err / (2.0 * leaves), worst / 64.0)
+        sel = refinable & (gap >= thr[which])
+        none = np.bincount(which[sel], minlength=ids.size) == 0
+        sel |= refinable & none[which] & (gap == worst[which])
+        born = np.repeat(which[sel], 4)
+        nk, nkq, nfine, ngap = expand(kids[sel].reshape(-1, 3, 2), ids[born],
                                       kidq[sel].reshape(-1))
         keep = ~sel
+        which = np.concatenate([which[keep], born])
         kids = np.concatenate([kids[keep], nk])
         kidq = np.concatenate([kidq[keep], nkq])
         fine = np.concatenate([fine[keep], nfine])
         gap = np.concatenate([gap[keep], ngap])
         depth = np.concatenate([depth[keep], np.repeat(depth[sel] + 1, 4)])
 
-    return float(fine.sum())
+    return values
+
+
+def integrate_triangle(fun: Callable[[float, float], float], abs_tol: float,
+                       max_depth: int = 40, max_leaves: int = 400_000) -> float:
+    """Adaptive integral of fun over the triangle 0 < y < x < 1: the
+    one-integrand face of integrate_triangles."""
+    # wrapped, so that an error names fun
+    lone = functools.wraps(fun)(lambda x, y, i: fun(x, y))
+    return float(integrate_triangles(lone, 1, abs_tol, max_depth, max_leaves)[0])

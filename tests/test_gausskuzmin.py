@@ -16,6 +16,7 @@ from tripmaps.gausskuzmin import (
     WALKER_STEPS,
     EmpiricalStats,
     cylinder_measure,
+    cylinder_measures,
     density,
     empirical_digits,
     _gl_panels,
@@ -59,9 +60,20 @@ def test_cylinder_p0_eee_dilog_oracle():
 
 
 def test_closed_forms_match_quadrature():
-    for k in range(1, 6):
-        assert abs(cylinder_measure(EEE, k) - p_closed_eee(k)) < 1e-6
-        assert abs(cylinder_measure(E23E, k) - p_integral_e23e(k)) < 1e-6
+    ks = range(1, 6)
+    for k, p_eee, p_e23e in zip(ks, cylinder_measures(EEE, ks), cylinder_measures(E23E, ks)):
+        assert abs(p_eee - p_closed_eee(k)) < 1e-6
+        assert abs(p_e23e - p_integral_e23e(k)) < 1e-6
+
+
+@pytest.mark.parametrize("key", list(DENSITIES), ids=",".join)
+def test_cylinder_measures_match_one_digit_calls(key):
+    # one batch of integrals per triple gives each digit the bits of its
+    # lone integral
+    t = PermutationTriple(*key)
+    batch = cylinder_measures(t, range(11))
+    assert batch.shape == (11,)
+    assert [float(p).hex() for p in batch] == [cylinder_measure(t, k).hex() for k in range(11)]
 
 
 def test_cylinder_vs_indicator_quadrature():
@@ -296,8 +308,7 @@ def test_draws_match_cylinder_measures(key):
     xs, ys = gausskuzmin._draws(np.random.Generator(np.random.Philox(77)), density(t), n)
     assert xs.shape == ys.shape == (n,) and in_triangle((xs, ys)).all()
     found = digits(key, xs, ys)
-    for k in range(3):
-        p = cylinder_measure(t, k)
+    for k, p in enumerate(cylinder_measures(t, range(3))):
         assert abs(np.mean(found == k) - p) < 4 * math.sqrt(p * (1 - p) / n), k
 def test_empirical_matches_theory_small_n():
     st = empirical_digits(E23E, 50_000, seed=9)

@@ -574,3 +574,84 @@ def test_one_point_digit_matches_former_on_orbit_windows(sample_points):
                 assert _bits(maps._digit, key, qx, qy) == _bits(_former_digit, key, qx, qy), \
                     (key, k, qx, qy)
 
+
+
+# --- the line bracket of _solve against the search window ------------------
+
+PARITY_FREE = [key for key in supported_triples() if not FORWARD[key].parity]
+
+
+@np.errstate(all="ignore")
+def _search_window_solve(key, xs, ys, k_max=K_MAX_DEFAULT):
+    """_solve on a parity-free row with the window of the galloping
+    search, the integers next to the searched digit, in place of the line
+    bracket."""
+    found = maps._search(key, xs, ys, min(k_max, _SHALLOW))
+    reach, margin = _window(key)
+    lo, hi = np.maximum(found - reach, 0), np.minimum(found + reach, k_max)
+    sure = found >= 0
+    idx = np.nonzero(sure)[0]
+    digit, image_x, image_y, lowest, highest, count = maps._decide(
+        key, xs, ys, *maps._spread(idx, lo[idx], hi[idx]))
+    sure &= ((count > 0) & (highest - lowest == count - 1)
+             & ((lowest > lo) | (lo == 0)) & ((highest + margin < hi) | (hi == k_max)))
+    redo = np.nonzero(~sure)[0]
+    if redo.size:
+        digit[redo], image_x[redo], image_y[redo] = maps._solve_exact(
+            key, xs[redo], ys[redo], k_max)
+    return digit.astype(np.int64), image_x, image_y
+
+
+def _first(solve):
+    # the digit and image of one point, through the array solver
+    def one(key, x, y):
+        return tuple(v[0] for v in solve(key, np.array([x]), np.array([y]), K_MAX_DEFAULT))
+    return one
+
+
+@st.composite
+def _parity_free_points(draw):
+    key = draw(st.sampled_from(PARITY_FREE))
+    where = draw(st.sampled_from(("interior", "cylinder", "deep") + tuple(_NEAR)))
+    u, v = draw(st.floats(0.001, 0.999)), draw(st.floats(0.001, 0.999))
+    if where == "interior":
+        return key, max(u, v), min(u, v)
+    if where in _NEAR:
+        return (key, *_NEAR[where](10.0 ** draw(st.floats(-14.0, -2.0)), u))
+    if where == "cylinder":
+        # branch_k of a point next to an edge lies next to the boundary of
+        # cylinder k
+        gap = 10.0 ** draw(st.floats(-17.0, -9.0))
+        edge = draw(st.sampled_from(("bottom", "diagonal", "right")))
+        x, y = {"bottom": (u, gap * u), "diagonal": (u, u * (1.0 - gap)),
+                "right": (1.0 - gap, u * (1.0 - gap))}[edge]
+        k = int(10.0 ** draw(st.floats(0.0, 7.0)))
+    else:
+        # digits of 1e6 to 5e8 sit next to a vertex
+        x, y = max(u, v), min(u, v)
+        k = int(10.0 ** draw(st.floats(6.0, math.log10(5e8))))
+    return (key, *_branch(key, k, x, y))
+
+
+@settings(max_examples=800, deadline=None)
+@given(_parity_free_points())
+def test_line_bracket_matches_search_window(point):
+    # on parity-free rows _solve takes its window from the line through the
+    # images at k = 0 and 1; the search window gives every point the same
+    # digit and image bit for bit, or the same error
+    key, x, y = point
+    assume(0.0 < y < x < 1.0)
+    assert _bits(_first(_solve), key, x, y) == _bits(_first(_search_window_solve), key, x, y), \
+        (key, x, y)
+
+
+def test_solve_searches_parity_rows_only(monkeypatch, sample_points):
+    # the walkers run on parity-free rows, where no galloping search runs
+    def no_search(*args):
+        raise AssertionError("search called")
+
+    monkeypatch.setattr(maps, "_search", no_search)
+    for key in PARITY_FREE:
+        qs = [_branch(key, k, p.x, p.y) for k in (0, 1, 5, 999) for p in sample_points[:4]]
+        got = maps.digits(key, [q[0] for q in qs], [q[1] for q in qs])
+        assert np.array_equal(got, np.repeat([0, 1, 5, 999], 4)), key

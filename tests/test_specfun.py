@@ -6,6 +6,7 @@ import pytest
 import scipy.special as sp
 from hypothesis import given, settings, strategies as st
 
+from tripmaps import specfun
 from tripmaps.errors import DomainError, NonConvergent, NotArrayNative
 from tripmaps.specfun import (
     DM_TOL,
@@ -15,6 +16,7 @@ from tripmaps.specfun import (
     halfline_nodes,
     integrate_halfline,
     integrate_triangle,
+    integrate_triangles,
     laguerre1,
 )
 
@@ -234,3 +236,107 @@ def test_triangle_nonconvergent():
     with pytest.raises(NonConvergent):
         integrate_triangle(lambda x, y: 1.0 / (x * y), 1e-6, max_depth=18,
                            max_leaves=20_000)
+
+
+def _batch(funs):
+    # integral i of the batch is funs[i]
+    def fun(x, y, i):
+        return np.choose(np.broadcast_to(i, x.shape),
+                         [np.broadcast_to(f(x, y), x.shape) for f in funs])
+    return fun
+
+
+_TRIANGLE_CASES = [
+    lambda x, y: 2.0 + 0.0 * x,             # converges at the first level
+    lambda x, y: x * y,
+    lambda x, y: 12.0 / (math.pi ** 2 * x * (y + 1.0)),
+    lambda x, y: 6.0 / (math.pi ** 2 * x * (1.0 - y)),
+    lambda x, y: np.exp(x) * y,
+    lambda x, y: np.cos(3.0 * x) * np.sqrt(y + 1.0),
+]
+
+
+# The former one-integral loop, copied verbatim (only the names carry
+# _former): every leaf's children in one (n, 4, 3, 2) array, kept leaves
+# then new ones, and one np.sum over all leaves.
+def _former_quad_many(fun, tris):
+    xs = tris[:, :, 0] @ specfun._TRI_BARY_ARR.T
+    ys = tris[:, :, 1] @ specfun._TRI_BARY_ARR.T
+    areas = 0.5 * np.abs(
+        (tris[:, 1, 0] - tris[:, 0, 0]) * (tris[:, 2, 1] - tris[:, 0, 1])
+        - (tris[:, 2, 0] - tris[:, 0, 0]) * (tris[:, 1, 1] - tris[:, 0, 1]))
+    return (specfun._eval_vec(fun, xs, ys) @ specfun._TRI_W_ARR) * areas
+
+
+def _former_subdivide(tris):
+    a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
+    m_ab, m_bc, m_ca = (a + b) / 2, (b + c) / 2, (c + a) / 2
+    kids = np.empty((tris.shape[0], 4, 3, 2))
+    kids[:, 0] = np.stack([a, m_ab, m_ca], axis=1)
+    kids[:, 1] = np.stack([m_ab, b, m_bc], axis=1)
+    kids[:, 2] = np.stack([m_ca, m_bc, c], axis=1)
+    kids[:, 3] = np.stack([m_ab, m_bc, m_ca], axis=1)
+    return kids
+
+
+def _former_triangle(fun, abs_tol, max_depth=40, max_leaves=400_000):
+    def expand(tris, coarse):
+        kids = _former_subdivide(tris)
+        kq = _former_quad_many(fun, kids.reshape(-1, 3, 2)).reshape(-1, 4)
+        fine = kq.sum(axis=1)
+        gap = np.abs(fine - coarse)
+        return kids, kq, fine, gap
+
+    tris = np.array([specfun.TRIANGLE_VERTICES], dtype=float)
+    kids, kidq, fine, gap = expand(tris, _former_quad_many(fun, tris))
+    depth = np.zeros(1, dtype=int)
+    while True:
+        est = gap
+        total_err = float(est.sum())
+        if total_err <= 0.9 * abs_tol:
+            break
+        refinable = depth < max_depth
+        if not refinable.any() or fine.size > max_leaves:
+            raise NonConvergent(f"triangle quadrature stuck at error {total_err:.3e} "
+                                f"with {fine.size} leaves")
+        thr = max(total_err / (2.0 * fine.size), float(est[refinable].max()) / 64.0)
+        sel = refinable & (est >= thr)
+        if not sel.any():
+            sel = refinable & (est == est[refinable].max())
+        nk, nkq, nfine, ngap = expand(kids[sel].reshape(-1, 3, 2), kidq[sel].reshape(-1))
+        keep = ~sel
+        kids = np.concatenate([kids[keep], nk])
+        kidq = np.concatenate([kidq[keep], nkq])
+        fine = np.concatenate([fine[keep], nfine])
+        gap = np.concatenate([gap[keep], ngap])
+        depth = np.concatenate([depth[keep], np.repeat(depth[sel] + 1, 4)])
+    return float(fine.sum())
+
+
+@pytest.mark.parametrize("order", [[0, 1, 2, 3, 4, 5], [5, 4, 3, 2, 1, 0], [2, 0], [5]])
+def test_triangle_batch_matches_former_loop(order):
+    # each integral of a batch refines, stops and sums its own leaves in
+    # the order of the former one-integral loop, so its value has that
+    # loop's bits whatever its batch-mates; so does the one-integral face
+    funs = [_TRIANGLE_CASES[i] for i in order]
+    former = [_former_triangle(f, 1e-10).hex() for f in funs]
+    got = integrate_triangles(_batch(funs), len(funs), 1e-10)
+    assert got.shape == (len(funs),)
+    assert [v.hex() for v in got.tolist()] == former
+    assert [integrate_triangle(f, 1e-10).hex() for f in funs] == former
+
+
+def test_triangle_batch_nonconvergent_names_integral():
+    # the budget holds per integral: the stuck one is named, beside smooth
+    # ones that converge
+    funs = [lambda x, y: x * y, lambda x, y: np.exp(x) * y, lambda x, y: 1.0 / (x * y)]
+    with pytest.raises(NonConvergent, match="integral 2 "):
+        integrate_triangles(_batch(funs), 3, 1e-6, max_depth=18, max_leaves=20_000)
+    with pytest.raises(NonConvergent, match="integral 0 "):
+        integrate_triangles(_batch(funs[::-1]), 3, 1e-6, max_depth=18, max_leaves=20_000)
+
+
+def test_triangle_nan_integrand_raises():
+    # a nan estimate selects no leaf to refine
+    with pytest.raises(NonConvergent, match="nan"):
+        integrate_triangle(lambda x, y: np.where(x > 0.5, np.nan, x), 1e-9)
