@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -260,3 +261,35 @@ def test_verify_claim_error(capsys, monkeypatch):
     monkeypatch.setattr(claims, "CLAIMS", [claims.Claim("stalls", 1.0, stalls)])
     code, out, err = run(capsys, "verify")
     assert code == 2 and out == "" and "stalled" in err
+
+
+_EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+
+
+@pytest.mark.parametrize("triple, start, out_sha, err_sha", [
+    # parity-free rows: 200 steps each, digits up to about 1e11 from the
+    # second start
+    ("e,e,e", "0.573,0.211",
+     "5b841f7f0183472e9c1da12fe4b906fd6169dec08a0abed2f726bea9dab65127", _EMPTY),
+    ("e,e,e", "0.8123,0.4567",
+     "0b8291be0ed45dac4ae11cd12330436e675e754253a88c49a93c109338f90ff3", _EMPTY),
+    ("e,23,e", "0.573,0.211",
+     "bb74b7aaf09e09e0ee4225554c41544425646b64e31e92a49d3bd4b308be7bb1", _EMPTY),
+    ("e,23,e", "0.8123,0.4567",
+     "97e316c3472b7d4d1f95125d7f6b6e18a5a0f9d3e85d942a2ad7d11df91efcf4", _EMPTY),
+    ("12,13,12", "0.573,0.211",
+     "780b1c2045dca8b7dab81e8cd4ef072611e7adcddd2f861b1332cb0a56374bc7", _EMPTY),
+    ("12,13,12", "0.8123,0.4567",
+     "c931ba93eb1c96b340beec136d275a043a4f5b89349e8905001e727f54fb998c", _EMPTY),
+    # a parity row, stopped next to a vertex at step 12
+    ("e,e,12", "0.6123,0.2871",
+     "d239a9df0f51bc5fcbadcdaed31bd31be8819337f3b84b0889bf1adac822752b",
+     "8e7592fb1936b26ba52b26c07a8d01906f5a4aa36ba722bd95e32db54a6b6d4f"),
+])
+def test_orbit_rows_are_pinned(capsys, triple, start, out_sha, err_sha):
+    # every digit and image of these orbits, byte for byte: a change to the
+    # digit path that moves one step moves a digest
+    code, out, err = run(capsys, "orbit", "--triple", triple, "--n", "200", "--start", start)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == out_sha
+    assert hashlib.sha256(err.encode()).hexdigest() == err_sha
