@@ -4,13 +4,13 @@ Digit extraction inverts the implicit partition of the triangle: digit k is
 the branch index whose formula maps the point back into the closed
 triangle, the lowest one where rounding admits a run of them.
 
+Every digit comes from one solver, _solve, on arrays of points; an orbit
+step and extract_digit call it on one-element arrays.
+
 On parity-free rows, which include all 18 density rows and both ergodic
 maps, both image components are affine in k, and the line through the
-images at k = 0 and 1 brackets the digit in two evaluations (_lines).
-The array path (_solve, _bracket) and the one-point path that orbit steps
-use (_digit, on Python floats) both take their window of candidates from
-that bracket; _digit hands parity rows, and whatever its loop cannot
-settle, to _solve on one-element arrays.
+images at k = 0 and 1 brackets the digit in two evaluations (_lines,
+_bracket).
 
 On parity rows the window comes from a search.  The inverse branches are
 F1^k F0, F0 the digit-0 branch, so the points of digit at least K form the
@@ -147,17 +147,17 @@ def _search(key, xs, ys, limit):
 def _lines(image0, image1):
     """The membership constraints y' >= 0, x' - y' >= 0, x' <= 1 of a
     parity-free row, as pairs (a, b) of lines a + b*k >= 0 through the
-    images at k = 0 and 1; on floats or on arrays."""
+    images at k = 0 and 1, on arrays."""
     (xa, ya), (xb, yb) = image0, image1
     return (ya, yb - ya), (xa - ya, xb - yb - xa + ya), (1.0 - xa, xa - xb)
 
 
 def _bracket(key, xs, ys):
-    """The window of candidate digits of each point on a parity-free row,
-    as in _digit: the integers lo..hi next to the interval that the lines
-    keep in the triangle, and whether there is one.  There is none where a
-    sample is not finite or the interval is empty, wider than _MAX_WIDTH
-    or beyond _SHALLOW."""
+    """The window of candidate digits of each point on a parity-free row:
+    the integers lo..hi next to the interval that the lines keep in the
+    triangle, and whether there is one.  There is none where a sample is
+    not finite or the interval is empty, wider than _MAX_WIDTH or beyond
+    _SHALLOW."""
     image0, image1 = _images(key, 0, xs, ys, 1.0), _images(key, 1, xs, ys, -1.0)
     bottom, top = np.zeros(xs.size), np.full(xs.size, float(_SHALLOW))
     for a, b in _lines(image0, image1):
@@ -416,89 +416,19 @@ def _solve(key, xs, ys, k_max):
     return digit.astype(np.int64), image_x, image_y
 
 
-def _digit(key, x, y, k_max=K_MAX_DEFAULT):
-    """(digit, x', y') of one point, with the image the digit was accepted
-    on.  On parity-free rows one point runs on floats, where numpy on
-    one-element arrays costs far more than an orbit step: both image
-    components are affine in k, and the window is the integers next to the
-    interval that the line through the images at k = 0 and 1 keeps in the
-    triangle.  One loop then applies the tie rules of _decide to the
-    window.  A parity row, or a window whose run of hits is not clean, goes
-    to _solve on one-element arrays."""
-    row = FORWARD[key]
-    f = row.f
-    lo = image1 = None
-    if not row.parity:
-        # no window where a sample is singular or the interval is empty,
-        # wide or beyond _SHALLOW
-        try:
-            image0 = f(0, x, y, 1.0)
-            if math.isfinite(image0[0]) and math.isfinite(image0[1]):
-                image1 = f(1, x, y, -1.0)
-        except ZeroDivisionError:
-            pass
-        if image1 is not None and math.isfinite(image1[0]) and math.isfinite(image1[1]):
-            bottom, top = 0.0, float(_SHALLOW)
-            for a, b in _lines(image0, image1):
-                if b > 0:
-                    v = -a / b
-                    if v > bottom:
-                        bottom = v
-                elif b < 0:
-                    v = -a / b
-                    if v < top:
-                        top = v
-                elif a < 0:
-                    top = -math.inf
-            if bottom <= top <= bottom + _MAX_WIDTH:
-                lo, hi = math.ceil(bottom) - 1, math.floor(top) + 1
-    if lo is not None:
-        if lo < 0:
-            lo = 0
-        if hi > k_max:
-            hi = k_max
-        # the lowest hit, the lowest hit inside at the base tolerance, the
-        # highest hit and the number of hits
-        first = inside = None
-        last = count = 0
-        for k in range(lo, hi + 1):
-            if k > 1:
-                try:
-                    xp, yp = f(k, x, y, -1.0 if k & 1 else 1.0)
-                except ZeroDivisionError:
-                    continue
-            else:
-                xp, yp = image1 if k else image0
-            # a non-finite image fails a comparison, so it is no hit
-            tol = MEMBERSHIP_TOL + 1e-15 * k
-            if yp >= -tol and xp - yp >= -tol and xp <= 1.0 + tol:
-                if first is None:
-                    first = k, xp, yp
-                if inside is None and yp >= -MEMBERSHIP_TOL and xp - yp >= -MEMBERSHIP_TOL \
-                        and xp <= 1.0 + MEMBERSHIP_TOL:
-                    inside = k, xp, yp
-                last = k
-                count += 1
-        # clean: contiguous, above the start of the window and below its
-        # end, unless it stops at 0 or k_max; the tie rules of _decide then
-        # pick the same hit
-        if (first is not None and last - first[0] == count - 1
-                and (first[0] > lo or lo == 0) and (last < hi or hi == k_max)):
-            return first if inside is None else inside
-    k, xp, yp = _solve(key, np.array([x], dtype=float), np.array([y], dtype=float), k_max)
-    return int(k[0]), float(xp[0]), float(yp[0])
-
-
 def digits(key, xs, ys, k_max: int = K_MAX_DEFAULT) -> np.ndarray:
     """The digit of each point (xs[i], ys[i]) under the row key, as an
     int64 array.  Raises DigitNotFound for a point no branch k <= k_max
     admits and AmbiguousDigit for one that admits branches far apart."""
     xs, ys = np.asarray(xs, dtype=float).ravel(), np.asarray(ys, dtype=float).ravel()
+    if xs.size != ys.size:
+        raise ValueError(f"xs and ys differ in size: {xs.size} and {ys.size}")
     return _solve(key, xs, ys, k_max)[0]
 
 
 def extract_digit(t: PermutationTriple, p: TrianglePoint, k_max: int = K_MAX_DEFAULT) -> int:
-    return _digit(t.key, p.x, p.y, k_max)[0]
+    """The digit of one point, from _solve on a one-element array."""
+    return int(digits(t.key, [p.x], [p.y], k_max)[0])
 
 
 def branch_roundtrip(t: PermutationTriple, k_max: int,
@@ -507,6 +437,10 @@ def branch_roundtrip(t: PermutationTriple, k_max: int,
     and whether the digit of every branch_k(p) is k.  The branch points
     are the leaves of a one-level preimage tree, point i's branch k at
     leaf i*(k_max + 1) + k."""
+    if k_max < 0:
+        raise ValueError("k_max must be non-negative")
+    if not points:
+        raise ValueError("no points")
     xs = np.array([p.x for p in points])
     ys = np.array([p.y for p in points])
     K = k_max + 1
@@ -538,7 +472,12 @@ def off_boundary(x, y):
 
 
 def step(t: PermutationTriple, p: TrianglePoint) -> OrbitStep:
-    k, xp, yp = _digit(t.key, p.x, p.y)
+    """One orbit step: the digit of p and its image, from _solve on
+    one-element arrays, the image exactly as the accepted branch formula
+    gives it.  Raises BoundaryHit where the image fails off_boundary."""
+    k, xp, yp = _solve(t.key, np.array([p.x], dtype=float), np.array([p.y], dtype=float),
+                       K_MAX_DEFAULT)
+    k, xp, yp = int(k[0]), float(xp[0]), float(yp[0])
     if not off_boundary(xp, yp):
         raise BoundaryHit(f"orbit of {t} hit the boundary at ({xp}, {yp})")
     return OrbitStep(digit=k, image=TrianglePoint(xp, yp))

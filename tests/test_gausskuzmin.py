@@ -24,7 +24,7 @@ from tripmaps.gausskuzmin import (
     p_closed_eee,
     p_integral_e23e,
 )
-from tripmaps.maps import digits, extract_digit, step
+from tripmaps.maps import digits, step
 from tripmaps.specfun import dilog, integrate_triangle
 from tripmaps.tables.eigen import DENSITIES
 from tripmaps.transfer import branch_point
@@ -77,18 +77,17 @@ def test_cylinder_measures_match_one_digit_calls(key):
 
 
 def test_cylinder_vs_indicator_quadrature():
-    # coarse dual route: resolve the digit pointwise on a midpoint grid;
-    # arbitrates the pullback form of cylinder_measure
+    # coarse dual route: resolve the digit of each point of a midpoint grid
+    # (one batch); arbitrates the pullback form of cylinder_measure
     n = 260
     acc = 0.0
     r = density(E23E)
     h = 1.0 / n
-    for i in range(n):
-        x = (i + 0.5) * h
-        for j in range(i):
-            y = (j + 0.5) * h
-            if extract_digit(E23E, TrianglePoint(x, y), k_max=10 ** 9) == 1:
-                acc += r(x, y) * h * h
+    i, j = np.tril_indices(n, -1)
+    xs, ys = (i + 0.5) * h, (j + 0.5) * h
+    ones = digits(E23E.key, xs, ys, k_max=10 ** 9) == 1
+    for x, y in zip(xs[ones].tolist(), ys[ones].tolist()):
+        acc += r(x, y) * h * h
     assert abs(acc - cylinder_measure(E23E, 1)) < 5e-3
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -9,8 +10,7 @@ from tripmaps.domain import PermutationTriple, TrianglePoint, supported_triples
 from tripmaps.errors import (AmbiguousDigit, BoundaryHit, DigitNotFound, EvaluationSingularity,
                              OutsideTriangle)
 from tripmaps import maps, transfer
-from tripmaps.maps import (K_MAX_DEFAULT, MEMBERSHIP_TOL, _MAX_WIDTH, _SHALLOW, _eval_formula,
-                           _solve, _window)
+from tripmaps.maps import K_MAX_DEFAULT, _SHALLOW, _eval_formula, _solve, _window
 from tripmaps.tables.forward import FORWARD
 from tripmaps.tables.transfer_rows import TRANSFER, TransferRow
 
@@ -180,10 +180,6 @@ def _solo(key, x, y):
     return maps.digits(key, [x], [y])[0]
 
 
-def _one_point(key, x, y):
-    return maps._digit(key, x, y)[0]
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(supported_triples()), st.integers(0, 40),
        st.sampled_from(("bottom", "diagonal", "right")),
@@ -198,9 +194,7 @@ def test_digits_near_cylinder_boundaries(key, k, edge, log_gap, u):
     qx, qy = _branch(key, k, x, y)
     if not 0.0 < qy < qx < 1.0:
         return
-    got = _outcome(_solo, key, qx, qy)
-    assert got == _outcome(_scan, key, qx, qy) == _outcome(_one_point, key, qx, qy), \
-        (key, k, qx, qy)
+    assert _outcome(_solo, key, qx, qy) == _outcome(_scan, key, qx, qy), (key, k, qx, qy)
 
 
 @settings(max_examples=200, deadline=None)
@@ -218,9 +212,8 @@ def test_digits_deep_corner_points(key, log_k, u, v):
     qx, qy = _branch(key, k, x, y)
     if not 0.0 < qy < qx < 1.0:
         return
-    got = _outcome(_solo, key, qx, qy)
-    assert got == _outcome(_one_point, key, qx, qy), (key, qx, qy)
-    assert got == _outcome(_scan, key, qx, qy, k - 128, k + 128), (key, qx, qy)
+    assert _outcome(_solo, key, qx, qy) == _outcome(_scan, key, qx, qy, k - 128, k + 128), \
+        (key, qx, qy)
 
 
 @pytest.mark.parametrize("k", [10 ** 6 + 1, 3 * 10 ** 6])
@@ -263,7 +256,7 @@ def test_digits_deep_points_every_row(k):
     (("123", "123", "23"), 0.5000000051385803, 0.5000000018371361, 302897731),
 ])
 def test_digits_next_to_a_vertex(key, x, y, k):
-    assert _solo(key, x, y) == _one_point(key, x, y) == k == _scan(key, x, y, start=k - 64)
+    assert _solo(key, x, y) == k == _scan(key, x, y, start=k - 64)
 
 
 @pytest.mark.parametrize("key, x, y, k", [
@@ -276,7 +269,7 @@ def test_digits_next_to_a_vertex(key, x, y, k):
     (("132", "123", "13"), 0.9999999998224609, 8.64292826197044e-09, 97),
 ])
 def test_digits_lowest_run_wins(key, x, y, k):
-    assert _solo(key, x, y) == _one_point(key, x, y) == k == _scan(key, x, y)
+    assert _solo(key, x, y) == k == _scan(key, x, y)
 
 
 def test_digits_sample_on_a_pole():
@@ -292,14 +285,12 @@ def test_digit_at_a_vertex_is_ambiguous(key):
     # range never closes
     with pytest.raises(AmbiguousDigit):
         _solo(key, 1.0, 0.0)
-    with pytest.raises(AmbiguousDigit):
-        maps._digit(key, 1.0, 0.0)
 
 
 def test_digits_deep_at_bottom_edge():
     # the point of test_extract_digit_deep_at_bottom_edge, digit about 5e8
     key, x, y = ("12", "13", "12"), 0.9961326767967214, 2.022691291157514e-09
-    assert _solo(key, x, y) == _one_point(key, x, y) > 4 * 10 ** 8
+    assert _solo(key, x, y) > 4 * 10 ** 8
 
 
 @pytest.mark.parametrize("x, y, k", [
@@ -312,7 +303,7 @@ def test_digits_deep_at_bottom_edge():
 ])
 def test_digit_deep_in_bottom_left_corner(x, y, k):
     key = ("e", "12", "e")
-    assert _solo(key, x, y) == _one_point(key, x, y) == k == _scan(key, x, y, start=k - 64)
+    assert _solo(key, x, y) == k == _scan(key, x, y, start=k - 64)
 
 
 def test_exact_formulas_are_linear_fractional_in_each_class():
@@ -353,23 +344,6 @@ def test_deeper_is_digit_at_least_k(k, sample_points):
                 assert maps._deeper(f, branch, K, qx, qy, s) == (K <= k), (key, k, K)
 
 
-def test_one_point_stays_on_floats(monkeypatch, sample_points):
-    # on parity-free rows an orbit step costs a few float evaluations, not
-    # a call into the array solver, wherever the digit is below the search
-    # limit
-    def no_arrays(*args):
-        raise AssertionError("array solver called")
-
-    monkeypatch.setattr(maps, "_solve", no_arrays)
-    for key in supported_triples():
-        if FORWARD[key].parity:
-            continue
-        for k in (0, 1, 5, 17, 40, 999):
-            for p in sample_points[:4]:
-                qx, qy = _branch(key, k, p.x, p.y)
-                assert maps._digit(key, qx, qy)[0] == k, (key, k)
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(supported_triples()), st.integers(0, 29),
        st.sampled_from(("nan", "beyond k_max")))
@@ -402,118 +376,36 @@ def test_branch_roundtrip_bad_branch_point(monkeypatch, sample_points, fault, er
         maps.branch_roundtrip(EEE, 3, sample_points[:3])
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda pts: maps.digits(EEE.key, [0.6, 0.7], [0.2]), "xs and ys differ in size: 2 and 1"),
+    (lambda pts: maps.digits(EEE.key, [0.6, 0.7, 0.8], [0.2, 0.3]),
+     "xs and ys differ in size: 3 and 2"),
+    (lambda pts: maps.branch_roundtrip(EEE, -1, pts), "k_max must be non-negative"),
+    (lambda pts: maps.branch_roundtrip(EEE, 3, []), "no points"),
+], ids=["digits-2-1", "digits-3-2", "roundtrip-negative-kmax", "roundtrip-no-points"])
+def test_bad_input_is_named(sample_points, call, message):
+    # these escaped as an IndexError, a numpy broadcast error, and numpy's
+    # "zero-size array to reduction operation maximum"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(sample_points[:3])
+
+
 def test_digits_batch_matches_points_and_images(sample_points):
-    # one batched call gives each point's digit, and _digit hands back the
-    # image of the accepted branch exactly as the table formula gives it
+    # one batched call gives each point's digit, and an orbit step hands
+    # back the same digit as an int, with the image of the accepted branch
+    # exactly as the table formula gives it
     for key in supported_triples():
+        t = PermutationTriple(*key)
         qs = [_branch(key, k, p.x, p.y) for k in (0, 1, 5, 9) for p in sample_points[:4]]
         batch = maps.digits(key, [q[0] for q in qs], [q[1] for q in qs])
         for (x, y), k in zip(qs, batch):
-            digit, xp, yp = maps._digit(key, x, y)
-            assert digit == k == _scan(key, x, y), key
-            assert (xp, yp) == maps._eval_formula(key, digit, x, y), key
+            st = maps.step(t, TrianglePoint(x, y))
+            assert st.digit == k == _scan(key, x, y), key
+            assert type(st.digit) is int, key
+            assert (st.image.x, st.image.y) == _eval_formula(key, st.digit, x, y), key
 
 
-# --- the one-point digit against its former implementation -----------------
-
-# The former one-point path, copied verbatim (only _digit is renamed, and
-# _search_one calls maps._deeper): a dict of images, a _line_window helper
-# and _in_closure per candidate, and a scalar galloping search on parity
-# rows.  The lean loop of maps._digit, and _solve where it sends parity
-# rows, must give bit-identical digits and images.
-def _search_one(key, x, y, limit):
-    """The largest k <= limit whose _deeper holds, by galloping from k = 1
-    and bisecting; None where that is limit itself."""
-    f, branch = FORWARD[key].f, TRANSFER[key].branch
-
-    def deeper(k):
-        try:
-            return maps._deeper(f, branch, k, x, y, -1.0 if k & 1 else 1.0)
-        except ZeroDivisionError:
-            # counted as outside; the confirmation catches a wrong answer
-            return False
-
-    lo, hi = 0, 1
-    while True:
-        k = hi if hi < limit else limit
-        if not deeper(k):
-            hi = k
-            break
-        if k == limit:
-            return None
-        lo, hi = k, 2 * k
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if deeper(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-def _in_closure(xp, yp, tol=MEMBERSHIP_TOL):
-    return yp >= -tol and xp - yp >= -tol and xp <= 1.0 + tol
-
-
-def _line_window(key, x, y):
-    """Candidate digits of one point on a parity-free row, where both image
-    components are affine in k: the integers next to the interval that the
-    line through the images at k = 0 and 1 keeps in the triangle, and
-    those two images by their k.  None where a sample is singular or the
-    interval is empty, wide or beyond _SHALLOW."""
-    try:
-        images = {k: _eval_formula(key, k, x, y) for k in (0, 1)}
-    except EvaluationSingularity:
-        return None
-    (xa, ya), (xb, yb) = images[0], images[1]
-    lo, hi = 0.0, float(_SHALLOW)
-    # constraints a + b*k >= 0: y' >= 0, x' - y' >= 0, x' <= 1
-    for a, b in ((ya, yb - ya), (xa - ya, xb - yb - xa + ya), (1.0 - xa, xa - xb)):
-        if b > 0:
-            lo = max(lo, -a / b)
-        elif b < 0:
-            hi = min(hi, -a / b)
-        elif a < 0:
-            return None
-    if not lo <= hi <= lo + _MAX_WIDTH:
-        return None
-    return math.ceil(lo) - 1, math.floor(hi) + 1, images
-
-
-def _former_digit(key, x, y, k_max=K_MAX_DEFAULT):
-    """(digit, x', y') of one point, with the image the digit was accepted
-    on.  One point runs on floats, where numpy on one-element arrays costs
-    far more than an orbit step: the line through two images on parity-free
-    rows, the search on parity rows.  A window of candidates whose run of
-    hits is not clean goes to _solve."""
-    reach, margin = _window(key)
-    if FORWARD[key].parity:
-        found = _search_one(key, x, y, min(k_max, _SHALLOW))
-        window = None if found is None else (found - reach, found + reach, {})
-    else:
-        window = _line_window(key, x, y)
-    if window is not None:
-        lo, hi, images = max(window[0], 0), min(window[1], k_max), window[2]
-        hits = []
-        for k in range(lo, hi + 1):
-            image = images.get(k)
-            if image is None:
-                try:
-                    image = _eval_formula(key, k, x, y)
-                except EvaluationSingularity:
-                    continue
-            if _in_closure(*image, MEMBERSHIP_TOL + 1e-15 * k):
-                hits.append((k, *image))
-        # clean: contiguous, above the start of the window and more than
-        # margin steps below its end, unless it stops at 0 or k_max; the tie
-        # rules of _decide then pick the same hit
-        if (hits and hits[-1][0] - hits[0][0] == len(hits) - 1
-                and (hits[0][0] > lo or lo == 0)
-                and (hits[-1][0] + margin < hi or hi == k_max)):
-            return next((h for h in hits if _in_closure(h[1], h[2])), hits[0])
-    k, xp, yp = _solve(key, np.array([x], dtype=float), np.array([y], dtype=float), k_max)
-    return int(k[0]), float(xp[0]), float(yp[0])
-
+# --- the line bracket of _solve against the search window ------------------
 
 def _bits(fn, key, x, y):
     try:
@@ -533,50 +425,6 @@ _NEAR = {
     "corner (1, 1)": lambda g, u: (1.0 - g * u, 1.0 - g),
 }
 
-
-@settings(max_examples=400, deadline=None)
-@given(st.sampled_from(supported_triples()),
-       st.sampled_from(("interior",) + tuple(_NEAR)),
-       st.floats(-14.0, -2.0), st.floats(0.001, 0.999), st.floats(0.001, 0.999))
-def test_one_point_digit_matches_former(key, where, log_gap, u, v):
-    if where == "interior":
-        x, y = max(u, v), min(u, v)
-    else:
-        x, y = _NEAR[where](10.0 ** log_gap, u)
-    assume(0.0 < y < x < 1.0)
-    assert _bits(maps._digit, key, x, y) == _bits(_former_digit, key, x, y), (key, x, y)
-
-
-@settings(max_examples=400, deadline=None)
-@given(st.sampled_from(supported_triples()), st.floats(1.0, 7.0),
-       st.sampled_from(("bottom", "diagonal", "right")),
-       st.floats(-17.0, -9.0), st.floats(0.02, 0.98))
-def test_one_point_digit_matches_former_at_deep_cylinder_boundaries(key, log_k, edge, log_gap,
-                                                                     u):
-    # branch_k of a point next to an edge lies next to the boundary of
-    # cylinder k, where the eps*k allowance admits neighbours of the digit
-    # and the tie rules choose among the hits
-    gap = 10.0 ** log_gap
-    x, y = {"bottom": (u, gap * u), "diagonal": (u, u * (1.0 - gap)),
-            "right": (1.0 - gap, u * (1.0 - gap))}[edge]
-    qx, qy = _branch(key, int(10.0 ** log_k), x, y)
-    assume(0.0 < qy < qx < 1.0)
-    assert _bits(maps._digit, key, qx, qy) == _bits(_former_digit, key, qx, qy), (key, qx, qy)
-
-
-def test_one_point_digit_matches_former_on_orbit_windows(sample_points):
-    # the branch points of each row: windows at the start (k = 0, 1), in
-    # the middle and deep, on both parity classes
-    for key in supported_triples():
-        for k in (0, 1, 2, 3, 17, 40000):
-            for p in sample_points[:3]:
-                qx, qy = _branch(key, k, p.x, p.y)
-                assert _bits(maps._digit, key, qx, qy) == _bits(_former_digit, key, qx, qy), \
-                    (key, k, qx, qy)
-
-
-
-# --- the line bracket of _solve against the search window ------------------
 
 PARITY_FREE = [key for key in supported_triples() if not FORWARD[key].parity]
 
