@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -295,6 +296,9 @@ COMMANDS = {
 }
 
 
+# built on the first call, not at import, and reused: parse_args leaves
+# the parser unchanged
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="tripmaps",

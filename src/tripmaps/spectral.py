@@ -19,7 +19,7 @@ from .tables.banach import BANACH
 from .tables.eigen import EIGENFUNCTIONS
 from .transfer import (
     _ALL_K,
-    _BLOCK_TERMS,
+    _blocks,
     TruncationPolicy,
     apply_transfer_batch,
     branch_sums,
@@ -139,8 +139,8 @@ def monotonicity_check(t: PermutationTriple, n: int = 2, trials: int = 20,
     because every weight is positive.  As L^n g - L^n f = L^n(bump) with a
     positive bump, the check can fail only if some tree weight is <= 0 or
     not finite.  The trials share preimage trees of branches**n leaves per
-    root, as many roots per tree as fit in _BLOCK_TERMS leaves; a singular
-    branch in any trial raises EvaluationSingularity."""
+    root, as many roots per tree as fit in the block budget of transfer
+    (_blocks); a singular branch in any trial raises EvaluationSingularity."""
     if n < 1:
         raise ValueError("n must be at least 1")
     if trials < 1:
@@ -149,10 +149,8 @@ def monotonicity_check(t: PermutationTriple, n: int = 2, trials: int = 20,
         raise ValueError("branches must be at least 1")
     a, c, xs, ys = _draw_trials(seed, trials)
     leaves = branches ** n
-    step = max(1, _BLOCK_TERMS // leaves)
     ordered = True
-    for lo in range(0, trials, step):
-        roots = slice(lo, lo + step)
+    for roots in _blocks(trials, leaves):
         lx, ly, weights = preimage_tree(t, xs[roots], ys[roots], n, branches)
         lx, ly = lx.reshape(-1, leaves), ly.reshape(-1, leaves)
         f = _smooth(a[roots].T[..., None], lx, ly)

@@ -7,6 +7,13 @@ of ``(x, y)``).  As in :mod:`tripmaps.tables.forward`, ``s`` must equal
 ``(-1)**k`` and is threaded explicitly so tails of the branch sum can be
 evaluated along a single parity class at real ``k``.  Whether a row reads
 ``s`` is stated once, by the ``parity`` flag of its forward row.
+
+Every power in a weight has a base that is non-negative on the triangle.
+A cube base that is negative there is written ``1 / abs(base) ** 3``
+rather than ``-1 / base ** 3``: the same function, but numpy raises a
+negative float to a power on a scalar path, 20 to 30 times slower per
+element than its vector ``pow``.  ``tests/test_transfer.py`` walks every
+base of every weight.
 """
 
 from __future__ import annotations
@@ -151,7 +158,7 @@ def _rows() -> dict[tuple[str, str, str], TransferRow]:
                 s * (2 * x + y + s * (2 * x + 2 * k * (y - 1) + 3 * y - 7) - 1) / (4 * (x + k * (y - 1) - 2)),
                 (y - 1) / (x + k * (y - 1) - 2))),
         ("12", "13", "12"): R(
-            lambda k, x, y, s: -1 / (x + k * (y - 1) - 2) ** 3,
+            lambda k, x, y, s: 1 / abs(x + k * (y - 1) - 2) ** 3,
             lambda k, x, y, s: (
                 (x + k * (y - 1) + y - 2) / (x + k * (y - 1) - 2),
                 (y - 1) / (x + k * (y - 1) - 2))),
@@ -241,7 +248,7 @@ def _rows() -> dict[tuple[str, str, str], TransferRow]:
                 (-2 * x + 2 * y + s * (2 * k + 2 * x + 2 * y - 1) + 1)
                 / (-2 * x + 2 * y + s * (2 * k + 2 * x + 2 * y + 3) + 1))),
         ("13", "13", "13"): R(
-            lambda k, x, y, s: -1 / (x + k * (y - 1) - 2) ** 3,
+            lambda k, x, y, s: 1 / abs(x + k * (y - 1) - 2) ** 3,
             lambda k, x, y, s: (
                 (x + k * (y - 1) - y - 1) / (x + k * (y - 1) - 2),
                 1 + 1 / (x + k * (y - 1) - 2))),
@@ -441,7 +448,7 @@ def _rows() -> dict[tuple[str, str, str], TransferRow]:
                 s * (2 * x + y + s * (2 * x + 2 * k * (y - 1) + 3 * y - 7) - 1) / (4 * (x + k * (y - 1) - 2)),
                 s * (2 * x + s * (2 * x + 2 * k * (y - 1) - y - 3) + y - 1) / (4 * (x + k * (y - 1) - 2)))),
         ("123", "13", "132"): R(
-            lambda k, x, y, s: -1 / (x + k * (y - 1) - 2) ** 3,
+            lambda k, x, y, s: 1 / abs(x + k * (y - 1) - 2) ** 3,
             lambda k, x, y, s: (
                 (x + k * (y - 1) + y - 2) / (x + k * (y - 1) - 2),
                 1 + 1 / (x + k * (y - 1) - 2))),
@@ -539,7 +546,7 @@ def _rows() -> dict[tuple[str, str, str], TransferRow]:
                 (x + k * (y - 1) - y - 1) / (x + k * (y - 1) - 2),
                 s * (-2 * x + s * (2 * x + 2 * k * (y - 1) - 3 * y - 1) - y + 1) / (4 * (x + k * (y - 1) - 2)))),
         ("132", "13", "123"): R(
-            lambda k, x, y, s: -1 / (x + k * (y - 1) - 2) ** 3,
+            lambda k, x, y, s: 1 / abs(x + k * (y - 1) - 2) ** 3,
             lambda k, x, y, s: (
                 (x + k * (y - 1) - y - 1) / (x + k * (y - 1) - 2),
                 y / (-y * k + k - x + 2))),

@@ -54,12 +54,17 @@ _GL_WEIGHTS = 0.5 * _GL_WEIGHTS
 # m = 0, 1/2, -1/2, 1, -1: u(0) and the central differences of u'(0), u'''(0)
 _STENCIL = np.array([0.0, 0.5, -0.5, 1.0, -1.0])
 _TAIL_N = _GL_NODES.size + _STENCIL.size
-# points x columns evaluated at once (24 to 40 points at the first K): for
-# a pointwise test function each temporary is 32 KB however far K doubles,
-# small enough that the allocator reuses it instead of growing the heap.
-# A test function that integrates at each point multiplies that by its
-# node count: the transforms of hilbert take 576 or 1152 dm nodes a term
-_BLOCK_TERMS = 1 << 12
+# points x columns of a branch sum, or leaves of an order-check tree,
+# evaluated at once (_blocks): 48 to 81 points at the first K, 4 roots of
+# 12**3 leaves.  For a pointwise test function each temporary is 64 KB
+# however far K doubles.  A test function that integrates at each point
+# multiplies that by its node count, 48 or 64 dm nodes for the transforms
+# of hilbert, which sum one point at a time.  Chosen on the untraced
+# operator-sweep benchmark, median verify_s of 6 runs each on 2 vCPUs:
+# 0.434 s at 4096, 0.350 s at 8192, 0.350 s at 16384 and 0.353 s at 32768
+# terms, with peak RSS 39.8, 39.9, 40.6 and 41.7 MB.  It is the smallest
+# budget as fast as the fastest; no value depends on it.
+_BLOCK_TERMS = 1 << 13
 # the one class of a parity-free row: every k, with s = 1
 _ALL_K = ((0, 1, 1.0),)
 
@@ -150,6 +155,14 @@ def _columns(K: int, parities):
     return np.concatenate(ks), np.concatenate(ss), tails
 
 
+def _blocks(n: int, width: int) -> list[slice]:
+    """Slices cutting range(n) into blocks of _BLOCK_TERMS // width items,
+    at least one: the one chunking of branch sums (width = columns per
+    point) and of order-check trees (width = leaves per root)."""
+    step = max(1, _BLOCK_TERMS // width)
+    return [slice(lo, lo + step) for lo in range(0, n, step)]
+
+
 def branch_sums(terms: Callable, xs: np.ndarray, ys: np.ndarray, parities,
                 pol: TruncationPolicy) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """sum_{k>=0} u(k, x, y) at each point of the 1-d arrays xs, ys, where
@@ -167,9 +180,8 @@ def branch_sums(terms: Callable, xs: np.ndarray, ys: np.ndarray, parities,
     K = 32
     while True:
         k, s, tails = _columns(K, parities)
-        step = max(1, _BLOCK_TERMS // k.size)
-        for lo in range(0, todo.size, step):
-            idx = todo[lo:lo + step]
+        for block in _blocks(todo.size, k.size):
+            idx = todo[block]
             x, y = xs[idx, None], ys[idx, None]
             u = np.broadcast_to(terms(x, y, k, s), (idx.size, k.size))
             finite = np.isfinite(u).all(axis=1)

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from tripmaps import claims, gausskuzmin, maps
+from tripmaps import claims, cli, gausskuzmin, maps
 from tripmaps.cli import main
 from tripmaps.domain import PermutationTriple
 from tripmaps.errors import DigitNotFound, EvaluationSingularity, NonConvergent
@@ -184,6 +184,18 @@ def test_config_file_precedence(tmp_path, capsys):
 def test_bad_format_rejected(tmp_path):
     with pytest.raises(SystemExit):
         main(["gk", "--format", "yaml"])
+
+
+def test_parser_is_built_once(capsys):
+    # main reuses one parser; a rejected flag leaves it as it was
+    first = run(capsys, "eigen", "--triple", "e,e,e", "--format", "json")
+    for argv in (["eigen", "--bogus"], ["eigen", "--format", "yaml"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        capsys.readouterr()
+    assert run(capsys, "eigen", "--triple", "e,e,e", "--format", "json") == first
+    assert cli._build_parser() is cli._build_parser()
 
 
 @pytest.mark.parametrize("verb", ["gk", "verify-branches"])

@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from tripmaps import spectral, transfer
+from tripmaps import gausskuzmin, spectral, transfer
 from tripmaps.domain import PermutationTriple, TrianglePoint
 from tripmaps.errors import EvaluationSingularity, NoBanachRow, NoEigenfunction
 from tripmaps.spectral import (
@@ -260,3 +260,35 @@ def test_monotonicity_reversed_pair_fails(monkeypatch):
     monkeypatch.setattr(spectral, "_bump", lambda c, x, y: -bump(c, x, y))
     for n in (1, 2, 3):
         assert not monotonicity_check(t, n=n, trials=5, seed=3, branches=12)
+
+
+def test_block_budget_moves_no_bit(monkeypatch):
+    # the budget cuts branch sums and order-check trees into blocks; every
+    # point and root is summed on its own row, so no value depends on it.
+    # The four rows cube a base negative on the triangle (tests/test_transfer.py)
+    keys = [("12", "13", "12"), ("13", "13", "13"), ("123", "13", "132"),
+            ("132", "13", "123"), ("e", "e", "e"), ("e", "13", "12")]
+    trees = []
+    tree = spectral.preimage_tree
+    monkeypatch.setattr(spectral, "preimage_tree",
+                        lambda *args: trees.append(args) or tree(*args))
+
+    def run():
+        out = []
+        for key in keys:
+            t = PermutationTriple(*key)
+            if key in EIGENFUNCTIONS:
+                out += [eigen_residual(t), gausskuzmin.invariance_check(t, seed=3)]
+            out += [summand_bound(t, GridSpec(density=5)),
+                    [monotonicity_check(t, n=n, trials=20, seed=n, branches=12)
+                     for n in (1, 2, 3)]]
+        return out, len(trees)
+
+    default, default_trees = run()
+    trees.clear()
+    monkeypatch.setattr(transfer, "_BLOCK_TERMS", 64)
+    small, small_trees = run()
+    assert small == default
+    # the monotonicity check reads the patched budget: 64 leaves hold 5
+    # roots of 12 leaves at n = 1 (4 trees of 20 trials), one root at n = 2, 3
+    assert small_trees == (4 + 20 + 20) * len(keys) > default_trees

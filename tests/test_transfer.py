@@ -1,16 +1,22 @@
+import ast
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tripmaps import claims
 from tripmaps.domain import PermutationTriple, TrianglePoint, supported_triples
 from tripmaps.errors import NotArrayNative, StencilOutOfDomain, TruncationFailure
+from tripmaps.tables import transfer_rows
 from tripmaps.tables.forward import FORWARD
 from tripmaps.tables.transfer_rows import TRANSFER
 from tripmaps.transfer import (
     TruncationPolicy,
+    _columns,
+    _parities,
     apply_transfer,
     apply_transfer_batch,
     branch_point,
@@ -206,3 +212,61 @@ def test_scalar_result_broadcast_and_not_array_native():
         apply_transfer(EEE, scalar_only, P)
     with pytest.raises(NotArrayNative):
         partial_transfer(EEE, scalar_only, P, 8)
+
+
+# the rows whose weight cubes 1 / |x + k*(y - 1) - 2|, a base negative on
+# the whole triangle
+_ABS_CUBE_ROWS = [("12", "13", "12"), ("13", "13", "13"),
+                  ("123", "13", "132"), ("132", "13", "123")]
+
+
+def _weight_bases():
+    """(row key, source, base) of every ** in a weight of the transfer
+    table, the base compiled to a function of (k, x, y, s)."""
+    tree = ast.parse(Path(transfer_rows.__file__).read_text())
+    table = next(node for node in ast.walk(tree) if isinstance(node, ast.Dict))
+    sites = []
+    for key, row in zip(table.keys, table.values):
+        weight_fn = row.args[0]
+        for node in ast.walk(weight_fn.body):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+                fn = ast.fix_missing_locations(
+                    ast.Expression(ast.Lambda(weight_fn.args, node.left)))
+                sites.append((ast.literal_eval(key), ast.unparse(node.left),
+                              eval(compile(fn, "<weight base>", "eval"))))
+    return sites
+
+
+def _sample_columns(sample_points, key, K):
+    x = np.array([p.x for p in sample_points])[:, None]
+    y = np.array([p.y for p in sample_points])[:, None]
+    k, s, _ = _columns(K, _parities(key))
+    return k, x, y, s
+
+
+def test_weight_bases_are_nonnegative(sample_points):
+    # numpy raises a negative float to a power on a scalar path, 20 to 30
+    # times slower than its vector pow (tables/transfer_rows.py)
+    sites = _weight_bases()
+    assert len(sites) == 108
+    assert {key for key, _, _ in sites} == set(supported_triples())
+    for key, source, base in sites:
+        for K in (32, 1024):
+            value = base(*_sample_columns(sample_points, key, K))
+            assert (value >= 0).all(), f"{key}: {source} < 0 at K = {K}"
+
+
+def test_abs_cube_weights_match_negative_cube(sample_points):
+    for key in _ABS_CUBE_ROWS:
+        for K in (32, 1024):
+            k, x, y, s = _sample_columns(sample_points, key, K)
+            negative_cube = -1 / (x + k * (y - 1) - 2) ** 3
+            w = TRANSFER[key].weight(k, x, y, s)
+            assert np.max(np.abs(w - negative_cube) / negative_cube) <= 4e-16, key
+
+
+def test_jacobian_oracle_value_is_pinned():
+    # the one-point weights are Python floats, whose pow is symmetric in
+    # the sign of the base: the claim reads the same in either form
+    claim = next(c for c in claims.CLAIMS if c.name == "jacobian_oracle")
+    assert claim.run().hex() == "0x1.88e923fe954c8p-29"
