@@ -305,3 +305,16 @@ def test_orbit_rows_are_pinned(capsys, triple, start, out_sha, err_sha):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == out_sha
     assert hashlib.sha256(err.encode()).hexdigest() == err_sha
+
+
+@pytest.mark.parametrize("phi, out_sha", [
+    ("eta0", "7ed023ffa13e11ca401321706c02aa4198c4d79d3ffa6faa03799a5b2ce069c4"),
+    ("eta1", "8eeaf287f34b8bb3d3859f66115fe942bfc5be75d6f69fb3f7cdd325f6e2badc"),
+])
+def test_theorem31_rows_are_pinned(capsys, phi, out_sha):
+    # every lhs, rhs and Laguerre partial sum of the 44 Theorem 3.1 rows,
+    # byte for byte: a change to the Bessel kernel or the dm rule that
+    # moves one bit moves a digest
+    code, out, err = run(capsys, "hilbert", "--triple", "all", "--phi", phi, "--format", "csv")
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == out_sha
