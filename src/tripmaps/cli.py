@@ -37,26 +37,21 @@ from .tables.banach import BANACH
 from .tables.eigen import DENSITIES, EIGENFUNCTIONS
 from .tables.hilbert_rows import HILBERT
 
-DEFAULTS = {
-    "triple": "all",
-    "kmax": 10,
-    "n": 100,
-    "seed": 0,
-    "margin": 0.05,
-    "tol": None,          # per-verb default filled in below
-    "format": "csv",
-    "out": None,
-    "simulate": False,
-    "phi": "eta0",
-    "start": None,
-}
-
-# the types a --config value may take, per setting; null only where the
-# default is null
-_CONFIG_TYPES = {
-    "triple": (str,), "kmax": (int,), "n": (int,), "seed": (int,), "margin": (int, float),
-    "tol": (int, float), "format": (str,), "out": (str,), "simulate": (bool,),
-    "phi": (str,), "start": (str,),
+# every setting, in --help order: the types a --config value may take
+# (null only where the default is null), the default, and the add_argument
+# keywords of its flag
+SETTINGS = {
+    "triple": ((str,), "all", {}),
+    "kmax": ((int,), 10, {"type": int}),
+    "n": ((int,), 100, {"type": int}),
+    "seed": ((int,), 0, {"type": int}),
+    "margin": ((int, float), 0.05, {"type": float}),
+    "tol": ((int, float), None, {"type": float}),   # per-verb default: TOL_DEFAULTS
+    "out": ((str,), None, {}),
+    "format": ((str,), "csv", {"choices": ("csv", "json")}),
+    "simulate": ((bool,), False, {"action": "store_true"}),
+    "phi": ((str,), "eta0", {}),
+    "start": ((str,), None, {}),
 }
 
 _CLAIM_TOL = {c.name: c.tol for c in claims.CLAIMS}
@@ -74,12 +69,12 @@ TOL_DEFAULTS = {
 class RunConfig:
     command: str
     triple: str
-    tol: float | None     # None for the verbs that read no tolerance
-    seed: int
-    n_steps: int
     kmax: int
+    n: int
+    seed: int
     margin: float
-    output_path: str | None
+    tol: float | None     # None for the verbs that read no tolerance
+    out: str | None
     format: str
     simulate: bool
     phi: str
@@ -89,7 +84,7 @@ class RunConfig:
         # written so that a nan tol fails too
         if self.tol is not None and not 0.0 < self.tol < math.inf:
             raise ValueError("tol must be positive and finite")
-        if self.n_steps < 1:
+        if self.n < 1:
             raise ValueError("n must be at least 1")
         if self.kmax < 0:
             raise ValueError("kmax must be non-negative")
@@ -123,8 +118,8 @@ def _emit(cfg: RunConfig, header: list[str], rows: list[dict]) -> None:
         for row in rows:
             w.writerow([_fmt(row.get(h, "")) for h in header])
         text = buf.getvalue()
-    if cfg.output_path:
-        with open(cfg.output_path, "w") as fh:
+    if cfg.out:
+        with open(cfg.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -149,7 +144,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[int, list[dict], list[str]]:
 
 
 def cmd_verify_branches(cfg: RunConfig) -> tuple[int, list[dict], list[str]]:
-    pts = interior_points(cfg.seed, cfg.n_steps)
+    pts = interior_points(cfg.seed, cfg.n)
     rows, status = [], 0
     for t in _triples_arg(cfg):
         worst, digits_ok = maps.branch_roundtrip(t, cfg.kmax, pts)
@@ -180,7 +175,7 @@ def cmd_gk(cfg: RunConfig) -> tuple[int, list[dict], list[str]]:
         closed = gausskuzmin.CLOSED_FORMS.get(t.key)
         stats = None
         if cfg.simulate:
-            stats = gausskuzmin.empirical_digits(t, cfg.n_steps, cfg.seed)
+            stats = gausskuzmin.empirical_digits(t, cfg.n, cfg.seed)
         measures = gausskuzmin.cylinder_measures(t, range(cfg.kmax + 1)).tolist()
         for k, p in enumerate(measures):
             ok = 0.0 <= p <= 1.0
@@ -255,7 +250,7 @@ def cmd_orbit(cfg: RunConfig) -> tuple[int, list[dict], list[str]]:
     else:
         p = interior_points(cfg.seed, 1)[0]
     rows = [{"step": 0, "digit": "", "x": p.x, "y": p.y}]
-    for i in range(cfg.n_steps):
+    for i in range(cfg.n):
         try:
             st = maps.step(t, p)
         except (BoundaryHit, AmbiguousDigit) as exc:
@@ -304,18 +299,10 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="tripmaps",
         description="verification suites for triangle partition maps")
     ap.add_argument("command", choices=sorted(COMMANDS))
-    ap.add_argument("--triple", default=None)
-    ap.add_argument("--kmax", type=int, default=None)
-    ap.add_argument("--n", type=int, default=None)
-    ap.add_argument("--seed", type=int, default=None)
-    ap.add_argument("--margin", type=float, default=None)
-    ap.add_argument("--tol", type=float, default=None)
-    ap.add_argument("--config", default=None)
-    ap.add_argument("--out", default=None)
-    ap.add_argument("--format", choices=("csv", "json"), default=None)
-    ap.add_argument("--simulate", action="store_true", default=None)
-    ap.add_argument("--phi", default=None)
-    ap.add_argument("--start", default=None)
+    for name, (_, _, flag) in SETTINGS.items():
+        ap.add_argument(f"--{name}", default=None, **flag)
+        if name == "tol":
+            ap.add_argument("--config", default=None)
     return ap
 
 
@@ -328,37 +315,24 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
             raise ValueError(f"--config {args.config} must hold a JSON object, "
                              f"not {type(file_cfg).__name__}")
 
-    def pick(name):
-        flag = getattr(args, name)
-        if flag is not None:
-            return flag
-        if name in file_cfg:
-            value, kinds = file_cfg[name], _CONFIG_TYPES[name]
+    values = {}
+    for name, (kinds, default, _) in SETTINGS.items():
+        value = getattr(args, name)
+        if value is None and name in file_cfg:
+            value = file_cfg[name]
             # type(), not isinstance: JSON true is no integer
-            if type(value) not in kinds and not (value is None and DEFAULTS[name] is None):
+            if type(value) not in kinds and not (value is None and default is None):
                 raise ValueError(f"--config {args.config}: {name} must be "
                                  f"{' or '.join(k.__name__ for k in kinds)}, "
                                  f"not {type(value).__name__}")
-            return value
-        return DEFAULTS[name]
-
-    tol = pick("tol")
-    if tol is None:
-        tol = TOL_DEFAULTS.get(args.command)
-    return RunConfig(
-        command=args.command,
-        triple=pick("triple"),
-        tol=None if tol is None else float(tol),
-        seed=pick("seed"),
-        n_steps=pick("n"),
-        kmax=pick("kmax"),
-        margin=float(pick("margin")),
-        output_path=pick("out"),
-        format=pick("format"),
-        simulate=pick("simulate"),
-        phi=pick("phi"),
-        start=pick("start"),
-    )
+        if value is None:
+            value = default
+        elif float in kinds:
+            value = float(value)    # a JSON 1 is 1.0
+        values[name] = value
+    if values["tol"] is None:
+        values["tol"] = TOL_DEFAULTS.get(args.command)
+    return RunConfig(command=args.command, **values)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -366,10 +340,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _resolve(args)
         status, rows, header = COMMANDS[cfg.command](cfg)
+        _emit(cfg, header, rows)
     except (TripMapError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(cfg, header, rows)
     return status
 
 

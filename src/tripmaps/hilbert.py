@@ -12,15 +12,17 @@ Every dm-integral runs on specfun's one Gauss-Laguerre rule (48 coarse and
 known exponential: r = h at each point of the transform, r = l(p) - 1 for
 the E_k rows and for the outer integral of the right side.  That side is
 built per point: one block of the kernel J_1(2 sqrt(st))/sqrt(st) from the
-outer nodes tau to the rate-0 inner nodes s, gated by specfun.DM_TOL, and
-the outer integral gated by OUTER_TOL.  On these nodes the inner integral
-is resolved only up to tau = TAU_MAX = 50, so outer nodes beyond it are
-left out, and the bound ||phi||_{L^1(dm)} int_50^inf e^{-tau (l(p)-1)}
-dm(tau) on what they carry (|J_1(2 sqrt z)/sqrt z| <= 1) is added to the
-outer gap before its gate.  No decay is refused.  The Laguerre expansion
-over eta_k / E_k gives a third, series-form route to the same value.  The
-transforms at all branch points of a block and the eta_k and E_k for all
-k <= K each take one batched specfun.integrate_dm call.
+outer nodes tau to both rate-0 inner node sets s at once, with the
+profile evaluated once on them too; the coarse and fine inner integrals
+are gated by specfun.DM_TOL, and the outer integral by OUTER_TOL.  On
+these nodes the inner integral is resolved only up to tau = TAU_MAX = 50,
+so outer nodes beyond it are left out, and the bound ||phi||_{L^1(dm)}
+int_50^inf e^{-tau (l(p)-1)} dm(tau) on what they carry
+(|J_1(2 sqrt z)/sqrt z| <= 1) is added to the outer gap before its gate.
+No decay is refused.  The Laguerre expansion over eta_k / E_k gives a
+third, series-form route to the same value.  The transforms at all branch
+points of a block and the eta_k and E_k for all k <= K each take one
+batched specfun.integrate_dm call.
 
 Profiles: a profile is a family phi(c, s) of functions of the
 integration variable s, indexed by the transform argument c, for every
@@ -40,13 +42,14 @@ import numpy as np
 from .domain import PermutationTriple, TrianglePoint
 from .errors import DomainError, UnsupportedTriple
 from .specfun import (
-    DM_TOL,
     _eval_vec,
     _laguerre1_rows,
     bessel_j1,
     gated,
+    gated_halves,
     halfline_nodes,
     integrate_dm,
+    joined_nodes,
 )
 from .tables.hilbert_rows import HILBERT, HilbertRow
 from .transfer import TruncationPolicy, apply_transfer, branch_point
@@ -196,18 +199,15 @@ def theorem31_rhs(t: PermutationTriple, phi: Profile, p: TrianglePoint) -> float
     row = hilbert_triple(t)
     c = row.arg(*branch_point(t, 0, p).xy)
     decay = row.l(p.x, p.y) - 1.0
-    # the profile times the dm-weights on the coarse and the fine inner nodes
-    weighted = [(s, _eval_vec(lambda s: phi(c, s), s) * w) for s, w in halfline_nodes()]
-    outer_sets = [(tau[tau <= TAU_MAX], w[tau <= TAU_MAX])
-                  for tau, w in halfline_nodes(decay)]
-    taus, outer_w = (np.concatenate(a) for a in zip(*outer_sets))
-    # einsum, not BLAS: a threaded product raises CPU time for no gain
-    inner = gated(*(np.einsum("ij,j->i", _bessel_kernel(taus[:, None] * s), psi)
-                    for s, psi in weighted),
-                  DM_TOL, "Bessel-kernel inner quadrature")
+    # the profile times the dm-weights on both inner node sets in one row
+    s, w, m = joined_nodes(halfline_nodes())
+    psi = _eval_vec(lambda s: phi(c, s), s) * w
+    taus, outer_w, n = joined_nodes([(tau[tau <= TAU_MAX], w[tau <= TAU_MAX])
+                                     for tau, w in halfline_nodes(decay)])
+    inner = gated_halves(_bessel_kernel(taus[:, None] * s), psi, m,
+                         "Bessel-kernel inner quadrature")
     terms = np.exp(-taus * decay) * outer_w * inner
-    n = outer_sets[0][0].size
-    tail = float(np.abs(weighted[1][1]).sum()) * _dm_tail(decay)
+    tail = float(np.abs(psi[m:]).sum()) * _dm_tail(decay)
     outer = gated(terms[:n].sum(), terms[n:].sum(), OUTER_TOL,
                   "Bessel-kernel outer quadrature", tail=tail)
     return row.j(p.x, p.y) * float(outer)

@@ -19,11 +19,14 @@ larger rule is an edit of them, which the spectrum test of the Bessel
 kernel on both node sets (tests/test_hilbert.py) guards.  Keep them at
 about 100 or less: laggauss's weights lose accuracy beyond that.
 Integrands passed to the half-line routines are evaluated on numpy arrays
-only; a scalar result is broadcast, and a callable that cannot take an
-array raises NotArrayNative.  An integrand may return shape (..., n), the
-nodes on the last axis, to get a batch of integrals in one call.
-halfline_nodes hands out the two node sets and gated the gate, for
-callers that apply a kernel on the nodes instead of a callable.
+only, once per integral: on the coarse and the fine nodes concatenated
+along the last axis, the coarse ones first, whose two halves are summed
+and gated.  A scalar result is broadcast, and a callable that cannot take
+an array raises NotArrayNative.  An integrand may return shape (..., n),
+the nodes on the last axis, to get a batch of integrals in one call.
+halfline_nodes hands out the two node sets, joined_nodes lays them out
+in that one row and gated_halves sums and gates the halves, for callers
+that apply a kernel on the nodes instead of a callable.
 
 The triangle integrator is an adaptive subdivision scheme built on a
 degree-5 seven-point rule whose nodes are strictly interior, so integrable
@@ -178,10 +181,12 @@ def _j1_block(x: np.ndarray, out: np.ndarray) -> None:
     if xs.size:
         piece = (xs * 0.5).astype(np.intp)
         t = xs - (2 * piece + 1)
-        acc = _J1_PIECES[piece, 0]
-        for col in _J1_PIECES.T[1:]:
+        # the 16 coefficients of each argument's piece, row i the i-th
+        coef = np.take(_J1_PIECES.T, piece, axis=1)
+        acc = coef[0]
+        for col in coef[1:]:
             acc *= t
-            acc += col[piece]
+            acc += col
         acc *= xs
         out[small] = acc
 
@@ -289,25 +294,38 @@ def gated(coarse, fine, abs_tol: float, what: str = "half-line quadrature",
     return fine
 
 
+def joined_nodes(sets):
+    """The coarse and the fine node sets (t, w) of halfline_nodes as one
+    pair along the last axis, the coarse nodes first, and the coarse count
+    n: the layout that gated_halves splits again."""
+    (tc, wc), (tf, wf) = sets
+    return (np.concatenate((tc, tf), axis=-1), np.concatenate((wc, wf), axis=-1),
+            tc.shape[-1])
+
+
+def gated_halves(a, b, n: int, what: str = "half-line quadrature"):
+    """gated by DM_TOL on the sums of a * b over the last axis, the coarse
+    one over its first n entries and the fine one over the rest, for a and
+    b on the nodes of joined_nodes."""
+    # einsum, not BLAS: a threaded product burns CPU on every core for no
+    # wall-clock gain at these sizes
+    return gated(np.einsum("...n,...n->...", a[..., :n], b[..., :n]),
+                 np.einsum("...n,...n->...", a[..., n:], b[..., n:]), DM_TOL, what)
+
+
 def _halfline_weighted(fun: Callable, rate, dm_weight: bool):
     """int_0^inf fun(t) * [t/(e^t - 1) if dm_weight] dt, fun decaying at
     least like e^(-rate t) up to polynomial factors.  fun may return shape
     (..., n), the nodes on the last axis, for a batch of integrals; rate
     may be an array that broadcasts against the batch shape.  The result
     has the batch shape, a float for a 1-d integrand."""
-
-    def attempt(t: np.ndarray, w: np.ndarray) -> np.ndarray:
-        try:
-            vals = np.asarray(fun(t), dtype=float)
-            vals = np.broadcast_to(vals, np.broadcast_shapes(vals.shape, t.shape))
-        except (TypeError, ValueError) as exc:
-            raise NotArrayNative(f"integrand {fun!r} cannot take arrays: {exc}") from exc
-        # einsum, not BLAS: a threaded product burns CPU on every core
-        # for no wall-clock gain at these sizes
-        return np.einsum("...n,...n->...", vals, w)
-
-    coarse_nodes, fine_nodes = halfline_nodes(rate, dm_weight)
-    fine = gated(attempt(*coarse_nodes), attempt(*fine_nodes), DM_TOL)
+    t, w, n = joined_nodes(halfline_nodes(rate, dm_weight))
+    try:
+        vals = np.asarray(fun(t), dtype=float)
+        vals = np.broadcast_to(vals, np.broadcast_shapes(vals.shape, t.shape))
+    except (TypeError, ValueError) as exc:
+        raise NotArrayNative(f"integrand {fun!r} cannot take arrays: {exc}") from exc
+    fine = gated_halves(vals, w, n)
     return float(fine) if fine.ndim == 0 else fine
 
 

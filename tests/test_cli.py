@@ -227,17 +227,41 @@ def test_config_must_hold_an_object(tmp_path, capsys, content):
     assert "must hold a JSON object" in err
 
 
-@pytest.mark.parametrize("verb, content, message", [
-    # these ended in a TypeError and an AttributeError traceback
-    ("gk", '{"kmax": [1]}', "kmax must be int, not list"),
-    ("orbit", '{"start": 5}', "start must be str, not int"),
-], ids=["kmax-list", "start-int"])
-def test_config_value_must_match_its_setting(tmp_path, capsys, verb, content, message):
+# per setting, a --config value of a type it does not take, and the message
+_WRONG_CONFIG = {
+    "triple": (5, "triple must be str, not int"),
+    # this ended in a TypeError traceback
+    "kmax": ([1], "kmax must be int, not list"),
+    "n": (2.5, "n must be int, not float"),
+    "seed": (True, "seed must be int, not bool"),
+    "margin": ("0.1", "margin must be int or float, not str"),
+    "tol": ([1e-6], "tol must be int or float, not list"),
+    "out": (1, "out must be str, not int"),
+    "format": (None, "format must be str, not NoneType"),
+    "simulate": (1, "simulate must be bool, not int"),
+    "phi": (0, "phi must be str, not int"),
+    # this ended in an AttributeError traceback
+    "start": (5, "start must be str, not int"),
+}
+
+
+@pytest.mark.parametrize("name", cli.SETTINGS,
+                         ids=lambda n: f"{n}-{type(_WRONG_CONFIG[n][0]).__name__}")
+def test_config_value_must_match_its_setting(tmp_path, capsys, name):
+    value, message = _WRONG_CONFIG[name]
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(content)
-    code, out, err = run(capsys, verb, "--triple", "e,e,e", "--config", str(cfg))
+    cfg.write_text(json.dumps({name: value}))
+    code, out, err = run(capsys, "gk", "--config", str(cfg))
     assert code == 2 and out == ""
     assert err == f"error: --config {cfg}: {message}\n"
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    # the verb ran, then the open ended in a FileNotFoundError traceback
+    path = tmp_path / "missing" / "x.csv"
+    code, out, err = run(capsys, "list-triples", "--out", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: [Errno 2] No such file or directory: '{path}'\n"
 
 
 @pytest.mark.parametrize("start", ["0.5", "0.5,0.2,0.1", "a,b"])

@@ -141,6 +141,24 @@ def test_halfline_batch_matches_rows():
         assert abs(plain[i] - integrate_halfline(lambda t: np.exp(-a * t), a)) <= 1e-15 / a
 
 
+def test_integrand_runs_once_on_both_node_sets():
+    # one call per integral, on the coarse nodes followed by the fine ones,
+    # for a lone integrand and for a batch at array rates
+    seen = []
+
+    def f(t):
+        seen.append(t)
+        return np.exp(-t)
+
+    (tc, _), (tf, _) = halfline_nodes()
+    integrate_dm(f)
+    assert len(seen) == 1 and np.array_equal(seen[0], np.concatenate((tc, tf)))
+    rates = np.array([0.5, 2.0])
+    (tc, _), (tf, _) = halfline_nodes(rates, dm_weight=False)
+    integrate_halfline(f, rates)
+    assert len(seen) == 2 and np.array_equal(seen[1], np.concatenate((tc, tf), axis=-1))
+
+
 def test_dm_decaying_integrand_against_mpmath():
     # int e^{-td}/(1 + t) dm(t) on the nodes scaled to the rate d, from no
     # decay up to 1e5
