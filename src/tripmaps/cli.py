@@ -21,8 +21,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import claims, gausskuzmin, hilbert, maps, spectral
 from .domain import (
     ERGODIC_TRIPLES,
@@ -98,19 +96,9 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _json_default(v):
-    if isinstance(v, np.bool_):
-        return bool(v)
-    if isinstance(v, np.integer):
-        return int(v)
-    if isinstance(v, np.floating):
-        return float(v)
-    return _fmt(v)
-
-
 def _emit(cfg: RunConfig, header: list[str], rows: list[dict]) -> None:
     if cfg.format == "json":
-        text = json.dumps(rows, indent=2, default=_json_default) + "\n"
+        text = json.dumps(rows, indent=2) + "\n"
     else:
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")

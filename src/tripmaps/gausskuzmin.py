@@ -37,7 +37,7 @@ from .maps import K_MAX_DEFAULT, _solve, off_boundary
 from .specfun import dilog, integrate_triangles
 from .tables.eigen import DENSITIES
 from .tables.transfer_rows import TRANSFER
-from .transfer import TruncationPolicy, apply_transfer_batch
+from .transfer import TruncationPolicy, _inverse, apply_transfer_batch, parity_sign
 
 PI2 = math.pi ** 2
 
@@ -96,13 +96,10 @@ def cylinder_measures(t: PermutationTriple, ks) -> np.ndarray:
     if (ks < 0).any():
         raise ValueError("k must be non-negative")
     r = density(t)
-    row = TRANSFER[t.key]
-    kf, sf = ks.astype(float), np.where(ks & 1, -1.0, 1.0)
+    row, s = TRANSFER[t.key], parity_sign(ks)
 
     def fun(x, y, i):
-        k, s = kf[i], sf[i]
-        w = row.weight(k, x, y, s)
-        a, b = row.branch(k, x, y, s)
+        w, a, b = _inverse(row, ks[i], x, y, s[i])
         return w * r(a, b)
 
     return integrate_triangles(fun, ks.size, 1e-9)
@@ -158,7 +155,7 @@ def p_integral_e23e(k: int) -> float:
     piece2 = _gl_panels(
         lambda x: inner(x, (1.0 - x) / (k + 1.0), (1.0 - x) / k),
         1.0 / (k + 1.0), 1.0)
-    return piece1 + piece2
+    return float(piece1 + piece2)
 
 
 # the triples whose p(k) has a closed or printed iterated-integral form

@@ -5,7 +5,10 @@ the branch index whose formula maps the point back into the closed
 triangle, the lowest one where rounding admits a run of them.
 
 Every digit comes from one solver, _solve, on arrays of points; an orbit
-step and extract_digit call it on one-element arrays.
+step and extract_digit call it on one-element arrays.  Every numeric
+evaluation of a forward row goes through _images, and of an inverse row
+through transfer._inverse; only the exact ranges call a row directly, on
+rationals.
 
 On parity-free rows, which include all 18 density rows and both ergodic
 maps, both image components are affine in k, and the line through the
@@ -51,7 +54,7 @@ from .errors import (
 )
 from .tables.forward import FORWARD
 from .tables.transfer_rows import TRANSFER
-from .transfer import _parities, preimage_tree
+from .transfer import _broadcast, _inverse, _parities, parity_sign, preimage_tree
 
 MEMBERSHIP_TOL = 1e-12
 # orbits drift arbitrarily close to the corner, where the digit grows like
@@ -81,33 +84,34 @@ class OrbitStep:
     image: TrianglePoint
 
 
-def _eval_formula(key, k, x, y):
-    s = -1.0 if (int(k) & 1) else 1.0
-    try:
-        xp, yp = FORWARD[key].f(k, x, y, s)
-    except ZeroDivisionError as exc:
-        raise EvaluationSingularity(
-            f"branch formula {key} singular at k={k}, point=({x}, {y})") from exc
-    if not (math.isfinite(xp) and math.isfinite(yp)):
-        raise EvaluationSingularity(
-            f"branch formula {key} non-finite at k={k}, point=({x}, {y})")
-    return xp, yp
+def _images(key, k, x, y):
+    """The image (x', y') of each point under the digit-k branch formula
+    of the row key, s derived from the integer k, broadcast to one shape
+    over k, x and y; inf or nan where the formula is singular.  Every
+    numeric evaluation of a forward row goes through here, the exact
+    ranges apart.  x and y are float arrays or numpy float scalars."""
+    with np.errstate(all="ignore"):
+        xp, yp = FORWARD[key].f(k, x, y, parity_sign(k))
+    return _broadcast((xp, yp), k, x, y)
 
 
 def apply_branch_formula(t: PermutationTriple, k: int, p: TrianglePoint):
     """Raw Appendix-table value; no membership check on the result."""
     if k < 0:
         raise ValueError("k must be non-negative")
-    return _eval_formula(t.key, k, p.x, p.y)
+    xp, yp = _images(t.key, k, np.float64(p.x), np.float64(p.y))
+    if not (np.isfinite(xp) and np.isfinite(yp)):
+        raise EvaluationSingularity(
+            f"branch formula {t.key} singular at k={k}, point=({p.x}, {p.y})")
+    return float(xp), float(yp)
 
 
 # --- search: digit >= k is monotone in k -----------------------------------
 
-def _deeper(f, branch, k, x, y, s):
-    """Whether the digit of (x, y) is at least k, under the row with forward
-    formula f and inverse branch branch, s = (-1)**k: whether
+def _deeper(key, k, x, y):
+    """Whether the digit of (x, y) is at least k under the row key: whether
     F1^-k(x, y) = branch_0(T_k(x, y)) is in the closed triangle."""
-    a, b = branch(0, *f(k, x, y, s), 1.0)
+    _, a, b = _inverse(TRANSFER[key], 0, *_images(key, k, x, y), 1.0)
     return (b >= 0.0) & (a >= b) & (a <= 1.0)
 
 
@@ -115,19 +119,13 @@ def _search(key, xs, ys, limit):
     """The largest k <= limit whose _deeper holds, for each point, by
     galloping from k = 1 and bisecting; -1 where that is limit itself.
     _solve searches on parity rows only."""
-    f, branch = FORWARD[key].f, TRANSFER[key].branch
-
-    def deeper(k, idx):
-        inside = _deeper(f, branch, k, xs[idx], ys[idx], np.where(k & 1, -1.0, 1.0))
-        return np.broadcast_to(inside, idx.shape)
-
     n = xs.size
     lo, hi = np.zeros(n, np.int64), np.ones(n, np.int64)
     deep = np.zeros(n, dtype=bool)
     todo = np.arange(n)
     while todo.size:
         k = np.minimum(hi[todo], limit)
-        up = deeper(k, todo)
+        up = _deeper(key, k, xs[todo], ys[todo])
         lo[todo[up]] = k[up]
         hi[todo] = np.where(up, 2 * k, k)
         deep[todo[up & (k == limit)]] = True
@@ -135,7 +133,7 @@ def _search(key, xs, ys, limit):
     todo = np.nonzero(~deep & (hi - lo > 1))[0]
     while todo.size:
         mid = (lo[todo] + hi[todo]) // 2
-        up = deeper(mid, todo)
+        up = _deeper(key, mid, xs[todo], ys[todo])
         lo[todo[up]] = mid[up]
         hi[todo[~up]] = mid[~up]
         todo = todo[hi[todo] - lo[todo] > 1]
@@ -158,7 +156,7 @@ def _bracket(key, xs, ys):
     triangle, and whether there is one.  There is none where a sample is
     not finite or the interval is empty, wider than _MAX_WIDTH or beyond
     _SHALLOW."""
-    image0, image1 = _images(key, 0, xs, ys, 1.0), _images(key, 1, xs, ys, -1.0)
+    image0, image1 = _images(key, 0, xs, ys), _images(key, 1, xs, ys)
     bottom, top = np.zeros(xs.size), np.full(xs.size, float(_SHALLOW))
     for a, b in _lines(image0, image1):
         v = -a / b
@@ -267,11 +265,6 @@ def _exact_ranges(key, x, y):
 
 # --- confirmation: the tie rules on candidate digits ------------------------
 
-def _images(key, k, xs, ys, s):
-    xp, yp = FORWARD[key].f(k, xs, ys, s)
-    return np.broadcast_arrays(xp, yp, xs)[:2]
-
-
 def _spread(pt, lo, hi):
     """Every k = lo..hi of each range (pt, lo, hi): flat arrays (point, k)."""
     count = np.maximum(hi - lo + 1, 0)
@@ -283,7 +276,7 @@ def _confirm(key, xs, ys, pt, k):
     """The image of each candidate (pt, k), sorted by point and k without
     repeats, and whether it is in the closure at the eps*k allowance and
     at the base tolerance."""
-    xp, yp = _images(key, k, xs[pt], ys[pt], np.where(k & 1, -1.0, 1.0))
+    xp, yp = _images(key, k, xs[pt], ys[pt])
     # a singular branch formula cannot be the point's digit (nan compares
     # false); rounding in the image grows like eps*k, and the membership
     # tolerance follows it
@@ -451,9 +444,7 @@ def branch_roundtrip(t: PermutationTriple, k_max: int,
         raise OutsideTriangle(f"branch {j % K} of {t} at {points[j // K]} is ({a[j]}, {b[j]}), "
                               "not interior to the triangle")
     k = np.tile(np.arange(K), xs.size)
-    with np.errstate(all="ignore"):
-        xb, yb = np.broadcast_arrays(*FORWARD[t.key].f(k, a, b, np.where(k & 1, -1.0, 1.0)),
-                                     a)[:2]
+    xb, yb = _images(t.key, k, a, b)
     finite = np.isfinite(xb) & np.isfinite(yb)
     if not finite.all():
         raise EvaluationSingularity(

@@ -18,6 +18,12 @@ which turns the polynomial tail into a polynomial in v; derivatives use
 five-point central differences (evaluating u at small negative m is
 legal, it only shifts k below K).
 
+Every numeric evaluation of a transfer row goes through _inverse, with s
+from parity_sign or from a class of _parities: it returns the weight and
+the branch point broadcast to one shape, inf or nan where the row is
+singular.  The one-point faces, the branch sums and the preimage trees
+report a non-finite value as EvaluationSingularity.
+
 The sums run on arrays of points.  The table lambdas are plain arithmetic,
 so they broadcast over points x k: branch_sums evaluates a block of points
 at every k its cutoff K needs (the direct terms k < K and the 69 tail
@@ -67,6 +73,8 @@ _TAIL_N = _GL_NODES.size + _STENCIL.size
 _BLOCK_TERMS = 1 << 13
 # the one class of a parity-free row: every k, with s = 1
 _ALL_K = ((0, 1, 1.0),)
+# s of even and odd k
+_SIGNS = np.array([1.0, -1.0])
 
 
 @dataclass(frozen=True)
@@ -84,35 +92,51 @@ def _row(t: PermutationTriple):
     return TRANSFER[t.key]
 
 
-def _branch_raw(row, k, x, y):
-    s = -1.0 if (int(round(k)) & 1) else 1.0
-    try:
-        return row.branch(k, x, y, s)
-    except ZeroDivisionError as exc:
-        raise EvaluationSingularity(f"branch singular at k={k}, ({x}, {y})") from exc
+def parity_sign(k):
+    """s = (-1)**k of an integer k, elementwise on an integer array: the
+    one place s is computed from k.  A scalar k gives a numpy scalar."""
+    return _SIGNS[k & 1]
+
+
+def _broadcast(values, *args):
+    """values broadcast to the shape of args together, each left as it is
+    where it has that shape: one value per k and point, whichever of them
+    a table formula reads."""
+    shape = np.broadcast(*args).shape
+    return [v if np.shape(v) == shape else np.broadcast_to(v, shape) for v in values]
+
+
+def _inverse(row, k, x, y, s):
+    """The weight and branch point (w, a, b) of the transfer row at k with
+    sign s, broadcast to one shape over k, x and y; inf or nan where the
+    row is singular.  Every numeric evaluation of a transfer row goes
+    through here.  x and y are float arrays or numpy float scalars, so a
+    vanishing denominator divides as numpy does; on scalars ** has the
+    bits of Python's, not those of numpy's vector pow."""
+    with np.errstate(all="ignore"):
+        w = row.weight(k, x, y, s)
+        a, b = row.branch(k, x, y, s)
+    return _broadcast((w, a, b), k, x, y)
+
+
+def _checked(t: PermutationTriple, k: int, x, y):
+    """_inverse of t's row at an integer k >= 0; raises
+    EvaluationSingularity where w, a or b is not finite."""
+    if k < 0:
+        raise ValueError("k must be non-negative")
+    w, a, b = _inverse(_row(t), k, x, y, parity_sign(k))
+    if not np.isfinite((w, a, b)).all():
+        raise EvaluationSingularity(f"branch {k} of {t} singular at ({x}, {y})")
+    return w, a, b
 
 
 def branch_point(t: PermutationTriple, k: int, p: TrianglePoint) -> TrianglePoint:
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    a, b = _branch_raw(_row(t), k, p.x, p.y)
-    return TrianglePoint(a, b)
+    _, a, b = _checked(t, k, np.float64(p.x), np.float64(p.y))
+    return TrianglePoint(float(a), float(b))
 
 
 def weight(t: PermutationTriple, k: int, p: TrianglePoint) -> float:
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    row = _row(t)
-    s = -1.0 if (k & 1) else 1.0
-    try:
-        w = row.weight(k, p.x, p.y, s)
-    except ZeroDivisionError as exc:
-        raise EvaluationSingularity(f"weight singular at k={k}, {p}") from exc
-    return w
-
-
-def _signs(K: int) -> np.ndarray:
-    return np.where(np.arange(K) & 1, -1.0, 1.0)
+    return float(_checked(t, k, np.float64(p.x), np.float64(p.y))[0])
 
 
 def _tail_points(scale: float) -> np.ndarray:
@@ -147,7 +171,7 @@ def _columns(K: int, parities):
     tail abscissae of each class of parities; and (first column, scale) of
     each tail class.  K is a power of two, so the class k = K + first +
     step*m has the sign of first."""
-    ks, ss, tails = [np.arange(K, dtype=float)], [_signs(K)], []
+    ks, ss, tails = [np.arange(K, dtype=float)], [parity_sign(np.arange(K))], []
     for first, step, s in parities:
         tails.append((K + len(tails) * _TAIL_N, K / step))
         ks.append(K + first + step * _tail_points(K / step))
@@ -211,10 +235,8 @@ def apply_transfer_batch(t: PermutationTriple, f: Callable, xs: np.ndarray,
     row = _row(t)
 
     def terms(x, y, k, s):
-        shape = (x.size, k.size)
-        a, b = row.branch(k, x, y, s)
-        return row.weight(k, x, y, s) * _eval_vec(
-            f, np.broadcast_to(a, shape), np.broadcast_to(b, shape))
+        w, a, b = _inverse(row, k, x, y, s)
+        return w * _eval_vec(f, a, b)
 
     value, err, cutoff = branch_sums(terms, xs, ys, _parities(t.key), pol)
     bad = ~(err <= pol.eps)
@@ -248,17 +270,12 @@ def preimage_tree(t: PermutationTriple, xs: np.ndarray, ys: np.ndarray, depth: i
     child at leaf index i*K + k of the next level.  Raises
     EvaluationSingularity where a weight or branch point is not finite."""
     row = _row(t)
-    k, s = np.arange(K, dtype=float), _signs(K)
+    k = np.arange(K)
+    s = parity_sign(k)
     roots = xs, ys
     weights = []
     for level in range(depth):
-        x, y = xs[:, None], ys[:, None]
-        shape = (xs.size, K)
-        # a singular branch shows as inf or nan, and fails the check below
-        with np.errstate(all="ignore"):
-            a, b = row.branch(k, x, y, s)
-            w = row.weight(k, x, y, s)
-        w, a, b = (np.broadcast_to(v, shape) for v in (w, a, b))
+        w, a, b = _inverse(row, k, xs[:, None], ys[:, None], s)
         finite = np.isfinite(w) & np.isfinite(a) & np.isfinite(b)
         if not finite.all():
             r = np.argmin(finite.all(axis=1)) // K ** level
@@ -293,18 +310,15 @@ def jacobian_residual(t: PermutationTriple, k: int, p: TrianglePoint) -> float:
     Jacobian determinant of the inverse branch, step h = 1e-5; raises
     StencilOutOfDomain for p within h of an edge."""
     x, y, h = p.x, p.y, 1e-5
-    for (xx, yy) in ((x + h, y), (x - h, y), (x, y + h), (x, y - h)):
+    xs, ys = np.array([x + h, x - h, x, x]), np.array([y, y, y + h, y - h])
+    for xx, yy in zip(xs.tolist(), ys.tolist()):
         if not (0.0 < yy < xx < 1.0):
             raise StencilOutOfDomain(f"stencil leaves the triangle at ({xx}, {yy})")
-    row = _row(t)
-    axp, ayp = _branch_raw(row, float(k), x + h, y)
-    axm, aym = _branch_raw(row, float(k), x - h, y)
-    bxp, byp = _branch_raw(row, float(k), x, y + h)
-    bxm, bym = _branch_raw(row, float(k), x, y - h)
-    j11 = (axp - axm) / (2 * h)
-    j21 = (ayp - aym) / (2 * h)
-    j12 = (bxp - bxm) / (2 * h)
-    j22 = (byp - bym) / (2 * h)
+    # the four stencil points in one call: the branch formulas hold no **,
+    # so an array has the bits of four scalar calls
+    _, a, b = _checked(t, k, xs, ys)
+    j11, j12 = (a[0::2] - a[1::2]) / (2 * h)
+    j21, j22 = (b[0::2] - b[1::2]) / (2 * h)
     det = abs(j11 * j22 - j12 * j21)
     w = weight(t, k, p)
-    return abs(w - det) / w
+    return float(abs(w - det) / w)

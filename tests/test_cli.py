@@ -8,7 +8,7 @@ import pytest
 
 from tripmaps import claims, cli, gausskuzmin, maps
 from tripmaps.cli import main
-from tripmaps.domain import PermutationTriple
+from tripmaps.domain import PermutationTriple, interior_points
 from tripmaps.errors import DigitNotFound, EvaluationSingularity, NonConvergent
 
 
@@ -110,6 +110,17 @@ def test_sum_bounds_single(capsys):
     assert code == 2
 
 
+def test_gk_json_rows_hold_json_types(capsys):
+    # p(k) of e,23,e came back as np.float64, so its pass column held
+    # np.True_, which json.dumps cannot write without a fallback
+    code, out, _ = run(capsys, "gk", "--triple", "e,23,e", "--format", "json")
+    rows = json.loads(out)
+    assert code == 0 and len(rows) == 11
+    for row in rows:
+        assert row["pass"] is True
+        assert type(row["p_theoretical"]) is float and type(row["p_closed"]) is float
+
+
 def test_hilbert_single_json(capsys):
     code, out, _ = run(capsys, "hilbert", "--triple", "123,132,132",
                        "--format", "json")
@@ -130,6 +141,14 @@ def test_orbit_dump(capsys):
     rows = rows_of(out)
     assert code == 0 and len(rows) >= 2
     assert rows[0]["step"] == "0"
+
+
+def test_orbit_starts_from_the_seed(capsys):
+    code, out, _ = run(capsys, "orbit", "--triple", "e,e,e", "--n", "2", "--seed", "3")
+    first = rows_of(out)[0]
+    p = interior_points(3, 1)[0]
+    assert code == 0 and first["step"] == "0"
+    assert (float(first["x"]), float(first["y"])) == (p.x, p.y)
 
 
 @pytest.mark.parametrize("triple, start, steps, error", [
@@ -225,6 +244,22 @@ def test_config_must_hold_an_object(tmp_path, capsys, content):
     code, out, err = run(capsys, "gk", "--triple", "e,e,e", "--config", str(cfg))
     assert code == 2 and out == ""
     assert "must hold a JSON object" in err
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["gk", "--triple", "e,e,e", "--n", "0"], None, "n must be at least 1"),
+    (["gk", "--triple", "e,e,e"], {"format": "xml"}, "unknown format 'xml'"),
+    (["hilbert", "--triple", "e,23,e", "--phi", "eta2"], None,
+     "unknown profile 'eta2'; use eta0 or eta1"),
+], ids=["n-0", "config-format-xml", "phi-eta2"])
+def test_bad_setting_exits_2(tmp_path, capsys, argv, config, message):
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = argv + ["--config", str(cfg)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 # per setting, a --config value of a type it does not take, and the message

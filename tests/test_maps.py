@@ -10,8 +10,8 @@ from tripmaps.domain import PermutationTriple, TrianglePoint, supported_triples
 from tripmaps.errors import (AmbiguousDigit, BoundaryHit, DigitNotFound, EvaluationSingularity,
                              OutsideTriangle)
 from tripmaps import maps, transfer
-from tripmaps.maps import K_MAX_DEFAULT, _SHALLOW, _eval_formula, _solve, _window
-from tripmaps.tables.forward import FORWARD
+from tripmaps.maps import K_MAX_DEFAULT, _SHALLOW, _solve, _window
+from tripmaps.tables.forward import FORWARD, ForwardRow
 from tripmaps.tables.transfer_rows import TRANSFER, TransferRow
 
 EEE = PermutationTriple("e", "e", "e")
@@ -336,12 +336,10 @@ def test_deeper_is_digit_at_least_k(k, sample_points):
     # the search relies on it: F1^-K(p) = branch_0(T_K(p)) lies in the
     # triangle exactly when the digit of p is at least K
     for key in supported_triples():
-        f, branch = FORWARD[key].f, TRANSFER[key].branch
         for p in sample_points[:4]:
             qx, qy = _branch(key, k, p.x, p.y)
             for K in range(max(0, k - 3), k + 4):
-                s = -1.0 if K & 1 else 1.0
-                assert maps._deeper(f, branch, K, qx, qy, s) == (K <= k), (key, k, K)
+                assert maps._deeper(key, K, qx, qy) == (K <= k), (key, k, K)
 
 
 @settings(max_examples=60, deadline=None)
@@ -376,6 +374,31 @@ def test_branch_roundtrip_bad_branch_point(monkeypatch, sample_points, fault, er
         maps.branch_roundtrip(EEE, 3, sample_points[:3])
 
 
+def _forward_singular_at(monkeypatch, key, x_bad):
+    """Make the first image coordinate of row key divide by zero wherever
+    x is x_bad."""
+    f, parity = FORWARD[key].f, FORWARD[key].parity
+    monkeypatch.setitem(FORWARD, key, ForwardRow(parity, lambda k, x, y, s: (
+        f(k, x, y, s)[0] / (x - x_bad), f(k, x, y, s)[1])))
+
+
+def test_apply_branch_formula_singular_point(monkeypatch):
+    p = TrianglePoint(0.5, 0.25)
+    _forward_singular_at(monkeypatch, EEE.key, p.x)
+    with pytest.raises(EvaluationSingularity):
+        maps.apply_branch_formula(EEE, 3, p)
+
+
+def test_branch_roundtrip_singular_forward_formula(monkeypatch, sample_points):
+    # branch 1 of point 1 is leaf 5 of the tree over 4 branches
+    pts = sample_points[:3]
+    a, _, _ = transfer.preimage_tree(EEE, np.array([p.x for p in pts]),
+                                     np.array([p.y for p in pts]), 1, 4)
+    _forward_singular_at(monkeypatch, EEE.key, a[5])
+    with pytest.raises(EvaluationSingularity, match="at k=1$"):
+        maps.branch_roundtrip(EEE, 3, pts)
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda pts: maps.digits(EEE.key, [0.6, 0.7], [0.2]), "xs and ys differ in size: 2 and 1"),
     (lambda pts: maps.digits(EEE.key, [0.6, 0.7, 0.8], [0.2, 0.3]),
@@ -402,7 +425,8 @@ def test_digits_batch_matches_points_and_images(sample_points):
             st = maps.step(t, TrianglePoint(x, y))
             assert st.digit == k == _scan(key, x, y), key
             assert type(st.digit) is int, key
-            assert (st.image.x, st.image.y) == _eval_formula(key, st.digit, x, y), key
+            assert (st.image.x, st.image.y) == FORWARD[key].f(
+                st.digit, x, y, -1.0 if st.digit & 1 else 1.0), key
 
 
 # --- the line bracket of _solve against the search window ------------------

@@ -1,5 +1,6 @@
 import ast
 import math
+import re
 from pathlib import Path
 
 import mpmath
@@ -9,10 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from tripmaps import claims
 from tripmaps.domain import PermutationTriple, TrianglePoint, supported_triples
-from tripmaps.errors import NotArrayNative, StencilOutOfDomain, TruncationFailure
+from tripmaps.errors import (EvaluationSingularity, NotArrayNative, StencilOutOfDomain,
+                             TruncationFailure)
 from tripmaps.tables import transfer_rows
 from tripmaps.tables.forward import FORWARD
-from tripmaps.tables.transfer_rows import TRANSFER
+from tripmaps.tables.transfer_rows import TRANSFER, TransferRow
 from tripmaps.transfer import (
     TruncationPolicy,
     _columns,
@@ -212,6 +214,36 @@ def test_scalar_result_broadcast_and_not_array_native():
         apply_transfer(EEE, scalar_only, P)
     with pytest.raises(NotArrayNative):
         partial_transfer(EEE, scalar_only, P, 8)
+
+
+def _divides_by_zero_at(monkeypatch, key, x_bad, part):
+    """Make the weight or the first branch coordinate of row key divide by
+    zero wherever x is x_bad."""
+    weight, branch = TRANSFER[key].weight, TRANSFER[key].branch
+    if part == "weight":
+        row = TransferRow(lambda k, x, y, s: weight(k, x, y, s) / (x - x_bad), branch)
+    else:
+        row = TransferRow(weight, lambda k, x, y, s: (
+            branch(k, x, y, s)[0] / (x - x_bad), branch(k, x, y, s)[1]))
+    monkeypatch.setitem(TRANSFER, key, row)
+
+
+@pytest.mark.parametrize("part", ["weight", "branch"])
+def test_singular_branch_sum_term_raises_typed_error(monkeypatch, part):
+    # the terms were evaluated outside np.errstate: the division warned
+    # before the non-finite term could be reported
+    _divides_by_zero_at(monkeypatch, EEE.key, 0.7, part)
+    with pytest.raises(EvaluationSingularity, match=re.escape("(0.7, 0.1)")):
+        apply_transfer_batch(EEE, lambda x, y: 1.0 + x * y, np.array([0.5, 0.7]),
+                             np.array([0.25, 0.1]))
+
+
+@pytest.mark.parametrize("face", [branch_point, weight])
+@pytest.mark.parametrize("part", ["weight", "branch"])
+def test_singular_point_raises_typed_error(monkeypatch, face, part):
+    _divides_by_zero_at(monkeypatch, EEE.key, P.x, part)
+    with pytest.raises(EvaluationSingularity):
+        face(EEE, 3, P)
 
 
 # the rows whose weight cubes 1 / |x + k*(y - 1) - 2|, a base negative on
