@@ -6,34 +6,27 @@ triangle, the lowest one where rounding admits a run of them.
 
 Every digit comes from one solver, _solve, on arrays of points; an orbit
 step and extract_digit call it on one-element arrays.  Every numeric
-evaluation of a forward row goes through _images, and of an inverse row
-through transfer._inverse; only the exact ranges call a row directly, on
-rationals.
+evaluation of a forward row goes through _images; only the exact ranges
+call a row directly, on rationals.
 
-On parity-free rows, which include all 18 density rows and both ergodic
-maps, both image components are affine in k, and the line through the
-images at k = 0 and 1 brackets the digit in two evaluations (_lines,
-_bracket).
+Within one parity class (k even, or k odd, on the 72 parity rows; every k
+on the 36 parity-free rows) both image components are linear-fractional
+in k, (a + b k)/(1 + d k), with one shared pole, so each membership
+constraint y' >= 0, x' - y' >= 0, x' <= 1 holds on a half-line on each
+side of the pole.  On parity-free rows, which include all 18 density rows
+and both ergodic maps, d = 0.  _bracket fits every class in floats, from
+the images at its first three k (two on a parity-free row), for arrays of
+points at once; the hull of the ranges so found, widened by _window's
+reach, is the window whose integers the membership test confirms.
 
-On parity rows the window comes from a search.  The inverse branches are
-F1^k F0, F0 the digit-0 branch, so the points of digit at least K form the
-nested triangle F1^K(triangle), and a point p lies in it exactly when
-F1^-K(p) = branch_0(T_K(p)) does, T_K the forward formula of digit K.
-That test is monotone in K: a galloping search (K = 1, 2, 4, ..., then
-bisection) finds the digit in O(log k) evaluations, for arrays of points
-at once, and the membership test confirms the integers next to it.
-
-Far out either window loses the digit: T_K carries terms of size K, and
-next to a vertex their rounding smears the test over up to millions of
-steps.  So beyond _SHALLOW, and wherever the confirmation is not clean,
-the digit comes from the row formula evaluated in exact rational
-arithmetic: within one parity class (k even, or k odd) both image
-components are linear-fractional in k, (a + b k)/(1 + d k), with one
-shared pole, so three exact samples fix each membership constraint
-y' >= 0, x' - y' >= 0, x' <= 1, and each holds on a half-line on each side
-of the pole.  A scan over the 64 steps on each side of the ranges so
-found applies the tie rules in rounded arithmetic, as a scan from k = 0
-would.
+Far out the window loses the digit: the images carry terms of size k, and
+next to a vertex their rounding smears the constraints over up to
+millions of steps; on parity rows the float fit of d is ill-conditioned
+near deep digits.  So beyond _SHALLOW, and wherever the confirmation is
+not clean, the digit comes from the same fit in exact rational
+arithmetic, three exact samples a class (_exact_ranges).  A scan over the
+64 steps on each side of the ranges so found applies the tie rules in
+rounded arithmetic, as a scan from k = 0 would.
 """
 
 from __future__ import annotations
@@ -53,19 +46,18 @@ from .errors import (
     OutsideTriangle,
 )
 from .tables.forward import FORWARD
-from .tables.transfer_rows import TRANSFER
-from .transfer import _broadcast, _inverse, _parities, parity_sign, preimage_tree
+from .transfer import _broadcast, _parities, parity_sign, preimage_tree
 
 MEMBERSHIP_TOL = 1e-12
 # orbits drift arbitrarily close to the corner, where the digit grows like
-# 1/y; digit extraction costs O(log k) evaluations below _SHALLOW and a
-# fixed number beyond it, so the default cap is huge on purpose
+# 1/y; digit extraction costs a fixed number of evaluations at any depth,
+# so the default cap is huge on purpose
 K_MAX_DEFAULT = 10 ** 12
 
-# the galloping search stops here.  Beyond it rounding smears the composed
-# test and the eps*k allowance widens, so the exact path decides; below it
-# a wrong answer of the search finds no clean run of hits, and goes to the
-# exact path all the same
+# the float bracket stops here.  Beyond it rounding smears the fitted
+# constraints and the eps*k allowance widens, so the exact path decides;
+# below it a wrong window finds no clean run of hits, and goes to the exact
+# path all the same
 _SHALLOW = 2 ** 20
 # a range of exact candidates wider than this is far longer than a
 # boundary tie
@@ -106,66 +98,51 @@ def apply_branch_formula(t: PermutationTriple, k: int, p: TrianglePoint):
     return float(xp), float(yp)
 
 
-# --- search: digit >= k is monotone in k -----------------------------------
+# --- bracket: one linear-fractional fit per parity class, in floats -------
 
-def _deeper(key, k, x, y):
-    """Whether the digit of (x, y) is at least k under the row key: whether
-    F1^-k(x, y) = branch_0(T_k(x, y)) is in the closed triangle."""
-    _, a, b = _inverse(TRANSFER[key], 0, *_images(key, k, x, y), 1.0)
-    return (b >= 0.0) & (a >= b) & (a <= 1.0)
-
-
-def _search(key, xs, ys, limit):
-    """The largest k <= limit whose _deeper holds, for each point, by
-    galloping from k = 1 and bisecting; -1 where that is limit itself.
-    _solve searches on parity rows only."""
-    n = xs.size
-    lo, hi = np.zeros(n, np.int64), np.ones(n, np.int64)
-    deep = np.zeros(n, dtype=bool)
-    todo = np.arange(n)
-    while todo.size:
-        k = np.minimum(hi[todo], limit)
-        up = _deeper(key, k, xs[todo], ys[todo])
-        lo[todo[up]] = k[up]
-        hi[todo] = np.where(up, 2 * k, k)
-        deep[todo[up & (k == limit)]] = True
-        todo = todo[up & (k < limit)]
-    todo = np.nonzero(~deep & (hi - lo > 1))[0]
-    while todo.size:
-        mid = (lo[todo] + hi[todo]) // 2
-        up = _deeper(key, mid, xs[todo], ys[todo])
-        lo[todo[up]] = mid[up]
-        hi[todo[~up]] = mid[~up]
-        todo = todo[hi[todo] - lo[todo] > 1]
-    return np.where(deep, -1, lo)
-
-
-# --- line bracket: parity-free rows ------------------------------------------
-
-def _lines(image0, image1):
-    """The membership constraints y' >= 0, x' - y' >= 0, x' <= 1 of a
-    parity-free row, as pairs (a, b) of lines a + b*k >= 0 through the
-    images at k = 0 and 1, on arrays."""
-    (xa, ya), (xb, yb) = image0, image1
-    return (ya, yb - ya), (xa - ya, xb - yb - xa + ya), (1.0 - xa, xa - xb)
-
-
-def _bracket(key, xs, ys):
-    """The window of candidate digits of each point on a parity-free row:
-    the integers lo..hi next to the interval that the lines keep in the
-    triangle, and whether there is one.  There is none where a sample is
-    not finite or the interval is empty, wider than _MAX_WIDTH or beyond
-    _SHALLOW."""
-    image0, image1 = _images(key, 0, xs, ys), _images(key, 1, xs, ys)
-    bottom, top = np.zeros(xs.size), np.full(xs.size, float(_SHALLOW))
-    for a, b in _lines(image0, image1):
-        v = -a / b
-        bottom = np.where(b > 0, np.maximum(bottom, v), bottom)
-        top = np.where(b < 0, np.minimum(top, v), np.where((b == 0) & (a < 0), -np.inf, top))
-    ok = (np.isfinite(image0[0]) & np.isfinite(image0[1]) & np.isfinite(image1[0])
-          & np.isfinite(image1[1]) & (bottom <= top) & (top <= bottom + _MAX_WIDTH))
-    lo = np.where(ok, np.ceil(bottom) - 1, 0).astype(np.int64)
-    hi = np.where(ok, np.floor(top) + 1, 0).astype(np.int64)
+def _bracket(key, xs, ys, reach):
+    """The window of candidate digits of each point: the integers within
+    reach of the hull of the k intervals that the fitted constraints keep
+    in the triangle, over the parity classes and the sides of their poles,
+    and whether there is one.  There is none where a sample is not finite
+    or the hull is empty, wider than _MAX_WIDTH or beyond _SHALLOW."""
+    # a parity-free row is affine in k: d = 0, and j = 0, 1 fix its lines
+    fit = FORWARD[key].parity
+    classes = np.array([(first, step) for first, step, _ in _parities(key)])
+    first, step = classes[:, :1], classes[:, 1:]
+    xp, yp = _images(key, (first + step * np.arange(3 if fit else 2))[..., None], xs, ys)
+    finite = (np.isfinite(xp) & np.isfinite(yp)).all(axis=(0, 1))
+    # c[i, class, j, point]: constraint i at k = first + step*j
+    c = np.stack((yp, xp - yp, 1.0 - xp))
+    c0, c1 = c[:, :, 0], c[:, :, 1]
+    a, b, sides = c0, c1 - c0, (1.0,)
+    if fit:
+        # constraint i is (a_i + b_i*j)/(1 + d*j), a_i = c0[i], with one d
+        # per class and point, fitted on the constraint that moves most from
+        # j = 1 to 2
+        c2 = c[:, :, 2]
+        i = np.argmax(np.abs(c2 - c1), axis=0)[None]
+        d = np.take_along_axis(np.where(c1 != c2, (2 * c1 - c0 - c2) / (2 * (c2 - c1)), 0.0),
+                               i, 0)
+        b, sides = c1 * (1 + d) - c0, (1.0, -1.0)
+    # on the side of the pole where sign*(1 + d*j) > 0 constraint i holds
+    # where sign*(a_i + b_i*j) >= 0: from j = -a_i/b_i up where sign*b_i > 0,
+    # up to it where sign*b_i < 0, nowhere where b_i = 0 > sign*a_i.  The
+    # constraints sum to 1, so their lines sum to the pole's, 1 + d*j, and
+    # where they all hold so does sign*(1 + d*j) >= 0
+    v, up, down, flat = -a / b, b > 0, b < 0, b == 0
+    bottom, top = np.inf, -np.inf
+    for sign in sides:
+        j_lo = v.max(axis=0, where=up, initial=0.0)
+        j_hi = np.minimum(v.min(axis=0, where=down, initial=np.inf), (_SHALLOW - first) / step)
+        j_hi[(flat & (sign * a < 0)).any(axis=0)] = -np.inf
+        keep = j_lo <= j_hi
+        bottom = np.minimum(bottom, np.where(keep, first + step * j_lo, np.inf).min(axis=0))
+        top = np.maximum(top, np.where(keep, first + step * j_hi, -np.inf).max(axis=0))
+        up, down = down, up
+    ok = finite & (bottom <= top) & (top <= bottom + _MAX_WIDTH)
+    lo = np.where(ok, np.ceil(bottom) - reach, 0).astype(np.int64)
+    hi = np.where(ok, np.floor(top) + reach, 0).astype(np.int64)
     return lo, hi, ok
 
 
@@ -204,13 +181,11 @@ class _Exact(Fraction):
 
 
 def _window(key):
-    """How far the confirmation window reaches on each side of a searched
-    digit, and how many steps a clean run of hits keeps below its end.  A
-    scan from k = 0 counts hits up to six steps apart as one run, and on
-    parity rows cylinders k and k + 2 can touch; on parity-free rows the
-    cylinders form a fan, and two that are not neighbours meet only at its
-    vertex.  _solve reads the reach on parity rows only: on parity-free
-    rows its window is the line bracket."""
+    """How far the window reaches beyond the bracket on each side, and how
+    many steps a clean run of hits keeps below its end.  A scan from k = 0
+    counts hits up to six steps apart as one run, and on parity rows
+    cylinders k and k + 2 can touch; on parity-free rows the cylinders form
+    a fan, and two that are not neighbours meet only at its vertex."""
     return (7, 6) if FORWARD[key].parity else (1, 0)
 
 
@@ -389,11 +364,7 @@ def _solve_exact(key, xs, ys, k_max):
 def _solve(key, xs, ys, k_max):
     """digits, and the images each digit was accepted on."""
     reach, margin = _window(key)
-    if FORWARD[key].parity:
-        found = _search(key, xs, ys, min(k_max, _SHALLOW))
-        lo, hi, sure = found - reach, found + reach, found >= 0
-    else:
-        lo, hi, sure = _bracket(key, xs, ys)
+    lo, hi, sure = _bracket(key, xs, ys, reach)
     lo, hi = np.maximum(lo, 0), np.minimum(hi, k_max)
     idx = np.nonzero(sure)[0]
     digit, image_x, image_y, lowest, highest, count = _decide(

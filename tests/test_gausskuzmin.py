@@ -244,8 +244,8 @@ def test_orbit_boundary_test_shared(monkeypatch):
 
 
 def test_walker_counts_deep_digit_once(monkeypatch):
-    # a walker next to the y = 0 edge, whose digit is beyond the galloping
-    # search, so that the exact path decides it; the digit is tallied
+    # a walker next to the y = 0 edge, whose digit is beyond the float
+    # bracket, so that the exact path decides it; the digit is tallied
     # once, without a table as long as the digit
     deep = TrianglePoint(0.7, 3.3e-10)
     k_deep = int(digits(EEE.key, [deep.x], [deep.y])[0])

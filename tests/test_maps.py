@@ -10,7 +10,7 @@ from tripmaps.domain import PermutationTriple, TrianglePoint, supported_triples
 from tripmaps.errors import (AmbiguousDigit, BoundaryHit, DigitNotFound, EvaluationSingularity,
                              OutsideTriangle)
 from tripmaps import maps, transfer
-from tripmaps.maps import K_MAX_DEFAULT, _SHALLOW, _solve, _window
+from tripmaps.maps import K_MAX_DEFAULT, _solve
 from tripmaps.tables.forward import FORWARD, ForwardRow
 from tripmaps.tables.transfer_rows import TRANSFER, TransferRow
 
@@ -307,10 +307,10 @@ def test_digit_deep_in_bottom_left_corner(x, y, k):
 
 
 def test_exact_formulas_are_linear_fractional_in_each_class():
-    # the premise of the exact ranges: on every row and parity class the
-    # table formula, evaluated exactly, stays exact, and the three
-    # constraints fitted from k-steps 0, 1, 2 give a fourth sample
-    # exactly, with one pole
+    # the premise of the bracket and of the exact ranges: on every row and
+    # parity class the table formula, evaluated exactly, stays exact, and
+    # the three constraints fitted from k-steps 0, 1, 2 give a fourth
+    # sample exactly, with one pole; parity-free rows are affine in k
     for key in supported_triples():
         for first, step, s in transfer._parities(key):
             for x, y in ((0.61, 0.22), (0.5000000017, 0.4999999981)):
@@ -329,17 +329,7 @@ def test_exact_formulas_are_linear_fractional_in_each_class():
                     assert v3 == (v0 + 3 * b) / (1 + 3 * d), key
                     poles.add(d)
                 assert len(poles) <= 1, key
-
-
-@pytest.mark.parametrize("k", [0, 1, 2, 7, 40, 1000, 30000])
-def test_deeper_is_digit_at_least_k(k, sample_points):
-    # the search relies on it: F1^-K(p) = branch_0(T_K(p)) lies in the
-    # triangle exactly when the digit of p is at least K
-    for key in supported_triples():
-        for p in sample_points[:4]:
-            qx, qy = _branch(key, k, p.x, p.y)
-            for K in range(max(0, k - 3), k + 4):
-                assert maps._deeper(key, K, qx, qy) == (K <= k), (key, k, K)
+                assert FORWARD[key].parity or poles <= {0}, key
 
 
 @settings(max_examples=60, deadline=None)
@@ -369,7 +359,7 @@ def test_branch_roundtrip_bad_branch_point(monkeypatch, sample_points, fault, er
         a, b = row.branch(k, x, y, s)
         return (a / (x - bad), b) if fault == "singular" else (a, b - (x == bad))
 
-    monkeypatch.setitem(maps.TRANSFER, key, TransferRow(row.weight, branch))
+    monkeypatch.setitem(TRANSFER, key, TransferRow(row.weight, branch))
     with pytest.raises(error):
         maps.branch_roundtrip(EEE, 3, sample_points[:3])
 
@@ -429,7 +419,7 @@ def test_digits_batch_matches_points_and_images(sample_points):
                 st.digit, x, y, -1.0 if st.digit & 1 else 1.0), key
 
 
-# --- the line bracket of _solve against the search window ------------------
+# --- the bracket of _solve against the exact ranges --------------------------
 
 def _bits(fn, key, x, y):
     try:
@@ -450,30 +440,6 @@ _NEAR = {
 }
 
 
-PARITY_FREE = [key for key in supported_triples() if not FORWARD[key].parity]
-
-
-@np.errstate(all="ignore")
-def _search_window_solve(key, xs, ys, k_max=K_MAX_DEFAULT):
-    """_solve on a parity-free row with the window of the galloping
-    search, the integers next to the searched digit, in place of the line
-    bracket."""
-    found = maps._search(key, xs, ys, min(k_max, _SHALLOW))
-    reach, margin = _window(key)
-    lo, hi = np.maximum(found - reach, 0), np.minimum(found + reach, k_max)
-    sure = found >= 0
-    idx = np.nonzero(sure)[0]
-    digit, image_x, image_y, lowest, highest, count = maps._decide(
-        key, xs, ys, *maps._spread(idx, lo[idx], hi[idx]))
-    sure &= ((count > 0) & (highest - lowest == count - 1)
-             & ((lowest > lo) | (lo == 0)) & ((highest + margin < hi) | (hi == k_max)))
-    redo = np.nonzero(~sure)[0]
-    if redo.size:
-        digit[redo], image_x[redo], image_y[redo] = maps._solve_exact(
-            key, xs[redo], ys[redo], k_max)
-    return digit.astype(np.int64), image_x, image_y
-
-
 def _first(solve):
     # the digit and image of one point, through the array solver
     def one(key, x, y):
@@ -481,9 +447,17 @@ def _first(solve):
     return one
 
 
+@np.errstate(all="ignore")
+def _exact_solve(key, xs, ys, k_max):
+    """maps._solve_exact as _solve calls it, its float digits as int64:
+    the exact ranges decide every point."""
+    digit, image_x, image_y = maps._solve_exact(key, xs, ys, k_max)
+    return digit.astype(np.int64), image_x, image_y
+
+
 @st.composite
-def _parity_free_points(draw):
-    key = draw(st.sampled_from(PARITY_FREE))
+def _row_points(draw):
+    key = draw(st.sampled_from(supported_triples()))
     where = draw(st.sampled_from(("interior", "cylinder", "deep") + tuple(_NEAR)))
     u, v = draw(st.floats(0.001, 0.999)), draw(st.floats(0.001, 0.999))
     if where == "interior":
@@ -506,24 +480,42 @@ def _parity_free_points(draw):
 
 
 @settings(max_examples=800, deadline=None)
-@given(_parity_free_points())
-def test_line_bracket_matches_search_window(point):
-    # on parity-free rows _solve takes its window from the line through the
-    # images at k = 0 and 1; the search window gives every point the same
-    # digit and image bit for bit, or the same error
+@given(_row_points())
+def test_bracket_matches_exact_ranges(point):
+    # _solve takes its window from the float fit of each parity class at
+    # j = 0, 1, 2 (j = 0, 1 on parity-free rows); the exact ranges give
+    # every point the same digit and image bit for bit, or the same error
     key, x, y = point
     assume(0.0 < y < x < 1.0)
-    assert _bits(_first(_solve), key, x, y) == _bits(_first(_search_window_solve), key, x, y), \
+    assert _bits(_first(_solve), key, x, y) == _bits(_first(_exact_solve), key, x, y), \
         (key, x, y)
 
 
-def test_solve_searches_parity_rows_only(monkeypatch, sample_points):
-    # the walkers run on parity-free rows, where no galloping search runs
-    def no_search(*args):
-        raise AssertionError("search called")
+def _forbid_exact_path(monkeypatch):
+    def no_exact(*args):
+        raise AssertionError("exact path called")
 
-    monkeypatch.setattr(maps, "_search", no_search)
-    for key in PARITY_FREE:
+    monkeypatch.setattr(maps, "_solve_exact", no_exact)
+
+
+def test_bracket_decides_interior_points_on_every_row(monkeypatch, sample_points):
+    # the bracket settles the branch points of interior points on every
+    # row, deep ones apart, without the exact path
+    _forbid_exact_path(monkeypatch)
+    for key in supported_triples():
         qs = [_branch(key, k, p.x, p.y) for k in (0, 1, 5, 999) for p in sample_points[:4]]
         got = maps.digits(key, [q[0] for q in qs], [q[1] for q in qs])
         assert np.array_equal(got, np.repeat([0, 1, 5, 999], 4)), key
+
+
+def test_bracket_reaches_beyond_the_pole(monkeypatch):
+    # a parity row whose images share the pole k = 10 and meet the triangle
+    # at k = 20 only: in both classes the digit lies where 1 + d*j < 0, on
+    # the far side of the pole from the samples at j = 0, 1, 2
+    def f(k, x, y, s):
+        t = (k - 20) / (k - 10)
+        return x + 100 * t, y - 100 * t
+
+    monkeypatch.setitem(FORWARD, EEE.key, ForwardRow(True, f))
+    _forbid_exact_path(monkeypatch)
+    assert _solo(EEE.key, 0.5, 0.25) == 20
