@@ -6,8 +6,8 @@ row per claim, and reads no setting but the output ones.  Configuration
 precedence is flags > --config JSON file > built-in defaults.  Output is
 CSV (fixed header, 17 significant digits) or JSON, written to --out or
 stdout; row order follows the embedded table order so files diff
-cleanly across runs.  Exit status is 0 iff every tolerance asserted by
-the verb is met.
+cleanly across runs.  Exit status is 1 if a row's pass column is false,
+2 on an error and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -114,51 +114,47 @@ def _emit(cfg: RunConfig, header: list[str], rows: list[dict]) -> None:
 
 
 def _triples_arg(cfg: RunConfig, table=None) -> list[PermutationTriple]:
-    if cfg.triple in ("all", "all-tabulated"):
+    if cfg.triple == "all":
         keys = supported_triples() if table is None else [
             k for k in supported_triples() if k in table]
         return [PermutationTriple(*k) for k in keys]
     return [parse_triple(cfg.triple)]
 
 
-def cmd_verify(cfg: RunConfig) -> tuple[int, list[dict], list[str]]:
-    rows, status = [], 0
+def cmd_verify(cfg: RunConfig) -> tuple[list[dict], list[str]]:
+    rows = []
     for claim in claims.CLAIMS:
         value = claim.run()
-        ok = value < claim.tol
-        status |= 0 if ok else 1
-        rows.append({"claim": claim.name, "value": value, "tol": claim.tol, "pass": ok})
-    return status, rows, ["claim", "value", "tol", "pass"]
+        rows.append({"claim": claim.name, "value": value, "tol": claim.tol,
+                     "pass": value < claim.tol})
+    return rows, ["claim", "value", "tol", "pass"]
 
 
-def cmd_verify_branches(cfg: RunConfig) -> tuple[int, list[dict], list[str]]:
+def cmd_verify_branches(cfg: RunConfig) -> tuple[list[dict], list[str]]:
     pts = interior_points(cfg.seed, cfg.n)
-    rows, status = [], 0
+    rows = []
     for t in _triples_arg(cfg):
         worst, digits_ok = maps.branch_roundtrip(t, cfg.kmax, pts)
-        ok = worst < cfg.tol and digits_ok
-        status |= 0 if ok else 1
         rows.append({"triple": str(t), "max_roundtrip_err": worst,
-                     "digits_exact": digits_ok, "pass": ok})
-    return status, rows, ["triple", "max_roundtrip_err", "digits_exact", "pass"]
+                     "digits_exact": digits_ok, "pass": worst < cfg.tol and digits_ok})
+    return rows, ["triple", "max_roundtrip_err", "digits_exact", "pass"]
 
 
-def cmd_eigen(cfg: RunConfig) -> tuple[int, list[dict], list[str]]:
+def cmd_eigen(cfg: RunConfig) -> tuple[list[dict], list[str]]:
     tol = cfg.tol
     grid = spectral.GridSpec(margin=cfg.margin, density=10)
-    rows, status = [], 0
+    rows = []
     for t in _triples_arg(cfg, EIGENFUNCTIONS):
         rep = spectral.eigen_residual(t, grid, eps=tol / 10.0)
-        ok = rep.max_rel_residual < tol
-        status |= 0 if ok else 1
         rows.append({"triple": str(t), "max_rel_residual": rep.max_rel_residual,
-                     "truncation_k": rep.truncation_k, "pass": ok})
-    return status, rows, ["triple", "max_rel_residual", "truncation_k", "pass"]
+                     "truncation_k": rep.truncation_k,
+                     "pass": rep.max_rel_residual < tol})
+    return rows, ["triple", "max_rel_residual", "truncation_k", "pass"]
 
 
-def cmd_gk(cfg: RunConfig) -> tuple[int, list[dict], list[str]]:
+def cmd_gk(cfg: RunConfig) -> tuple[list[dict], list[str]]:
     tol = cfg.tol
-    rows, status = [], 0
+    rows = []
     for t in _triples_arg(cfg, DENSITIES):
         closed = gausskuzmin.CLOSED_FORMS.get(t.key)
         stats = None
@@ -184,51 +180,48 @@ def cmd_gk(cfg: RunConfig) -> tuple[int, list[dict], list[str]]:
                 row["stderr"] = se
                 if t.key in ERGODIC_TRIPLES:
                     ok = ok and abs(f - p) < 5 * se + 1e-3
-            status |= 0 if ok else 1
             row["pass"] = ok
             rows.append(row)
-    return status, rows, ["triple", "k", "p_theoretical", "p_closed",
-                          "p_empirical", "stderr", "pass"]
+    return rows, ["triple", "k", "p_theoretical", "p_closed",
+                  "p_empirical", "stderr", "pass"]
 
 
-def cmd_hilbert(cfg: RunConfig) -> tuple[int, list[dict], list[str]]:
+def cmd_hilbert(cfg: RunConfig) -> tuple[list[dict], list[str]]:
     tol = cfg.tol
     k_eta = {"eta0": 0, "eta1": 1}.get(cfg.phi)
     if k_eta is None:
         raise ValueError(f"unknown profile {cfg.phi!r}; use eta0 or eta1")
     p = TrianglePoint(0.6, 0.3)
     phi = hilbert.eta_profile(k_eta)
-    rows, status = [], 0
+    rows = []
     for t in _triples_arg(cfg, HILBERT):
         lhs, rhs = hilbert.theorem31_check(t, phi, p)
         lag = hilbert.laguerre_expansion_partial(t, phi, p, 50)
         rel = abs(lhs - rhs) / abs(lhs)
         lag_rel = abs(lag - lhs) / abs(lhs)
         ok = rel < tol and lag_rel < _CLAIM_TOL["theorem31_laguerre"]
-        status |= 0 if ok else 1
         rows.append({"triple": str(t), "phi": cfg.phi, "x": p.x, "y": p.y,
                      "lhs": lhs, "rhs": rhs, "rel_gap": rel,
                      "laguerre_K50": lag, "pass": ok})
-    return status, rows, ["triple", "phi", "x", "y", "lhs", "rhs",
-                          "rel_gap", "laguerre_K50", "pass"]
+    return rows, ["triple", "phi", "x", "y", "lhs", "rhs",
+                  "rel_gap", "laguerre_K50", "pass"]
 
 
-def cmd_sumbounds(cfg: RunConfig) -> tuple[int, list[dict], list[str]]:
+def cmd_sumbounds(cfg: RunConfig) -> tuple[list[dict], list[str]]:
     grid = spectral.GridSpec(margin=cfg.margin, density=5)
-    rows, status = [], 0
+    rows = []
     for t in _triples_arg(cfg, BANACH):
         max_sum = spectral.summand_bound(t, grid, eps=cfg.tol)
         # the grid maximum is inf exactly where some sum did not converge
         ok = math.isfinite(max_sum)
-        status |= 0 if ok else 1
         rows.append({"triple": str(t), "max_sum": max_sum,
                      "all_converged": ok, "pass": ok})
-    return status, rows, ["triple", "max_sum", "all_converged", "pass"]
+    return rows, ["triple", "max_sum", "all_converged", "pass"]
 
 
-def cmd_orbit(cfg: RunConfig) -> tuple[int, list[dict], list[str]]:
-    t = parse_triple(cfg.triple) if cfg.triple not in ("all", "all-tabulated") \
-        else PermutationTriple("e", "e", "e")
+def cmd_orbit(cfg: RunConfig) -> tuple[list[dict], list[str]]:
+    # --triple all starts the list at e,e,e
+    t = _triples_arg(cfg)[0]
     if cfg.start:
         try:
             x, y = (float(v) for v in cfg.start.split(","))
@@ -249,10 +242,10 @@ def cmd_orbit(cfg: RunConfig) -> tuple[int, list[dict], list[str]]:
             break
         p = st.image
         rows.append({"step": i + 1, "digit": st.digit, "x": p.x, "y": p.y})
-    return 0, rows, ["step", "digit", "x", "y"]
+    return rows, ["step", "digit", "x", "y"]
 
 
-def cmd_list_triples(cfg: RunConfig) -> tuple[int, list[dict], list[str]]:
+def cmd_list_triples(cfg: RunConfig) -> tuple[list[dict], list[str]]:
     rows = []
     for key in supported_triples():
         rows.append({
@@ -263,8 +256,8 @@ def cmd_list_triples(cfg: RunConfig) -> tuple[int, list[dict], list[str]]:
             "density": key in DENSITIES,
             "ergodic": key in ERGODIC_TRIPLES,
         })
-    return 0, rows, ["triple", "banach", "eigenfunction", "hilbert",
-                     "density", "ergodic"]
+    return rows, ["triple", "banach", "eigenfunction", "hilbert",
+                  "density", "ergodic"]
 
 
 COMMANDS = {
@@ -327,12 +320,13 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _resolve(args)
-        status, rows, header = COMMANDS[cfg.command](cfg)
+        rows, header = COMMANDS[cfg.command](cfg)
         _emit(cfg, header, rows)
     except (TripMapError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return status
+    # 1 iff a printed row fails: a verb without a pass column exits 0
+    return 0 if all(row.get("pass", True) for row in rows) else 1
 
 
 if __name__ == "__main__":

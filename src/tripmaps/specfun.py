@@ -58,9 +58,12 @@ DM_TOL = 1e-9
 
 
 def dilog(z: float) -> float:
-    """Li2 on [0, 1]; series below 1/2, reflection above."""
-    if not 0.0 <= z <= 1.0:
-        raise DomainError(f"dilog argument {z} outside [0, 1]")
+    """Li2 on [-1, 1]; series on [0, 1/2], reflection above, and
+    Li2(-z) = Li2(z^2)/2 - Li2(z) below 0."""
+    if not -1.0 <= z <= 1.0:
+        raise DomainError(f"dilog argument {z} outside [-1, 1]")
+    if z < 0.0:
+        return 0.5 * dilog(z * z) - dilog(-z)
     if z == 0.0:
         return 0.0
     if z == 1.0:
@@ -439,17 +442,19 @@ def integrate_triangles(fun: Callable, m: int, abs_tol: float, max_depth: int = 
             continue
         refinable = depth < max_depth
         worst = np.maximum.reduceat(np.where(refinable, gap, -np.inf)[order], starts)
-        # a nan estimate selects no leaf, and would never leave the loop
-        stuck = np.isnan(total_err) | (worst == -np.inf) | (leaves > max_leaves)
+        thr = np.maximum(total_err / (2.0 * leaves), worst / 64.0)
+        sel = refinable & (gap >= thr[which])
+        none = np.bincount(which[sel], minlength=ids.size) == 0
+        sel |= refinable & none[which] & (gap == worst[which])
+        # a nan estimate selects no leaf, and would never leave the loop;
+        # each selected leaf turns into four, which must not pass max_leaves
+        grown = leaves + 3 * np.bincount(which[sel], minlength=ids.size)
+        stuck = np.isnan(total_err) | (worst == -np.inf) | (grown > max_leaves)
         if stuck.any():
             i = int(np.argmax(stuck))
             raise NonConvergent(
                 f"triangle quadrature of integral {ids[i]} stuck at error {total_err[i]:.3e} "
                 f"with {leaves[i]} leaves")
-        thr = np.maximum(total_err / (2.0 * leaves), worst / 64.0)
-        sel = refinable & (gap >= thr[which])
-        none = np.bincount(which[sel], minlength=ids.size) == 0
-        sel |= refinable & none[which] & (gap == worst[which])
         born = np.repeat(which[sel], 4)
         nk, nkq, nfine, ngap = expand(kids[sel].reshape(-1, 3, 2), ids[born],
                                       kidq[sel].reshape(-1))

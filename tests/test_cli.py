@@ -46,6 +46,21 @@ def test_verify_branches_bad_triple(capsys):
     assert "unsupported triple" in err
 
 
+@pytest.mark.parametrize("verb", ["verify-branches", "orbit"])
+def test_all_tabulated_is_no_triple(capsys, verb):
+    # --triple takes all or one triple
+    code, out, err = run(capsys, verb, "--triple", "all-tabulated")
+    assert code == 2 and out == ""
+    assert "all-tabulated" in err
+
+
+def test_exit_status_follows_the_pass_column(capsys, monkeypatch):
+    # a row that fails its tolerance prints False and exits 1
+    monkeypatch.setattr(maps, "branch_roundtrip", lambda t, kmax, pts: (1.0, True))
+    code, out, _ = run(capsys, "verify-branches", "--triple", "e,e,e", "--n", "2")
+    assert code == 1 and rows_of(out)[0]["pass"] == "False"
+
+
 def test_eigen_single_and_missing(capsys):
     code, out, _ = run(capsys, "eigen", "--triple", "12,13,12")
     rows = rows_of(out)

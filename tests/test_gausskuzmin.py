@@ -2,6 +2,7 @@ import hashlib
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -10,8 +11,6 @@ from tripmaps import maps
 from tripmaps.domain import PermutationTriple, TrianglePoint, in_triangle, interior_points
 from tripmaps.errors import BoundaryHit, EnvelopeExceeded, NoDensity
 from tripmaps.gausskuzmin import (
-    _GL_N,
-    _GL_W,
     MC_BATCHES,
     WALKER_STEPS,
     EmpiricalStats,
@@ -19,7 +18,6 @@ from tripmaps.gausskuzmin import (
     cylinder_measures,
     density,
     empirical_digits,
-    _gl_panels,
     invariance_check,
     p_closed_eee,
     p_integral_e23e,
@@ -109,23 +107,24 @@ def test_closed_form_normalization():
     assert abs(s23 - 1.0) < 1e-3
 
 
-def _gl_panels_loop(f, a, b, panels=8):
-    # reference: one f call and one sum per panel, added in panel order
-    edges = np.linspace(a, b, panels + 1)
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        xs = 0.5 * (hi - lo) * _GL_N + 0.5 * (hi + lo)
-        total += 0.5 * (hi - lo) * float(np.sum(_GL_W * f(xs)))
-    return total
+def _e23e_oracle(k):
+    # the printed two-piece integral, its inner dy integral done, by mpmath
+    # quad at 30 digits
+    with mpmath.workdps(30):
+        k = mpmath.mpf(k)
+        c = 6 / (mpmath.pi ** 2)
+        upper = lambda x: mpmath.log((k + x) / (k + 1))
+        piece1 = mpmath.quad(lambda x: c * (upper(x) - mpmath.log(1 - x)) / x,
+                             [1 / (k + 2), 1 / (k + 1)])
+        piece2 = mpmath.quad(lambda x: c * (upper(x) - mpmath.log((k - 1 + x) / k)) / x,
+                             [1 / (k + 1), 1])
+        return piece1 + piece2
 
 
-def test_gl_panels_matches_panel_loop():
-    # the batched panels keep the loop's arithmetic bit for bit
-    for k in (*range(1, 40), 99, 500, 4321, 9000):
-        for f, a, b in ((lambda x: np.log1p(-x) / x, 1.0 / (k + 2.0), 1.0 / (k + 1.0)),
-                        (lambda x: np.log(x + k) * x, 1.0 / (k + 1.0), 1.0)):
-            got = _gl_panels(f, a, b)
-            assert got == _gl_panels_loop(f, a, b) and isinstance(got, np.float64), k
+@pytest.mark.parametrize("k", [*range(1, 11), 50, 200, 1000, 3000, 10 ** 4])
+def test_p_integral_e23e_against_mpmath(k):
+    oracle = _e23e_oracle(k)
+    assert abs(p_integral_e23e(k) - oracle) / oracle < 1e-13
 
 
 def test_pk_decreasing_tail():

