@@ -4,9 +4,10 @@ A claim's run() takes no arguments and returns one float, the worst value
 measured over its cases; the claim holds iff that value is below tol.  A
 yes/no fact is folded into the value so the gate stays exact: a wrong
 digit makes the round-trip value inf, a non-convergent summand sum makes
-the grid maximum inf (gated against tol = inf), and a broken order is
-counted against tol = 1.  The acceptance tests and `tripmaps verify` both
-run this list.  Importing the module computes nothing.
+the grid maximum inf (gated against tol = inf), and a preimage tree with
+a weight that is not positive is counted against tol = 1.  The
+acceptance tests and `tripmaps verify` both run this list.  Importing
+the module computes nothing.
 """
 
 from __future__ import annotations
@@ -104,8 +105,8 @@ def _summand_consistency() -> float:
 
 @_claim("monotonicity", 1.0)
 def _monotonicity() -> float:
-    # f < g implies L^n f < L^n g, n = 1..3, 47 rows: the number of
-    # (row, n) pairs with a broken order
+    # f < g implies L^n f < L^n g, n = 1..3, 47 rows, through positive
+    # preimage-tree weights: the number of (row, n) pairs with a weight <= 0
     return float(sum(
         not spectral.monotonicity_check(t, n=n, trials=20, seed=1000 + n, branches=12)
         for t in _triples(BANACH) for n in (1, 2, 3)))

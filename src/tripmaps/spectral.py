@@ -4,7 +4,8 @@ and order preservation.
 "The leading eigenvalue is one" is checked through its testable faces:
 each tabulated eigenfunction h satisfies Lh = h pointwise on an interior
 grid, the weighted-norm summand sums converge with a grid-uniform bound,
-and truncated operator iterates preserve strict pointwise order.
+and truncated operator iterates preserve strict pointwise order, which
+is checked as the positivity of every weight of their preimage trees.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .transfer import (
     TruncationPolicy,
     apply_transfer_batch,
     branch_sums,
-    fold_tree,
     preimage_tree,
 )
 
@@ -109,52 +109,41 @@ def summand_bound(t: PermutationTriple, grid_spec: GridSpec = GridSpec(),
     return float(np.max(np.where(err <= eps, value, np.inf)))
 
 
-def _smooth(a: np.ndarray, x, y):
-    return a[0] + a[1] * x + a[2] * y + a[3] * x * y
-
-
-def _bump(c: np.ndarray, x, y):
-    # strictly positive on the closed triangle
-    return 0.05 + c[0] * x * (1 - x) + c[1] * y + c[2] * (x - y)
-
-
-# lower and upper ends of a trial's nine draws: a (4), c (3), x and y / x
-_DRAW_LO = np.array([-1.0, -1.0, -1.0, -1.0, 0.0, 0.0, 0.0, 0.15, 0.1])
-_DRAW_HI = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.85, 0.9])
+# lower and upper ends of a root's x and of y / x
+_DRAW_LO = np.array([0.15, 0.1])
+_DRAW_HI = np.array([0.85, 0.9])
 
 
 def _draw_trials(seed: int, trials: int):
-    """The coefficients a of f, c of the bump and the root (x, y) of each
-    trial, one row per trial, from one draw of the seeded stream."""
-    d = _DRAW_LO + (_DRAW_HI - _DRAW_LO) * np.random.default_rng(seed).random((trials, 9))
-    x = d[:, 7]
-    return d[:, :4], d[:, 4:7], x, np.clip(d[:, 8] * x, 0.05, x - 0.05)
+    """The root (x, y) of each trial from one (trials, 9) draw of the
+    seeded stream.  The roots read columns 7 and 8 only: the seven columns
+    before them once held test-function coefficients and are still drawn,
+    so that each seed keeps its roots bit for bit."""
+    u = np.random.default_rng(seed).random((trials, 9))[:, 7:]
+    x, y_over_x = (_DRAW_LO + (_DRAW_HI - _DRAW_LO) * u).T
+    return x, np.clip(y_over_x * x, 0.05, x - 0.05)
 
 
 def monotonicity_check(t: PermutationTriple, n: int = 2, trials: int = 20,
                        seed: int = 0, branches: int = 16) -> bool:
-    """f < g pointwise implies L^n f < L^n g pointwise.  Checked on random
-    pairs g = f + bump at random interior points; the operator iterates use
-    a fixed-K truncated branch sum, which preserves strict order termwise
-    because every weight is positive.  As L^n g - L^n f = L^n(bump) with a
-    positive bump, the check can fail only if some tree weight is <= 0 or
-    not finite.  The trials share preimage trees of branches**n leaves per
-    root, as many roots per tree as fit in the block budget of transfer
-    (_blocks); a singular branch in any trial raises EvaluationSingularity."""
+    """Order preservation of the fixed-K truncated operator L^n at random
+    interior roots, checked as what it rests on: L^n g - L^n f = L^n(g - f)
+    is a sum of tree weights times values of g - f, so positive weights
+    carry f < g pointwise to L^n f < L^n g.  Returns whether every weight
+    of every level of each root's preimage tree, branches**n leaves deep n
+    levels, is > 0; a zero weight fails it although the order could hold.
+    The trials share trees, as many roots per tree as fit in the block
+    budget of transfer (_blocks); a weight or branch point that is not
+    finite, in any trial, raises EvaluationSingularity."""
     if n < 1:
         raise ValueError("n must be at least 1")
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if branches < 1:
         raise ValueError("branches must be at least 1")
-    a, c, xs, ys = _draw_trials(seed, trials)
-    leaves = branches ** n
-    ordered = True
-    for roots in _blocks(trials, leaves):
-        lx, ly, weights = preimage_tree(t, xs[roots], ys[roots], n, branches)
-        lx, ly = lx.reshape(-1, leaves), ly.reshape(-1, leaves)
-        f = _smooth(a[roots].T[..., None], lx, ly)
-        g = f + _bump(c[roots].T[..., None], lx, ly)
-        lf, lg = fold_tree(weights, np.stack((f.ravel(), g.ravel())))
-        ordered &= bool((lf < lg).all())
-    return ordered
+    xs, ys = _draw_trials(seed, trials)
+    positive = True
+    for roots in _blocks(trials, branches ** n):
+        _, _, weights = preimage_tree(t, xs[roots], ys[roots], n, branches)
+        positive &= all(bool((w > 0).all()) for w in weights)
+    return positive

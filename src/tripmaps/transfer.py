@@ -31,10 +31,10 @@ abscissae of each parity class) in one call, adds the direct terms of each
 point with math.fsum, and doubles K only for the points whose tail
 estimate is still above eps.  apply_transfer_batch is the transfer
 operator on that path and apply_transfer its one-point face.  The fixed-K
-sums of the order-preservation checks form one preimage tree over an
-array of roots, built once, evaluated at its leaves and folded back level
-by level to one value per root; partial_transfer is its one-level,
-one-root face, and maps.branch_roundtrip takes its branch points from a
+branches k < K of an array of roots, of their branches and so on, form
+one preimage tree, built once: the order-preservation check reads the
+weights of its every level, partial_transfer sums f over a one-level,
+one-root tree, and maps.branch_roundtrip takes its branch points from a
 one-level tree.  A test function f is called with arrays of branch
 points; a scalar result is broadcast, and an f that cannot take arrays
 raises NotArrayNative.
@@ -286,28 +286,18 @@ def preimage_tree(t: PermutationTriple, xs: np.ndarray, ys: np.ndarray, depth: i
     return xs, ys, weights
 
 
-def fold_tree(weights: list[np.ndarray], leaf_values: np.ndarray) -> np.ndarray:
-    """Fold leaf values back to the roots, sum_k w * value one level at a
-    time: one value per root.  The leaves run along the last axis of
-    leaf_values; leading axes fold independently, and the result has
-    them followed by one axis over the roots."""
-    vals = leaf_values
-    for w in reversed(weights):
-        vals = np.sum(w * vals.reshape(vals.shape[:-1] + w.shape), axis=-1)
-    return vals
-
-
 def partial_transfer(t: PermutationTriple, f: Callable[[float, float], float],
                      p: TrianglePoint, K: int) -> float:
-    """Plain truncated branch sum over k < K; exact termwise positivity
-    makes this the right tool for order-preservation checks."""
-    xs, ys, weights = preimage_tree(t, np.array([p.x]), np.array([p.y]), 1, K)
-    return float(fold_tree(weights, _eval_vec(f, xs, ys))[0])
+    """Plain truncated branch sum over k < K, the one level of a one-root
+    preimage tree: sum_k w_k(p) f(branch_k(p)) with no tail."""
+    xs, ys, (w,) = preimage_tree(t, np.array([p.x]), np.array([p.y]), 1, K)
+    return float(np.sum(w * _eval_vec(f, xs, ys).reshape(w.shape), axis=-1)[0])
 
 
 def jacobian_residual(t: PermutationTriple, k: int, p: TrianglePoint) -> float:
     """Relative gap between the tabulated weight and the central-difference
-    Jacobian determinant of the inverse branch, step h = 1e-5; raises
+    Jacobian determinant of the inverse branch, step h = 1e-5, over |w|,
+    so a weight of the wrong sign reads about 2; raises
     StencilOutOfDomain for p within h of an edge."""
     x, y, h = p.x, p.y, 1e-5
     xs, ys = np.array([x + h, x - h, x, x]), np.array([y, y, y + h, y - h])
@@ -321,4 +311,4 @@ def jacobian_residual(t: PermutationTriple, k: int, p: TrianglePoint) -> float:
     j21, j22 = (b[0::2] - b[1::2]) / (2 * h)
     det = abs(j11 * j22 - j12 * j21)
     w = weight(t, k, p)
-    return float(abs(w - det) / w)
+    return float(abs(w - det) / abs(w))

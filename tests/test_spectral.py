@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from tripmaps import gausskuzmin, spectral, transfer
+from tripmaps import claims, gausskuzmin, spectral, transfer
 from tripmaps.domain import PermutationTriple, TrianglePoint
 from tripmaps.errors import EvaluationSingularity, NoBanachRow, NoEigenfunction
 from tripmaps.spectral import (
@@ -20,13 +20,12 @@ from tripmaps.tables.banach import BANACH
 from tripmaps.tables.eigen import EIGENFUNCTIONS
 from tripmaps.transfer import (
     branch_point,
-    fold_tree,
-    partial_transfer,
     preimage_tree,
     weight,
 )
 
 EEE = PermutationTriple("e", "e", "e")
+T121 = PermutationTriple("12", "13", "12")
 P = TrianglePoint(0.5, 0.25)
 
 
@@ -118,64 +117,78 @@ def test_eigen_truncation_k_all_rows():
         assert eigen_residual(PermutationTriple(*key), GridSpec(), eps=1e-9).truncation_k == 128
 
 
-def _nested(t, fun, n, K):
-    """L^n fun by nested one-point partial_transfer calls."""
-    if n == 0:
-        return fun
-    inner = _nested(t, fun, n - 1, K)
+def _assert_tree_layout(t, rx, ry, n, K):
+    """Node i of level l holds weights[l][i] and has its k-th child at
+    index i*K + k of level l + 1, bit for bit a one-level tree of that
+    node, and within 1e-14 relative of the one-point weight and
+    branch_point (a scalar ** may differ from numpy's vector pow by one
+    ulp).  The children of the last level are the leaves."""
+    xs, ys, weights = preimage_tree(t, rx, ry, n, K)
+    assert xs.shape == ys.shape == (rx.size * K ** n,)
+    assert [w.shape for w in weights] == [(rx.size * K ** l, K) for l in range(n)]
+    nx, ny = rx, ry
+    for level, w in enumerate(weights):
+        cx, cy = [], []
+        for i, (x, y) in enumerate(zip(nx.tolist(), ny.tolist())):
+            ox, oy, (ow,) = preimage_tree(t, np.array([x]), np.array([y]), 1, K)
+            assert np.array_equal(w[i], ow[0]), (t, n, level, i)
+            cx.append(ox)
+            cy.append(oy)
+            p = TrianglePoint(x, y)
+            for k in range(K):
+                q = branch_point(t, k, p)
+                assert abs(w[i, k] - weight(t, k, p)) <= 1e-14 * abs(w[i, k])
+                assert abs(ox[k] - q.x) <= 1e-14 * abs(q.x)
+                assert abs(oy[k] - q.y) <= 1e-14 * abs(q.y)
+        nx, ny = np.concatenate(cx), np.concatenate(cy)
+    assert np.array_equal(xs, nx) and np.array_equal(ys, ny)
 
-    def outer(xs, ys):
-        return np.array([partial_transfer(t, inner, TrianglePoint(x, y), K)
-                         for x, y in zip(xs.ravel().tolist(), ys.ravel().tolist())]
-                        ).reshape(np.shape(xs))
 
-    return outer
-
-
-def test_preimage_tree_matches_nested_recursion():
-    a = np.array([0.4, -0.7, 0.9, -0.2])
-    f = lambda x, y: spectral._smooth(a, x, y)
+def test_preimage_tree_levels_match_one_level_trees():
     p = TrianglePoint(0.55, 0.2)
     for key in (("e", "e", "e"), ("12", "13", "12"), ("23", "23", "23")):
-        t = PermutationTriple(*key)
         for n in (1, 2, 3):
-            xs, ys, weights = preimage_tree(t, np.array([p.x]), np.array([p.y]), n, 12)
-            assert xs.shape == (12 ** n,) and len(weights) == n
-            tree = float(fold_tree(weights, f(xs, ys))[0])
-            ref = float(_nested(t, f, n, 12)(np.array([p.x]), np.array([p.y]))[0])
-            assert abs(tree - ref) <= 1e-14 * abs(ref), (key, n, tree, ref)
+            _assert_tree_layout(PermutationTriple(*key), np.array([p.x]), np.array([p.y]), n, 12)
 
 
 def test_preimage_tree_batch_matches_single_roots():
-    # root r's leaves are the block r*K**n .. (r+1)*K**n - 1, and folding
-    # gives each root the value of its own single-root tree
-    a = np.array([0.4, -0.7, 0.9, -0.2])
-    f = lambda x, y: spectral._smooth(a, x, y)
+    # root r's leaves are the block r*K**n .. (r+1)*K**n - 1, and its nodes
+    # of level l the block r*K**l .. (r+1)*K**l - 1 of that level's weights
     rx = np.array([0.55, 0.3, 0.9, 0.62, 0.2])
     ry = np.array([0.2, 0.25, 0.05, 0.61, 0.01])
     for key in (("e", "e", "e"), ("12", "13", "12"), ("23", "23", "23")):
         t = PermutationTriple(*key)
         for n in (1, 2, 3):
+            # n = 3 would walk 785 nodes with scalar calls; the single-root
+            # test walks that depth
+            if n < 3:
+                _assert_tree_layout(t, rx, ry, n, 12)
             xs, ys, weights = preimage_tree(t, rx, ry, n, 12)
             assert xs.shape == (rx.size * 12 ** n,)
             assert [w.shape for w in weights] == [(rx.size * 12 ** l, 12) for l in range(n)]
-            batch = fold_tree(weights, np.stack((f(xs, ys), 2.0 * f(xs, ys))))
-            assert batch.shape == (2, rx.size)
             block = 12 ** n
             for r in range(rx.size):
                 sx, sy, sw = preimage_tree(t, rx[r:r + 1], ry[r:r + 1], n, 12)
                 assert np.array_equal(xs[r * block:(r + 1) * block], sx)
                 assert np.array_equal(ys[r * block:(r + 1) * block], sy)
-                single = fold_tree(sw, np.stack((f(sx, sy), 2.0 * f(sx, sy))))[:, 0]
-                assert np.all(np.abs(batch[:, r] - single) <= 1e-14 * np.abs(single)), (
-                    key, n, r, batch[:, r], single)
+                for level, w in enumerate(weights):
+                    assert np.array_equal(w[r * 12 ** level:(r + 1) * 12 ** level],
+                                          sw[level]), (key, n, r, level)
+
+
+def _patch_weight(monkeypatch, t, change):
+    """Make t's weight w at branch k of a node x read change(w, k, x);
+    every other row is left as it is."""
+    row = transfer.TRANSFER[t.key]
+    patched = dataclasses.replace(
+        row, weight=lambda k, x, y, s: change(row.weight(k, x, y, s), k, x))
+    monkeypatch.setattr(transfer, "_row", lambda u: patched if u.key == t.key
+                        else transfer.TRANSFER[u.key])
 
 
 def _singular_at(monkeypatch, t, x_bad):
     """Make t's weight infinite at every node whose x is x_bad."""
-    row = transfer.TRANSFER[t.key]
-    weight = lambda k, x, y, s: np.where(x == x_bad, np.inf, row.weight(k, x, y, s))
-    monkeypatch.setattr(transfer, "_row", lambda _: dataclasses.replace(row, weight=weight))
+    _patch_weight(monkeypatch, t, lambda w, k, x: np.where(x == x_bad, np.inf, w))
 
 
 def test_preimage_tree_names_singular_root(monkeypatch):
@@ -190,49 +203,36 @@ def test_preimage_tree_names_singular_root(monkeypatch):
 
 
 def test_monotonicity_singular_last_trial_raises(monkeypatch):
-    # every trial breaks the order, and the last one's root is singular:
-    # the check still raises instead of returning at the first broken trial
-    t = PermutationTriple("12", "13", "12")
-    _, _, xs, _ = spectral._draw_trials(3, 5)
-    bump = spectral._bump
-    monkeypatch.setattr(spectral, "_bump", lambda c, x, y: -bump(c, x, y))
-    assert not monotonicity_check(t, n=3, trials=5, seed=3, branches=12)
-    _singular_at(monkeypatch, t, xs[-1])
+    # root 0 has a negative weight, and the last root, in the second tree
+    # at n = 3, is singular: the check still raises instead of returning
+    # at the first tree with a weight <= 0
+    xs, _ = spectral._draw_trials(3, 5)
+    negate_first = lambda w, k, x: np.where(x == xs[0], -w, w)
+    with monkeypatch.context() as m:
+        _patch_weight(m, T121, negate_first)
+        assert not monotonicity_check(T121, n=3, trials=5, seed=3, branches=12)
+    _patch_weight(monkeypatch, T121,
+                  lambda w, k, x: np.where(x == xs[-1], np.inf, negate_first(w, k, x)))
     with pytest.raises(EvaluationSingularity):
-        monotonicity_check(t, n=3, trials=5, seed=3, branches=12)
+        monotonicity_check(T121, n=3, trials=5, seed=3, branches=12)
 
 
 def test_monotonicity_draw_matches_per_trial_stream():
-    # the one (trials, 9) draw reproduces the former per-trial draws bit for bit
+    # the one (trials, 9) draw reproduces the per-trial roots bit for bit,
+    # seven unused draws ahead of each root
     for seed in (0, 3, 11, 1001, 1002, 1003, 2 ** 31 - 1):
         rng = np.random.default_rng(seed)
         ref = []
         for _ in range(20):
-            a = rng.uniform(-1.0, 1.0, size=4)
-            c = rng.uniform(0.0, 1.0, size=3)
+            rng.uniform(-1.0, 1.0, size=4)
+            rng.uniform(0.0, 1.0, size=3)
             x = rng.uniform(0.15, 0.85)
             y = rng.uniform(0.1, 0.9) * x
             y = min(max(y, 0.05), x - 0.05)
-            ref.append((a, c, x, y))
-        a, c, xs, ys = spectral._draw_trials(seed, 20)
-        assert np.array_equal(a, np.array([r[0] for r in ref]))
-        assert np.array_equal(c, np.array([r[1] for r in ref]))
-        assert xs.tolist() == [r[2] for r in ref]
-        assert ys.tolist() == [r[3] for r in ref]
-
-
-def test_monotonicity_fails_only_on_nonpositive_weights():
-    # L^n g - L^n f = L^n(bump) with bump > 0, so the check fails exactly
-    # when some tree weight is <= 0 (a weight that is not finite raises)
-    for key in BANACH:
-        t = PermutationTriple(*key)
-        for n in (1, 2, 3):
-            seed = 1000 + n
-            _, _, xs, ys = spectral._draw_trials(seed, 20)
-            _, _, weights = preimage_tree(t, xs, ys, n, 12)
-            positive = all(bool((w > 0).all()) for w in weights)
-            assert monotonicity_check(t, n=n, trials=20, seed=seed, branches=12) == positive
-            assert positive, (key, n)
+            ref.append((x, y))
+        xs, ys = spectral._draw_trials(seed, 20)
+        assert xs.tolist() == [r[0] for r in ref]
+        assert ys.tolist() == [r[1] for r in ref]
 
 
 def test_monotonicity_rejects_vacuous_arguments():
@@ -241,25 +241,38 @@ def test_monotonicity_rejects_vacuous_arguments():
             monotonicity_check(EEE, **kwargs)
 
 
-def test_monotonicity_finds_one_reversed_trial(monkeypatch):
-    # g = f - bump in trial j alone, wherever j sits in its batch
-    t = PermutationTriple("12", "13", "12")
-    c, bump = spectral._draw_trials(3, 5)[1], spectral._bump
+def test_monotonicity_finds_one_negated_root_weight(monkeypatch):
+    # one weight of root j alone negated, wherever j sits in its tree: at
+    # n = 3 the five roots form trees of 4 and 1
+    xs, _ = spectral._draw_trials(3, 5)
+    assert monotonicity_check(T121, n=3, trials=5, seed=3, branches=12)
     for j in range(5):
-        flip = lambda cc, x, y, j=j: np.where(cc[0] == c[j, 0], -1.0, 1.0) * bump(cc, x, y)
-        monkeypatch.setattr(spectral, "_bump", flip)
-        for n in (1, 3):
-            assert not monotonicity_check(t, n=n, trials=5, seed=3, branches=12), (j, n)
+        with monkeypatch.context() as m:
+            _patch_weight(m, T121, lambda w, k, x, j=j: np.where((x == xs[j]) & (k == 5), -w, w))
+            for n in (1, 3):
+                assert not monotonicity_check(T121, n=n, trials=5, seed=3, branches=12), (j, n)
 
 
-def test_monotonicity_reversed_pair_fails(monkeypatch):
-    # g = f - bump lies below f, so the check must find a broken order
-    t = PermutationTriple("12", "13", "12")
-    assert monotonicity_check(t, n=2, trials=5, seed=3, branches=12)
-    bump = spectral._bump
-    monkeypatch.setattr(spectral, "_bump", lambda c, x, y: -bump(c, x, y))
+def test_monotonicity_finds_one_negated_deepest_weight(monkeypatch):
+    # one weight of one node of level 2, below root 3: only n = 3 reads it
+    xs, ys = spectral._draw_trials(3, 5)
+    nx, _, _ = preimage_tree(T121, xs, ys, 2, 12)
+    node = nx[3 * 144 + 100]
+    _patch_weight(monkeypatch, T121, lambda w, k, x: np.where((x == node) & (k == 7), -w, w))
+    assert monotonicity_check(T121, n=2, trials=5, seed=3, branches=12)
+    assert not monotonicity_check(T121, n=3, trials=5, seed=3, branches=12)
+
+
+def test_monotonicity_negated_row_fails(monkeypatch):
+    # every weight of one row negated: each n fails, and the claim counts
+    # that row's three (row, n) pairs
+    claim = next(c for c in claims.CLAIMS if c.name == "monotonicity")
+    assert monotonicity_check(T121, n=2, trials=5, seed=3, branches=12)
+    _patch_weight(monkeypatch, T121, lambda w, k, x: -w)
     for n in (1, 2, 3):
-        assert not monotonicity_check(t, n=n, trials=5, seed=3, branches=12)
+        assert not monotonicity_check(T121, n=n, trials=5, seed=3, branches=12)
+    value = claim.run()
+    assert value == 3.0 and not value < claim.tol
 
 
 def test_block_budget_moves_no_bit(monkeypatch):

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import math
 import re
 from pathlib import Path
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tripmaps import claims
+from tripmaps import claims, transfer
 from tripmaps.domain import PermutationTriple, TrianglePoint, supported_triples
 from tripmaps.errors import (EvaluationSingularity, NotArrayNative, StencilOutOfDomain,
                              TruncationFailure)
@@ -303,3 +304,15 @@ def test_jacobian_oracle_value_is_pinned():
     # reads the same in either form
     claim = next(c for c in claims.CLAIMS if c.name == "jacobian_oracle")
     assert claim.run().hex() == "0x1.88e923fe954c8p-29"
+
+
+def test_jacobian_oracle_fails_on_a_negated_row(monkeypatch):
+    # the residual divides by |w|, so a weight of the wrong sign reads
+    # about 2 and fails the claim instead of reading -2
+    t = PermutationTriple("12", "13", "12")
+    row = TRANSFER[t.key]
+    negated = dataclasses.replace(row, weight=lambda k, x, y, s: -row.weight(k, x, y, s))
+    monkeypatch.setattr(transfer, "_row", lambda u: negated if u.key == t.key else TRANSFER[u.key])
+    assert abs(jacobian_residual(t, 3, P) - 2.0) < 1e-6
+    claim = next(c for c in claims.CLAIMS if c.name == "jacobian_oracle")
+    assert not claim.run() < claim.tol
