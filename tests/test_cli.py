@@ -306,12 +306,44 @@ def test_config_value_must_match_its_setting(tmp_path, capsys, name):
     assert err == f"error: --config {cfg}: {message}\n"
 
 
+def test_unknown_config_key_exits_2(tmp_path, capsys):
+    # a misspelt key was ignored: gk ran at the default kmax and exited 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kmx": 3, "seeed": 1}))
+    code, out, err = run(capsys, "gk", "--triple", "e,e,e", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err == f"error: --config {cfg}: unknown setting 'kmx'\n"
+
+
+@pytest.mark.parametrize("name, value", [("n", 0), ("kmax", -1), ("tol", 0)])
+def test_config_value_checked_as_its_flag(tmp_path, capsys, name, value):
+    # a value read from --config meets the same range check as the flag
+    argv = ["gk", "--triple", "e,e,e"]
+    flag = run(capsys, *argv, f"--{name}={value}")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({name: value}))
+    assert run(capsys, *argv, "--config", str(cfg)) == flag
+    assert flag[:2] == (2, "") and flag[2].startswith("error: ")
+
+
 def test_unwritable_out_exits_2(tmp_path, capsys):
     # the verb ran, then the open ended in a FileNotFoundError traceback
     path = tmp_path / "missing" / "x.csv"
     code, out, err = run(capsys, "list-triples", "--out", str(path))
     assert code == 2 and out == ""
     assert err == f"error: [Errno 2] No such file or directory: '{path}'\n"
+
+
+def test_memory_error_exits_2(capsys, monkeypatch):
+    # a huge --kmax ended in a MemoryError traceback with status 1, the
+    # status of a failing row; the error is raised here, never allocated
+    def exhausted(*args):
+        raise MemoryError("Unable to allocate 74.5 GiB")
+
+    monkeypatch.setattr(maps, "branch_roundtrip", exhausted)
+    code, out, err = run(capsys, "verify-branches", "--triple", "e,e,e")
+    assert code == 2 and out == ""
+    assert err == "error: Unable to allocate 74.5 GiB\n"
 
 
 @pytest.mark.parametrize("start", ["0.5", "0.5,0.2,0.1", "a,b"])
