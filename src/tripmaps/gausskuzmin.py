@@ -13,8 +13,8 @@ by change of variables.  The integrand is smooth, which is what lets the
 adaptive quadrature actually reach 1e-8; a pointwise digit-indicator
 integral would stall at the cylinder boundary.  The indicator route is
 kept in the test suite as a coarse cross-check.  The digits of one call
-run as one batch of integrals (specfun.integrate_triangles), with k and
-s = (-1)**k read per leaf; each keeps the value it would have alone.
+run in batches of _DIGIT_BLOCK integrals (specfun.integrate_triangles),
+with k and s = (-1)**k read per leaf; each keeps the value it has alone.
 
 empirical_digits counts the digits of walkers.  Each starts from an exact
 draw of the invariant density (_draws, rejection against one envelope
@@ -92,20 +92,27 @@ def density(t: PermutationTriple):
     return r
 
 
+_DIGIT_BLOCK = 16  # caps the leaves held; gk's k = 0..10 is one block
+
+
 def cylinder_measures(t: PermutationTriple, ks) -> np.ndarray:
     """mu of the digit-k cylinder for each k of ks, via the inverse-branch
-    pullback, each to an absolute 1e-9, in one batch of integrals."""
+    pullback, each to an absolute 1e-9, _DIGIT_BLOCK integrals at once."""
     ks = np.asarray(ks, dtype=np.int64)
     if (ks < 0).any():
         raise ValueError("k must be non-negative")
     r = density(t)
     row, s = TRANSFER[t.key], parity_sign(ks)
+    out = np.empty(ks.size)
+    for lo in range(0, ks.size, _DIGIT_BLOCK):
+        kb, sb = ks[lo:lo + _DIGIT_BLOCK], s[lo:lo + _DIGIT_BLOCK]
 
-    def fun(x, y, i):
-        w, a, b = _inverse(row, ks[i], x, y, s[i])
-        return w * r(a, b)
+        def fun(x, y, i):
+            w, a, b = _inverse(row, kb[i], x, y, sb[i])
+            return w * r(a, b)
 
-    return integrate_triangles(fun, ks.size, 1e-9)
+        out[lo:lo + kb.size] = integrate_triangles(fun, kb.size, 1e-9)
+    return out
 
 
 def cylinder_measure(t: PermutationTriple, k: int) -> float:

@@ -214,16 +214,10 @@ def _exact_ranges(key, x, y):
         d = next(((2 * v1 - v0 - v2) / (2 * (v2 - v1))
                   for v0, v1, v2 in zip(c0, c1, c2) if v1 != v2), 0)
         b = [v1 * (1 + d) - v0 for v0, v1 in zip(c0, c1)]
-        # on each side of the pole 1 + d*j keeps one sign
-        if d == 0:
-            sides = ((1, -math.inf, math.inf),)
-        else:
-            pole = -1 / d
-            sides = ((1, pole, math.inf), (-1, -math.inf, pole))
-            if d < 0:
-                sides = ((1, -math.inf, pole), (-1, pole, math.inf))
-        for sign, lo, hi in sides:
-            lo = max(lo, -base)
+        # the lines sum to (1 + 3*tol)(1 + d*j): where sign*(a_i + b_i*j) >= 0
+        # for all three, the range lies on the side where sign*(1 + d*j) >= 0
+        for sign in ((1, -1) if d else (1,)):
+            lo, hi = -base, math.inf
             for a_i, b_i in zip(c0, b):
                 if sign * b_i > 0:
                     lo = max(lo, -a_i / b_i)

@@ -32,7 +32,7 @@ The triangle integrator is an adaptive subdivision scheme built on a
 degree-5 seven-point rule whose nodes are strictly interior, so integrable
 boundary singularities (1/x, 1/(1-y), log types) never get sampled on the
 singular set itself.  integrate_triangles runs a batch of integrals in one
-loop, each on its own leaves; integrate_triangle is its one-integrand face.
+loop, each as if alone; integrate_triangle is its one-integrand face.
 """
 
 from __future__ import annotations
@@ -398,10 +398,10 @@ def integrate_triangles(fun: Callable, m: int, abs_tol: float, max_depth: int = 
 
     Each integral runs its own rule on its own leaves: its refinement
     threshold, its fallback to its largest leaf, its stop at 0.9 abs_tol
-    and its max_depth and max_leaves.  Its leaves stay together, in the
-    order a loop over it alone would keep, so its value has the bits of
-    that loop whatever its batch.  The first integral to get stuck raises
-    NonConvergent.
+    and its max_depth and max_leaves.  Its sums run over its leaves by
+    owner index, in array order, as in a batch of it alone, so its value
+    does not depend on its batch-mates to the last bit.  The first
+    integral to get stuck raises NonConvergent.
     """
 
     def expand(tris, owner, coarse):
@@ -421,27 +421,22 @@ def integrate_triangles(fun: Callable, m: int, abs_tol: float, max_depth: int = 
     values = np.empty(m)
 
     while ids.size:
-        # integral i's leaves are order[starts[i]:ends[i]], in the order a
-        # loop over it alone keeps them: its kept leaves, then its new ones
-        order = np.argsort(which, kind="stable")
+        # np.bincount adds each integral's leaves in array order: its kept
+        # leaves, then its new ones, as a batch of it alone keeps them
         leaves = np.bincount(which, minlength=ids.size)
-        ends = np.cumsum(leaves)
-        starts = ends - leaves
-        spans = list(zip(starts.tolist(), ends.tolist()))
-        # np.sum adds pairwise, np.add.reduceat in a row: one sum per integral
-        est = gap[order]
-        total_err = np.array([est[a:b].sum() for a, b in spans])
+        total_err = np.bincount(which, gap, ids.size)
         done = total_err <= 0.9 * abs_tol
         if done.any():
             # a converged integral keeps its value, and its leaves go
-            part = fine[order]
-            values[ids[done]] = [part[a:b].sum() for (a, b), d in zip(spans, done) if d]
+            values[ids[done]] = np.bincount(which, fine, ids.size)[done]
             keep = ~done[which]
             ids, which = ids[~done], (np.cumsum(~done) - 1)[which[keep]]
             kids, kidq, fine, gap, depth = (v[keep] for v in (kids, kidq, fine, gap, depth))
             continue
         refinable = depth < max_depth
-        worst = np.maximum.reduceat(np.where(refinable, gap, -np.inf)[order], starts)
+        # fmax passes over a nan estimate, which the stuck test below catches
+        worst = np.full(ids.size, -np.inf)
+        np.fmax.at(worst, which, np.where(refinable, gap, -np.inf))
         thr = np.maximum(total_err / (2.0 * leaves), worst / 64.0)
         sel = refinable & (gap >= thr[which])
         none = np.bincount(which[sel], minlength=ids.size) == 0

@@ -115,11 +115,10 @@ _DRAW_HI = np.array([0.85, 0.9])
 
 
 def _draw_trials(seed: int, trials: int):
-    """The root (x, y) of each trial from one (trials, 9) draw of the
-    seeded stream.  The roots read columns 7 and 8 only: the seven columns
-    before them once held test-function coefficients and are still drawn,
-    so that each seed keeps its roots bit for bit."""
-    u = np.random.default_rng(seed).random((trials, 9))[:, 7:]
+    """The root (x, y) of each trial from one (trials, 2) draw of the
+    seeded stream: x and y / x in the _DRAW_LO, _DRAW_HI box, then y
+    clipped to [0.05, x - 0.05]."""
+    u = np.random.default_rng(seed).random((trials, 2))
     x, y_over_x = (_DRAW_LO + (_DRAW_HI - _DRAW_LO) * u).T
     return x, np.clip(y_over_x * x, 0.05, x - 0.05)
 

@@ -74,6 +74,16 @@ def test_cylinder_measures_match_one_digit_calls(key):
     assert [float(p).hex() for p in batch] == [cylinder_measure(t, k).hex() for k in range(11)]
 
 
+@pytest.mark.parametrize("t", [EEE, E23E], ids=str)
+def test_cylinder_measures_blocks_keep_bits(monkeypatch, t):
+    # k = 0..10 is one block by default; in blocks of 3, the last one
+    # short, every digit keeps its bits
+    assert gausskuzmin._DIGIT_BLOCK >= 11
+    whole = [float(p).hex() for p in cylinder_measures(t, range(11))]
+    monkeypatch.setattr(gausskuzmin, "_DIGIT_BLOCK", 3)
+    assert [float(p).hex() for p in cylinder_measures(t, range(11))] == whole
+
+
 def test_cylinder_vs_indicator_quadrature():
     # coarse dual route: resolve the digit of each point of a midpoint grid
     # (one batch); arbitrates the pullback form of cylinder_measure

@@ -517,5 +517,8 @@ def test_bracket_reaches_beyond_the_pole(monkeypatch):
         return x + 100 * t, y - 100 * t
 
     monkeypatch.setitem(FORWARD, EEE.key, ForwardRow(True, f))
+    # so do the exact ranges, each on its side of its class's pole
+    got = _exact_solve(EEE.key, np.array([0.5]), np.array([0.25]), K_MAX_DEFAULT)[0]
+    assert got.tolist() == [20]
     _forbid_exact_path(monkeypatch)
     assert _solo(EEE.key, 0.5, 0.25) == 20

@@ -7,7 +7,6 @@ import pytest
 import scipy.special as sp
 from hypothesis import given, settings, strategies as st
 
-from tripmaps import specfun
 from tripmaps.errors import DomainError, NonConvergent, NotArrayNative
 from tripmaps.specfun import (
     DM_TOL,
@@ -294,74 +293,30 @@ _TRIANGLE_CASES = [
 ]
 
 
-# The former one-integral loop, copied verbatim (only the names carry
-# _former): every leaf's children in one (n, 4, 3, 2) array, kept leaves
-# then new ones, and one np.sum over all leaves.
-def _former_quad_many(fun, tris):
-    xs = tris[:, :, 0] @ specfun._TRI_BARY_ARR.T
-    ys = tris[:, :, 1] @ specfun._TRI_BARY_ARR.T
-    areas = 0.5 * np.abs(
-        (tris[:, 1, 0] - tris[:, 0, 0]) * (tris[:, 2, 1] - tris[:, 0, 1])
-        - (tris[:, 2, 0] - tris[:, 0, 0]) * (tris[:, 1, 1] - tris[:, 0, 1]))
-    return (specfun._eval_vec(fun, xs, ys) @ specfun._TRI_W_ARR) * areas
-
-
-def _former_subdivide(tris):
-    a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
-    m_ab, m_bc, m_ca = (a + b) / 2, (b + c) / 2, (c + a) / 2
-    kids = np.empty((tris.shape[0], 4, 3, 2))
-    kids[:, 0] = np.stack([a, m_ab, m_ca], axis=1)
-    kids[:, 1] = np.stack([m_ab, b, m_bc], axis=1)
-    kids[:, 2] = np.stack([m_ca, m_bc, c], axis=1)
-    kids[:, 3] = np.stack([m_ab, m_bc, m_ca], axis=1)
-    return kids
-
-
-def _former_triangle(fun, abs_tol, max_depth=40, max_leaves=400_000):
-    def expand(tris, coarse):
-        kids = _former_subdivide(tris)
-        kq = _former_quad_many(fun, kids.reshape(-1, 3, 2)).reshape(-1, 4)
-        fine = kq.sum(axis=1)
-        gap = np.abs(fine - coarse)
-        return kids, kq, fine, gap
-
-    tris = np.array([specfun.TRIANGLE_VERTICES], dtype=float)
-    kids, kidq, fine, gap = expand(tris, _former_quad_many(fun, tris))
-    depth = np.zeros(1, dtype=int)
-    while True:
-        est = gap
-        total_err = float(est.sum())
-        if total_err <= 0.9 * abs_tol:
-            break
-        refinable = depth < max_depth
-        if not refinable.any() or fine.size > max_leaves:
-            raise NonConvergent(f"triangle quadrature stuck at error {total_err:.3e} "
-                                f"with {fine.size} leaves")
-        thr = max(total_err / (2.0 * fine.size), float(est[refinable].max()) / 64.0)
-        sel = refinable & (est >= thr)
-        if not sel.any():
-            sel = refinable & (est == est[refinable].max())
-        nk, nkq, nfine, ngap = expand(kids[sel].reshape(-1, 3, 2), kidq[sel].reshape(-1))
-        keep = ~sel
-        kids = np.concatenate([kids[keep], nk])
-        kidq = np.concatenate([kidq[keep], nkq])
-        fine = np.concatenate([fine[keep], nfine])
-        gap = np.concatenate([gap[keep], ngap])
-        depth = np.concatenate([depth[keep], np.repeat(depth[sel] + 1, 4)])
-    return float(fine.sum())
+# the integrals of _TRIANGLE_CASES over 0 < y < x < 1: closed forms, and
+# mpmath quad for the cos case
+_TRIANGLE_VALUES = [
+    1.0,
+    0.125,
+    1.0,
+    1.0,
+    math.e / 2 - 1.0,
+    float(mpmath.quad(lambda x: mpmath.quad(
+        lambda y: mpmath.cos(3 * x) * mpmath.sqrt(y + 1), [0, x]), [0, 1])),
+]
 
 
 @pytest.mark.parametrize("order", [[0, 1, 2, 3, 4, 5], [5, 4, 3, 2, 1, 0], [2, 0], [5]])
-def test_triangle_batch_matches_former_loop(order):
-    # each integral of a batch refines, stops and sums its own leaves in
-    # the order of the former one-integral loop, so its value has that
-    # loop's bits whatever its batch-mates; so does the one-integral face
+def test_triangle_batch_matches_lone_integrals(order):
+    # each integral of a batch refines, stops and sums its own leaves as it
+    # does alone, so its value has the bits of the one-integral face
+    # whatever its batch-mates, and lies within abs_tol of the true value
     funs = [_TRIANGLE_CASES[i] for i in order]
-    former = [_former_triangle(f, 1e-10).hex() for f in funs]
     got = integrate_triangles(_batch(funs), len(funs), 1e-10)
     assert got.shape == (len(funs),)
-    assert [v.hex() for v in got.tolist()] == former
-    assert [integrate_triangle(f, 1e-10).hex() for f in funs] == former
+    assert [v.hex() for v in got.tolist()] == [integrate_triangle(f, 1e-10).hex() for f in funs]
+    for i, v in zip(order, got.tolist()):
+        assert abs(v - _TRIANGLE_VALUES[i]) < 1e-10, i
 
 
 def test_triangle_batch_nonconvergent_names_integral():

@@ -217,22 +217,20 @@ def test_monotonicity_singular_last_trial_raises(monkeypatch):
         monotonicity_check(T121, n=3, trials=5, seed=3, branches=12)
 
 
-def test_monotonicity_draw_matches_per_trial_stream():
-    # the one (trials, 9) draw reproduces the per-trial roots bit for bit,
-    # seven unused draws ahead of each root
+def test_monotonicity_roots_are_seeded_and_interior():
+    # a seed fixes its roots, and seeds differ; each root has x in the draw
+    # box, y / x in it unless the clip moved y, and y 0.05 inside the edges
+    (x_lo, q_lo), (x_hi, q_hi) = spectral._DRAW_LO, spectral._DRAW_HI
+    seen = set()
     for seed in (0, 3, 11, 1001, 1002, 1003, 2 ** 31 - 1):
-        rng = np.random.default_rng(seed)
-        ref = []
-        for _ in range(20):
-            rng.uniform(-1.0, 1.0, size=4)
-            rng.uniform(0.0, 1.0, size=3)
-            x = rng.uniform(0.15, 0.85)
-            y = rng.uniform(0.1, 0.9) * x
-            y = min(max(y, 0.05), x - 0.05)
-            ref.append((x, y))
         xs, ys = spectral._draw_trials(seed, 20)
-        assert xs.tolist() == [r[0] for r in ref]
-        assert ys.tolist() == [r[1] for r in ref]
+        again = spectral._draw_trials(seed, 20)
+        assert xs.tolist() == again[0].tolist() and ys.tolist() == again[1].tolist()
+        seen.add(tuple(xs.tolist()))
+        assert ((x_lo <= xs) & (xs <= x_hi)).all()
+        assert (np.maximum(q_lo * xs, 0.05) <= ys).all()
+        assert (ys <= np.minimum(q_hi * xs, xs - 0.05)).all()
+    assert len(seen) == 7
 
 
 def test_monotonicity_rejects_vacuous_arguments():
