@@ -102,13 +102,13 @@ def cylinder_measures(t: PermutationTriple, ks) -> np.ndarray:
     if (ks < 0).any():
         raise ValueError("k must be non-negative")
     r = density(t)
-    row, s = TRANSFER[t.key], parity_sign(ks)
+    row = TRANSFER[t.key]
     out = np.empty(ks.size)
     for lo in range(0, ks.size, _DIGIT_BLOCK):
-        kb, sb = ks[lo:lo + _DIGIT_BLOCK], s[lo:lo + _DIGIT_BLOCK]
+        kb = ks[lo:lo + _DIGIT_BLOCK]
 
         def fun(x, y, i):
-            w, a, b = _inverse(row, kb[i], x, y, sb[i])
+            w, a, b = _inverse(row, kb[i], x, y, parity_sign(kb[i]))
             return w * r(a, b)
 
         out[lo:lo + kb.size] = integrate_triangles(fun, kb.size, 1e-9)

@@ -10,13 +10,15 @@ The front factor t/(e^t - 1) of K(phi) turns that outer dt into dm(t).
 Every dm-integral runs on specfun's one Gauss-Laguerre rule (48 coarse and
 64 fine nodes), scaled by 1 + r where r is the rate of the integrand's
 known exponential: r = h at each point of the transform, r = l(p) - 1 for
-the E_k rows and for the outer integral of the right side.  That side is
-built per point: one block of the kernel J_1(2 sqrt(st))/sqrt(st) from the
-outer nodes tau to both rate-0 inner node sets s at once, with the
-profile evaluated once on them too; the coarse and fine inner integrals
-are gated by specfun.DM_TOL, and the outer integral by OUTER_TOL.  On
-these nodes the inner integral is resolved only up to tau = TAU_MAX = 50,
-so outer nodes beyond it are left out, and the bound ||phi||_{L^1(dm)}
+the E_k rows and for the outer integral of the right side.  The inner
+integral K(phi) has one route, a kernel block that serves both the right
+side and kernel_apply: the kernel J_1(2 sqrt(st))/sqrt(st) from the points
+tau to the rate-0 node row s, coarse and fine nodes at once, with the
+profile evaluated once on that row; the coarse and fine inner integrals
+are gated by specfun.DM_TOL.  The right side takes the block per point on
+its outer nodes, and gates the outer integral by OUTER_TOL.  On these
+nodes the inner integral is resolved only up to tau = TAU_MAX = 50, so
+outer nodes beyond it are left out, and the bound ||phi||_{L^1(dm)}
 int_50^inf e^{-tau (l(p)-1)} dm(tau) on what they carry
 (|J_1(2 sqrt z)/sqrt z| <= 1) is added to the outer gap before its gate.
 No decay is refused.  The Laguerre expansion over eta_k / E_k gives a
@@ -49,7 +51,6 @@ from .specfun import (
     gated_halves,
     halfline_nodes,
     integrate_dm,
-    joined_nodes,
 )
 from .tables.hilbert_rows import HILBERT, HilbertRow
 from .transfer import TruncationPolicy, apply_transfer, branch_point
@@ -146,24 +147,29 @@ def _bessel_kernel(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _kernel_image(phi: Profile, c: float, tau: np.ndarray) -> tuple[np.ndarray, float]:
+    """The inner integrals int_0^inf J_1(2 sqrt(tau s))/sqrt(tau s)
+    phi(c, s) dm(s) at every tau (an array of any shape), on the rate-0
+    node row with the profile evaluated once on it and gated by DM_TOL,
+    and ||phi(c, .)||_{L^1(dm)} on the fine set."""
+    s, w, n = halfline_nodes()
+    psi = _eval_vec(lambda s: phi(c, s), s) * w
+    inner = gated_halves(_bessel_kernel(tau[..., None] * s), psi, n,
+                         "Bessel-kernel inner quadrature")
+    return inner, float(np.abs(psi[n:]).sum())
+
+
 def kernel_apply(phi: Profile, c: float, tpoint):
     """K(phi)(c, t) = (t/(e^t - 1)) int_0^inf J_1(2 sqrt(st))/sqrt(st)
     phi(c, s) dm(s); accepts scalar or array tpoint.  The inner integral
-    runs on the rate-0 dm nodes, so its gate holds up to t of about
-    TAU_MAX = 50 and fails (NonConvergent) far beyond it.  theorem31_rhs
-    builds the same kernel block per point on its own outer nodes."""
+    is the kernel block of _kernel_image, the one theorem31_rhs takes on
+    its outer nodes: it runs on the rate-0 dm nodes, so its gate holds up
+    to t of about TAU_MAX = 50 and fails (NonConvergent) far beyond it."""
     scalar = np.isscalar(tpoint)
     tarr = np.atleast_1d(np.asarray(tpoint, dtype=float))
     if np.any(tarr < 0):
         raise DomainError("kernel_apply requires t >= 0")
-
-    def integrand(s: np.ndarray) -> np.ndarray:
-        # the (t x s) kernel, weighted by the profile in place
-        kern = _bessel_kernel(tarr[..., None] * s)
-        kern *= phi(c, s)
-        return kern
-
-    inner = integrate_dm(integrand)
+    inner, _ = _kernel_image(phi, c, tarr)
     front = np.where(tarr > 0, tarr / np.expm1(np.where(tarr > 0, tarr, 1.0)), 1.0)
     out = front * inner
     return float(out[0]) if scalar else out.reshape(np.shape(tpoint))
@@ -199,17 +205,14 @@ def theorem31_rhs(t: PermutationTriple, phi: Profile, p: TrianglePoint) -> float
     row = hilbert_triple(t)
     c = row.arg(*branch_point(t, 0, p).xy)
     decay = row.l(p.x, p.y) - 1.0
-    # the profile times the dm-weights on both inner node sets in one row
-    s, w, m = joined_nodes(halfline_nodes())
-    psi = _eval_vec(lambda s: phi(c, s), s) * w
-    taus, outer_w, n = joined_nodes([(tau[tau <= TAU_MAX], w[tau <= TAU_MAX])
-                                     for tau, w in halfline_nodes(decay)])
-    inner = gated_halves(_bessel_kernel(taus[:, None] * s), psi, m,
-                         "Bessel-kernel inner quadrature")
+    taus, outer_w, n = halfline_nodes(decay)
+    kept = taus <= TAU_MAX
+    n = int(np.count_nonzero(kept[:n]))
+    taus, outer_w = taus[kept], outer_w[kept]
+    inner, l1 = _kernel_image(phi, c, taus)
     terms = np.exp(-taus * decay) * outer_w * inner
-    tail = float(np.abs(psi[m:]).sum()) * _dm_tail(decay)
     outer = gated(terms[:n].sum(), terms[n:].sum(), OUTER_TOL,
-                  "Bessel-kernel outer quadrature", tail=tail)
+                  "Bessel-kernel outer quadrature", tail=l1 * _dm_tail(decay))
     return row.j(p.x, p.y) * float(outer)
 
 

@@ -305,15 +305,11 @@ def _decide(key, xs, ys, pt, k):
     return digit, image_x, image_y, lowest, highest, count
 
 
-def _flat(parts, dtype=np.int64):
-    return np.concatenate(parts) if parts else np.zeros(0, dtype)
-
-
 def _solve_exact(key, xs, ys, k_max):
     """digits from the exact ranges, and the images each digit was accepted
     on; raises for the first point without one."""
     n = xs.size
-    pts, ks = [], []
+    ranges = []
     wide_from = np.full(n, np.inf)
     for i in range(n):
         x, y = float(xs[i]), float(ys[i])
@@ -325,10 +321,9 @@ def _solve_exact(key, xs, ys, k_max):
             if k_hi - k_lo > _MAX_WIDTH:
                 wide_from[i] = min(wide_from[i], k_lo)
                 continue
-            lo, hi = max(0, k_lo - _REACH), min(k_hi + _REACH, k_max)
-            pts.append(np.full(hi - lo + 1, i))
-            ks.append(np.arange(lo, hi + 1))
-    pt, k = _flat(pts), _flat(ks)
+            ranges.append((i, max(0, k_lo - _REACH), min(k_hi + _REACH, k_max)))
+    # one point's ranges can overlap: sort, and drop the repeats
+    pt, k = _spread(*np.array(ranges, dtype=np.int64).reshape(-1, 3).T)
     order = np.lexsort((k, pt))
     pt, k = pt[order], k[order]
     fresh = np.ones(pt.size, dtype=bool)

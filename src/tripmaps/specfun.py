@@ -24,9 +24,9 @@ along the last axis, the coarse ones first, whose two halves are summed
 and gated.  A scalar result is broadcast, and a callable that cannot take
 an array raises NotArrayNative.  An integrand may return shape (..., n),
 the nodes on the last axis, to get a batch of integrals in one call.
-halfline_nodes hands out the two node sets, joined_nodes lays them out
-in that one row and gated_halves sums and gates the halves, for callers
-that apply a kernel on the nodes instead of a callable.
+halfline_nodes hands out that one row and gated_halves sums and gates its
+halves, for callers that apply a kernel on the nodes instead of a
+callable.
 
 The triangle integrator is an adaptive subdivision scheme built on a
 degree-5 seven-point rule whose nodes are strictly interior, so integrable
@@ -166,8 +166,6 @@ _J1_Q = (
     3.577720602782056e-09, -6.703870276625336e-08, 2.389613897671714e-06,
     -0.0002259823084712136, 0.2115710938304086,
 )
-# elements per pass of bessel_j1: a block's temporaries stay in cache
-_J1_BLOCK = 16384
 
 
 def _horner(coeffs, t: np.ndarray) -> np.ndarray:
@@ -178,9 +176,17 @@ def _horner(coeffs, t: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _j1_block(x: np.ndarray, out: np.ndarray) -> None:
-    small = x < _J1_X0
-    xs = x[small]
+def bessel_j1(x):
+    """J1 for x >= 0 in float64: piecewise polynomials below 16, the
+    Hankel form beyond; absolute error below 1e-15 against mpmath on
+    [0, 100].  Accepts scalars or numpy arrays."""
+    scalar = np.isscalar(x)
+    arr = np.asarray(x, dtype=float).ravel()
+    if np.any(arr < 0):
+        raise DomainError("bessel_j1 requires x >= 0")
+    out = np.empty_like(arr)
+    small = arr < _J1_X0
+    xs = arr[small]
     if xs.size:
         piece = (xs * 0.5).astype(np.intp)
         t = xs - (2 * piece + 1)
@@ -194,7 +200,7 @@ def _j1_block(x: np.ndarray, out: np.ndarray) -> None:
         out[small] = acc
 
     large = ~small          # NaN lands here and stays NaN
-    xl = x[large]
+    xl = arr[large]
     if xl.size:
         inv = 1.0 / xl
         y = inv * inv
@@ -210,19 +216,6 @@ def _j1_block(x: np.ndarray, out: np.ndarray) -> None:
         val -= p
         val /= np.sqrt(xl)
         out[large] = val
-
-
-def bessel_j1(x):
-    """J1 for x >= 0 in float64: piecewise polynomials below 16, the
-    Hankel form beyond; absolute error below 1e-15 against mpmath on
-    [0, 100].  Accepts scalars or numpy arrays."""
-    scalar = np.isscalar(x)
-    arr = np.asarray(x, dtype=float).ravel()
-    if np.any(arr < 0):
-        raise DomainError("bessel_j1 requires x >= 0")
-    out = np.empty_like(arr)
-    for i in range(0, arr.size, _J1_BLOCK):
-        _j1_block(arr[i:i + _J1_BLOCK], out[i:i + _J1_BLOCK])
     return float(out[0]) if scalar else out.reshape(np.shape(x))
 
 
@@ -256,60 +249,48 @@ def _eval_vec(fun: Callable, *args: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _laguerre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The n Gauss-Laguerre nodes x and the weights w e^x of the plain
-    int_0^inf f(x) dx on them; built once, read-only."""
-    x, w = np.polynomial.laguerre.laggauss(n)
+def _laguerre_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The DM_COARSE and then the DM_FINE Gauss-Laguerre nodes x in one
+    row, and the weights w e^x of the plain int_0^inf f(x) dx on them;
+    built once, read-only."""
+    x, w = np.concatenate([np.polynomial.laguerre.laggauss(n) for n in (DM_COARSE, DM_FINE)],
+                          axis=1)
     w = w * np.exp(x)
     x.flags.writeable = w.flags.writeable = False
     return x, w
 
 
-def halfline_nodes(rate=0.0, dm_weight: bool = True
-                   ) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """The coarse (DM_COARSE) and fine (DM_FINE) node sets, each a pair
-    (t, w) for integrands decaying like e^(-rate t): t = x/scale on the
-    Gauss-Laguerre nodes x, scale = 1 + rate for the weights of
-    int f(t) dm(t) if dm_weight (dm carries its own e^-t), else scale =
-    rate for the plain int f(t) dt.  An array rate gives t and w of shape
-    rate.shape + (n,)."""
+def halfline_nodes(rate=0.0, dm_weight: bool = True) -> tuple[np.ndarray, np.ndarray, int]:
+    """The one node row (t, w) for integrands decaying like e^(-rate t),
+    and the count n = DM_COARSE of its coarse nodes, which come first; the
+    fine ones follow.  t = x/scale on the Gauss-Laguerre nodes x, scale =
+    1 + rate for the weights of int f(t) dm(t) if dm_weight (dm carries its
+    own e^-t), else scale = rate for the plain int f(t) dt.  An array rate
+    gives t and w of shape rate.shape + (DM_COARSE + DM_FINE,)."""
+    x, w = _laguerre_rule()
     scale = np.asarray(rate, dtype=float)[..., None] + (1.0 if dm_weight else 0.0)
-
-    def nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-        x, w = _laguerre_rule(n)
-        t = x / scale
-        w = w / scale
-        if dm_weight:
-            w = w * t / np.expm1(t)         # dm(t) = t dt/(e^t - 1)
-        return t, w
-
-    return nodes(DM_COARSE), nodes(DM_FINE)
+    t = x / scale
+    w = w / scale
+    if dm_weight:
+        w = w * t / np.expm1(t)             # dm(t) = t dt/(e^t - 1)
+    return t, w, DM_COARSE
 
 
 def gated(coarse, fine, abs_tol: float, what: str = "half-line quadrature",
           tail: float = 0.0):
     """fine, once the worst |fine - coarse| over the batch, plus a bound
     tail on what both node sets leave out, is within abs_tol; written so
-    that a nan gap fails the gate too."""
-    gap = float(np.max(np.abs(fine - coarse))) + tail
+    that a nan gap fails the gate too.  An empty batch passes."""
+    gap = float(np.max(np.abs(fine - coarse), initial=0.0)) + tail
     if not gap <= abs_tol:
         raise NonConvergent(f"{what} stalled: gap {gap} > {abs_tol}")
     return fine
 
 
-def joined_nodes(sets):
-    """The coarse and the fine node sets (t, w) of halfline_nodes as one
-    pair along the last axis, the coarse nodes first, and the coarse count
-    n: the layout that gated_halves splits again."""
-    (tc, wc), (tf, wf) = sets
-    return (np.concatenate((tc, tf), axis=-1), np.concatenate((wc, wf), axis=-1),
-            tc.shape[-1])
-
-
 def gated_halves(a, b, n: int, what: str = "half-line quadrature"):
     """gated by DM_TOL on the sums of a * b over the last axis, the coarse
     one over its first n entries and the fine one over the rest, for a and
-    b on the nodes of joined_nodes."""
+    b on the node row of halfline_nodes."""
     # einsum, not BLAS: a threaded product burns CPU on every core for no
     # wall-clock gain at these sizes
     return gated(np.einsum("...n,...n->...", a[..., :n], b[..., :n]),
@@ -322,7 +303,7 @@ def _halfline_weighted(fun: Callable, rate, dm_weight: bool):
     (..., n), the nodes on the last axis, for a batch of integrals; rate
     may be an array that broadcasts against the batch shape.  The result
     has the batch shape, a float for a 1-d integrand."""
-    t, w, n = joined_nodes(halfline_nodes(rate, dm_weight))
+    t, w, n = halfline_nodes(rate, dm_weight)
     try:
         vals = np.asarray(fun(t), dtype=float)
         vals = np.broadcast_to(vals, np.broadcast_shapes(vals.shape, t.shape))

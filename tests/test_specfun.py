@@ -159,11 +159,13 @@ def test_integrand_runs_once_on_both_node_sets():
         seen.append(t)
         return np.exp(-t)
 
-    (tc, _), (tf, _) = halfline_nodes()
+    t, _, n = halfline_nodes()
+    tc, tf = t[:n], t[n:]
     integrate_dm(f)
     assert len(seen) == 1 and np.array_equal(seen[0], np.concatenate((tc, tf)))
     rates = np.array([0.5, 2.0])
-    (tc, _), (tf, _) = halfline_nodes(rates, dm_weight=False)
+    t, _, n = halfline_nodes(rates, dm_weight=False)
+    tc, tf = t[..., :n], t[..., n:]
     integrate_halfline(f, rates)
     assert len(seen) == 2 and np.array_equal(seen[1], np.concatenate((tc, tf), axis=-1))
 
@@ -198,7 +200,8 @@ def test_dm_laguerre_norms_against_mpmath():
     for k in (20, 40):
         with pytest.raises(NonConvergent):
             norm2(k)
-        (t, w), _ = halfline_nodes()
+        t, w, n = halfline_nodes()
+        t, w = t[:n], w[:n]
         assert abs(np.sum(laguerre1(k, t) ** 2 * w) - ref[k]) > DM_TOL
 
 
