@@ -78,7 +78,10 @@ def supported_triples() -> list[tuple[str, str, str]]:
 
 def interior_points(seed: int, count: int, margin: float = 1e-3) -> list[TrianglePoint]:
     """count seeded points with margin < y < x - margin and x < 1 - margin,
-    drawn as sorted uniform pairs and kept by rejection."""
+    drawn as sorted uniform pairs and kept by rejection.  No point
+    satisfies those bounds once margin >= 1/3."""
+    if not (0.0 <= margin < 1.0 / 3.0):
+        raise ValueError("margin must lie in [0, 1/3)")
     rng = np.random.default_rng(seed)
     pts = []
     while len(pts) < count:

@@ -98,7 +98,11 @@ _DIGIT_BLOCK = 16  # caps the leaves held; gk's k = 0..10 is one block
 def cylinder_measures(t: PermutationTriple, ks) -> np.ndarray:
     """mu of the digit-k cylinder for each k of ks, via the inverse-branch
     pullback, each to an absolute 1e-9, _DIGIT_BLOCK integrals at once."""
-    ks = np.asarray(ks, dtype=np.int64)
+    ks = np.asarray(ks)
+    # checked before the cast, which would truncate 1.5 to 1
+    if ks.dtype.kind == "f" and not (np.isfinite(ks) & (ks == np.trunc(ks))).all():
+        raise ValueError("k must be an integer")
+    ks = ks.astype(np.int64)
     if (ks < 0).any():
         raise ValueError("k must be non-negative")
     r = density(t)

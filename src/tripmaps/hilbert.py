@@ -79,10 +79,10 @@ def hilbert_triple(t: PermutationTriple) -> HilbertRow:
 def _eta_rows(ks, s: np.ndarray) -> np.ndarray:
     """eta_k(s) for each k of the sequence ks, row i of a (len(ks),) +
     s.shape array, in one pass in the log domain: k ln s - s - ln (k+1)!,
-    with eta_0 = e^{-s} and eta_k(0) = 0 for k > 0."""
+    with eta_0 = e^{-s}, eta_k(0) = 0 for k > 0 and eta_k(inf) = 0."""
     k = np.array(ks, dtype=float).reshape((-1,) + (1,) * s.ndim)
     lgam = np.array([math.lgamma(i + 2) for i in ks]).reshape(k.shape)
-    pos = s > 0
+    pos = (s > 0) & (s < np.inf)
     klog = np.where(k == 0, 0.0, k * np.log(np.where(pos, s, 1.0)))
     return np.where(pos | (k == 0), np.exp(klog - s - lgam), 0.0)
 
@@ -92,7 +92,8 @@ def eta(k: int, s):
     if k < 0:
         raise ValueError("k must be non-negative")
     arr = np.asarray(s, dtype=float)
-    if np.any(arr < 0):
+    # written so that nan fails it
+    if not np.all(arr >= 0):
         raise DomainError("eta requires s >= 0")
     out = _eta_rows([k], arr)[0]
     return float(out) if np.isscalar(s) else out

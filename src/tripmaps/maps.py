@@ -7,7 +7,8 @@ triangle, the lowest one where rounding admits a run of them.
 Every digit comes from one solver, _solve, on arrays of points; an orbit
 step and extract_digit call it on one-element arrays.  Every numeric
 evaluation of a forward row goes through _images; only the exact ranges
-call a row directly, on rationals.
+call a row directly, on fractions.Fraction: the table holds no float
+literal, so a row given Fraction k, x, y and s returns Fraction.
 
 Within one parity class (k even, or k odd, on the 72 parity rows; every k
 on the 36 parity-free rows) both image components are linear-fractional
@@ -148,38 +149,6 @@ def _bracket(key, xs, ys, reach):
 
 # --- exact ranges: one linear-fractional fit per parity class --------------
 
-class _Exact(Fraction):
-    """A rational whose arithmetic with the float constants of the table
-    formulas (0.5 and the like) stays exact instead of turning float."""
-
-    __slots__ = ()
-
-    def __add__(a, b):
-        return _Exact(Fraction(a) + Fraction(b))
-
-    __radd__ = __add__
-
-    def __sub__(a, b):
-        return _Exact(Fraction(a) - Fraction(b))
-
-    def __rsub__(a, b):
-        return _Exact(Fraction(b) - Fraction(a))
-
-    def __mul__(a, b):
-        return _Exact(Fraction(a) * Fraction(b))
-
-    __rmul__ = __mul__
-
-    def __truediv__(a, b):
-        return _Exact(Fraction(a) / Fraction(b))
-
-    def __rtruediv__(a, b):
-        return _Exact(Fraction(b) / Fraction(a))
-
-    def __neg__(a):
-        return _Exact(-Fraction(a))
-
-
 def _window(key):
     """How far the window reaches beyond the bracket on each side, and how
     many steps a clean run of hits keeps below its end.  A scan from k = 0
@@ -195,11 +164,11 @@ def _exact_ranges(key, x, y):
     tolerance: (k_lo, k_hi) pairs, each widened to the integers around it,
     one per side of each parity class's pole; k_hi is inf where a range
     never closes."""
-    f, xq, yq, tol = FORWARD[key].f, _Exact(x), _Exact(y), Fraction(MEMBERSHIP_TOL)
+    f, xq, yq, tol = FORWARD[key].f, Fraction(x), Fraction(y), Fraction(MEMBERSHIP_TOL)
     ranges = []
     for first, step, s in _parities(key):
         def constraints(j):
-            xp, yp = f(_Exact(first + step * j), xq, yq, _Exact(s))
+            xp, yp = f(Fraction(first + step * j), xq, yq, Fraction(s))
             return yp + tol, xp - yp + tol, 1 + tol - xp
         for base in _BASES:
             try:

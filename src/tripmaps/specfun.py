@@ -3,7 +3,8 @@
 bessel_j1 is plain float64: below 16 a degree-15 polynomial per interval
 [2i, 2i + 2] times x, above it the Hankel form with degree-7 polynomials
 in (16/x)^2 and the phase taken through sin x and cos x.  The coefficients
-are mpmath fits (scripts/fit_bessel_j1.py) written into this file; the
+are mpmath fits (scripts/fit_bessel_j1.py) written into this file, and the
+tier-1 workflow checks them bit for bit against the script's output; the
 absolute error against mpmath is below 1e-15 on [0, 100], and below
 2.3e-16 on a 45k-point grid there.
 

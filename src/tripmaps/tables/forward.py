@@ -1,13 +1,13 @@
 """Forward branch formulas for the 108 polynomial-behavior triangle partition maps.
 
-Each entry maps a triple label to a function ``f(k, x, y, s) -> (x', y')``
-giving the image of ``(x, y)`` under the digit-``k`` branch.  ``s`` must be
-``(-1)**k``; it is threaded explicitly so callers can evaluate a fixed parity
-class at non-integer ``k`` (used by tail acceleration and closed-form digit
-extraction).  Rows whose formulas never reference ``s`` are flagged
-``parity=False``; for those rows both components are affine in ``k``.
-This flag is the only statement of a row's parity: the inverse rows of
-:mod:`tripmaps.tables.transfer_rows` read ``s`` exactly when it is set.
+Each entry maps a triple label to ``f(k, x, y, s) -> (x', y')``, the image of
+``(x, y)`` under the digit-``k`` branch; ``s = (-1)**k`` is passed explicitly so
+a parity class extends to real ``k`` (the tail sums).  Rows that never read ``s``
+are flagged ``parity=False`` and are affine in ``k``; the flag is the only
+statement of a row's parity: the rows of :mod:`tripmaps.tables.transfer_rows`
+read ``s`` exactly when it is set.  No row holds a float literal (a half is
+``/ 2``), which would turn the exact digit ranges of :mod:`tripmaps.maps` float:
+given ``Fraction`` k, x, y and s, every row returns ``Fraction``.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ def _rows() -> dict[tuple[str, str, str], ForwardRow]:
         ("12", "e", "12"): R(False, lambda k, x, y, s: (
             y / (-x + y + 1), (-x + k * y + y) / (x - y - 1))),
         ("12", "e", "123"): R(True, lambda k, x, y, s: (
-            0.5 - s * (x + y - 1) / (2 * (x - y - 1)),
+            (1 - s * (x + y - 1) / (x - y - 1)) / 2,
             (-3 * x + 5 * y + 2 * k * (-x + y + 1) - s * (x + y - 1) - 1) / (4 * (x - y - 1)))),
         ("12", "12", "e"): R(True, lambda k, x, y, s: (
             4 * (k * y + y - 1) / (s * (4 * x - 3 * y - 2) + 2 * k * y - y - 2),
@@ -97,14 +97,14 @@ def _rows() -> dict[tuple[str, str, str], ForwardRow]:
             (-2 * x + (k + 2) * y + 1) / (-x + y + 1), (x - 1) / (x - y - 1))),
         ("12", "13", "123"): R(True, lambda k, x, y, s: (
             (7 * x + 2 * k * (x - y - 1) - 9 * y + s * (x + y - 1) - 3) / (4 * (x - y - 1)),
-            0.5 * (s * (x + y - 1) / (x - y - 1) + 1))),
+            (s * (x + y - 1) / (x - y - 1) + 1) / 2)),
         ("12", "23", "e"): R(True, lambda k, x, y, s: (
             4 * y / (-s * (4 * x - 3 * y - 2) - 2 * k * y + y + 2),
             (4 - 4 * (k + 1) * y) / (s * (4 * x - 3 * y - 2) + 2 * k * y - y - 2) + 1)),
         ("12", "23", "12"): R(False, lambda k, x, y, s: (
             y / (-x + y + 1), ((k + 2) * y - x) / (-x + y + 1))),
         ("12", "23", "123"): R(True, lambda k, x, y, s: (
-            0.5 - s * (x + y - 1) / (2 * (x - y - 1)),
+            (1 - s * (x + y - 1) / (x - y - 1)) / 2,
             (5 * x + 2 * k * (x - y - 1) - 7 * y - s * (x + y - 1) - 1) / (4 * (x - y - 1)))),
         ("12", "123", "e"): R(True, lambda k, x, y, s: (
             (4 - 4 * k * y) / (s * (4 * x - 3 * y - 2) + 2 * k * y - y - 2) + 2,
@@ -121,7 +121,7 @@ def _rows() -> dict[tuple[str, str, str], ForwardRow]:
             (k * y + y - 1) / (x - y - 1), (x - 1) / (x - y - 1))),
         ("12", "132", "123"): R(True, lambda k, x, y, s: (
             (-x + 3 * y + 2 * k * (-x + y + 1) + s * (x + y - 1) - 3) / (4 * (x - y - 1)),
-            0.5 * (s * (x + y - 1) / (x - y - 1) + 1))),
+            (s * (x + y - 1) / (x - y - 1) + 1) / 2)),
         # --- sigma = 13 ---
         ("13", "e", "13"): R(False, lambda k, x, y, s: (
             (x - 1) / (y - 1), (-x * k + k - y) / (y - 1))),
@@ -129,7 +129,7 @@ def _rows() -> dict[tuple[str, str, str], ForwardRow]:
             (4 - 4 * x) / (2 * k * (x - 1) - x + s * (x - 4 * y + 1) + 3),
             (4 * k * (x - 1) + 4) / (2 * k * (x - 1) - x + s * (x - 4 * y + 1) + 3) - 1)),
         ("13", "e", "132"): R(True, lambda k, x, y, s: (
-            0.5 - s * (-2 * x + y + 1) / (2 * (y - 1)),
+            (1 - s * (-2 * x + y + 1) / (y - 1)) / 2,
             (-2 * x + s * (2 * x - y - 1) - 2 * k * (y - 1) - 3 * y + 1) / (4 * (y - 1)))),
         ("13", "12", "13"): R(False, lambda k, x, y, s: (
             (k - (k + 1) * x) / (y - 1), (-x * k + k - y) / (y - 1))),
@@ -142,23 +142,23 @@ def _rows() -> dict[tuple[str, str, str], ForwardRow]:
         ("13", "13", "13"): R(False, lambda k, x, y, s: (
             (k * (x - 1) + 1) / (y - 1) + 2, (y - x) / (y - 1))),
         ("13", "13", "123"): R(True, lambda k, x, y, s: (
-            1 / ((k * (x - 1) + 1) / (-x + s * (x - 4 * y + 1) + 1) + 0.5),
+            2 / (2 * (k * (x - 1) + 1) / (-x + s * (x - 4 * y + 1) + 1) + 1),
             4 * (x - 1) / (2 * k * (x - 1) - x + s * (x - 4 * y + 1) + 3) + 1)),
         ("13", "13", "132"): R(True, lambda k, x, y, s: (
             (-2 * (-1 + s) * x + 2 * k * (y - 1) + 7 * y + s * (y + 1) - 5) / (4 * (y - 1)),
-            0.5 * (s * (-2 * x + y + 1) / (y - 1) + 1))),
+            (s * (-2 * x + y + 1) / (y - 1) + 1) / 2)),
         ("13", "23", "13"): R(False, lambda k, x, y, s: (
             (x - 1) / (y - 1), ((k + 1) * (x - 1) + y) / (y - 1))),
         ("13", "23", "123"): R(True, lambda k, x, y, s: (
             (4 - 4 * x) / (2 * k * (x - 1) - x + s * (x - 4 * y + 1) + 3),
             (4 * k - 4 * (k + 1) * x) / (2 * k * (x - 1) - x + s * (x - 4 * y + 1) + 3) + 1)),
         ("13", "23", "132"): R(True, lambda k, x, y, s: (
-            0.5 - s * (-2 * x + y + 1) / (2 * (y - 1)),
+            (1 - s * (-2 * x + y + 1) / (y - 1)) / 2,
             (2 * x + s * (2 * x - y - 1) + 2 * k * (y - 1) + 5 * y - 3) / (4 * (y - 1)))),
         ("13", "123", "13"): R(False, lambda k, x, y, s: (
             (k * (x - 1) + 1) / (y - 1) + 2, ((k + 1) * (x - 1) + y) / (y - 1))),
         ("13", "123", "123"): R(True, lambda k, x, y, s: (
-            1 / ((k * (x - 1) + 1) / (-x + s * (x - 4 * y + 1) + 1) + 0.5),
+            2 / (2 * (k * (x - 1) + 1) / (-x + s * (x - 4 * y + 1) + 1) + 1),
             (4 * k - 4 * (k + 1) * x) / (2 * k * (x - 1) - x + s * (x - 4 * y + 1) + 3) + 1)),
         ("13", "123", "132"): R(True, lambda k, x, y, s: (
             (-2 * (-1 + s) * x + 2 * k * (y - 1) + 7 * y + s * (y + 1) - 5) / (4 * (y - 1)),
@@ -170,7 +170,7 @@ def _rows() -> dict[tuple[str, str, str], ForwardRow]:
             4 * (x - 1) / (2 * k * (x - 1) - x + s * (x - 4 * y + 1) + 3) + 1)),
         ("13", "132", "132"): R(True, lambda k, x, y, s: (
             (-2 * (1 + s) * x - 2 * k * (y - 1) + (-1 + s) * (y + 1)) / (4 * (y - 1)),
-            0.5 * (s * (-2 * x + y + 1) / (y - 1) + 1))),
+            (s * (-2 * x + y + 1) / (y - 1) + 1) / 2)),
         # --- sigma = 23 ---
         ("23", "e", "e"): R(True, lambda k, x, y, s: (
             (x + s * (x - 2 * y)) / (2 * x),
@@ -194,7 +194,7 @@ def _rows() -> dict[tuple[str, str, str], ForwardRow]:
         ("23", "13", "23"): R(False, lambda k, x, y, s: (
             ((k + 2) * x - k * y - 1) / x, y / x)),
         ("23", "13", "132"): R(True, lambda k, x, y, s: (
-            1 / ((k * (y - x) + 1) / (x - y + s * (3 * x + y - 2)) + 0.5),
+            2 / (2 * (k * (y - x) + 1) / (x - y + s * (3 * x + y - 2)) + 1),
             (4 * y - 4 * x) / (-2 * k * x + x + 2 * k * y - y + s * (3 * x + y - 2) + 2) + 1)),
         ("23", "23", "e"): R(True, lambda k, x, y, s: (
             (x + s * (x - 2 * y)) / (2 * x),
@@ -210,7 +210,7 @@ def _rows() -> dict[tuple[str, str, str], ForwardRow]:
         ("23", "123", "23"): R(False, lambda k, x, y, s: (
             ((k + 2) * x - k * y - 1) / x, ((k + 2) * x - (k + 1) * y - 1) / x)),
         ("23", "123", "132"): R(True, lambda k, x, y, s: (
-            1 / ((k * (y - x) + 1) / (x - y + s * (3 * x + y - 2)) + 0.5),
+            2 / (2 * (k * (y - x) + 1) / (x - y + s * (3 * x + y - 2)) + 1),
             4 * (k * x + x - (k + 1) * y - 1) / (-2 * k * x + x + 2 * k * y - y + s * (3 * x + y - 2) + 2) + 1)),
         ("23", "132", "e"): R(True, lambda k, x, y, s: (
             (2 * (s * y + y + 2) - (2 * k + s + 3) * x) / (4 * x),
@@ -222,7 +222,7 @@ def _rows() -> dict[tuple[str, str, str], ForwardRow]:
             (4 * y - 4 * x) / (-2 * k * x + x + 2 * k * y - y + s * (3 * x + y - 2) + 2) + 1)),
         # --- sigma = 123 ---
         ("123", "e", "13"): R(True, lambda k, x, y, s: (
-            0.5 * (s * (-2 * x + y + 1) / (y - 1) + 1),
+            (s * (-2 * x + y + 1) / (y - 1) + 1) / 2,
             -(-2 * x + s * (2 * x - y - 1) + 2 * k * (y - 1) + 5 * y + 1) / (4 * (y - 1)))),
         ("123", "e", "23"): R(True, lambda k, x, y, s: (
             (4 * y - 4 * x) / (2 * k * x - x - 2 * k * y + y + s * (x + 3 * y - 2) - 2),
@@ -239,14 +239,14 @@ def _rows() -> dict[tuple[str, str, str], ForwardRow]:
             (k * x + x - (k + 1) * y - 1) / (y - 1), (k * x - (k + 1) * y) / (y - 1))),
         ("123", "13", "13"): R(True, lambda k, x, y, s: (
             (-2 * x + s * (2 * x - y - 1) + 2 * k * (y - 1) + 9 * y - 3) / (4 * (y - 1)),
-            0.5 - s * (-2 * x + y + 1) / (2 * (y - 1)))),
+            (1 - s * (-2 * x + y + 1) / (y - 1)) / 2)),
         ("123", "13", "23"): R(True, lambda k, x, y, s: (
-            1 / ((k * (x - y) - 1) / (-x + y + s * (x + 3 * y - 2)) + 0.5),
+            2 / (2 * (k * (x - y) - 1) / (-x + y + s * (x + 3 * y - 2)) + 1),
             4 * (x - y) / (2 * k * x - x - 2 * k * y + y + s * (x + 3 * y - 2) - 2) + 1)),
         ("123", "13", "132"): R(False, lambda k, x, y, s: (
             k + (-x * k + k + 1) / (y - 1) + 2, (x - 1) / (y - 1))),
         ("123", "23", "13"): R(True, lambda k, x, y, s: (
-            0.5 * (s * (-2 * x + y + 1) / (y - 1) + 1),
+            (s * (-2 * x + y + 1) / (y - 1) + 1) / 2,
             (-2 * (1 + s) * x + 2 * k * (y - 1) + 7 * y + s * (y + 1) - 1) / (4 * (y - 1)))),
         ("123", "23", "23"): R(True, lambda k, x, y, s: (
             (4 * y - 4 * x) / (2 * k * x - x - 2 * k * y + y + s * (x + 3 * y - 2) - 2),
@@ -257,13 +257,13 @@ def _rows() -> dict[tuple[str, str, str], ForwardRow]:
             (-2 * x + s * (2 * x - y - 1) + 2 * k * (y - 1) + 9 * y - 3) / (4 * (y - 1)),
             (-2 * (1 + s) * x + 2 * k * (y - 1) + 7 * y + s * (y + 1) - 1) / (4 * (y - 1)))),
         ("123", "123", "23"): R(True, lambda k, x, y, s: (
-            1 / ((k * (x - y) - 1) / (-x + y + s * (x + 3 * y - 2)) + 0.5),
+            2 / (2 * (k * (x - y) - 1) / (-x + y + s * (x + 3 * y - 2)) + 1),
             4 * (-(k + 1) * x + k * y + y + 1) / (2 * k * x - x - 2 * k * y + y + s * (x + 3 * y - 2) - 2) + 1)),
         ("123", "123", "132"): R(False, lambda k, x, y, s: (
             k + (-x * k + k + 1) / (y - 1) + 2, ((k + 2) * y - (k + 1) * x) / (y - 1))),
         ("123", "132", "13"): R(True, lambda k, x, y, s: (
             -(-2 * (1 + s) * x + 2 * k * (y - 1) + (3 + s) * (y + 1)) / (4 * (y - 1)),
-            0.5 - s * (-2 * x + y + 1) / (2 * (y - 1)))),
+            (1 - s * (-2 * x + y + 1) / (y - 1)) / 2)),
         ("123", "132", "23"): R(True, lambda k, x, y, s: (
             4 * (k * x + x - (k + 1) * y - 1) / (2 * k * x - x - 2 * k * y + y + s * (x + 3 * y - 2) - 2),
             4 * (x - y) / (2 * k * x - x - 2 * k * y + y + s * (x + 3 * y - 2) - 2) + 1)),
@@ -271,7 +271,7 @@ def _rows() -> dict[tuple[str, str, str], ForwardRow]:
             (k * x + x - (k + 1) * y - 1) / (y - 1), (x - 1) / (y - 1))),
         # --- sigma = 132 ---
         ("132", "e", "12"): R(True, lambda k, x, y, s: (
-            0.5 * (s * (x + y - 1) / (x - y - 1) + 1),
+            (s * (x + y - 1) / (x - y - 1) + 1) / 2,
             (-5 * x + 3 * y + 2 * k * (-x + y + 1) + s * (x + y - 1) + 1) / (4 * (x - y - 1)))),
         ("132", "e", "13"): R(True, lambda k, x, y, s: (
             4 * (x - 1) / (-2 * k * (x - 1) + x + s * (3 * x - 4 * y - 1) - 3),
@@ -288,14 +288,14 @@ def _rows() -> dict[tuple[str, str, str], ForwardRow]:
             (k * (x - 1) + x) / (-x + y + 1), (k * (x - 1) + 1) / (-x + y + 1) - 1)),
         ("132", "13", "12"): R(True, lambda k, x, y, s: (
             (9 * x + 2 * k * (x - y - 1) - 7 * y - s * (x + y - 1) - 5) / (4 * (x - y - 1)),
-            0.5 - s * (x + y - 1) / (2 * (x - y - 1)))),
+            (1 - s * (x + y - 1) / (x - y - 1)) / 2)),
         ("132", "13", "13"): R(True, lambda k, x, y, s: (
             (-4 * k * (x - 1) - 4) / (2 * k * (x - 1) - x - s * (3 * x - 4 * y - 1) + 3) + 2,
             (4 - 4 * x) / (-2 * k * (x - 1) + x + s * (3 * x - 4 * y - 1) - 3) + 1)),
         ("132", "13", "123"): R(False, lambda k, x, y, s: (
             (-x * k + k - 1) / (-x + y + 1) + 2, y / (-x + y + 1))),
         ("132", "23", "12"): R(True, lambda k, x, y, s: (
-            0.5 * (s * (x + y - 1) / (x - y - 1) + 1),
+            (s * (x + y - 1) / (x - y - 1) + 1) / 2,
             (7 * x + 2 * k * (x - y - 1) - 5 * y + s * (x + y - 1) - 3) / (4 * (x - y - 1)))),
         ("132", "23", "13"): R(True, lambda k, x, y, s: (
             4 * (x - 1) / (-2 * k * (x - 1) + x + s * (3 * x - 4 * y - 1) - 3),
@@ -312,7 +312,7 @@ def _rows() -> dict[tuple[str, str, str], ForwardRow]:
             (-x * k + k - 1) / (-x + y + 1) + 2, (-x * k + k - 2 * x + y + 1) / (-x + y + 1))),
         ("132", "132", "12"): R(True, lambda k, x, y, s: (
             (-3 * x + y + 2 * k * (-x + y + 1) - s * (x + y - 1) - 1) / (4 * (x - y - 1)),
-            0.5 - s * (x + y - 1) / (2 * (x - y - 1)))),
+            (1 - s * (x + y - 1) / (x - y - 1)) / 2)),
         ("132", "132", "13"): R(True, lambda k, x, y, s: (
             4 * (k * (x - 1) + x) / (2 * k * (x - 1) - x - s * (3 * x - 4 * y - 1) + 3),
             (4 - 4 * x) / (-2 * k * (x - 1) + x + s * (3 * x - 4 * y - 1) - 3) + 1)),

@@ -48,7 +48,7 @@ from typing import Callable
 
 import numpy as np
 
-from .domain import PermutationTriple, TrianglePoint
+from .domain import PermutationTriple, TrianglePoint, in_triangle
 from .errors import EvaluationSingularity, StencilOutOfDomain, TruncationFailure
 from .specfun import _eval_vec
 from .tables.forward import FORWARD
@@ -301,9 +301,11 @@ def jacobian_residual(t: PermutationTriple, k: int, p: TrianglePoint) -> float:
     StencilOutOfDomain for p within h of an edge."""
     x, y, h = p.x, p.y, 1e-5
     xs, ys = np.array([x + h, x - h, x, x]), np.array([y, y, y + h, y - h])
-    for xx, yy in zip(xs.tolist(), ys.tolist()):
-        if not (0.0 < yy < xx < 1.0):
-            raise StencilOutOfDomain(f"stencil leaves the triangle at ({xx}, {yy})")
+    inside = in_triangle((xs, ys))
+    if not inside.all():
+        i = int(np.argmin(inside))
+        raise StencilOutOfDomain(
+            f"stencil leaves the triangle at ({float(xs[i])}, {float(ys[i])})")
     # the four stencil points in one call: the branch formulas hold no **,
     # so an array has the bits of four scalar calls
     _, a, b = _checked(t, k, xs, ys)

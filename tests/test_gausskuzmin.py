@@ -179,6 +179,17 @@ def test_negative_digit_rejected():
         p_integral_e23e(-1)
 
 
+@pytest.mark.parametrize("ks", [[1.5], [0, 2, 2.5], [math.nan], [math.inf], [-0.5]])
+def test_non_integral_digit_rejected(ks):
+    # a digit of 1.5 is no digit, not digit 1
+    with pytest.raises(ValueError, match="integer"):
+        cylinder_measures(EEE, ks)
+
+
+def test_integral_float_digits_are_digits():
+    assert cylinder_measures(EEE, [1.0, 3.0]).tolist() == cylinder_measures(EEE, [1, 3]).tolist()
+
+
 def test_empirical_digits_deterministic():
     a = empirical_digits(E23E, 2000, seed=42)
     b = empirical_digits(E23E, 2000, seed=42)

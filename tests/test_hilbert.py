@@ -64,6 +64,19 @@ def test_eta_values():
         eta(-1, 1.0)
 
 
+def test_eta_rejects_nan_and_vanishes_at_infinity():
+    # nan is no s >= 0, and eta_k(inf) = 0 without a floating-point warning
+    # (one would fail the test under the project's warning filter)
+    for s in (math.nan, np.array([0.0, math.nan, 1.0])):
+        for k in (0, 1, 3):
+            with pytest.raises(DomainError):
+                eta(k, s)
+    for k in (0, 1, 2, 7):
+        assert eta(k, math.inf) == 0.0
+        assert np.array_equal(eta(k, np.array([math.inf, 1.0])),
+                              [0.0, eta(k, 1.0)])
+
+
 def test_eta_rows_against_mpmath():
     # all rows k <= 50 of the one-pass log-domain form, relative
     s = np.concatenate([[0.0], np.geomspace(1e-3, 40.0, 30)])

@@ -314,10 +314,10 @@ def test_exact_formulas_are_linear_fractional_in_each_class():
     for key in supported_triples():
         for first, step, s in transfer._parities(key):
             for x, y in ((0.61, 0.22), (0.5000000017, 0.4999999981)):
-                xq, yq = maps._Exact(x), maps._Exact(y)
-                images = [FORWARD[key].f(maps._Exact(first + step * j), xq, yq,
-                                         maps._Exact(int(s))) for j in range(4)]
-                assert all(type(v) is maps._Exact for image in images for v in image), key
+                xq, yq = Fraction(x), Fraction(y)
+                images = [FORWARD[key].f(Fraction(first + step * j), xq, yq,
+                                         Fraction(s)) for j in range(4)]
+                assert all(type(v) is Fraction for image in images for v in image), key
                 c = [(yp, xp - yp, 1 - xp) for xp, yp in images]
                 poles = set()
                 for v0, v1, v2, v3 in zip(*c):

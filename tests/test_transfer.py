@@ -118,6 +118,14 @@ def test_jacobian_stencil_out_of_domain():
     assert jacobian_residual(EEE, 1, TrianglePoint(0.5, 2e-5)) < 1e-6
 
 
+def test_jacobian_stencil_names_the_first_point_outside():
+    # next to the diagonal the stencil points x - h and y + h both leave
+    # the triangle; the message names x - h, the first of the four
+    x, y = 0.5, 0.5 - 5e-6
+    with pytest.raises(StencilOutOfDomain, match=re.escape(f"at ({x - 1e-5}, {y})")):
+        jacobian_residual(EEE, 1, TrianglePoint(x, y))
+
+
 def test_parity_flags_agree_and_match_formulas():
     # FORWARD states each row's parity flag once; it must be True exactly
     # when the row's forward formula reads s, and exactly when its inverse
