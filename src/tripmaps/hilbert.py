@@ -168,7 +168,8 @@ def kernel_apply(phi: Profile, c: float, tpoint):
     to t of about TAU_MAX = 50 and fails (NonConvergent) far beyond it."""
     scalar = np.isscalar(tpoint)
     tarr = np.atleast_1d(np.asarray(tpoint, dtype=float))
-    if np.any(tarr < 0):
+    # written so that nan fails it
+    if not np.all(tarr >= 0):
         raise DomainError("kernel_apply requires t >= 0")
     inner, _ = _kernel_image(phi, c, tarr)
     front = np.where(tarr > 0, tarr / np.expm1(np.where(tarr > 0, tarr, 1.0)), 1.0)

@@ -2,36 +2,28 @@
 
 Digit extraction inverts the implicit partition of the triangle: digit k is
 the branch index whose formula maps the point back into the closed
-triangle, the lowest one where rounding admits a run of them.
+triangle, the lowest one where rounding admits a run of them.  One solver,
+_solve, gives every digit, on arrays of points.  Every float evaluation of
+a forward row goes through _images; _model calls rows on Fraction.
 
-Every digit comes from one solver, _solve, on arrays of points; an orbit
-step and extract_digit call it on one-element arrays.  Every numeric
-evaluation of a forward row goes through _images; only the exact ranges
-call a row directly, on fractions.Fraction: the table holds no float
-literal, so a row given Fraction k, x, y and s returns Fraction.
-
-Within one parity class (k even, or k odd, on the 72 parity rows; every k
-on the 36 parity-free rows) both image components are linear-fractional
-in k, (a + b k)/(1 + d k), with one shared pole, so each membership
-constraint y' >= 0, x' - y' >= 0, x' <= 1 holds on a half-line on each
-side of the pole.  On parity-free rows, which include all 18 density rows
-and both ergodic maps, d = 0.  _bracket fits every class in floats, from
-the images at its first three k (two on a parity-free row), for arrays of
-points at once; the hull of the ranges so found, widened by _window's
-reach, is the window whose integers the membership test confirms.
-
-Far out the window loses the digit: the images carry terms of size k, and
-next to a vertex their rounding smears the constraints over up to
-millions of steps; on parity rows the float fit of d is ill-conditioned
-near deep digits.  So beyond _SHALLOW, and wherever the confirmation is
-not clean, the digit comes from the same fit in exact rational
-arithmetic, three exact samples a class (_exact_ranges).  A scan over the
-64 steps on each side of the ranges so found applies the tie rules in
-rounded arithmetic, as a scan from k = 0 would.
+Every TRIP branch is projective-linear: within one parity class (k even,
+or k odd, on the 72 parity rows; every k on the 36 parity-free rows) the
+row at k = first + step*j is (x', y', 1) ~ (A + j B)(x, y, 1), and _model
+derives A and B once per row, exactly.  The numerators of the membership
+constraints y' >= 0, x' - y' >= 0, x' <= 1 are then lines a + b j, so
+each constraint holds on a half-line on each side of the pole
+(_half_lines).  _bracket evaluates them in floats for arrays of points;
+the hull of their ranges, widened by _window's reach, is the window whose
+integers the membership test confirms.  Beyond _SHALLOW, where rounding
+next to a vertex smears images with terms of size k over millions of
+steps, and wherever that test is not clean, the same lines in exact
+arithmetic decide (_solve_exact), and a scan over the 64 steps on each
+side of their ranges applies the tie rules, as a scan from k = 0 would.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,7 +36,9 @@ from .errors import (
     BoundaryHit,
     DigitNotFound,
     EvaluationSingularity,
+    NotLinearFractional,
     OutsideTriangle,
+    UnsupportedTriple,
 )
 from .tables.forward import FORWARD
 from .transfer import _broadcast, _parities, parity_sign, preimage_tree
@@ -55,7 +49,7 @@ MEMBERSHIP_TOL = 1e-12
 # so the default cap is huge on purpose
 K_MAX_DEFAULT = 10 ** 12
 
-# the float bracket stops here.  Beyond it rounding smears the fitted
+# the float bracket stops here.  Beyond it rounding smears the
 # constraints and the eps*k allowance widens, so the exact path decides;
 # below it a wrong window finds no clean run of hits, and goes to the exact
 # path all the same
@@ -67,8 +61,13 @@ _MAX_WIDTH = 64
 # far out the rounded images, which the tie rules judge, can put the hits
 # some steps off the exact range
 _REACH = 64
-# exact samples on a pole are retried from these bases
-_BASES = (0, 2, 5)
+# four points (x, y, 1), no three on a line, off the poles of every row at
+# k = 0..7: their images fix each parity class of a row
+_PROBES = np.array([[-1, 3, 1], [-2, 2, 1], [-1, -4, 1], [2, -4, 1]], dtype=object)
+# on (x', y', 1) times the denominator, the numerators of y' + tol,
+# x' - y' + tol and 1 + tol - x'; they sum to (1 + 3 tol) times it
+_CONSTRAINTS = np.array([[0, 1, 0], [1, -1, 0], [-1, 0, 1]], dtype=object) \
+    + [0, 0, Fraction(MEMBERSHIP_TOL)]
 
 
 @dataclass(frozen=True)
@@ -81,8 +80,8 @@ def _images(key, k, x, y):
     """The image (x', y') of each point under the digit-k branch formula
     of the row key, s derived from the integer k, broadcast to one shape
     over k, x and y; inf or nan where the formula is singular.  Every
-    numeric evaluation of a forward row goes through here, the exact
-    ranges apart.  x and y are float arrays or numpy float scalars."""
+    float evaluation of a forward row goes through here.  x and y are
+    float arrays or numpy float scalars."""
     with np.errstate(all="ignore"):
         xp, yp = FORWARD[key].f(k, x, y, parity_sign(k))
     return _broadcast((xp, yp), k, x, y)
@@ -99,55 +98,92 @@ def apply_branch_formula(t: PermutationTriple, k: int, p: TrianglePoint):
     return float(xp), float(yp)
 
 
-# --- bracket: one linear-fractional fit per parity class, in floats -------
+# --- the model: each parity class as (A + j B), exactly ---------------------
+
+def _frame(q):
+    """The matrix, up to scale, taking e1, e2, e3, e1 + e2 + e3 to q[..., :4, :]."""
+    scale = (np.cross(q[..., [1, 2, 0], :], q[..., [2, 0, 1], :]) * q[..., 3:, :]).sum(-1)
+    return np.swapaxes(q[..., :3, :] * scale[..., None], -1, -2)
+
+
+@functools.cache
+def _model(row, classes):
+    """Lines L of each parity class c = (first, step, s) of a forward row,
+    exact and in floats: (L[c, 0] + j L[c, 1])(x, y, 1) are the numerators
+    at k = first + step*j.  L[c] is _CONSTRAINTS times integer (A, B) with
+    (x', y', 1) ~ (A + j B)(x, y, 1): the four-point construction on the
+    probes' images gives M_j ~ A + j B at j = 0, 1, 2, least squares scale
+    them to 2 M_1 - M_0 ~ M_2, and the images at j = 0..3 check the result
+    (NotLinearFractional where they do not, or where a probe hits a pole)."""
+    columns = _frame(_PROBES).T
+    inverse = np.cross(columns[[1, 2, 0]], columns[[2, 0, 1]])  # adjugate
+    x, y = _PROBES[:, :2].T * Fraction(1)
+    j = np.arange(4)[:, None]
+    lines = []
+    for first, step, s in classes:
+        try:
+            images = np.broadcast_arrays(*row.f((first + step * j) * Fraction(1), x, y,
+                                                Fraction(s)))
+        except ZeroDivisionError:
+            raise NotLinearFractional(f"class {first} mod {step}: a probe hits a pole") from None
+        # (x', y', 1) times the denominators of x' and y'
+        q = np.array([[(u.numerator * v.denominator, v.numerator * u.denominator,
+                        u.denominator * v.denominator) for u, v in zip(*c)]
+                      for c in zip(*images)], dtype=object)
+        m0, m1, m2 = (m.ravel() for m in _frame(q[:3]) @ inverse)
+        g11, g12, g22 = m1 @ m1, m1 @ m2, m2 @ m2
+        # A = M_0 and B = c M_1 - M_0, times den, for c = num/den
+        num, den = g22 * (m1 @ m0) - g12 * (m2 @ m0), 2 * (g11 * g22 - g12 * g12)
+        ab = np.array([den * m0, num * m1 - den * m0]).reshape(2, 3, 3)
+        ab //= math.gcd(*ab.ravel()) or 1
+        image = np.swapaxes((ab[0] + j[..., None] * ab[1]) @ _PROBES.T, 1, 2)
+        if (image[..., 2] == 0).any() or (np.cross(image, q) != 0).any():
+            raise NotLinearFractional(f"class {first} mod {step}: not (A + j B)(x, y, 1)")
+        lines.append(_CONSTRAINTS @ ab)
+    lines = np.array(lines)
+    return lines, lines.astype(float)
+
+
+def _half_lines(key, x, y):
+    """The j >= 0 on which the constraints of the row key hold at the
+    points (x, y), per side of the pole of each parity class: (j_lo, j_hi)
+    of shape (side, class, point); empty where j_lo > j_hi, unbounded where
+    j_hi is inf.  Exact for Fraction x and y, in floats for float arrays."""
+    m = _model(FORWARD[key], _parities(key))[0 if isinstance(x, Fraction) else 1]
+    # the lines times (x, y, 1), elementwise: a matrix product would start BLAS
+    lines = m[..., 0, None] * x + m[..., 1, None] * y + m[..., 2, None]
+    a, b = lines[:, 0], lines[:, 1]
+    # on the side of the pole where sign times the denominator is > 0,
+    # constraint i holds where sign*(a_i + b_i j) >= 0: from -a_i/b_i up
+    # where sign*b_i > 0, up to it where sign*b_i < 0, nowhere where
+    # b_i = 0 > sign*a_i.  The numerators sum to (1 + 3 tol) times the
+    # denominator, so where all three hold the range lies on that side
+    root = np.divide(-a, b, out=np.zeros_like(a), where=b != 0)
+    j_lo, j_hi = [], []
+    for sign in (1, -1):
+        j_lo.append(root.max(axis=1, where=sign * b > 0, initial=0))
+        never = ((b == 0) & (sign * a < 0)).any(axis=1)
+        j_hi.append(np.where(never, -np.inf, root.min(axis=1, where=sign * b < 0,
+                                                      initial=np.inf)))
+    return np.array(j_lo), np.array(j_hi)
+
 
 def _bracket(key, xs, ys, reach):
     """The window of candidate digits of each point: the integers within
-    reach of the hull of the k intervals that the fitted constraints keep
-    in the triangle, over the parity classes and the sides of their poles,
-    and whether there is one.  There is none where a sample is not finite
-    or the hull is empty, wider than _MAX_WIDTH or beyond _SHALLOW."""
-    # a parity-free row is affine in k: d = 0, and j = 0, 1 fix its lines
-    fit = FORWARD[key].parity
-    classes = np.array([(first, step) for first, step, _ in _parities(key)])
-    first, step = classes[:, :1], classes[:, 1:]
-    xp, yp = _images(key, (first + step * np.arange(3 if fit else 2))[..., None], xs, ys)
-    finite = (np.isfinite(xp) & np.isfinite(yp)).all(axis=(0, 1))
-    # c[i, class, j, point]: constraint i at k = first + step*j
-    c = np.stack((yp, xp - yp, 1.0 - xp))
-    c0, c1 = c[:, :, 0], c[:, :, 1]
-    a, b, sides = c0, c1 - c0, (1.0,)
-    if fit:
-        # constraint i is (a_i + b_i*j)/(1 + d*j), a_i = c0[i], with one d
-        # per class and point, fitted on the constraint that moves most from
-        # j = 1 to 2
-        c2 = c[:, :, 2]
-        i = np.argmax(np.abs(c2 - c1), axis=0)[None]
-        d = np.take_along_axis(np.where(c1 != c2, (2 * c1 - c0 - c2) / (2 * (c2 - c1)), 0.0),
-                               i, 0)
-        b, sides = c1 * (1 + d) - c0, (1.0, -1.0)
-    # on the side of the pole where sign*(1 + d*j) > 0 constraint i holds
-    # where sign*(a_i + b_i*j) >= 0: from j = -a_i/b_i up where sign*b_i > 0,
-    # up to it where sign*b_i < 0, nowhere where b_i = 0 > sign*a_i.  The
-    # constraints sum to 1, so their lines sum to the pole's, 1 + d*j, and
-    # where they all hold so does sign*(1 + d*j) >= 0
-    v, up, down, flat = -a / b, b > 0, b < 0, b == 0
-    bottom, top = np.inf, -np.inf
-    for sign in sides:
-        j_lo = v.max(axis=0, where=up, initial=0.0)
-        j_hi = np.minimum(v.min(axis=0, where=down, initial=np.inf), (_SHALLOW - first) / step)
-        j_hi[(flat & (sign * a < 0)).any(axis=0)] = -np.inf
-        keep = j_lo <= j_hi
-        bottom = np.minimum(bottom, np.where(keep, first + step * j_lo, np.inf).min(axis=0))
-        top = np.maximum(top, np.where(keep, first + step * j_hi, -np.inf).max(axis=0))
-        up, down = down, up
-    ok = finite & (bottom <= top) & (top <= bottom + _MAX_WIDTH)
+    reach of the hull of the k ranges of _half_lines, in floats, over the
+    parity classes and the sides of their poles, and whether there is one.
+    There is none where a coordinate is not finite or the hull is empty,
+    wider than _MAX_WIDTH or beyond _SHALLOW."""
+    first, step, _ = (np.array(c)[:, None] for c in zip(*_parities(key)))
+    j_lo, j_hi = _half_lines(key, xs, ys)
+    k_lo, k_hi = first + step * j_lo, np.minimum(first + step * j_hi, _SHALLOW)
+    bottom = k_lo.min(axis=(0, 1), where=k_lo <= k_hi, initial=np.inf)
+    top = k_hi.max(axis=(0, 1), where=k_lo <= k_hi, initial=-np.inf)
+    ok = np.isfinite(xs) & np.isfinite(ys) & (bottom <= top) & (top <= bottom + _MAX_WIDTH)
     lo = np.where(ok, np.ceil(bottom) - reach, 0).astype(np.int64)
     hi = np.where(ok, np.floor(top) + reach, 0).astype(np.int64)
     return lo, hi, ok
 
-
-# --- exact ranges: one linear-fractional fit per parity class --------------
 
 def _window(key):
     """How far the window reaches beyond the bracket on each side, and how
@@ -156,49 +192,6 @@ def _window(key):
     cylinders k and k + 2 can touch; on parity-free rows the cylinders form
     a fan, and two that are not neighbours meet only at its vertex."""
     return (7, 6) if FORWARD[key].parity else (1, 0)
-
-
-def _exact_ranges(key, x, y):
-    """The k ranges on which the row formula, in exact arithmetic on the
-    float inputs, meets all three membership constraints at the base
-    tolerance: (k_lo, k_hi) pairs, each widened to the integers around it,
-    one per side of each parity class's pole; k_hi is inf where a range
-    never closes."""
-    f, xq, yq, tol = FORWARD[key].f, Fraction(x), Fraction(y), Fraction(MEMBERSHIP_TOL)
-    ranges = []
-    for first, step, s in _parities(key):
-        def constraints(j):
-            xp, yp = f(Fraction(first + step * j), xq, yq, Fraction(s))
-            return yp + tol, xp - yp + tol, 1 + tol - xp
-        for base in _BASES:
-            try:
-                c0, c1, c2 = (constraints(base + j) for j in range(3))
-                break
-            except ZeroDivisionError:
-                continue
-        else:
-            continue
-        # constraint i is (a_i + b_i*j)/(1 + d*j) at k = first + step*(base + j),
-        # a_i = c0[i]; a constant one does not show the shared d
-        d = next(((2 * v1 - v0 - v2) / (2 * (v2 - v1))
-                  for v0, v1, v2 in zip(c0, c1, c2) if v1 != v2), 0)
-        b = [v1 * (1 + d) - v0 for v0, v1 in zip(c0, c1)]
-        # the lines sum to (1 + 3*tol)(1 + d*j): where sign*(a_i + b_i*j) >= 0
-        # for all three, the range lies on the side where sign*(1 + d*j) >= 0
-        for sign in ((1, -1) if d else (1,)):
-            lo, hi = -base, math.inf
-            for a_i, b_i in zip(c0, b):
-                if sign * b_i > 0:
-                    lo = max(lo, -a_i / b_i)
-                elif sign * b_i < 0:
-                    hi = min(hi, -a_i / b_i)
-                elif sign * a_i < 0:
-                    hi = -math.inf
-            if lo <= hi:
-                k_lo = first + step * (base + math.floor(lo))
-                k_hi = first + step * (base + math.ceil(hi)) if hi < math.inf else math.inf
-                ranges.append((k_lo, k_hi))
-    return ranges
 
 
 # --- confirmation: the tie rules on candidate digits ------------------------
@@ -275,18 +268,19 @@ def _decide(key, xs, ys, pt, k):
 
 
 def _solve_exact(key, xs, ys, k_max):
-    """digits from the exact ranges, and the images each digit was accepted
-    on; raises for the first point without one."""
+    """digits from the k ranges of _half_lines in exact arithmetic on the
+    float inputs, each widened to the integers around it, and the images
+    each digit was accepted on; raises for the first point without one."""
     n = xs.size
     ranges = []
     wide_from = np.full(n, np.inf)
-    for i in range(n):
-        x, y = float(xs[i]), float(ys[i])
-        if not (math.isfinite(x) and math.isfinite(y)):
-            continue
-        for k_lo, k_hi in _exact_ranges(key, x, y):
-            if k_lo > k_max:
+    for i in np.nonzero(np.isfinite(xs) & np.isfinite(ys))[0]:
+        j_lo, j_hi = _half_lines(key, Fraction(xs[i]), Fraction(ys[i]))
+        for (first, step, _), lo, hi in zip(_parities(key) * 2, j_lo.ravel(), j_hi.ravel()):
+            k_lo = first + step * math.floor(lo)
+            if lo > hi or k_lo > k_max:
                 continue
+            k_hi = first + step * math.ceil(hi) if hi < math.inf else math.inf
             if k_hi - k_lo > _MAX_WIDTH:
                 wide_from[i] = min(wide_from[i], k_lo)
                 continue
@@ -342,6 +336,10 @@ def digits(key, xs, ys, k_max: int = K_MAX_DEFAULT) -> np.ndarray:
     """The digit of each point (xs[i], ys[i]) under the row key, as an
     int64 array.  Raises DigitNotFound for a point no branch k <= k_max
     admits and AmbiguousDigit for one that admits branches far apart."""
+    if key not in FORWARD:
+        raise UnsupportedTriple(f"no forward row for {key}")
+    if k_max < 0:
+        raise ValueError("k_max must be non-negative")
     xs, ys = np.asarray(xs, dtype=float).ravel(), np.asarray(ys, dtype=float).ravel()
     if xs.size != ys.size:
         raise ValueError(f"xs and ys differ in size: {xs.size} and {ys.size}")

@@ -12,7 +12,7 @@ smooth function of real k and
 applies per class.  The classes of a row, k = first + step*m with one
 sign s each, are listed once, by _parities from the forward row's flag:
 every k on a parity-free row, even and odd k on a parity row.  The tail
-columns here and the exact digit ranges of maps loop over that list.
+columns here and the exact digit model of maps loop over that list.
 The integral is done by 64-point Gauss-Legendre under m = scale*v/(1-v),
 which turns the polynomial tail into a polynomial in v; derivatives use
 five-point central differences (evaluating u at small negative m is

@@ -160,12 +160,17 @@ def test_kernel_apply_rejects_scalar_profile():
 
 
 def test_kernel_apply_nan_fails():
-    # a nan gap fails the gate: a nan profile, and one nan row of t
+    # a nan gap fails the gate
     nan_tail = lambda c, s: np.where(s > 5.0, np.nan, 1.0)  # noqa: E731
     with pytest.raises(NonConvergent):
         kernel_apply(nan_tail, 0.5, np.array([0.5, 1.0]))
-    with pytest.raises(NonConvergent):
-        kernel_apply(eta_profile(0), 0.5, np.array([0.5, np.nan, 2.0]))
+
+
+def test_kernel_apply_rejects_nan_t():
+    # nan is no t >= 0, as in eta: it is named before any quadrature runs
+    for t in (math.nan, np.array([0.5, np.nan, 2.0]), np.array([-1.0, 1.0])):
+        with pytest.raises(DomainError, match="^kernel_apply requires t >= 0$"):
+            kernel_apply(eta_profile(0), 0.5, t)
 
 
 def test_empty_batch_gives_empty_result():
@@ -498,6 +503,15 @@ def test_import_builds_no_laguerre_rule():
     src = os.path.dirname(os.path.dirname(tripmaps.__file__))
     code = ("import tripmaps.cli, tripmaps.specfun as f; "
             "print(f._laguerre_rule.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert out.stdout.strip() == "0"
+
+
+def test_import_derives_no_digit_model():
+    # the exact lines of the forward rows are derived on a row's first digit
+    src = os.path.dirname(os.path.dirname(tripmaps.__file__))
+    code = "import tripmaps.cli, tripmaps.maps as m; print(m._model.cache_info().currsize)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=src), check=True)
     assert out.stdout.strip() == "0"

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from tripmaps.domain import PermutationTriple, TrianglePoint, supported_triples
+from tripmaps.domain import PermutationTriple, TrianglePoint, interior_points, supported_triples
 from tripmaps.errors import (AmbiguousDigit, BoundaryHit, DigitNotFound, EvaluationSingularity,
-                             OutsideTriangle)
+                             NotLinearFractional, OutsideTriangle, UnsupportedTriple)
 from tripmaps import maps, transfer
 from tripmaps.maps import K_MAX_DEFAULT, _solve
 from tripmaps.tables.forward import FORWARD, ForwardRow
@@ -307,29 +307,43 @@ def test_digit_deep_in_bottom_left_corner(x, y, k):
 
 
 def test_exact_formulas_are_linear_fractional_in_each_class():
-    # the premise of the bracket and of the exact ranges: on every row and
-    # parity class the table formula, evaluated exactly, stays exact, and
-    # the three constraints fitted from k-steps 0, 1, 2 give a fourth
-    # sample exactly, with one pole; parity-free rows are affine in k
+    # the premise of the bracket and of the exact path: on every row and
+    # parity class the derived lines give the table formula, evaluated
+    # exactly, at j = 0..5, inside the triangle and 1e-12 from each edge:
+    # their numerators sum to (1 + 3 tol) times a denominator that is not
+    # 0, and over it are y' + tol, x' - y' + tol and 1 + tol - x'.  On
+    # parity-free rows the denominator does not depend on j
+    tol, gap = Fraction(maps.MEMBERSHIP_TOL), Fraction(1, 10 ** 12)
+    points = [(Fraction(0.61), Fraction(0.22)), (Fraction(3, 5), gap),
+              (Fraction(5, 7), Fraction(5, 7) - gap), (1 - gap, Fraction(2, 7)),
+              (Fraction(1, 2) + 17 * gap, Fraction(1, 2) - 19 * gap)]
     for key in supported_triples():
-        for first, step, s in transfer._parities(key):
-            for x, y in ((0.61, 0.22), (0.5000000017, 0.4999999981)):
-                xq, yq = Fraction(x), Fraction(y)
-                images = [FORWARD[key].f(Fraction(first + step * j), xq, yq,
-                                         Fraction(s)) for j in range(4)]
-                assert all(type(v) is Fraction for image in images for v in image), key
-                c = [(yp, xp - yp, 1 - xp) for xp, yp in images]
-                poles = set()
-                for v0, v1, v2, v3 in zip(*c):
-                    if v1 == v2:
-                        assert v0 == v1 == v3, key
-                        continue
-                    d = (2 * v1 - v0 - v2) / (2 * (v2 - v1))
-                    b = v1 * (1 + d) - v0
-                    assert v3 == (v0 + 3 * b) / (1 + 3 * d), key
-                    poles.add(d)
-                assert len(poles) <= 1, key
-                assert FORWARD[key].parity or poles <= {0}, key
+        classes = transfer._parities(key)
+        exact, approx = maps._model(FORWARD[key], classes)
+        assert np.array_equal(approx, exact.astype(float)), key
+        assert FORWARD[key].parity or not exact[:, 1].sum(axis=1).any(), key
+        for (first, step, s), lines in zip(classes, exact):
+            for x, y in points:
+                for j in range(6):
+                    xp, yp = FORWARD[key].f(Fraction(first + step * j), x, y, Fraction(s))
+                    assert type(xp) is Fraction and type(yp) is Fraction, key
+                    num = (lines[0] + j * lines[1]) @ np.array([x, y, 1], dtype=object)
+                    den = num.sum() / (1 + 3 * tol)
+                    assert den != 0, (key, first, x, y, j)
+                    assert list(num) == [(yp + tol) * den, (xp - yp + tol) * den,
+                                         (1 + tol - xp) * den], (key, first, x, y, j)
+
+
+@pytest.mark.parametrize("f", [
+    # quadratic in k: the probes' images at k = 0, 1, 2 fit, at k = 3 they do not
+    lambda k, x, y, s: (x, y + k * k * x / 100),
+    # singular at the probes with x = -1
+    lambda k, x, y, s: (x / (x + 1), y + k * x),
+], ids=["quadratic-in-k", "probe-on-a-pole"])
+def test_row_not_linear_fractional_is_named(monkeypatch, f):
+    monkeypatch.setitem(FORWARD, EEE.key, ForwardRow(False, f))
+    with pytest.raises(NotLinearFractional):
+        maps.digits(EEE.key, [0.5], [0.25])
 
 
 @settings(max_examples=60, deadline=None)
@@ -389,17 +403,24 @@ def test_branch_roundtrip_singular_forward_formula(monkeypatch, sample_points):
         maps.branch_roundtrip(EEE, 3, pts)
 
 
-@pytest.mark.parametrize("call, message", [
-    (lambda pts: maps.digits(EEE.key, [0.6, 0.7], [0.2]), "xs and ys differ in size: 2 and 1"),
-    (lambda pts: maps.digits(EEE.key, [0.6, 0.7, 0.8], [0.2, 0.3]),
+@pytest.mark.parametrize("call, error, message", [
+    (lambda pts: maps.digits(EEE.key, [0.6, 0.7], [0.2]), ValueError,
+     "xs and ys differ in size: 2 and 1"),
+    (lambda pts: maps.digits(EEE.key, [0.6, 0.7, 0.8], [0.2, 0.3]), ValueError,
      "xs and ys differ in size: 3 and 2"),
-    (lambda pts: maps.branch_roundtrip(EEE, -1, pts), "k_max must be non-negative"),
-    (lambda pts: maps.branch_roundtrip(EEE, 3, []), "no points"),
-], ids=["digits-2-1", "digits-3-2", "roundtrip-negative-kmax", "roundtrip-no-points"])
-def test_bad_input_is_named(sample_points, call, message):
-    # these escaped as an IndexError, a numpy broadcast error, and numpy's
-    # "zero-size array to reduction operation maximum"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+    (lambda pts: maps.branch_roundtrip(EEE, -1, pts), ValueError, "k_max must be non-negative"),
+    (lambda pts: maps.branch_roundtrip(EEE, 3, []), ValueError, "no points"),
+    (lambda pts: maps.digits(("e", "e", "x"), [0.5], [0.2]), UnsupportedTriple,
+     "no forward row for ('e', 'e', 'x')"),
+    (lambda pts: maps.digits(EEE.key, [0.5], [0.2], k_max=-1), ValueError,
+     "k_max must be non-negative"),
+], ids=["digits-2-1", "digits-3-2", "roundtrip-negative-kmax", "roundtrip-no-points",
+        "digits-unknown-key", "digits-negative-kmax"])
+def test_bad_input_is_named(sample_points, call, error, message):
+    # these escaped as an IndexError, a numpy broadcast error, numpy's
+    # "zero-size array to reduction operation maximum", a KeyError, and
+    # DigitNotFound "below k_max=-1"
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call(sample_points[:3])
 
 
@@ -522,3 +543,21 @@ def test_bracket_reaches_beyond_the_pole(monkeypatch):
     assert got.tolist() == [20]
     _forbid_exact_path(monkeypatch)
     assert _solo(EEE.key, 0.5, 0.25) == 20
+
+
+@pytest.mark.parametrize("k", [10 ** 4, 3 * 10 ** 4, 10 ** 5, 10 ** 6])
+def test_deep_digits_on_parity_rows_skip_the_exact_path(monkeypatch, k):
+    # the branch points of 8 interior points on the 72 parity rows, deep
+    # enough that the images carry terms of size k: the bracket, read from
+    # lines derived exactly, decides each of them, and each digit is the
+    # one the exact path gives
+    pts = interior_points(1, 8)
+    cases = []
+    for key in supported_triples():
+        if FORWARD[key].parity:
+            qx, qy = (np.array(c) for c in zip(*(_branch(key, k, p.x, p.y) for p in pts)))
+            cases.append((key, qx, qy, _exact_solve(key, qx, qy, K_MAX_DEFAULT)[0]))
+    assert sum(qx.size for _, qx, _, _ in cases) == 576
+    _forbid_exact_path(monkeypatch)
+    for key, qx, qy, digit in cases:
+        assert np.array_equal(maps.digits(key, qx, qy), digit), key
