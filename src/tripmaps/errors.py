@@ -71,3 +71,7 @@ class NotArrayNative(TripMapError):
 
 class EnvelopeExceeded(TripMapError):
     """A density exceeds the rejection envelope of its exact sampler."""
+
+
+class NoClosedLaw(TripMapError):
+    """A density row breaks the preconditions of the closed Gauss-Kuzmin law."""

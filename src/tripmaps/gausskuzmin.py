@@ -1,20 +1,27 @@
 """Gauss-Kuzmin digit statistics: invariant densities, cylinder-set
-measures, the two closed-form families (both evaluated in dilogarithms,
-logs and log1p, with no quadrature: within 1e-15 relative of mpmath for
-(e,e,e) at k up to 1e9, and 1e-13 for (e,23,e) at k up to 1e4), and
-seeded Monte Carlo digits.
+measures in closed form, the two printed closed-form families, and seeded
+Monte Carlo digits.
 
-cylinder_measures evaluates p(k) = mu(cylinder k) through the inverse
-branch: the k-th branch maps the whole triangle onto the cylinder, so
+cylinder_measures evaluates p(k) = mu(cylinder k) in closed form, with no
+quadrature.  Each of the 18 densities is C g, g = |h| its eigenfunction,
+and the k-th term of the transfer sum of g is 1/(A_k A_{k+1}) with
+A_k = k c + d for two affine forms c and d on the triangle, so
 
-    p(k) = int_tri r(branch_k(q)) * weight(k, q) dq
+    p(k) = C int_tri dp / (A_k A_{k+1}).
 
-by change of variables.  The integrand is smooth, which is what lets the
-adaptive quadrature actually reach 1e-8; a pointwise digit-indicator
-integral would stall at the cylinder boundary.  The indicator route is
-kept in the test suite as a coarse cross-check.  The digits of one call
-run in batches of _DIGIT_BLOCK integrals (specfun.integrate_triangles),
-with k and s = (-1)**k read per leaf; each keeps the value it has alone.
+_law derives c and d of a row from the tables, in exact arithmetic: c is
+the vertex factor (x, 1 - y or 1 - x + y) that vanishes at one vertex V,
+d(V) = 1, and d differs by 1 between the other two vertices S and E.
+Integrating along the level segments of c then gives
+
+    p(k) = C D(k + a),  D(z) = Li2(-z) - 2 Li2(-z-1) + Li2(-z-2),
+
+with a = min(d(S), d(E)) - 1, and normalisation fixes C, since
+sum_k D(k + a) = Li2(-a) - Li2(-a-1).  On 6 rows a = 0 and C = 12/pi^2,
+so p(k) is p_closed_eee(k); on the other 12, a = -1 and C = 6/pi^2, so
+p(0) = 1/2 and p(k) = p_closed_eee(k - 1)/2: p_closed_eee, which is
+12/pi^2 D, evaluates both.  The pullback cubature of the claims registry checks the law on every
+row (claims.pullback_measures).
 
 empirical_digits counts the digits of walkers.  Each starts from an exact
 draw of the invariant density (_draws, rejection against one envelope
@@ -29,18 +36,20 @@ error.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .domain import PermutationTriple, in_triangle
-from .errors import EnvelopeExceeded, NoDensity
+from .errors import EnvelopeExceeded, NoClosedLaw, NoDensity
 from .maps import K_MAX_DEFAULT, _solve, off_boundary
-from .specfun import dilog, integrate_triangles
-from .tables.eigen import DENSITIES
+from .specfun import dilog
+from .tables.eigen import DENSITIES, EIGENFUNCTIONS
 from .tables.transfer_rows import TRANSFER
-from .transfer import TruncationPolicy, _inverse, apply_transfer_batch, parity_sign
+from .transfer import TruncationPolicy, apply_transfer_batch
 
 PI2 = math.pi ** 2
 
@@ -92,31 +101,86 @@ def density(t: PermutationTriple):
     return r
 
 
-_DIGIT_BLOCK = 16  # caps the leaves held; gk's k = 0..10 is one block
+# the vertices of the triangle, in integers so that Fraction arithmetic
+# stays exact, and the points _law reads a row at, as barycentric weights:
+# three at weights (1/2, 1/4, 1/4), whose values of an affine form give its
+# vertex values, the centroid, and one point whose three weights differ,
+# so that its value of c names the vertex V
+_VERTICES = ((0, 0), (1, 0), (1, 1))
+_LAW_POINTS = tuple(tuple(Fraction(w, n) for w in ws) for ws, n in (
+    ((2, 1, 1), 4), ((1, 2, 1), 4), ((1, 1, 2), 4), ((1, 1, 1), 3), ((1, 2, 3), 6)))
+# C times pi^2/12, per shift a: C = 1/sum_k D(k + a) = 1/(Li2(-a) - Li2(-a-1)),
+# 12/pi^2 at a = 0 and 6/pi^2 at a = -1
+_SHARE = {0: 1.0, -1: 0.5}
+
+
+@functools.cache
+def _law(h, row) -> tuple[float, int]:
+    """(C pi^2/12, a) of the density with eigenfunction h and transfer row
+    row: p(k) = C D(k + a) = (C pi^2/12) p_closed_eee(k + a).  Derived in Fraction
+    from g = |h| and the terms w_k g(branch_k) of the transfer sum of g,
+    k = 0, 1, 2, at _LAW_POINTS: c^2 = 1/(g - term_0) - 1/g at the last
+    point names the vertex V whose factor (1 minus its barycentric weight)
+    is c, d = 1/(c g), and every term must equal 1/(A_k A_{k+1}),
+    A_k = k c + d, at every point.  NoClosedLaw where c is no vertex
+    factor, d is not affine, a term differs, d(V) is not 1, d does not
+    differ by 1 between the other two vertices, a is not 0 or -1, or a
+    point is a pole."""
+    def at(lam):
+        x, y = (sum(w * v[i] for w, v in zip(lam, _VERTICES)) for i in (0, 1))
+        g = abs(h(x, y))
+        terms = []
+        for k in range(3):
+            s = Fraction((-1) ** k)
+            a, b = row.branch(k, x, y, s)
+            terms.append(row.weight(k, x, y, s) * abs(h(a, b)))
+        return g, terms
+
+    try:
+        values = [at(lam) for lam in _LAW_POINTS]
+        g, terms = values[-1]
+        c2 = 1 / (g - terms[0]) - 1 / g
+        vertex = [i for i, w in enumerate(_LAW_POINTS[-1]) if (1 - w) ** 2 == c2]
+        if len(vertex) != 1:
+            raise NoClosedLaw(f"c^2 = {c2} at {_LAW_POINTS[-1]} is no vertex factor squared")
+        v = vertex[0]
+        d_at = [1 / (g * (1 - lam[v])) for lam, (g, _) in zip(_LAW_POINTS, values[:3])]
+        d_vertex = [4 * d - sum(d_at) for d in d_at]
+        for lam, (g, terms) in zip(_LAW_POINTS, values):
+            c, d = 1 - lam[v], sum(w * dv for w, dv in zip(lam, d_vertex))
+            if c * d * g != 1 or any(t != 1 / ((k * c + d) * ((k + 1) * c + d))
+                                     for k, t in enumerate(terms)):
+                raise NoClosedLaw(f"the transfer terms at {lam} are not 1/(A_k A_k+1)")
+    except ZeroDivisionError:
+        raise NoClosedLaw("a pole of the row at a point of _LAW_POINTS") from None
+    ends = d_vertex[:v] + d_vertex[v + 1:]
+    a = min(ends) - 1
+    if d_vertex[v] != 1 or abs(ends[0] - ends[1]) != 1 or a not in _SHARE:
+        raise NoClosedLaw(f"d = {d_vertex} at the vertices, c vanishing at {_VERTICES[v]}")
+    return _SHARE[a], int(a)
 
 
 def cylinder_measures(t: PermutationTriple, ks) -> np.ndarray:
-    """mu of the digit-k cylinder for each k of ks, via the inverse-branch
-    pullback, each to an absolute 1e-9, _DIGIT_BLOCK integrals at once."""
+    """mu of the digit-k cylinder for each k of the one-dimensional integer
+    (or integral float) array ks: C D(k + a), the closed law of t's row."""
     ks = np.asarray(ks)
+    if ks.ndim != 1 or ks.dtype.kind not in "iuf":
+        raise ValueError(f"ks must be a one-dimensional array of integers, not {ks.dtype} "
+                         f"of shape {ks.shape}")
     # checked before the cast, which would truncate 1.5 to 1
     if ks.dtype.kind == "f" and not (np.isfinite(ks) & (ks == np.trunc(ks))).all():
         raise ValueError("k must be an integer")
+    # and before the cast, which would wrap 2**63 to a negative digit
+    if not (ks < 2 ** 63).all():
+        raise ValueError("k must be below 2**63")
     ks = ks.astype(np.int64)
     if (ks < 0).any():
         raise ValueError("k must be non-negative")
-    r = density(t)
-    row = TRANSFER[t.key]
-    out = np.empty(ks.size)
-    for lo in range(0, ks.size, _DIGIT_BLOCK):
-        kb = ks[lo:lo + _DIGIT_BLOCK]
-
-        def fun(x, y, i):
-            w, a, b = _inverse(row, kb[i], x, y, parity_sign(kb[i]))
-            return w * r(a, b)
-
-        out[lo:lo + kb.size] = integrate_triangles(fun, kb.size, 1e-9)
-    return out
+    density(t)  # NoDensity for a triple without one
+    share, a = _law(EIGENFUNCTIONS[t.key], TRANSFER[t.key])
+    # p_closed_eee(z) = 12/pi^2 D(z), and D(-1) = Li2(1) + Li2(-1) = pi^2/12
+    return np.array([share * (p_closed_eee(k + a) if k + a >= 0 else 1.0)
+                     for k in ks.tolist()], dtype=float)
 
 
 def cylinder_measure(t: PermutationTriple, k: int) -> float:
@@ -127,13 +191,14 @@ def cylinder_measure(t: PermutationTriple, k: int) -> float:
 def p_closed_eee(k: int) -> float:
     """Closed-form p(k) for the (e,e,e) map.  The printed k > 0 formula
     contains the symbol (k_1); it is implemented as (k+1), the reading
-    the cylinder-measure quadrature confirms at k = 1..5.
+    the pullback cubature confirms at k = 1..5.
 
     The printed 4 ln(k+1)^2 - 2 ln(k(k+2)) ln(k+1) subtracts two terms of
     size ln(k)^2 from a result of size ln(k)/k^2; it is evaluated as
     -2 ln(k+1) log1p(-1/(k+1)^2), and ln((k+2)/(k+1)) as log1p(1/(k+1)).
     So written, p(k) stays within 1e-15 relative of the printed formula
-    at 50 digits (k = 1..10, 50, 200, 1e3, 3e3, 1e4, 1e6, 1e9 tested)."""
+    at 50 digits (k = 1..10, 50, 200, 1e3, 3e3, 1e4, 1e6, 1e9 tested).
+    It is 12/pi^2 D(k), the law of 6 of the 18 rows (see _law)."""
     if k < 0:
         raise ValueError("k must be non-negative")
     if k == 0:
@@ -155,7 +220,13 @@ def p_integral_e23e(k: int) -> float:
     through int ln(c+x)/x dx = ln c ln x - Li2(-x/c) (ln(x)^2/2 at c = 0,
     k = 1) and int ln(1-x)/x dx = -Li2(x); the Li2(-1/(k(k+1))) terms
     cancel.  Written with log1p, p(k) stays within 1e-13 relative of the
-    printed integral as it falls with k (k <= 1e4 tested)."""
+    printed integral as it falls with k (k <= 1e4 tested).
+
+    It is the shifted law of 12 of the 18 rows (see _law): p(k) equals
+    p_closed_eee(k - 1)/2, within 2.5e-14 relative at k = 1..200, 1e3 and
+    1e4.  Beyond 1e4 this two-piece form drifts from it, by 3.9e-11
+    relative at k = 1e6 and 4.7e-9 at 1e9, where p_closed_eee stays
+    within 1e-15 of mpmath."""
     if k < 0:
         raise ValueError("k must be non-negative")
     if k == 0:

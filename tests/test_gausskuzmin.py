@@ -1,15 +1,20 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 
+import tripmaps
 import tripmaps.gausskuzmin as gausskuzmin
 from tripmaps import maps
+from tripmaps.claims import pullback_measures
 from tripmaps.domain import PermutationTriple, TrianglePoint, in_triangle, interior_points
-from tripmaps.errors import BoundaryHit, EnvelopeExceeded, NoDensity
+from tripmaps.errors import BoundaryHit, EnvelopeExceeded, NoClosedLaw, NoDensity
 from tripmaps.gausskuzmin import (
     MC_BATCHES,
     WALKER_STEPS,
@@ -24,7 +29,8 @@ from tripmaps.gausskuzmin import (
 )
 from tripmaps.maps import digits, step
 from tripmaps.specfun import dilog, integrate_triangle
-from tripmaps.tables.eigen import DENSITIES
+from tripmaps.tables.eigen import DENSITIES, EIGENFUNCTIONS
+from tripmaps.tables.transfer_rows import TRANSFER, TransferRow
 from tripmaps.transfer import branch_point
 
 EEE = PermutationTriple("e", "e", "e")
@@ -59,34 +65,131 @@ def test_cylinder_p0_eee_dilog_oracle():
 
 def test_closed_forms_match_quadrature():
     ks = range(1, 6)
-    for k, p_eee, p_e23e in zip(ks, cylinder_measures(EEE, ks), cylinder_measures(E23E, ks)):
+    for k, p_eee, p_e23e in zip(ks, pullback_measures(EEE, ks), pullback_measures(E23E, ks)):
         assert abs(p_eee - p_closed_eee(k)) < 1e-6
         assert abs(p_e23e - p_integral_e23e(k)) < 1e-6
 
 
 @pytest.mark.parametrize("key", list(DENSITIES), ids=",".join)
 def test_cylinder_measures_match_one_digit_calls(key):
-    # one batch of integrals per triple gives each digit the bits of its
-    # lone integral
+    # cylinder_measure is the one-digit face of cylinder_measures, bit for bit
     t = PermutationTriple(*key)
     batch = cylinder_measures(t, range(11))
     assert batch.shape == (11,)
     assert [float(p).hex() for p in batch] == [cylinder_measure(t, k).hex() for k in range(11)]
 
 
-@pytest.mark.parametrize("t", [EEE, E23E], ids=str)
-def test_cylinder_measures_blocks_keep_bits(monkeypatch, t):
-    # k = 0..10 is one block by default; in blocks of 3, the last one
-    # short, every digit keeps its bits
-    assert gausskuzmin._DIGIT_BLOCK >= 11
-    whole = [float(p).hex() for p in cylinder_measures(t, range(11))]
-    monkeypatch.setattr(gausskuzmin, "_DIGIT_BLOCK", 3)
-    assert [float(p).hex() for p in cylinder_measures(t, range(11))] == whole
+# the rows whose law is unshifted, a = 0 and C = 12/pi^2; on the other
+# twelve a = -1 and C = 6/pi^2
+_UNSHIFTED = {("e", "e", "e"), ("12", "12", "12"), ("13", "13", "13"),
+              ("23", "23", "23"), ("123", "132", "132"), ("132", "123", "123")}
+
+
+def _shift(key):
+    return 0 if key in _UNSHIFTED else -1
+
+
+def _li2(u):
+    # Li2(-u), at the working precision of mpmath
+    return mpmath.polylog(2, -u)
+
+
+def _mp_c(key):
+    # C = 1 / sum_k D(k + a) = 1 / (Li2(-a) - Li2(-a-1))
+    a = _shift(key)
+    return 1 / (_li2(a) - _li2(a + 1))
+
+
+def _mp_law(key, k):
+    # C D(k + a) at 30 digits, D(z) = Li2(-z) - 2 Li2(-z-1) + Li2(-z-2)
+    with mpmath.workdps(30):
+        z = mpmath.mpf(k + _shift(key))
+        return _mp_c(key) * (_li2(z) - 2 * _li2(z + 1) + _li2(z + 2))
+
+
+@pytest.mark.parametrize("key", list(DENSITIES), ids=",".join)
+def test_law_matches_pullback_cubature(key):
+    # the closed law against the cubature of the inverse-branch pullback,
+    # within the cubature's 1e-9
+    t = PermutationTriple(*key)
+    gap = np.abs(cylinder_measures(t, range(11)) - pullback_measures(t, range(11)))
+    assert gap.max() < 1e-9
+
+
+@pytest.mark.parametrize("key", list(DENSITIES), ids=",".join)
+def test_law_against_mpmath(key):
+    ks = [*range(11), 50, 200, 10 ** 3, 10 ** 4, 10 ** 6]
+    got = cylinder_measures(PermutationTriple(*key), ks)
+    for k, p in zip(ks, got.tolist()):
+        oracle = _mp_law(key, k)
+        assert abs(p - oracle) / oracle < 1e-14, k
+
+
+@pytest.mark.parametrize("key", list(DENSITIES), ids=",".join)
+def test_law_constant_is_the_density_constant(key):
+    # C = 1 / sum_k D(k + a) is the factor between the density and |h|
+    x, y = 0.6, 0.3
+    with mpmath.workdps(30):
+        c = float(_mp_c(key))
+    assert DENSITIES[key](x, y) / abs(EIGENFUNCTIONS[key](x, y)) == pytest.approx(c, rel=1e-15)
+
+
+@pytest.mark.parametrize("n", [11, 1000])
+@pytest.mark.parametrize("key", list(DENSITIES), ids=",".join)
+def test_law_sums_to_one_with_its_tail(key, n):
+    # sum_{k<N} p(k) + C (Li2(-N-a) - Li2(-N-a-1)) = 1: the tail of the
+    # second difference telescopes
+    a = _shift(key)
+    with mpmath.workdps(30):
+        tail = float(_mp_c(key) * (_li2(n + a) - _li2(n + a + 1)))
+    head = math.fsum(cylinder_measures(PermutationTriple(*key), range(n)).tolist())
+    assert abs(head + tail - 1.0) < 1e-13
+
+
+def test_e23e_is_the_shifted_eee_law():
+    # the printed two-piece (e,23,e) form is p_closed_eee(k - 1)/2
+    for k in [*range(1, 201), 10 ** 3, 10 ** 4]:
+        half = p_closed_eee(k - 1) / 2
+        assert abs(p_integral_e23e(k) - half) / half < 1e-13, k
+
+
+def _identity_branch_row(c, d):
+    # a row whose k-th term of the transfer sum of h = 1/(c d) is
+    # 1/(A_k A_k+1), A_k = k c + d, each of its branches the identity
+    def weight(k, x, y, s):
+        cp, dp = c(x, y), d(x, y)
+        return cp * dp / ((k * cp + dp) * ((k + 1) * cp + dp))
+
+    return TransferRow(weight, lambda k, x, y, s: (x, y))
+
+
+@pytest.mark.parametrize("h, row", [
+    # c = x and d = 2 - x + y: d is 2 at the vertex (0, 0), where c vanishes
+    (lambda x, y: 1 / (x * (2 - x + y)),
+     _identity_branch_row(lambda x, y: x, lambda x, y: 2 - x + y)),
+    (EIGENFUNCTIONS[EEE.key], TRANSFER[E23E.key]),
+    (lambda x, y: 2 / (x * (y + 1)), TRANSFER[EEE.key]),
+    (lambda x, y: 1 / (x * (y + 1) * (1 + x)), TRANSFER[EEE.key]),
+    (lambda x, y: 1 / ((2 * x - 1) * (y + 1)), TRANSFER[EEE.key]),
+], ids=["d-not-1-where-c-vanishes", "row-of-another-density", "doubled-h",
+        "h-not-two-affine-factors", "pole-inside"])
+def test_row_without_the_law_is_named(h, row):
+    with pytest.raises(NoClosedLaw):
+        gausskuzmin._law(h, row)
+
+
+def test_import_derives_no_law():
+    # the law of a row is derived on its first cylinder measure
+    src = os.path.dirname(os.path.dirname(tripmaps.__file__))
+    code = "import tripmaps.cli, tripmaps.gausskuzmin as g; print(g._law.cache_info().currsize)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert out.stdout.strip() == "0"
 
 
 def test_cylinder_vs_indicator_quadrature():
     # coarse dual route: resolve the digit of each point of a midpoint grid
-    # (one batch); arbitrates the pullback form of cylinder_measure
+    # (one batch); arbitrates the closed law of cylinder_measure
     n = 260
     acc = 0.0
     r = density(E23E)
@@ -183,6 +286,30 @@ def test_negative_digit_rejected():
 def test_non_integral_digit_rejected(ks):
     # a digit of 1.5 is no digit, not digit 1
     with pytest.raises(ValueError, match="integer"):
+        cylinder_measures(EEE, ks)
+
+
+def test_two_dimensional_digits_rejected():
+    with pytest.raises(ValueError, match="one-dimensional"):
+        cylinder_measures(EEE, np.array([[1, 2], [3, 4]]))
+
+
+def test_string_digits_rejected():
+    # '1' is no digit, not digit 1
+    with pytest.raises(ValueError, match="integers"):
+        cylinder_measures(EEE, ["1"])
+
+
+def test_bool_digits_rejected():
+    with pytest.raises(ValueError, match="integers"):
+        cylinder_measures(EEE, np.array([True, False]))
+
+
+@pytest.mark.parametrize("ks", [np.array([2 ** 63], dtype=np.uint64), [1e19]],
+                         ids=["uint64", "float"])
+def test_digit_beyond_int64_rejected(ks):
+    # 2**63 is no negative digit
+    with pytest.raises(ValueError, match="below"):
         cylinder_measures(EEE, ks)
 
 
