@@ -20,7 +20,7 @@ import numpy as np
 
 from . import gausskuzmin, hilbert, maps, spectral, transfer
 from .domain import PermutationTriple, TrianglePoint, interior_points, supported_triples
-from .specfun import dilog, integrate_dm, integrate_triangle, integrate_triangles, laguerre1
+from .specfun import dilog, integrate_dm, integrate_triangle, laguerre1
 from .tables.banach import BANACH
 from .tables.eigen import DENSITIES, EIGENFUNCTIONS
 from .tables.transfer_rows import TRANSFER
@@ -115,8 +115,7 @@ def _monotonicity() -> float:
 
 @_claim("density_normalization", 1e-8)
 def _density_normalization() -> float:
-    return _worst(abs(integrate_triangle(lambda x, y, r=r: r(x, y), 1e-9) - 1.0)
-                  for r in DENSITIES.values())
+    return _worst(abs(integrate_triangle(r, 1e-9) - 1.0) for r in DENSITIES.values())
 
 
 @_claim("density_invariance", 1e-6)
@@ -132,14 +131,15 @@ def pullback_measures(t: PermutationTriple, ks) -> np.ndarray:
     integrand is smooth, which is what lets the cubature reach 1e-9; a
     pointwise digit-indicator integral would stall at the cylinder
     boundary.  The numerical route to gausskuzmin.cylinder_measures."""
-    ks = np.asarray(ks)
     r, row = gausskuzmin.density(t), TRANSFER[t.key]
 
-    def fun(x, y, i):
-        w, a, b = transfer._inverse(row, ks[i], x, y, transfer.parity_sign(ks[i]))
-        return w * r(a, b)
+    def measure(k) -> float:
+        def fun(x, y):
+            w, a, b = transfer._inverse(row, k, x, y, transfer.parity_sign(k))
+            return w * r(a, b)
+        return integrate_triangle(fun, 1e-9)
 
-    return integrate_triangles(fun, ks.size, 1e-9)
+    return np.array([measure(k) for k in ks])
 
 
 @_claim("gauss_kuzmin_e23e_p0", 1e-8)

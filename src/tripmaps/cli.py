@@ -140,6 +140,10 @@ def cmd_gk(cfg: argparse.Namespace) -> tuple[list[dict], list[str]]:
             ok = 0.0 <= p <= 1.0
             row = {"triple": str(t), "k": k, "p_theoretical": p}
             if closed is not None:
+                # on e,e,e the law is p_closed_eee itself, so this gate
+                # cannot fail there; on e,23,e it checks the law against
+                # the printed two-piece form.  The independent route is
+                # the pullback cubature of the claims registry
                 pc = closed(k)
                 row["p_closed"] = pc
                 ok = ok and abs(p - pc) < tol

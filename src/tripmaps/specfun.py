@@ -32,8 +32,7 @@ callable.
 The triangle integrator is an adaptive subdivision scheme built on a
 degree-5 seven-point rule whose nodes are strictly interior, so integrable
 boundary singularities (1/x, 1/(1-y), log types) never get sampled on the
-singular set itself.  integrate_triangles runs a batch of integrals in one
-loop, each as if alone; integrate_triangle is its one-integrand face.
+singular set itself.
 """
 
 from __future__ import annotations
@@ -343,15 +342,14 @@ _TRI_BARY_ARR = np.array(_TRI_BARY)          # (7, 3)
 _TRI_W_ARR = np.array(_TRI_WEIGHTS)          # (7,)
 
 
-def _quad_many(fun, tris: np.ndarray, which: np.ndarray) -> np.ndarray:
-    """Degree-5 rule on a batch of triangles; tris has shape (n, 3, 2), and
-    triangle j belongs to integral which[j] of fun."""
+def _quad_many(fun, tris: np.ndarray) -> np.ndarray:
+    """Degree-5 rule of fun on a batch of triangles of shape (n, 3, 2)."""
     xs = tris[:, :, 0] @ _TRI_BARY_ARR.T     # (n, 7)
     ys = tris[:, :, 1] @ _TRI_BARY_ARR.T
     areas = 0.5 * np.abs(
         (tris[:, 1, 0] - tris[:, 0, 0]) * (tris[:, 2, 1] - tris[:, 0, 1])
         - (tris[:, 2, 0] - tris[:, 0, 0]) * (tris[:, 1, 1] - tris[:, 0, 1]))
-    return (_eval_vec(fun, xs, ys, which[:, None]) @ _TRI_W_ARR) * areas
+    return (_eval_vec(fun, xs, ys) @ _TRI_W_ARR) * areas
 
 
 # the four children of a triangle (a, b, c), as rows of a, b, c and the
@@ -364,11 +362,10 @@ def _subdivide(tris: np.ndarray) -> np.ndarray:
     return corners[:, _CHILDREN]
 
 
-def integrate_triangles(fun: Callable, m: int, abs_tol: float, max_depth: int = 40,
-                        max_leaves: int = 400_000) -> np.ndarray:
-    """m adaptive integrals over the triangle 0 < y < x < 1 in one loop:
-    integral i is that of fun(x, y, i), where fun gets the integral of each
-    point as an integer array that broadcasts against x and y.
+def integrate_triangle(fun: Callable[[float, float], float], abs_tol: float,
+                       max_depth: int = 40, max_leaves: int = 400_000) -> float:
+    """Adaptive integral of fun(x, y) over the triangle 0 < y < x < 1, to
+    an absolute abs_tol >= 0.
 
     Leaves carry the one-level difference |fine - coarse| as error
     estimate (conservative: near singularities the rule drops to first
@@ -378,78 +375,46 @@ def integrate_triangles(fun: Callable, m: int, abs_tol: float, max_depth: int = 
     smooth interior.  fun is evaluated on numpy arrays only; one that
     cannot take them raises NotArrayNative.
 
-    Each integral runs its own rule on its own leaves: its refinement
-    threshold, its fallback to its largest leaf, its stop at 0.9 abs_tol
-    and its max_depth and max_leaves.  Its sums run over its leaves by
-    owner index, in array order, as in a batch of it alone, so its value
-    does not depend on its batch-mates to the last bit.  The first
-    integral to get stuck raises NonConvergent.
+    The loop stops once the summed estimate is at most 0.9 abs_tol.  A
+    leaf at max_depth is not refined; a nan estimate, no leaf left to
+    refine, or a refinement that would pass max_leaves raises
+    NonConvergent.
     """
+    if not abs_tol >= 0.0:
+        # written so that a nan abs_tol fails it too
+        raise ValueError(f"abs_tol must be >= 0, not {abs_tol}")
 
-    def expand(tris, owner, coarse):
+    def expand(tris, coarse):
         # leaf payload: children quads give the refined value and the gap
         kids = _subdivide(tris)
-        kq = _quad_many(fun, kids.reshape(-1, 3, 2), np.repeat(owner, 4)).reshape(-1, 4)
+        kq = _quad_many(fun, kids.reshape(-1, 3, 2)).reshape(-1, 4)
         fine = kq.sum(axis=1)
-        gap = np.abs(fine - coarse)
-        return kids, kq, fine, gap
+        return kids, kq, fine, np.abs(fine - coarse)
 
-    # the integrals still running, and the row of each leaf's integral
-    # among them
-    ids = which = np.arange(m)
-    tris = np.repeat(np.array([TRIANGLE_VERTICES], dtype=float), m, axis=0)
-    kids, kidq, fine, gap = expand(tris, ids, _quad_many(fun, tris, ids))
-    depth = np.zeros(m, dtype=int)
-    values = np.empty(m)
+    tris = np.array([TRIANGLE_VERTICES])
+    kids, kidq, fine, gap = expand(tris, _quad_many(fun, tris))
+    depth = np.zeros(1, dtype=int)
 
-    while ids.size:
-        # np.bincount adds each integral's leaves in array order: its kept
-        # leaves, then its new ones, as a batch of it alone keeps them
-        leaves = np.bincount(which, minlength=ids.size)
-        total_err = np.bincount(which, gap, ids.size)
-        done = total_err <= 0.9 * abs_tol
-        if done.any():
-            # a converged integral keeps its value, and its leaves go
-            values[ids[done]] = np.bincount(which, fine, ids.size)[done]
-            keep = ~done[which]
-            ids, which = ids[~done], (np.cumsum(~done) - 1)[which[keep]]
-            kids, kidq, fine, gap, depth = (v[keep] for v in (kids, kidq, fine, gap, depth))
-            continue
+    # np.cumsum adds the leaves one by one in array order, the kept leaves
+    # and then the new ones; np.sum's pairwise order would move last bits
+    while not (total_err := np.cumsum(gap)[-1]) <= 0.9 * abs_tol:
         refinable = depth < max_depth
         # fmax passes over a nan estimate, which the stuck test below catches
-        worst = np.full(ids.size, -np.inf)
-        np.fmax.at(worst, which, np.where(refinable, gap, -np.inf))
-        thr = np.maximum(total_err / (2.0 * leaves), worst / 64.0)
-        sel = refinable & (gap >= thr[which])
-        none = np.bincount(which[sel], minlength=ids.size) == 0
-        sel |= refinable & none[which] & (gap == worst[which])
+        worst = np.fmax.reduce(np.where(refinable, gap, -np.inf), initial=-np.inf)
+        sel = refinable & (gap >= np.maximum(total_err / (2.0 * gap.size), worst / 64.0))
+        if not sel.any():
+            sel = refinable & (gap == worst)
         # a nan estimate selects no leaf, and would never leave the loop;
         # each selected leaf turns into four, which must not pass max_leaves
-        grown = leaves + 3 * np.bincount(which[sel], minlength=ids.size)
-        stuck = np.isnan(total_err) | (worst == -np.inf) | (grown > max_leaves)
-        if stuck.any():
-            i = int(np.argmax(stuck))
+        if np.isnan(total_err) or worst == -np.inf or gap.size + 3 * sel.sum() > max_leaves:
             raise NonConvergent(
-                f"triangle quadrature of integral {ids[i]} stuck at error {total_err[i]:.3e} "
-                f"with {leaves[i]} leaves")
-        born = np.repeat(which[sel], 4)
-        nk, nkq, nfine, ngap = expand(kids[sel].reshape(-1, 3, 2), ids[born],
-                                      kidq[sel].reshape(-1))
+                f"triangle quadrature stuck at error {total_err:.3e} with {gap.size} leaves")
+        nk, nkq, nfine, ngap = expand(kids[sel].reshape(-1, 3, 2), kidq[sel].reshape(-1))
         keep = ~sel
-        which = np.concatenate([which[keep], born])
         kids = np.concatenate([kids[keep], nk])
         kidq = np.concatenate([kidq[keep], nkq])
         fine = np.concatenate([fine[keep], nfine])
         gap = np.concatenate([gap[keep], ngap])
         depth = np.concatenate([depth[keep], np.repeat(depth[sel] + 1, 4)])
 
-    return values
-
-
-def integrate_triangle(fun: Callable[[float, float], float], abs_tol: float,
-                       max_depth: int = 40, max_leaves: int = 400_000) -> float:
-    """Adaptive integral of fun over the triangle 0 < y < x < 1: the
-    one-integrand face of integrate_triangles."""
-    # wrapped, so that an error names fun
-    lone = functools.wraps(fun)(lambda x, y, i: fun(x, y))
-    return float(integrate_triangles(lone, 1, abs_tol, max_depth, max_leaves)[0])
+    return float(np.cumsum(fine)[-1])

@@ -3,9 +3,13 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import tripmaps
 from tripmaps import claims, cli, gausskuzmin, maps
 from tripmaps.cli import main
 from tripmaps.domain import PermutationTriple, interior_points
@@ -424,3 +428,14 @@ def test_theorem31_rows_are_pinned(capsys, phi, out_sha):
     code, out, err = run(capsys, "hilbert", "--triple", "all", "--phi", phi, "--format", "csv")
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == out_sha
+
+
+def test_library_imports_only_numpy():
+    # scipy, mpmath, sympy and hypothesis are oracles and tooling of the
+    # tests: the CLI and the claims load none of them
+    src = os.path.dirname(os.path.dirname(tripmaps.__file__))
+    code = ("import sys, tripmaps.cli, tripmaps.claims; "
+            "print(sorted({'scipy', 'mpmath', 'sympy', 'hypothesis'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert out.stdout.strip() == "[]"

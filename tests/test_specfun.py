@@ -16,7 +16,6 @@ from tripmaps.specfun import (
     halfline_nodes,
     integrate_halfline,
     integrate_triangle,
-    integrate_triangles,
     laguerre1,
 )
 
@@ -278,14 +277,6 @@ def test_triangle_max_leaves_is_a_cap(cap):
     assert cap / 4 < leaves <= cap
 
 
-def _batch(funs):
-    # integral i of the batch is funs[i]
-    def fun(x, y, i):
-        return np.choose(np.broadcast_to(i, x.shape),
-                         [np.broadcast_to(f(x, y), x.shape) for f in funs])
-    return fun
-
-
 _TRIANGLE_CASES = [
     lambda x, y: 2.0 + 0.0 * x,             # converges at the first level
     lambda x, y: x * y,
@@ -309,27 +300,29 @@ _TRIANGLE_VALUES = [
 ]
 
 
-@pytest.mark.parametrize("order", [[0, 1, 2, 3, 4, 5], [5, 4, 3, 2, 1, 0], [2, 0], [5]])
-def test_triangle_batch_matches_lone_integrals(order):
-    # each integral of a batch refines, stops and sums its own leaves as it
-    # does alone, so its value has the bits of the one-integral face
-    # whatever its batch-mates, and lies within abs_tol of the true value
-    funs = [_TRIANGLE_CASES[i] for i in order]
-    got = integrate_triangles(_batch(funs), len(funs), 1e-10)
-    assert got.shape == (len(funs),)
-    assert [v.hex() for v in got.tolist()] == [integrate_triangle(f, 1e-10).hex() for f in funs]
-    for i, v in zip(order, got.tolist()):
-        assert abs(v - _TRIANGLE_VALUES[i]) < 1e-10, i
+@pytest.mark.parametrize("i", range(len(_TRIANGLE_CASES)))
+def test_triangle_cases_within_tolerance(i):
+    assert abs(integrate_triangle(_TRIANGLE_CASES[i], 1e-10) - _TRIANGLE_VALUES[i]) < 1e-10
 
 
-def test_triangle_batch_nonconvergent_names_integral():
-    # the budget holds per integral: the stuck one is named, beside smooth
-    # ones that converge
-    funs = [lambda x, y: x * y, lambda x, y: np.exp(x) * y, lambda x, y: 1.0 / (x * y)]
-    with pytest.raises(NonConvergent, match="integral 2 "):
-        integrate_triangles(_batch(funs), 3, 1e-6, max_depth=18, max_leaves=20_000)
-    with pytest.raises(NonConvergent, match="integral 0 "):
-        integrate_triangles(_batch(funs[::-1]), 3, 1e-6, max_depth=18, max_leaves=20_000)
+def test_triangle_values_are_pinned():
+    # the rule, its stop at 0.9 abs_tol and its in-order leaf sums fix
+    # every bit of these values
+    assert [integrate_triangle(f, 1e-10).hex() for f in _TRIANGLE_CASES] == [
+        "0x1.0000000000000p+0", "0x1.0000000000000p-3", "0x1.ffffffffeab10p-1",
+        "0x1.ffffffffeb08ap-1", "0x1.6fc2a2c515a70p-2", "-0x1.b7808d3476d59p-3"]
+
+
+@pytest.mark.parametrize("abs_tol", [math.nan, -1.0])
+def test_triangle_rejects_bad_tolerance(abs_tol):
+    # raised up front, not after refining to the leaf cap
+    with pytest.raises(ValueError, match="abs_tol"):
+        integrate_triangle(lambda x, y: x * y, abs_tol)
+
+
+def test_triangle_zero_tolerance():
+    # the degree-5 rule is exact on x y, so every leaf's estimate is 0
+    assert integrate_triangle(lambda x, y: x * y, 0.0) == 0.125
 
 
 def test_triangle_nan_integrand_raises():
