@@ -21,10 +21,6 @@ class EvaluationSingularity(TripMapError):
     """A tabulated denominator vanished at the requested (k, point)."""
 
 
-class NotLinearFractional(TripMapError):
-    """A forward row is not one projective family (A + jB) in a parity class."""
-
-
 class DigitNotFound(TripMapError):
     """No branch index k <= K_max maps the point into the closed triangle."""
 

@@ -4,21 +4,23 @@ Digit extraction inverts the implicit partition of the triangle: digit k is
 the branch index whose formula maps the point back into the closed
 triangle, the lowest one where rounding admits a run of them.  One solver,
 _solve, gives every digit, on arrays of points.  Every float evaluation of
-a forward row goes through _images; _model calls rows on Fraction.
+a forward row goes through _images.
 
 Every TRIP branch is projective-linear: within one parity class (k even,
 or k odd, on the 72 parity rows; every k on the 36 parity-free rows) the
-row at k = first + step*j is (x', y', 1) ~ (A + j B)(x, y, 1), and _model
-derives A and B once per row, exactly.  The numerators of the membership
-constraints y' >= 0, x' - y' >= 0, x' <= 1 are then lines a + b j, so
-each constraint holds on a half-line on each side of the pole
-(_half_lines).  _bracket evaluates them in floats for arrays of points;
-the hull of their ranges, widened by _window's reach, is the window whose
-integers the membership test confirms.  Beyond _SHALLOW, where rounding
-next to a vertex smears images with terms of size k over millions of
-steps, and wherever that test is not clean, the same lines in exact
-arithmetic decide (_solve_exact), and a scan over the 64 steps on each
-side of their ranges applies the tie rules, as a scan from k = 0 would.
+row at k = first + step*j is (x', y', 1) ~ (A + j B)(x, y, 1).  _pencils
+reads the integer A and B off the row's labels by the TRIP construction,
+without evaluating the row, and _model turns them into lines once per
+row.  The numerators of the membership constraints y' >= 0, x' - y' >= 0,
+x' <= 1 are lines a + b j, so each constraint holds on a half-line on
+each side of the pole (_half_lines).  _bracket evaluates them in floats
+for arrays of points; the hull of their ranges, widened by _window's
+reach, is the window whose integers the membership test confirms.
+Beyond _SHALLOW, where rounding next to a vertex smears images with
+terms of size k over millions of steps, and wherever that test is not
+clean, the same lines in exact arithmetic decide (_solve_exact), and a
+scan over the 64 steps on each side of their ranges applies the tie
+rules, as a scan from k = 0 would.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from .errors import (
     BoundaryHit,
     DigitNotFound,
     EvaluationSingularity,
-    NotLinearFractional,
     OutsideTriangle,
     UnsupportedTriple,
 )
@@ -61,9 +62,16 @@ _MAX_WIDTH = 64
 # far out the rounded images, which the tie rules judge, can put the hits
 # some steps off the exact range
 _REACH = 64
-# four points (x, y, 1), no three on a line, off the poles of every row at
-# k = 0..7: their images fix each parity class of a row
-_PROBES = np.array([[-1, 3, 1], [-2, 2, 1], [-1, -4, 1], [2, -4, 1]], dtype=object)
+# the TRIP construction (Dasaratha, Flapan, Garrity et al., Int. J. Number
+# Theory 10 (2014)): each label is a permutation matrix, row i with its 1
+# in column c[i]; A0 and A1 split the triangle with vertices V, the
+# columns (x, y, 1) of (0, 0), (1, 0) and (1, 1)
+_PERMUTATIONS = {label: np.eye(3, dtype=np.int64)[list(c)] for label, c in (
+    ("e", (0, 1, 2)), ("12", (1, 0, 2)), ("13", (2, 1, 0)), ("23", (0, 2, 1)),
+    ("123", (1, 2, 0)), ("132", (2, 0, 1)))}
+_A0 = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 1]])
+_A1 = np.array([[1, 0, 1], [0, 1, 0], [0, 0, 1]])
+_V = np.array([[0, 1, 1], [0, 0, 1], [1, 1, 1]])
 # on (x', y', 1) times the denominator, the numerators of y' + tol,
 # x' - y' + tol and 1 + tol - x'; they sum to (1 + 3 tol) times it
 _CONSTRAINTS = np.array([[0, 1, 0], [1, -1, 0], [-1, 0, 1]], dtype=object) \
@@ -100,47 +108,38 @@ def apply_branch_formula(t: PermutationTriple, k: int, p: TrianglePoint):
 
 # --- the model: each parity class as (A + j B), exactly ---------------------
 
-def _frame(q):
-    """The matrix, up to scale, taking e1, e2, e3, e1 + e2 + e3 to q[..., :4, :]."""
-    scale = (np.cross(q[..., [1, 2, 0], :], q[..., [2, 0, 1], :]) * q[..., 3:, :]).sum(-1)
-    return np.swapaxes(q[..., :3, :] * scale[..., None], -1, -2)
+def _adjugate(m):
+    """adj(m) of an integer 3x3 matrix: m @ adj(m) = det(m) I."""
+    return np.cross(m[[1, 2, 0]], m[[2, 0, 1]]).T
+
+
+def _trip(key):
+    """The integer matrices F0 = sigma A0 tau0 and F1 = sigma A1 tau1 of
+    the labels of key: branch k of the map is V F1^k F0 V^-1 on (x, y, 1)."""
+    sigma, tau0, tau1 = (_PERMUTATIONS[label] for label in key)
+    return sigma @ _A0 @ tau0, sigma @ _A1 @ tau1
+
+
+def _pencils(key):
+    """The integer (A, B) of each parity class (first, step) of the row
+    key, (x', y', 1) ~ (A + j B)(x, y, 1) at k = first + step*j: the inverse
+    V F0^-1 (I - j E) F1^-first V^-1 of branch k, E = F1^step - I, as
+    F1^(step j) = I + j E where E^2 = 0.  Adjugates stand for the inverses,
+    which flips no sign within a class and keeps det(A + j B) = 1."""
+    f0, f1 = _trip(key)
+    back = _V @ _adjugate(f0)
+    for first, step, _ in _parities(key):
+        e = np.linalg.matrix_power(f1, step) - np.eye(3, dtype=np.int64)
+        ahead = np.linalg.matrix_power(_adjugate(f1), first) @ _adjugate(_V)
+        yield np.array([back @ ahead, -back @ e @ ahead]).astype(object)
 
 
 @functools.cache
-def _model(row, classes):
-    """Lines L of each parity class c = (first, step, s) of a forward row,
+def _model(key):
+    """Lines L of each parity class c = (first, step, s) of the row key,
     exact and in floats: (L[c, 0] + j L[c, 1])(x, y, 1) are the numerators
-    at k = first + step*j.  L[c] is _CONSTRAINTS times integer (A, B) with
-    (x', y', 1) ~ (A + j B)(x, y, 1): the four-point construction on the
-    probes' images gives M_j ~ A + j B at j = 0, 1, 2, least squares scale
-    them to 2 M_1 - M_0 ~ M_2, and the images at j = 0..3 check the result
-    (NotLinearFractional where they do not, or where a probe hits a pole)."""
-    columns = _frame(_PROBES).T
-    inverse = np.cross(columns[[1, 2, 0]], columns[[2, 0, 1]])  # adjugate
-    x, y = _PROBES[:, :2].T * Fraction(1)
-    j = np.arange(4)[:, None]
-    lines = []
-    for first, step, s in classes:
-        try:
-            images = np.broadcast_arrays(*row.f((first + step * j) * Fraction(1), x, y,
-                                                Fraction(s)))
-        except ZeroDivisionError:
-            raise NotLinearFractional(f"class {first} mod {step}: a probe hits a pole") from None
-        # (x', y', 1) times the denominators of x' and y'
-        q = np.array([[(u.numerator * v.denominator, v.numerator * u.denominator,
-                        u.denominator * v.denominator) for u, v in zip(*c)]
-                      for c in zip(*images)], dtype=object)
-        m0, m1, m2 = (m.ravel() for m in _frame(q[:3]) @ inverse)
-        g11, g12, g22 = m1 @ m1, m1 @ m2, m2 @ m2
-        # A = M_0 and B = c M_1 - M_0, times den, for c = num/den
-        num, den = g22 * (m1 @ m0) - g12 * (m2 @ m0), 2 * (g11 * g22 - g12 * g12)
-        ab = np.array([den * m0, num * m1 - den * m0]).reshape(2, 3, 3)
-        ab //= math.gcd(*ab.ravel()) or 1
-        image = np.swapaxes((ab[0] + j[..., None] * ab[1]) @ _PROBES.T, 1, 2)
-        if (image[..., 2] == 0).any() or (np.cross(image, q) != 0).any():
-            raise NotLinearFractional(f"class {first} mod {step}: not (A + j B)(x, y, 1)")
-        lines.append(_CONSTRAINTS @ ab)
-    lines = np.array(lines)
+    at k = first + step*j, _CONSTRAINTS times the class's (A, B)."""
+    lines = np.array([_CONSTRAINTS @ ab for ab in _pencils(key)])
     return lines, lines.astype(float)
 
 
@@ -149,7 +148,7 @@ def _half_lines(key, x, y):
     points (x, y), per side of the pole of each parity class: (j_lo, j_hi)
     of shape (side, class, point); empty where j_lo > j_hi, unbounded where
     j_hi is inf.  Exact for Fraction x and y, in floats for float arrays."""
-    m = _model(FORWARD[key], _parities(key))[0 if isinstance(x, Fraction) else 1]
+    m = _model(key)[0 if isinstance(x, Fraction) else 1]
     # the lines times (x, y, 1), elementwise: a matrix product would start BLAS
     lines = m[..., 0, None] * x + m[..., 1, None] * y + m[..., 2, None]
     a, b = lines[:, 0], lines[:, 1]
@@ -338,6 +337,8 @@ def digits(key, xs, ys, k_max: int = K_MAX_DEFAULT) -> np.ndarray:
     admits and AmbiguousDigit for one that admits branches far apart."""
     if key not in FORWARD:
         raise UnsupportedTriple(f"no forward row for {key}")
+    if isinstance(k_max, bool) or not isinstance(k_max, (int, np.integer)) or k_max >= 2 ** 63:
+        raise ValueError(f"k_max must be an integer below 2**63, got {k_max!r}")
     if k_max < 0:
         raise ValueError("k_max must be non-negative")
     xs, ys = np.asarray(xs, dtype=float).ravel(), np.asarray(ys, dtype=float).ravel()

@@ -6,8 +6,8 @@ a parity class extends to real ``k`` (the tail sums).  Rows that never read ``s`
 are flagged ``parity=False`` and are affine in ``k``; the flag is the only
 statement of a row's parity: the rows of :mod:`tripmaps.tables.transfer_rows`
 read ``s`` exactly when it is set.  No row holds a float literal (a half is
-``/ 2``), which would turn the exact digit model of :mod:`tripmaps.maps` float:
-given ``Fraction`` k, x, y and s, every row returns ``Fraction``.
+``/ 2``): given ``Fraction`` k, x, y and s, every row returns ``Fraction``, so
+the tests can check each row against the TRIP construction exactly.
 """
 
 from __future__ import annotations

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -6,9 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from tripmaps.domain import PermutationTriple, TrianglePoint, interior_points, supported_triples
+from tripmaps.domain import (PERMUTATION_LABELS, PermutationTriple, TrianglePoint,
+                             interior_points, supported_triples)
 from tripmaps.errors import (AmbiguousDigit, BoundaryHit, DigitNotFound, EvaluationSingularity,
-                             NotLinearFractional, OutsideTriangle, UnsupportedTriple)
+                             OutsideTriangle, UnsupportedTriple)
 from tripmaps import maps, transfer
 from tripmaps.maps import K_MAX_DEFAULT, _solve
 from tripmaps.tables.forward import FORWARD, ForwardRow
@@ -319,7 +322,7 @@ def test_exact_formulas_are_linear_fractional_in_each_class():
               (Fraction(1, 2) + 17 * gap, Fraction(1, 2) - 19 * gap)]
     for key in supported_triples():
         classes = transfer._parities(key)
-        exact, approx = maps._model(FORWARD[key], classes)
+        exact, approx = maps._model(key)
         assert np.array_equal(approx, exact.astype(float)), key
         assert FORWARD[key].parity or not exact[:, 1].sum(axis=1).any(), key
         for (first, step, s), lines in zip(classes, exact):
@@ -334,16 +337,82 @@ def test_exact_formulas_are_linear_fractional_in_each_class():
                                          (1 + tol - xp) * den], (key, first, x, y, j)
 
 
-@pytest.mark.parametrize("f", [
-    # quadratic in k: the probes' images at k = 0, 1, 2 fit, at k = 3 they do not
-    lambda k, x, y, s: (x, y + k * k * x / 100),
-    # singular at the probes with x = -1
-    lambda k, x, y, s: (x / (x + 1), y + k * x),
-], ids=["quadratic-in-k", "probe-on-a-pole"])
-def test_row_not_linear_fractional_is_named(monkeypatch, f):
-    monkeypatch.setitem(FORWARD, EEE.key, ForwardRow(False, f))
-    with pytest.raises(NotLinearFractional):
-        maps.digits(EEE.key, [0.5], [0.25])
+def _project(m, x, y):
+    """(u/w, v/w) and w, for (u, v, w) = m (x, y, 1)."""
+    u, v, w = (a * x + b * y + c for a, b, c in m)
+    return u / w, v / w, w
+
+
+def test_tables_are_the_trip_construction():
+    # on every row and in both parity classes, exactly: the forward row is
+    # the image under A + j B of the row's labels, the transfer row's
+    # branch the image under its adjugate, and the weight 1/|w|^3 for w
+    # the last entry of adj(A + j B)(x, y, 1).  det(A + j B), a cubic in
+    # j, is 1 at four j, so everywhere, and adj(A + j B) is the inverse
+    rng = np.random.default_rng(36)
+    points = [(Fraction(3, 5), Fraction(1, 10 ** 12))]
+    for d in 10 ** 6 + rng.integers(0, 1000, 3):
+        x, y = (Fraction(int(n), int(d)) for n in sorted(rng.integers(1, d, 2), reverse=True))
+        assert 0 < y < x < 1
+        points.append((x, y))
+    ks = [0, 1, 2, 3, 1000, 1001, 10 ** 6, 10 ** 6 + 1]
+    for key in supported_triples():
+        forward, row, classes = FORWARD[key].f, TRANSFER[key], transfer._parities(key)
+        for (first, step, s), (a, b) in zip(classes, maps._pencils(key)):
+            dets = [m[0] @ np.cross(m[1], m[2]) for m in (a + j * b for j in range(4))]
+            assert dets == [1] * 4, (key, first)
+            for k in ks[first::len(classes)]:
+                m = a + (k - first) // step * b
+                adj = np.cross(m[[1, 2, 0]], m[[2, 0, 1]]).T
+                kf, sf = Fraction(k), Fraction(s)
+                for x, y in points:
+                    case = (key, k, x, y)
+                    assert forward(kf, x, y, sf) == _project(m, x, y)[:2], case
+                    u, v, w = _project(adj, x, y)
+                    assert row.branch(kf, x, y, sf) == (u, v), case
+                    assert row.weight(kf, x, y, sf) == 1 / abs(w) ** 3, case
+
+
+def test_supported_triples_square_to_zero():
+    # why these 108 of the 216 label triples: on the parity-free rows,
+    # affine in k, E = F1 - I has E^2 = 0, and on the parity rows, affine
+    # in k within each class, E = F1^2 - I has; F1^(first + step j) is
+    # then F1^first (I + j E)
+    eye = np.eye(3, dtype=np.int64)
+    parity = {}
+    for key in itertools.product(PERMUTATION_LABELS, repeat=3):
+        f1 = maps._trip(key)[1]
+        for p, e in ((False, f1 - eye), (True, f1 @ f1 - eye)):
+            if not (e @ e).any():
+                parity[key] = p
+                break
+    assert parity == {key: row.parity for key, row in FORWARD.items()}
+
+
+def test_model_lines_are_pinned():
+    # a sha256 over the exact lines of all 180 parity classes, each class
+    # signed so that its first nonzero entry is positive: the lines, up to
+    # sign, fix every digit the bracket and the exact path give
+    text = []
+    for key in supported_triples():
+        for lines in maps._model(key)[0]:
+            flat = [Fraction(v) for v in lines.ravel()]
+            sign = 1 if next(v for v in flat if v) > 0 else -1
+            text.append(",".join(str(sign * v) for v in flat))
+    assert len(text) == 180
+    assert hashlib.sha256(";".join(text).encode()).hexdigest() == \
+        "d2a4893ae1c375a93561f4e02cb0309cf2bb4e5ddec73e45949572df1addd2c3"
+
+
+@pytest.mark.parametrize("k_max", [2 ** 63, 10 ** 19, 10 ** 20, 2.5, 3.0, True, None])
+def test_digits_rejects_bad_k_max(k_max):
+    with pytest.raises(ValueError, match="k_max"):
+        maps.digits(EEE.key, [0.5], [0.25], k_max)
+
+
+@pytest.mark.parametrize("k_max", [20, np.int64(20), np.uint8(20), 2 ** 63 - 1])
+def test_digits_takes_integral_k_max(k_max):
+    assert maps.digits(EEE.key, [0.5], [0.25], k_max).tolist() == [1]
 
 
 @settings(max_examples=60, deadline=None)
@@ -531,13 +600,21 @@ def test_bracket_decides_interior_points_on_every_row(monkeypatch, sample_points
 
 def test_bracket_reaches_beyond_the_pole(monkeypatch):
     # a parity row whose images share the pole k = 10 and meet the triangle
-    # at k = 20 only: in both classes the digit lies where 1 + d*j < 0, on
-    # the far side of the pole from the samples at j = 0, 1, 2
+    # at k = 20 only: in both classes the digit lies on the far side of
+    # the pole from j = 0
     def f(k, x, y, s):
         t = (k - 20) / (k - 10)
         return x + 100 * t, y - 100 * t
 
+    def at(k):  # (x', y', 1) ~ at(k) (x, y, 1)
+        return np.array([[k - 10, 0, 100 * (k - 20)], [0, k - 10, -100 * (k - 20)],
+                         [0, 0, k - 10]], dtype=object)
+
+    # the lines of its classes k = first + 2j, A = at(first), B = at(first + 2) - A
+    lines = np.array([maps._CONSTRAINTS @ np.array([at(first), at(first + 2) - at(first)])
+                      for first in (0, 1)])
     monkeypatch.setitem(FORWARD, EEE.key, ForwardRow(True, f))
+    monkeypatch.setattr(maps, "_model", lambda key: (lines, lines.astype(float)))
     # so do the exact ranges, each on its side of its class's pole
     got = _exact_solve(EEE.key, np.array([0.5]), np.array([0.25]), K_MAX_DEFAULT)[0]
     assert got.tolist() == [20]
