@@ -301,8 +301,11 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
         raise ValueError("tol must be positive and finite")
     if cfg.n < 1:
         raise ValueError("n must be at least 1")
-    if cfg.kmax < 0:
-        raise ValueError("kmax must be non-negative")
+    # as maps.digits: numpy takes no digit beyond int64
+    if not 0 <= cfg.kmax < 2 ** 63:
+        raise ValueError("kmax must be non-negative and below 2**63")
+    if cfg.seed < 0:
+        raise ValueError("seed must be non-negative")
     if cfg.format not in SETTINGS["format"][2]["choices"]:
         raise ValueError(f"unknown format {cfg.format!r}")
     return cfg
@@ -315,7 +318,8 @@ def main(argv: list[str] | None = None) -> int:
         rows, header = COMMANDS[cfg.command](cfg)
         _emit(cfg, header, rows)
     except (TripMapError, ValueError, OSError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a bare MemoryError() has no message: its type names the cause
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     # 1 iff a printed row fails: a verb without a pass column exits 0
     return 0 if all(row.get("pass", True) for row in rows) else 1

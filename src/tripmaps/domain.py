@@ -2,10 +2,10 @@
 
 The library supports the 108 triangle partition maps with polynomial
 branch behavior.  A map is named by a triple of permutation labels
-(sigma, tau0, tau1), the keys of the embedded data tables.  The digit
-model of maps reads each label as a permutation matrix and multiplies
-them into the map's TRIP matrices; every value the library reports is
-still evaluated on the tables.
+(sigma, tau0, tau1), the keys of the embedded data tables.  trip reads
+each label as a permutation matrix and multiplies them into the map's
+TRIP matrices, off which maps reads its digit model and gausskuzmin its
+Gauss-Kuzmin laws; every other value is evaluated on the tables.
 """
 
 from __future__ import annotations

@@ -3,25 +3,20 @@ measures in closed form, the two printed closed-form families, and seeded
 Monte Carlo digits.
 
 cylinder_measures evaluates p(k) = mu(cylinder k) in closed form, with no
-quadrature.  Each of the 18 densities is C g, g = |h| its eigenfunction,
-and the k-th term of the transfer sum of g is 1/(A_k A_{k+1}) with
-A_k = k c + d for two affine forms c and d on the triangle, so
-
-    p(k) = C int_tri dp / (A_k A_{k+1}).
-
-_law derives c and d of a row from the tables, in exact arithmetic: c is
-the vertex factor (x, 1 - y or 1 - x + y) that vanishes at one vertex V,
-d(V) = 1, and d differs by 1 between the other two vertices S and E.
-Integrating along the level segments of c then gives
+quadrature.  Each of the 18 densities is C g, g = |h| its eigenfunction, and
+_law reads off the TRIP construction (trip) the row's affine forms c and d
+and its shift a, for which the k-th term of the transfer sum of g is
+1/(A_k A_{k+1}), A_k = d + (k + a) c.  c is 0 at one vertex and 1 at the
+other two, and d is 1 at that vertex and 1 and 2 at the others; along the
+level segments of c, p(k) = C int_tri dp / (A_k A_{k+1}) integrates to
 
     p(k) = C D(k + a),  D(z) = Li2(-z) - 2 Li2(-z-1) + Li2(-z-2),
 
-with a = min(d(S), d(E)) - 1, and normalisation fixes C, since
-sum_k D(k + a) = Li2(-a) - Li2(-a-1).  On 6 rows a = 0 and C = 12/pi^2,
-so p(k) is p_closed_eee(k); on the other 12, a = -1 and C = 6/pi^2, so
-p(0) = 1/2 and p(k) = p_closed_eee(k - 1)/2: p_closed_eee, which is
-12/pi^2 D, evaluates both.  The pullback cubature of the claims registry checks the law on every
-row (claims.pullback_measures).
+and normalisation fixes C, since sum_k D(k + a) = Li2(-a) - Li2(-a-1).  On
+6 rows a = 0 and C = 12/pi^2, so p(k) is p_closed_eee(k); on the other 12,
+a = -1 and C = 6/pi^2, so p(0) = 1/2 and p(k) = p_closed_eee(k - 1)/2:
+p_closed_eee, which is 12/pi^2 D, evaluates both.  The pullback cubature of
+the claims registry (claims.pullback_measures) checks the law on every row.
 
 empirical_digits counts the digits of walkers.  Each starts from an exact
 draw of the invariant density (_draws, rejection against one envelope
@@ -48,8 +43,8 @@ from .errors import EnvelopeExceeded, NoClosedLaw, NoDensity
 from .maps import K_MAX_DEFAULT, _solve, off_boundary
 from .specfun import dilog
 from .tables.eigen import DENSITIES, EIGENFUNCTIONS
-from .tables.transfer_rows import TRANSFER
 from .transfer import TruncationPolicy, apply_transfer_batch
+from .trip import _V, _adjugate, _trip
 
 PI2 = math.pi ** 2
 
@@ -101,63 +96,59 @@ def density(t: PermutationTriple):
     return r
 
 
-# the vertices of the triangle, in integers so that Fraction arithmetic
-# stays exact, and the points _law reads a row at, as barycentric weights:
-# three at weights (1/2, 1/4, 1/4), whose values of an affine form give its
-# vertex values, the centroid, and one point whose three weights differ,
-# so that its value of c names the vertex V
-_VERTICES = ((0, 0), (1, 0), (1, 1))
-_LAW_POINTS = tuple(tuple(Fraction(w, n) for w in ws) for ws, n in (
-    ((2, 1, 1), 4), ((1, 2, 1), 4), ((1, 1, 2), 4), ((1, 1, 1), 3), ((1, 2, 3), 6)))
-# C times pi^2/12, per shift a: C = 1/sum_k D(k + a) = 1/(Li2(-a) - Li2(-a-1)),
-# 12/pi^2 at a = 0 and 6/pi^2 at a = -1
+_CONIC_POINTS = tuple((Fraction(x, 12), Fraction(y, 12))
+                      for x, y in ((6, 3), (8, 2), (9, 6), (10, 1), (11, 9), (7, 5)))
+# C pi^2/12 per shift a: C = 1/sum_k D(k + a) = 1/(Li2(-a) - Li2(-a-1))
 _SHARE = {0: 1.0, -1: 0.5}
 
 
-@functools.cache
-def _law(h, row) -> tuple[float, int]:
-    """(C pi^2/12, a) of the density with eigenfunction h and transfer row
-    row: p(k) = C D(k + a) = (C pi^2/12) p_closed_eee(k + a).  Derived in Fraction
-    from g = |h| and the terms w_k g(branch_k) of the transfer sum of g,
-    k = 0, 1, 2, at _LAW_POINTS: c^2 = 1/(g - term_0) - 1/g at the last
-    point names the vertex V whose factor (1 minus its barycentric weight)
-    is c, d = 1/(c g), and every term must equal 1/(A_k A_{k+1}),
-    A_k = k c + d, at every point.  NoClosedLaw where c is no vertex
-    factor, d is not affine, a term differs, d(V) is not 1, d does not
-    differ by 1 between the other two vertices, a is not 0 or -1, or a
-    point is a pole."""
-    def at(lam):
-        x, y = (sum(w * v[i] for w, v in zip(lam, _VERTICES)) for i in (0, 1))
-        g = abs(h(x, y))
-        terms = []
-        for k in range(3):
-            s = Fraction((-1) ** k)
-            a, b = row.branch(k, x, y, s)
-            terms.append(row.weight(k, x, y, s) * abs(h(a, b)))
-        return g, terms
+def _branches(key):
+    """The integer (M0, M1) of the row key: its branch k is M0 + k M1 =
+    V (I + k E) F0 V^-1 on (x, y, 1), as F1^k = I + k E for E = F1 - I
+    where E^2 = 0 (det V = 1).  NoClosedLaw on a parity row."""
+    f0, f1 = _trip(key)
+    e = f1 - np.eye(3, dtype=np.int64)
+    if (e @ e).any():
+        raise NoClosedLaw(f"{key} is a parity row: (F1 - I)^2 is not 0")
+    return _V @ f0 @ _adjugate(_V), _V @ e @ f0 @ _adjugate(_V)
 
+
+@functools.cache
+def _law(key) -> tuple[float, int]:
+    """(C pi^2/12, a) of the row key: p(k) = C D(k + a) = (C pi^2/12)
+    p_closed_eee(k + a).  Branch k, M_k = M0 + k M1 (det +-1), has weight
+    1/|d + k c|^3, c and d the last rows of M1 and M0; with A_j =
+    d + (j + a) c, d + k c = A_{k-a}.  Its term of the transfer sum of
+    g = 1/|c A_0| is 1/(A_k A_{k+1}) for every k exactly where, as
+    quadratic forms in p = (x, y, z), with one sign s for all k,
+
+        c(M_k p) A_0(M_k p) = s z A_{k+1+a}(p).
+
+    Both sides have degree at most 2 in k: their matrices (u v^T plus its
+    transpose) are compared at k = 0, 1, 2, and exactly one a of 0 and -1
+    must pass.  h c A_0 must be one sign at the _CONIC_POINTS, on no
+    common conic (monomial determinant 85/5971968), so that they pin a
+    quadratic 1/h.  NoClosedLaw otherwise, or at a pole of h."""
+    m0, m1 = _branches(key)
+    c, d = m1[2], m0[2]
+
+    def holds(a, s, k):
+        # A_{k+1+a} = d + (k + 1 + 2a) c
+        m = m0 + k * m1
+        q = np.outer(c @ m, (d + a * c) @ m) - s * np.outer((0, 0, 1), d + (k + 1 + 2 * a) * c)
+        return not (q + q.T).any()
+
+    shifts = [a for a in _SHARE if any(all(holds(a, s, k) for k in range(3)) for s in (1, -1))]
+    if len(shifts) != 1:
+        raise NoClosedLaw(f"{key}: terms 1/(A_k A_k+1) at the shifts {shifts}, not at one")
+    a, h = shifts[0], EIGENFUNCTIONS[key]
     try:
-        values = [at(lam) for lam in _LAW_POINTS]
-        g, terms = values[-1]
-        c2 = 1 / (g - terms[0]) - 1 / g
-        vertex = [i for i, w in enumerate(_LAW_POINTS[-1]) if (1 - w) ** 2 == c2]
-        if len(vertex) != 1:
-            raise NoClosedLaw(f"c^2 = {c2} at {_LAW_POINTS[-1]} is no vertex factor squared")
-        v = vertex[0]
-        d_at = [1 / (g * (1 - lam[v])) for lam, (g, _) in zip(_LAW_POINTS, values[:3])]
-        d_vertex = [4 * d - sum(d_at) for d in d_at]
-        for lam, (g, terms) in zip(_LAW_POINTS, values):
-            c, d = 1 - lam[v], sum(w * dv for w, dv in zip(lam, d_vertex))
-            if c * d * g != 1 or any(t != 1 / ((k * c + d) * ((k + 1) * c + d))
-                                     for k, t in enumerate(terms)):
-                raise NoClosedLaw(f"the transfer terms at {lam} are not 1/(A_k A_k+1)")
+        signs = {h(x, y) * (c @ (x, y, 1)) * ((d + a * c) @ (x, y, 1)) for x, y in _CONIC_POINTS}
     except ZeroDivisionError:
-        raise NoClosedLaw("a pole of the row at a point of _LAW_POINTS") from None
-    ends = d_vertex[:v] + d_vertex[v + 1:]
-    a = min(ends) - 1
-    if d_vertex[v] != 1 or abs(ends[0] - ends[1]) != 1 or a not in _SHARE:
-        raise NoClosedLaw(f"d = {d_vertex} at the vertices, c vanishing at {_VERTICES[v]}")
-    return _SHARE[a], int(a)
+        raise NoClosedLaw(f"the eigenfunction of {key} has a pole at a point") from None
+    if signs not in ({1}, {-1}):
+        raise NoClosedLaw(f"the eigenfunction of {key} is not +-1/(c A_0): h c A_0 = {signs}")
+    return _SHARE[a], a
 
 
 def cylinder_measures(t: PermutationTriple, ks) -> np.ndarray:
@@ -177,7 +168,7 @@ def cylinder_measures(t: PermutationTriple, ks) -> np.ndarray:
     if (ks < 0).any():
         raise ValueError("k must be non-negative")
     density(t)  # NoDensity for a triple without one
-    share, a = _law(EIGENFUNCTIONS[t.key], TRANSFER[t.key])
+    share, a = _law(t.key)
     # p_closed_eee(z) = 12/pi^2 D(z), and D(-1) = Li2(1) + Li2(-1) = pi^2/12
     return np.array([share * (p_closed_eee(k + a) if k + a >= 0 else 1.0)
                      for k in ks.tolist()], dtype=float)

@@ -9,9 +9,9 @@ a forward row goes through _images.
 Every TRIP branch is projective-linear: within one parity class (k even,
 or k odd, on the 72 parity rows; every k on the 36 parity-free rows) the
 row at k = first + step*j is (x', y', 1) ~ (A + j B)(x, y, 1).  _pencils
-reads the integer A and B off the row's labels by the TRIP construction,
-without evaluating the row, and _model turns them into lines once per
-row.  The numerators of the membership constraints y' >= 0, x' - y' >= 0,
+reads the integer A and B off the row's labels by the TRIP construction
+(trip) without evaluating the row, and _model turns them into lines once
+per row.  The numerators of the membership constraints y' >= 0, x' - y' >= 0,
 x' <= 1 are lines a + b j, so each constraint holds on a half-line on
 each side of the pole (_half_lines).  _bracket evaluates them in floats
 for arrays of points; the hull of their ranges, widened by _window's
@@ -43,6 +43,7 @@ from .errors import (
 )
 from .tables.forward import FORWARD
 from .transfer import _broadcast, _parities, parity_sign, preimage_tree
+from .trip import _V, _adjugate, _trip
 
 MEMBERSHIP_TOL = 1e-12
 # orbits drift arbitrarily close to the corner, where the digit grows like
@@ -62,16 +63,6 @@ _MAX_WIDTH = 64
 # far out the rounded images, which the tie rules judge, can put the hits
 # some steps off the exact range
 _REACH = 64
-# the TRIP construction (Dasaratha, Flapan, Garrity et al., Int. J. Number
-# Theory 10 (2014)): each label is a permutation matrix, row i with its 1
-# in column c[i]; A0 and A1 split the triangle with vertices V, the
-# columns (x, y, 1) of (0, 0), (1, 0) and (1, 1)
-_PERMUTATIONS = {label: np.eye(3, dtype=np.int64)[list(c)] for label, c in (
-    ("e", (0, 1, 2)), ("12", (1, 0, 2)), ("13", (2, 1, 0)), ("23", (0, 2, 1)),
-    ("123", (1, 2, 0)), ("132", (2, 0, 1)))}
-_A0 = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 1]])
-_A1 = np.array([[1, 0, 1], [0, 1, 0], [0, 0, 1]])
-_V = np.array([[0, 1, 1], [0, 0, 1], [1, 1, 1]])
 # on (x', y', 1) times the denominator, the numerators of y' + tol,
 # x' - y' + tol and 1 + tol - x'; they sum to (1 + 3 tol) times it
 _CONSTRAINTS = np.array([[0, 1, 0], [1, -1, 0], [-1, 0, 1]], dtype=object) \
@@ -107,18 +98,6 @@ def apply_branch_formula(t: PermutationTriple, k: int, p: TrianglePoint):
 
 
 # --- the model: each parity class as (A + j B), exactly ---------------------
-
-def _adjugate(m):
-    """adj(m) of an integer 3x3 matrix: m @ adj(m) = det(m) I."""
-    return np.cross(m[[1, 2, 0]], m[[2, 0, 1]]).T
-
-
-def _trip(key):
-    """The integer matrices F0 = sigma A0 tau0 and F1 = sigma A1 tau1 of
-    the labels of key: branch k of the map is V F1^k F0 V^-1 on (x, y, 1)."""
-    sigma, tau0, tau1 = (_PERMUTATIONS[label] for label in key)
-    return sigma @ _A0 @ tau0, sigma @ _A1 @ tau1
-
 
 def _pencils(key):
     """The integer (A, B) of each parity class (first, step) of the row

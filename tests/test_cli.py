@@ -245,6 +245,25 @@ def test_negative_kmax_rejected(capsys, verb):
     assert "kmax must be non-negative" in err
 
 
+@pytest.mark.parametrize("kmax", [str(2 ** 63), str(10 ** 19)])
+@pytest.mark.parametrize("verb", ["gk", "verify-branches"])
+def test_kmax_beyond_int64_rejected(capsys, verb, kmax):
+    # gk took it for a malformed digit array, and verify-branches failed
+    # inside numpy: both refuse it by name, as maps.digits does
+    code, out, err = run(capsys, verb, "--triple", "e,e,e", "--kmax", kmax)
+    assert code == 2 and out == ""
+    assert err == "error: kmax must be non-negative and below 2**63\n"
+
+
+@pytest.mark.parametrize("args", [("gk", "--simulate"), ("verify-branches",), ("orbit",)],
+                         ids=lambda a: a[0])
+def test_negative_seed_rejected(capsys, args):
+    # numpy's "expected non-negative integer" named no setting
+    code, out, err = run(capsys, *args, "--triple", "e,e,e", "--seed", "-1")
+    assert code == 2 and out == ""
+    assert err == "error: seed must be non-negative\n"
+
+
 @pytest.mark.parametrize("verb", ["eigen", "sum-bounds", "gk"])
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-6"])
 def test_tol_must_be_positive_and_finite(capsys, verb, tol):
@@ -348,6 +367,17 @@ def test_memory_error_exits_2(capsys, monkeypatch):
     code, out, err = run(capsys, "verify-branches", "--triple", "e,e,e")
     assert code == 2 and out == ""
     assert err == "error: Unable to allocate 74.5 GiB\n"
+
+
+def test_error_without_message_names_its_type(capsys, monkeypatch):
+    # a bare MemoryError printed "error: " and nothing after it
+    def exhausted(cfg):
+        raise MemoryError()
+
+    monkeypatch.setitem(cli.COMMANDS, "list-triples", exhausted)
+    code, out, err = run(capsys, "list-triples")
+    assert code == 2 and out == ""
+    assert err == "error: MemoryError\n"
 
 
 @pytest.mark.parametrize("start", ["0.5", "0.5,0.2,0.1", "a,b"])

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -13,7 +14,8 @@ import tripmaps
 import tripmaps.gausskuzmin as gausskuzmin
 from tripmaps import maps
 from tripmaps.claims import pullback_measures
-from tripmaps.domain import PermutationTriple, TrianglePoint, in_triangle, interior_points
+from tripmaps.domain import (PermutationTriple, TrianglePoint, in_triangle, interior_points,
+                             supported_triples)
 from tripmaps.errors import BoundaryHit, EnvelopeExceeded, NoClosedLaw, NoDensity
 from tripmaps.gausskuzmin import (
     MC_BATCHES,
@@ -30,7 +32,8 @@ from tripmaps.gausskuzmin import (
 from tripmaps.maps import digits, step
 from tripmaps.specfun import dilog, integrate_triangle
 from tripmaps.tables.eigen import DENSITIES, EIGENFUNCTIONS
-from tripmaps.tables.transfer_rows import TRANSFER, TransferRow
+from tripmaps.tables.forward import FORWARD
+from tripmaps.tables.transfer_rows import TRANSFER
 from tripmaps.transfer import branch_point
 
 EEE = PermutationTriple("e", "e", "e")
@@ -162,29 +165,80 @@ def test_e23e_is_the_shifted_eee_law():
         assert abs(p_integral_e23e(k) - half) / half < 1e-13, k
 
 
-def _identity_branch_row(c, d):
-    # a row whose k-th term of the transfer sum of h = 1/(c d) is
-    # 1/(A_k A_k+1), A_k = k c + d, each of its branches the identity
-    def weight(k, x, y, s):
-        cp, dp = c(x, y), d(x, y)
-        return cp * dp / ((k * cp + dp) * ((k + 1) * cp + dp))
+def _exact_points():
+    # three seeded rationals with denominators near 10**6, and a point
+    # 1e-12 from the y = 0 edge
+    rng = np.random.default_rng(37)
+    points = [(Fraction(3, 5), Fraction(1, 10 ** 12))]
+    for d in 10 ** 6 + rng.integers(0, 1000, 3):
+        x, y = (Fraction(int(n), int(d)) for n in sorted(rng.integers(1, d, 2), reverse=True))
+        assert 0 < y < x < 1
+        points.append((x, y))
+    return points
 
-    return TransferRow(weight, lambda k, x, y, s: (x, y))
+
+def test_transfer_terms_are_the_law():
+    # exactly, on the transfer and eigenfunction tables of all 18 density
+    # rows: the k-th term of the transfer sum of |h| is 1/(A_k A_k+1),
+    # A_k = d + (k + a) c, for the construction's denominator rows c and d
+    # and the row's shift a
+    points = _exact_points()
+    for key in DENSITIES:
+        m0, m1 = gausskuzmin._branches(key)
+        a = _shift(key)
+        row, h = TRANSFER[key], EIGENFUNCTIONS[key]
+        for x, y in points:
+            c, d = (form @ (x, y, 1) for form in (m1[2], m0[2]))
+            for k in (0, 1, 2, 3, 1000, 10 ** 6):
+                kf, s = Fraction(k), Fraction((-1) ** k)
+                term = row.weight(kf, x, y, s) * abs(h(*row.branch(kf, x, y, s)))
+                assert term == 1 / ((d + (k + a) * c) * (d + (k + 1 + a) * c)), (key, k, x, y)
 
 
-@pytest.mark.parametrize("h, row", [
-    # c = x and d = 2 - x + y: d is 2 at the vertex (0, 0), where c vanishes
-    (lambda x, y: 1 / (x * (2 - x + y)),
-     _identity_branch_row(lambda x, y: x, lambda x, y: 2 - x + y)),
-    (EIGENFUNCTIONS[EEE.key], TRANSFER[E23E.key]),
-    (lambda x, y: 2 / (x * (y + 1)), TRANSFER[EEE.key]),
-    (lambda x, y: 1 / (x * (y + 1) * (1 + x)), TRANSFER[EEE.key]),
-    (lambda x, y: 1 / ((2 * x - 1) * (y + 1)), TRANSFER[EEE.key]),
-], ids=["d-not-1-where-c-vanishes", "row-of-another-density", "doubled-h",
-        "h-not-two-affine-factors", "pole-inside"])
-def test_row_without_the_law_is_named(h, row):
-    with pytest.raises(NoClosedLaw):
-        gausskuzmin._law(h, row)
+def test_law_exactly_on_the_eigenfunction_rows():
+    # the 72 parity rows and the 18 parity-free rows without an
+    # eigenfunction have no law
+    with_law = set()
+    for key in supported_triples():
+        try:
+            gausskuzmin._law(key)
+        except NoClosedLaw:
+            continue
+        with_law.add(key)
+    assert with_law == set(EIGENFUNCTIONS)
+
+
+def test_denominator_rows_at_the_vertices():
+    # on every parity-free row, c is 0 at one vertex and 1 at the other
+    # two, and d is 1 at that vertex and 1 and 2 at the other two: a fact
+    # of the construction, which leaves a = 0 or -1
+    vertices = np.array([(0, 0, 1), (1, 0, 1), (1, 1, 1)]).T
+    rows = [key for key, row in FORWARD.items() if not row.parity]
+    assert len(rows) == 36
+    for key in rows:
+        m0, m1 = gausskuzmin._branches(key)
+        cd = zip((m1[2] @ vertices).tolist(), (m0[2] @ vertices).tolist())
+        assert sorted(cd) == [(0, 1), (1, 1), (1, 2)], key
+
+
+@pytest.mark.parametrize("h", [
+    EIGENFUNCTIONS[E23E.key],
+    lambda x, y: 2 / (x * (y + 1)),
+    lambda x, y: 1 / (x * (y + 1) * (1 + x)),
+    lambda x, y: 1 / ((2 * x - 1) * (y + 1)),
+    lambda x, y: 1 / ((x + Fraction(1, 10 ** 12)) * (y + 1)),
+], ids=["row-of-another-density", "doubled-h", "h-not-two-affine-factors", "pole-inside",
+        "factor-moved-1e-12"])
+def test_row_without_the_law_is_named(monkeypatch, h):
+    # (e,e,e) with a wrong eigenfunction: the construction gives the row
+    # its law, and the table's h must be that law's density
+    monkeypatch.setitem(EIGENFUNCTIONS, EEE.key, h)
+    gausskuzmin._law.cache_clear()
+    try:
+        with pytest.raises(NoClosedLaw):
+            gausskuzmin._law(EEE.key)
+    finally:
+        gausskuzmin._law.cache_clear()
 
 
 def test_import_derives_no_law():

@@ -12,7 +12,7 @@ from tripmaps.domain import (PERMUTATION_LABELS, PermutationTriple, TrianglePoin
                              interior_points, supported_triples)
 from tripmaps.errors import (AmbiguousDigit, BoundaryHit, DigitNotFound, EvaluationSingularity,
                              OutsideTriangle, UnsupportedTriple)
-from tripmaps import maps, transfer
+from tripmaps import maps, transfer, trip
 from tripmaps.maps import K_MAX_DEFAULT, _solve
 from tripmaps.tables.forward import FORWARD, ForwardRow
 from tripmaps.tables.transfer_rows import TRANSFER, TransferRow
@@ -381,7 +381,7 @@ def test_supported_triples_square_to_zero():
     eye = np.eye(3, dtype=np.int64)
     parity = {}
     for key in itertools.product(PERMUTATION_LABELS, repeat=3):
-        f1 = maps._trip(key)[1]
+        f1 = trip._trip(key)[1]
         for p, e in ((False, f1 - eye), (True, f1 @ f1 - eye)):
             if not (e @ e).any():
                 parity[key] = p
