@@ -15,12 +15,14 @@ per row.  The numerators of the membership constraints y' >= 0, x' - y' >= 0,
 x' <= 1 are lines a + b j, so each constraint holds on a half-line on
 each side of the pole (_half_lines).  _bracket evaluates them in floats
 for arrays of points; the hull of their ranges, widened by _window's
-reach, is the window whose integers the membership test confirms.
-Beyond _SHALLOW, where rounding next to a vertex smears images with
-terms of size k over millions of steps, and wherever that test is not
-clean, the same lines in exact arithmetic decide (_solve_exact), and a
-scan over the 64 steps on each side of their ranges applies the tie
-rules, as a scan from k = 0 would.
+reach, is the window of candidate digits.  _decide confirms them in one
+pass: the membership test (_hits) runs once over every candidate, and
+the tie rules read the hits alone, about one per point.  Beyond
+_SHALLOW, where rounding next to a vertex smears images with terms of
+size k over millions of steps, and wherever a window's run of hits is
+not clean, the same lines in exact arithmetic give the candidates
+(_solve_exact): the 64 steps on each side of their ranges, on which
+_decide applies the tie rules as a scan from k = 0 would.
 """
 
 from __future__ import annotations
@@ -172,7 +174,7 @@ def _window(key):
     return (7, 6) if FORWARD[key].parity else (1, 0)
 
 
-# --- confirmation: the tie rules on candidate digits ------------------------
+# --- the tie rules on candidate digits --------------------------------------
 
 def _spread(pt, lo, hi):
     """Every k = lo..hi of each range (pt, lo, hi): flat arrays (point, k)."""
@@ -181,67 +183,60 @@ def _spread(pt, lo, hi):
     return np.repeat(pt, count), np.repeat(lo, count) + offset
 
 
-def _confirm(key, xs, ys, pt, k):
-    """The image of each candidate (pt, k), sorted by point and k without
-    repeats, and whether it is in the closure at the eps*k allowance and
-    at the base tolerance."""
+def _hits(key, xs, ys, pt, k):
+    """(pt, k) and the image (x', y') of each candidate (pt, k) whose image
+    is in the closure at the eps*k allowance."""
     xp, yp = _images(key, k, xs[pt], ys[pt])
-    # a singular branch formula cannot be the point's digit (nan compares
-    # false); rounding in the image grows like eps*k, and the membership
-    # tolerance follows it
+    # rounding in the image grows like eps*k, and the membership tolerance
+    # follows it.  A singular branch formula cannot be the digit, and needs
+    # no finiteness test: nan fails every comparison, y' = -inf fails the
+    # first, x' = +inf the third, and any other infinity makes x' - y' -inf
+    # or nan, which fails the second
     tol = MEMBERSHIP_TOL + 1e-15 * k
-    hit = (np.isfinite(xp) & np.isfinite(yp) & (yp >= -tol) & (xp - yp >= -tol)
-           & (xp <= 1.0 + tol))
-    inside = hit & (yp >= -MEMBERSHIP_TOL) & (xp - yp >= -MEMBERSHIP_TOL) \
-        & (xp <= 1.0 + MEMBERSHIP_TOL)
-    return xp, yp, hit, inside
-
-
-def _hit_range(n, pt, k, hit):
-    """The lowest and highest hit k of each point, pt and k sorted."""
-    lowest, highest = np.full(n, np.inf), np.full(n, -np.inf)
-    hp, hk = pt[hit], k[hit]
-    head = np.ones(hp.size + 1, dtype=bool)
-    head[1:-1] = hp[1:] != hp[:-1]
-    lowest[hp[head[:-1]]] = hk[head[:-1]]
-    highest[hp[head[1:]]] = hk[head[1:]]
-    return lowest, highest
-
-
-def _lowest_run(pt, k, hit):
-    """hit kept on the lowest run of each point's hits only, pt and k
-    sorted: as in a scan from k = 0, six misses after a hit end the run."""
-    idx = np.nonzero(hit)[0]
-    hp, hk = pt[idx], k[idx]
-    head = np.ones(idx.size, dtype=bool)
-    head[1:] = hp[1:] != hp[:-1]
-    breaks = np.cumsum(~head & (np.diff(hk, prepend=0) >= 7))
-    first = np.maximum.accumulate(np.where(head, np.arange(idx.size), 0))
-    run = np.zeros(hit.size, dtype=bool)
-    run[idx[breaks == breaks[first]]] = True
-    return run
+    hit = np.flatnonzero((yp >= -tol) & (xp - yp >= -tol) & (xp <= 1.0 + tol))
+    return pt[hit], k[hit], xp[hit], yp[hit]
 
 
 def _decide(key, xs, ys, pt, k):
     """The tie rules over the candidates (pt, k), sorted by point and k
-    without repeats: per point the digit (inf where none hit), its image,
-    and the lowest hit, the highest hit and the number of hits of the
-    lowest run."""
+    without repeats, read off their hits alone: per point the digit (inf
+    where none hit), its image, and the lowest hit, the highest hit and
+    the number of hits of the lowest run.  As in a scan from k = 0, six
+    misses after a hit end a run.  Contiguous multi-hits are
+    boundary-rounding ties, and the run's lowest hit inside at the base
+    tolerance wins, else its lowest hit: at large k the eps*k allowance
+    can also admit a neighbour whose image misses the triangle by far
+    more than its rounding."""
     n = xs.size
-    xp, yp, hit, inside = _confirm(key, xs, ys, pt, k)
-    hit = _lowest_run(pt, k, hit)
-    inside &= hit
-    lowest, highest = _hit_range(n, pt, k, hit)
-    count = np.bincount(pt[hit], minlength=n)
-    # contiguous multi-hits are boundary-rounding ties, and the lowest hit
-    # inside at the base tolerance wins: at large k the eps*k allowance can
-    # also admit a neighbour whose image misses the triangle by far more
-    # than its rounding
-    lowest_in, _ = _hit_range(n, pt, k, inside)
-    digit = np.where(np.isfinite(lowest_in), lowest_in, lowest)
-    chosen = np.nonzero(k == digit[pt])[0]
-    image_x, image_y = np.full(n, np.nan), np.full(n, np.nan)
-    image_x[pt[chosen]], image_y[pt[chosen]] = xp[chosen], yp[chosen]
+    hp, hk, hx, hy = _hits(key, xs, ys, pt, k)
+    head = np.ones(hk.size, dtype=bool)
+    head[1:] = hp[1:] != hp[:-1]
+    # a gap is a hit six misses or more above its point's previous hit;
+    # the lowest run holds the hits with as many gaps before them as the
+    # point's first hit
+    gap = ~head
+    gap[1:] &= hk[1:] - hk[:-1] >= 7
+    if gap.any():
+        breaks = np.cumsum(gap)
+        run = breaks == breaks[head][np.cumsum(head) - 1]
+        hp, hk, hx, hy, head = hp[run], hk[run], hx[run], hy[run], head[run]
+    first = np.flatnonzero(head)
+    at = hp[first]
+    count = np.bincount(hp, minlength=n)
+    lowest, highest = np.full(n, np.inf), np.full(n, -np.inf)
+    lowest[at] = hk[first]
+    highest[at] = hk[first + count[at] - 1]
+    digit, image_x, image_y = lowest.copy(), np.full(n, np.nan), np.full(n, np.nan)
+    image_x[at], image_y[at] = hx[first], hy[first]
+    # each point's lowest run hit, then its run hits inside at the base
+    # tolerance: one right after a lowest hit outside wins over it
+    inside = ((hy >= -MEMBERSHIP_TOL) & (hx - hy >= -MEMBERSHIP_TOL)
+              & (hx <= 1.0 + MEMBERSHIP_TOL))
+    pick = np.flatnonzero(head | inside)
+    lead = head[pick]
+    late = pick[1:][lead[:-1] & ~lead[1:] & ~inside[pick[:-1]]]
+    point = hp[late]
+    digit[point], image_x[point], image_y[point] = hk[late], hx[late], hy[late]
     return digit, image_x, image_y, lowest, highest, count
 
 

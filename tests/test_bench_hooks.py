@@ -1,15 +1,18 @@
 """The benchmark's tracer (tripbench/spans.py) wraps public functions by
 name and reads the cutoff apply_transfer records in its stats dict; these
-tests keep both contracts, so `tripbench/run.py --trace 1` can install."""
+tests keep both contracts, so `tripbench/run.py --trace 1` can install.
+The BENCH_<n>.json records of measured speedups stay readable too."""
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 from tripmaps.domain import PermutationTriple, TrianglePoint
 from tripmaps.transfer import TruncationPolicy, apply_transfer
 
-_SPANS = Path(__file__).resolve().parents[1] / "tripbench" / "spans.py"
+_ROOT = Path(__file__).resolve().parents[1]
+_SPANS = _ROOT / "tripbench" / "spans.py"
 
 
 def _spans():
@@ -43,3 +46,15 @@ def test_k_doublings_hook_reads_stats():
             apply_transfer(t, f, p, pol)
     assert tracer.counters["transfer.apply_transfer.k_doublings"] == \
         3 * (stats["K"].bit_length() - spans._K0_BITS)
+
+
+def test_bench_records_parse():
+    # each record names the change, how it was measured, the end-to-end
+    # numbers and the core count of the machine they come from
+    records = sorted(_ROOT.glob("BENCH_*.json"))
+    assert records
+    for path in records:
+        record = json.loads(path.read_text())
+        assert {"change", "method", "end_to_end"} <= record.keys(), path.name
+        nproc = record["machine"]["nproc"]
+        assert isinstance(nproc, int) and nproc >= 1, path.name

@@ -420,6 +420,17 @@ def test_empirical_single_step():
     assert sum(st.counts.values()) == 1
 
 
+@pytest.mark.parametrize("n", [True, 100.0])
+def test_empirical_digits_rejects_non_integer_n(n):
+    # a bool passes as an int, and 100.0 is integral: both name n
+    with pytest.raises(ValueError, match=rf"n must be an integer, got {n!r}"):
+        empirical_digits(EEE, n, seed=1)
+
+
+def test_empirical_digits_takes_numpy_integer_n():
+    assert sum(empirical_digits(EEE, np.int64(3), seed=1).counts.values()) == 3
+
+
 @pytest.mark.parametrize("t, seed, restarts, c0, c1, k_top, digest", [
     (EEE, 1, 0, 4981, 2794, 1223839,
      "ed1bcb22e9646db60869d7f13c4468ad4fa61bf3d25e2797e795a1a5618c7fa9"),

@@ -2,17 +2,18 @@ import hashlib
 import itertools
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from tripmaps.domain import (PERMUTATION_LABELS, PermutationTriple, TrianglePoint,
                              interior_points, supported_triples)
 from tripmaps.errors import (AmbiguousDigit, BoundaryHit, DigitNotFound, EvaluationSingularity,
                              OutsideTriangle, UnsupportedTriple)
-from tripmaps import maps, transfer, trip
+from tripmaps import gausskuzmin, maps, transfer, trip
 from tripmaps.maps import K_MAX_DEFAULT, _solve
 from tripmaps.tables.forward import FORWARD, ForwardRow
 from tripmaps.tables.transfer_rows import TRANSFER, TransferRow
@@ -638,3 +639,117 @@ def test_deep_digits_on_parity_rows_skip_the_exact_path(monkeypatch, k):
     _forbid_exact_path(monkeypatch)
     for key, qx, qy, digit in cases:
         assert np.array_equal(maps.digits(key, qx, qy), digit), key
+
+
+# images of synthetic candidates, by kind; the "allow" kinds miss the
+# closure by half the eps*k allowance, on each edge in turn, so the
+# allowance admits them and the base tolerance does not (for k >= 1)
+def _allowed(k):
+    return maps.MEMBERSHIP_TOL + 5e-16 * k
+
+
+_IMAGES = {
+    "in": lambda k: (0.75, 0.25),
+    "allow_y": lambda k: (0.5, -_allowed(k)),
+    "allow_diag": lambda k: (0.5, 0.5 + _allowed(k)),
+    "allow_x": lambda k: (1.0 + _allowed(k), 0.5),
+    "out": lambda k: (0.5, -0.25),
+    "nan": lambda k: (math.nan, 0.5),
+    "nan_y": lambda k: (0.5, math.nan),
+    "inf": lambda k: (math.inf, 0.5),
+    "-inf": lambda k: (-math.inf, 0.5),
+    "inf_y": lambda k: (0.5, math.inf),
+    "-inf_y": lambda k: (0.5, -math.inf),
+    "inf_inf": lambda k: (math.inf, math.inf),
+    "-inf_-inf": lambda k: (-math.inf, -math.inf),
+    "-inf_inf": lambda k: (-math.inf, math.inf),
+}
+
+
+def _scan_candidates(cands):
+    """The tie rules as a plain scan from k = 0 over one point's candidates
+    (k, x', y'), k increasing, every other k a miss: a hit is a finite
+    image in the closure at the eps*k allowance, six misses after a hit
+    end the run, and its lowest hit inside at MEMBERSHIP_TOL wins, else
+    its lowest hit.  (digit, x', y', lowest, highest, count)."""
+    def closed(x, y, tol):
+        return y >= -tol and x - y >= -tol and x <= 1.0 + tol
+
+    run = []
+    for k, x, y in cands:
+        if not (math.isfinite(x) and math.isfinite(y)
+                and closed(x, y, maps.MEMBERSHIP_TOL + 1e-15 * k)):
+            continue
+        if run and k - run[-1][0] > 6:
+            break
+        run.append((k, x, y))
+    if not run:
+        return math.inf, math.nan, math.nan, math.inf, -math.inf, 0
+    inside = [c for c in run if closed(c[1], c[2], maps.MEMBERSHIP_TOL)]
+    k, x, y = (inside or run)[0]
+    return k, x, y, run[0][0], run[-1][0], len(run)
+
+
+_points = st.lists(st.tuples(st.sampled_from([0, 3, 10 ** 6, 2 ** 40]),
+                             st.lists(st.tuples(st.sampled_from([1, 1, 2, 5, 6, 7, 8]),
+                                                st.sampled_from(sorted(_IMAGES))),
+                                      max_size=10)),
+                   min_size=1, max_size=6)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_points)
+@example([
+    # hits 6 steps apart stay in one run, 7 apart end it; the run's lowest
+    # hit is admitted by the allowance alone, so the next one inside wins
+    (3, [(1, "allow_y"), (6, "in"), (7, "in")]),
+    # nan and infinite images never hit; no hit at all
+    (0, [(1, "nan"), (1, "inf"), (1, "-inf_-inf"), (1, "out")]),
+    # no candidates
+    (0, []),
+    # a run of allowance-only hits: its lowest hit wins
+    (10 ** 6, [(1, "allow_x"), (1, "allow_diag"), (7, "in")]),
+])
+def test_decide_matches_a_plain_scan(points):
+    pt, k, xp, yp, expected = [], [], [], [], []
+    for i, (start, steps) in enumerate(points):
+        cands, at = [], start - 1
+        for step, kind in steps:
+            at += step
+            cands.append((at, *_IMAGES[kind](at)))
+        for c in cands:
+            pt.append(i)
+            k.append(c[0])
+            xp.append(c[1])
+            yp.append(c[2])
+        expected.append(_scan_candidates(cands))
+    pt, k = np.array(pt, dtype=np.int64), np.array(k, dtype=np.int64)
+
+    def images(key, ks, x, y):
+        assert np.array_equal(ks, k)
+        return np.array(xp, dtype=float), np.array(yp, dtype=float)
+
+    n = len(points)
+    with pytest.MonkeyPatch.context() as mp, np.errstate(invalid="ignore"):
+        mp.setattr(maps, "_images", images)
+        got = maps._decide(EEE.key, np.zeros(n), np.zeros(n), pt, k)
+    for i, (digit, x, y, lowest, highest, count) in enumerate(expected):
+        assert got[0][i] == digit, (i, points[i])
+        assert got[1][i].hex() == float(x).hex() and got[2][i].hex() == float(y).hex()
+        assert (got[3][i], got[4][i], got[5][i]) == (lowest, highest, count), (i, points[i])
+
+
+def test_solve_temporaries_stay_small():
+    # 8192 exact e,e,e draws, twice the walkers of a Monte Carlo chunk: the
+    # traced peak of one _solve stays at or below 1.76 MB (201 bytes a point
+    # measured)
+    rng = np.random.Generator(np.random.Philox(1))
+    xs, ys = gausskuzmin._draws(rng, gausskuzmin.density(EEE), 8192)
+    _solve(EEE.key, xs, ys, K_MAX_DEFAULT)  # the row's model is cached
+    tracemalloc.start()
+    try:
+        _solve(EEE.key, xs, ys, K_MAX_DEFAULT)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_760_000
