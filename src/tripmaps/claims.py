@@ -18,7 +18,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from . import gausskuzmin, hilbert, maps, spectral, transfer
+from . import gausskuzmin, hilbert, maps, spectral, transfer, trip
 from .domain import PermutationTriple, TrianglePoint, interior_points, supported_triples
 from .specfun import dilog, integrate_dm, integrate_triangle, laguerre1
 from .tables.banach import BANACH
@@ -135,7 +135,7 @@ def pullback_measures(t: PermutationTriple, ks) -> np.ndarray:
 
     def measure(k) -> float:
         def fun(x, y):
-            w, a, b = transfer._inverse(row, k, x, y, transfer.parity_sign(k))
+            w, a, b = transfer._inverse(row, k, x, y, trip.parity_sign(k))
             return w * r(a, b)
         return integrate_triangle(fun, 1e-9)
 

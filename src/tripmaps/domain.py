@@ -3,9 +3,9 @@
 The library supports the 108 triangle partition maps with polynomial
 branch behavior.  A map is named by a triple of permutation labels
 (sigma, tau0, tau1), the keys of the embedded data tables.  trip reads
-each label as a permutation matrix and multiplies them into the map's
-TRIP matrices, off which maps reads its digit model and gausskuzmin its
-Gauss-Kuzmin laws; every other value is evaluated on the tables.
+each label as a permutation matrix and builds the map's branch pencils,
+off which maps reads its digit model and gausskuzmin its Gauss-Kuzmin
+laws; every other value is evaluated on the tables.
 """
 
 from __future__ import annotations

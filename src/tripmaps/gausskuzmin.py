@@ -4,9 +4,9 @@ Monte Carlo digits.
 
 cylinder_measures evaluates p(k) = mu(cylinder k) in closed form, with no
 quadrature.  Each of the 18 densities is C g, g = |h| its eigenfunction, and
-_law reads off the TRIP construction (trip) the row's affine forms c and d
-and its shift a, for which the k-th term of the transfer sum of g is
-1/(A_k A_{k+1}), A_k = d + (k + a) c.  c is 0 at one vertex and 1 at the
+_law reads off the row's one branch pencil (trip.pencils) its affine forms
+c and d and its shift a, for which the k-th term of the transfer sum of g
+is 1/(A_k A_{k+1}), A_k = d + (k + a) c.  c is 0 at one vertex and 1 at the
 other two, and d is 1 at that vertex and 1 and 2 at the others; along the
 level segments of c, p(k) = C int_tri dp / (A_k A_{k+1}) integrates to
 
@@ -44,7 +44,7 @@ from .maps import K_MAX_DEFAULT, _solve, off_boundary
 from .specfun import dilog
 from .tables.eigen import DENSITIES, EIGENFUNCTIONS
 from .transfer import TruncationPolicy, apply_transfer_batch
-from .trip import _V, _adjugate, _trip
+from .trip import pencils
 
 PI2 = math.pi ** 2
 
@@ -106,25 +106,15 @@ _CONIC_POINTS = tuple((Fraction(x, 12), Fraction(y, 12))
 _SHARE = {0: 1.0, -1: 0.5}
 
 
-def _branches(key):
-    """The integer (M0, M1) of the row key: its branch k is M0 + k M1 =
-    V (I + k E) F0 V^-1 on (x, y, 1), as F1^k = I + k E for E = F1 - I
-    where E^2 = 0 (det V = 1).  NoClosedLaw on a parity row."""
-    f0, f1 = _trip(key)
-    e = f1 - np.eye(3, dtype=np.int64)
-    if (e @ e).any():
-        raise NoClosedLaw(f"{key} is a parity row: (F1 - I)^2 is not 0")
-    return _V @ f0 @ _adjugate(_V), _V @ e @ f0 @ _adjugate(_V)
-
-
 @functools.cache
 def _law(key) -> tuple[float, int]:
     """(C pi^2/12, a) of the row key: p(k) = C D(k + a) = (C pi^2/12)
-    p_closed_eee(k + a).  Branch k, M_k = M0 + k M1 (det +-1), has weight
-    1/|d + k c|^3, c and d the last rows of M1 and M0; with A_j =
-    d + (j + a) c, d + k c = A_{k-a}.  Its term of the transfer sum of
-    g = 1/|c A_0| is 1/(A_k A_{k+1}) for every k exactly where, as
-    quadratic forms in p = (x, y, z), with one sign s for all k,
+    p_closed_eee(k + a).  Branch k, M_k = M0 + k M1 (det +-1) for the
+    row's one pencil (trip.pencils), has weight 1/|d + k c|^3, c and d the
+    last rows of M1 and M0; with A_j = d + (j + a) c, d + k c = A_{k-a}.
+    Its term of the transfer sum of g = 1/|c A_0| is 1/(A_k A_{k+1}) for
+    every k exactly where, as quadratic forms in p = (x, y, z), with one
+    sign s for all k,
 
         c(M_k p) A_0(M_k p) = s z A_{k+1+a}(p).
 
@@ -132,8 +122,11 @@ def _law(key) -> tuple[float, int]:
     transpose) are compared at k = 0, 1, 2, and exactly one a of 0 and -1
     must pass.  h c A_0 must be one sign at the _CONIC_POINTS, on no
     common conic (monomial determinant 85/5971968), so that they pin a
-    quadratic 1/h.  NoClosedLaw otherwise, or at a pole of h."""
-    m0, m1 = _branches(key)
+    quadratic 1/h.  NoClosedLaw otherwise, on a parity row (two pencils)
+    or at a pole of h."""
+    (m0, m1), *other = pencils(key)
+    if other:
+        raise NoClosedLaw(f"{key} is a parity row: its branches form two pencils")
     c, d = m1[2], m0[2]
 
     def holds(a, s, k):
@@ -286,6 +279,10 @@ def empirical_digits(t: PermutationTriple, n: int, seed: int) -> EmpiricalStats:
         raise ValueError(f"n must be an integer, got {n!r}")
     if n < 1:
         raise ValueError("n must be at least 1")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
     rng = np.random.Generator(np.random.Philox(seed))
     r = density(t)
     key = t.key

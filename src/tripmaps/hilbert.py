@@ -231,6 +231,8 @@ def laguerre_expansion_partial(t: PermutationTriple, phi: Profile,
     """sum_{k<=K} <phi, eta_k>_dm E_k(p), the series form of the kernel
     image; the profile is pinned to the branch-family transform argument
     exactly as in theorem31_rhs."""
+    if isinstance(K, bool) or not isinstance(K, (int, np.integer)):
+        raise ValueError(f"K must be an integer, got {K!r}")
     if K < 0:
         raise ValueError("K must be non-negative")
     row = hilbert_triple(t)

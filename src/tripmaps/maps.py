@@ -8,10 +8,10 @@ a forward row goes through _images.
 
 Every TRIP branch is projective-linear: within one parity class (k even,
 or k odd, on the 72 parity rows; every k on the 36 parity-free rows) the
-row at k = first + step*j is (x', y', 1) ~ (A + j B)(x, y, 1).  _pencils
-reads the integer A and B off the row's labels by the TRIP construction
-(trip) without evaluating the row, and _model turns them into lines once
-per row.  The numerators of the membership constraints y' >= 0, x' - y' >= 0,
+row at k = first + step*j is (x', y', 1) ~ (A + j B)(x, y, 1), the
+inverse of the class's integer TRIP branch pencil (trip.pencils), and _model
+turns A and B into lines once per row, without evaluating the row.  The
+numerators of the membership constraints y' >= 0, x' - y' >= 0,
 x' <= 1 are lines a + b j, so each constraint holds on a half-line on
 each side of the pole (_half_lines).  _bracket evaluates them in floats
 for arrays of points; the hull of their ranges, widened by _window's
@@ -44,8 +44,8 @@ from .errors import (
     UnsupportedTriple,
 )
 from .tables.forward import FORWARD
-from .transfer import _broadcast, _parities, parity_sign, preimage_tree
-from .trip import _V, _adjugate, _trip
+from .transfer import _broadcast, preimage_tree
+from .trip import _adjugate, _parities, parity_sign, pencils
 
 MEMBERSHIP_TOL = 1e-12
 # orbits drift arbitrarily close to the corner, where the digit grows like
@@ -101,26 +101,16 @@ def apply_branch_formula(t: PermutationTriple, k: int, p: TrianglePoint):
 
 # --- the model: each parity class as (A + j B), exactly ---------------------
 
-def _pencils(key):
-    """The integer (A, B) of each parity class (first, step) of the row
-    key, (x', y', 1) ~ (A + j B)(x, y, 1) at k = first + step*j: the inverse
-    V F0^-1 (I - j E) F1^-first V^-1 of branch k, E = F1^step - I, as
-    F1^(step j) = I + j E where E^2 = 0.  Adjugates stand for the inverses,
-    which flips no sign within a class and keeps det(A + j B) = 1."""
-    f0, f1 = _trip(key)
-    back = _V @ _adjugate(f0)
-    for first, step, _ in _parities(key):
-        e = np.linalg.matrix_power(f1, step) - np.eye(3, dtype=np.int64)
-        ahead = np.linalg.matrix_power(_adjugate(f1), first) @ _adjugate(_V)
-        yield np.array([back @ ahead, -back @ e @ ahead]).astype(object)
-
-
 @functools.cache
 def _model(key):
     """Lines L of each parity class c = (first, step, s) of the row key,
     exact and in floats: (L[c, 0] + j L[c, 1])(x, y, 1) are the numerators
-    at k = first + step*j, _CONSTRAINTS times the class's (A, B)."""
-    lines = np.array([_CONSTRAINTS @ ab for ab in _pencils(key)])
+    at k = first + step*j, _CONSTRAINTS times the class's (A, B): A + j B =
+    adj(M0 + j M1) = adj(M0) + j (adj(M0 + M1) - adj(M0)) for its pencil of
+    trip.pencils, as (I + j E)^-1 = I - j E.  Adjugates stand for the
+    inverses, which flips no sign within a class and keeps det(A + j B) = 1."""
+    ab = [(_adjugate(m0), _adjugate(m0 + m1)) for m0, m1 in pencils(key)]
+    lines = _CONSTRAINTS @ np.array([(a, b - a) for a, b in ab]).astype(object)
     return lines, lines.astype(float)
 
 
@@ -171,7 +161,7 @@ def _window(key):
     counts hits up to six steps apart as one run, and on parity rows
     cylinders k and k + 2 can touch; on parity-free rows the cylinders form
     a fan, and two that are not neighbours meet only at its vertex."""
-    return (7, 6) if FORWARD[key].parity else (1, 0)
+    return (7, 6) if len(_parities(key)) == 2 else (1, 0)
 
 
 # --- the tie rules on candidate digits --------------------------------------
@@ -332,6 +322,8 @@ def branch_roundtrip(t: PermutationTriple, k_max: int,
     and whether the digit of every branch_k(p) is k.  The branch points
     are the leaves of a one-level preimage tree, point i's branch k at
     leaf i*(k_max + 1) + k."""
+    if isinstance(k_max, bool) or not isinstance(k_max, (int, np.integer)):
+        raise ValueError(f"k_max must be an integer, got {k_max!r}")
     if k_max < 0:
         raise ValueError("k_max must be non-negative")
     if not points:

@@ -19,13 +19,13 @@ from .errors import NoBanachRow, NoEigenfunction, TruncationFailure
 from .tables.banach import BANACH
 from .tables.eigen import EIGENFUNCTIONS
 from .transfer import (
-    _ALL_K,
     _blocks,
     TruncationPolicy,
     apply_transfer_batch,
     branch_sums,
     preimage_tree,
 )
+from .trip import _ALL_K
 
 
 @dataclass(frozen=True)

@@ -10,19 +10,18 @@ smooth function of real k and
     sum_{m>=0} u(m) = int_0^inf u + u(0)/2 - u'(0)/12 + u'''(0)/720 + ...
 
 applies per class.  The classes of a row, k = first + step*m with one
-sign s each, are listed once, by _parities from the forward row's flag:
-every k on a parity-free row, even and odd k on a parity row.  The tail
-columns here and the exact digit model of maps loop over that list.
+sign s each, are listed once, by trip._parities: every k on a parity-free
+row, even and odd k on a parity row.  The tail columns loop over them.
 The integral is done by 64-point Gauss-Legendre under m = scale*v/(1-v),
 which turns the polynomial tail into a polynomial in v; derivatives use
 five-point central differences (evaluating u at small negative m is
 legal, it only shifts k below K).
 
 Every numeric evaluation of a transfer row goes through _inverse, with s
-from parity_sign or from a class of _parities: it returns the weight and
-the branch point broadcast to one shape, inf or nan where the row is
-singular.  The one-point faces, the branch sums and the preimage trees
-report a non-finite value as EvaluationSingularity.
+from trip.parity_sign or from a class of trip._parities: it returns the
+weight and the branch point broadcast to one shape, inf or nan where the
+row is singular.  The one-point faces, the branch sums and the preimage
+trees report a non-finite value as EvaluationSingularity.
 
 The sums run on arrays of points.  The table lambdas are plain arithmetic,
 so they broadcast over points x k: branch_sums evaluates a block of points
@@ -51,8 +50,8 @@ import numpy as np
 from .domain import PermutationTriple, TrianglePoint, in_triangle
 from .errors import EvaluationSingularity, StencilOutOfDomain, TruncationFailure
 from .specfun import _eval_vec
-from .tables.forward import FORWARD
 from .tables.transfer_rows import TRANSFER
+from .trip import _parities, parity_sign
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 _GL_NODES = 0.5 * (_GL_NODES + 1.0)   # map to (0, 1)
@@ -71,10 +70,6 @@ _TAIL_N = _GL_NODES.size + _STENCIL.size
 # terms, with peak RSS 39.8, 39.9, 40.6 and 41.7 MB.  It is the smallest
 # budget as fast as the fastest; no value depends on it.
 _BLOCK_TERMS = 1 << 13
-# the one class of a parity-free row: every k, with s = 1
-_ALL_K = ((0, 1, 1.0),)
-# s of even and odd k
-_SIGNS = np.array([1.0, -1.0])
 
 
 @dataclass(frozen=True)
@@ -90,12 +85,6 @@ class TruncationPolicy:
 
 def _row(t: PermutationTriple):
     return TRANSFER[t.key]
-
-
-def parity_sign(k):
-    """s = (-1)**k of an integer k, elementwise on an integer array: the
-    one place s is computed from k.  A scalar k gives a numpy scalar."""
-    return _SIGNS[k & 1]
 
 
 def _broadcast(values, *args):
@@ -158,12 +147,6 @@ def _tail_sum(vals: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
     value = quad + 0.5 * u0 - d1 / 12.0 + d3 / 720.0
     err = np.abs(d3) / 720.0 * 0.25 + (np.abs(quad) + np.abs(u0)) * 1e-15
     return value, err
-
-
-def _parities(key) -> tuple[tuple[int, int, float], ...]:
-    """(first k, step, sign s) of each parity class of a row: the terms
-    k = first + step*m, m >= 0, on which s = (-1)**k is constant."""
-    return ((0, 2, 1.0), (1, 2, -1.0)) if FORWARD[key].parity else _ALL_K
 
 
 def _columns(K: int, parities):

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -12,7 +13,7 @@ import pytest
 
 import tripmaps
 import tripmaps.gausskuzmin as gausskuzmin
-from tripmaps import maps
+from tripmaps import maps, trip
 from tripmaps.claims import pullback_measures
 from tripmaps.domain import (PermutationTriple, TrianglePoint, in_triangle, interior_points,
                              supported_triples)
@@ -184,7 +185,7 @@ def test_transfer_terms_are_the_law():
     # and the row's shift a
     points = _exact_points()
     for key in DENSITIES:
-        m0, m1 = gausskuzmin._branches(key)
+        (m0, m1), = trip.pencils(key)
         a = _shift(key)
         row, h = TRANSFER[key], EIGENFUNCTIONS[key]
         for x, y in points:
@@ -216,7 +217,7 @@ def test_denominator_rows_at_the_vertices():
     rows = [key for key, row in FORWARD.items() if not row.parity]
     assert len(rows) == 36
     for key in rows:
-        m0, m1 = gausskuzmin._branches(key)
+        (m0, m1), = trip.pencils(key)
         cd = zip((m1[2] @ vertices).tolist(), (m0[2] @ vertices).tolist())
         assert sorted(cd) == [(0, 1), (1, 1), (1, 2)], key
 
@@ -425,6 +426,19 @@ def test_empirical_digits_rejects_non_integer_n(n):
     # a bool passes as an int, and 100.0 is integral: both name n
     with pytest.raises(ValueError, match=rf"n must be an integer, got {n!r}"):
         empirical_digits(EEE, n, seed=1)
+
+
+@pytest.mark.parametrize("seed, message", [
+    (True, "seed must be an integer, got True"),
+    (1.5, "seed must be an integer, got 1.5"),
+    ("3", "seed must be an integer, got '3'"),
+    (-1, "seed must be non-negative"),
+])
+def test_empirical_digits_names_a_bad_seed(seed, message):
+    # True ran as seed 1; 1.5, '3' and -1 raised numpy errors that do not
+    # name the seed
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        empirical_digits(EEE, 10, seed)
 
 
 def test_empirical_digits_takes_numpy_integer_n():

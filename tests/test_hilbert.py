@@ -280,6 +280,13 @@ def test_laguerre_expansion():
         laguerre_expansion_partial(T123, phi, P123, -1)
 
 
+@pytest.mark.parametrize("K", [True, 2.5, 2.0])
+def test_laguerre_partial_rejects_non_integer_K(K):
+    # True ran as K = 1, and 2.5 raised NotArrayNative, blaming the profile
+    with pytest.raises(ValueError, match=rf"^K must be an integer, got {K!r}$"):
+        laguerre_expansion_partial(T123, eta_profile(0), P123, K)
+
+
 def _lhs_per_point(t, phi, p):
     # reference: the branch sum with one dm-integral per branch point
     ht = hilbert_triple(t)

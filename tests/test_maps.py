@@ -322,7 +322,7 @@ def test_exact_formulas_are_linear_fractional_in_each_class():
               (Fraction(5, 7), Fraction(5, 7) - gap), (1 - gap, Fraction(2, 7)),
               (Fraction(1, 2) + 17 * gap, Fraction(1, 2) - 19 * gap)]
     for key in supported_triples():
-        classes = transfer._parities(key)
+        classes = trip._parities(key)
         exact, approx = maps._model(key)
         assert np.array_equal(approx, exact.astype(float)), key
         assert FORWARD[key].parity or not exact[:, 1].sum(axis=1).any(), key
@@ -345,11 +345,12 @@ def _project(m, x, y):
 
 
 def test_tables_are_the_trip_construction():
-    # on every row and in both parity classes, exactly: the forward row is
-    # the image under A + j B of the row's labels, the transfer row's
-    # branch the image under its adjugate, and the weight 1/|w|^3 for w
-    # the last entry of adj(A + j B)(x, y, 1).  det(A + j B), a cubic in
-    # j, is 1 at four j, so everywhere, and adj(A + j B) is the inverse
+    # on every row and in both parity classes, exactly: the transfer
+    # row's branch is the image under the branch pencil M0 + j M1 of the
+    # row's labels, the forward row the image under its adjugate, and the
+    # weight 1/|w|^3 for w the last entry of (M0 + j M1)(x, y, 1).
+    # det(M0 + j M1), a cubic in j, is 1 or -1 at four j, so everywhere,
+    # and the adjugate is the inverse up to that sign
     rng = np.random.default_rng(36)
     points = [(Fraction(3, 5), Fraction(1, 10 ** 12))]
     for d in 10 ** 6 + rng.integers(0, 1000, 3):
@@ -358,18 +359,17 @@ def test_tables_are_the_trip_construction():
         points.append((x, y))
     ks = [0, 1, 2, 3, 1000, 1001, 10 ** 6, 10 ** 6 + 1]
     for key in supported_triples():
-        forward, row, classes = FORWARD[key].f, TRANSFER[key], transfer._parities(key)
-        for (first, step, s), (a, b) in zip(classes, maps._pencils(key)):
-            dets = [m[0] @ np.cross(m[1], m[2]) for m in (a + j * b for j in range(4))]
-            assert dets == [1] * 4, (key, first)
+        forward, row, classes = FORWARD[key].f, TRANSFER[key], trip._parities(key)
+        for (first, step, s), (m0, m1) in zip(classes, trip.pencils(key)):
+            dets = [m[0] @ np.cross(m[1], m[2]) for m in (m0 + j * m1 for j in range(4))]
+            assert dets in ([1] * 4, [-1] * 4), (key, first)
             for k in ks[first::len(classes)]:
-                m = a + (k - first) // step * b
-                adj = np.cross(m[[1, 2, 0]], m[[2, 0, 1]]).T
+                m = m0 + (k - first) // step * m1
                 kf, sf = Fraction(k), Fraction(s)
                 for x, y in points:
                     case = (key, k, x, y)
-                    assert forward(kf, x, y, sf) == _project(m, x, y)[:2], case
-                    u, v, w = _project(adj, x, y)
+                    assert forward(kf, x, y, sf) == _project(trip._adjugate(m), x, y)[:2], case
+                    u, v, w = _project(m, x, y)
                     assert row.branch(kf, x, y, sf) == (u, v), case
                     assert row.weight(kf, x, y, sf) == 1 / abs(w) ** 3, case
 
@@ -480,16 +480,22 @@ def test_branch_roundtrip_singular_forward_formula(monkeypatch, sample_points):
      "xs and ys differ in size: 3 and 2"),
     (lambda pts: maps.branch_roundtrip(EEE, -1, pts), ValueError, "k_max must be non-negative"),
     (lambda pts: maps.branch_roundtrip(EEE, 3, []), ValueError, "no points"),
+    (lambda pts: maps.branch_roundtrip(EEE, 2.0, pts), ValueError,
+     "k_max must be an integer, got 2.0"),
+    (lambda pts: maps.branch_roundtrip(EEE, True, pts), ValueError,
+     "k_max must be an integer, got True"),
     (lambda pts: maps.digits(("e", "e", "x"), [0.5], [0.2]), UnsupportedTriple,
      "no forward row for ('e', 'e', 'x')"),
     (lambda pts: maps.digits(EEE.key, [0.5], [0.2], k_max=-1), ValueError,
      "k_max must be non-negative"),
 ], ids=["digits-2-1", "digits-3-2", "roundtrip-negative-kmax", "roundtrip-no-points",
-        "digits-unknown-key", "digits-negative-kmax"])
+        "roundtrip-float-kmax", "roundtrip-bool-kmax", "digits-unknown-key",
+        "digits-negative-kmax"])
 def test_bad_input_is_named(sample_points, call, error, message):
     # these escaped as an IndexError, a numpy broadcast error, numpy's
-    # "zero-size array to reduction operation maximum", a KeyError, and
-    # DigitNotFound "below k_max=-1"
+    # "zero-size array to reduction operation maximum", a TypeError from
+    # bitwise_and, a run with k_max = 1, a KeyError, and DigitNotFound
+    # "below k_max=-1"
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call(sample_points[:3])
 

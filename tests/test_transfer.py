@@ -19,7 +19,6 @@ from tripmaps.tables.transfer_rows import TRANSFER, TransferRow
 from tripmaps.transfer import (
     TruncationPolicy,
     _columns,
-    _parities,
     apply_transfer,
     apply_transfer_batch,
     branch_point,
@@ -27,6 +26,7 @@ from tripmaps.transfer import (
     partial_transfer,
     weight,
 )
+from tripmaps.trip import _parities
 
 EEE = PermutationTriple("e", "e", "e")
 P = TrianglePoint(0.5, 0.25)
