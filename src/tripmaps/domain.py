@@ -1,4 +1,5 @@
-"""Core identifiers, triangle points and seeded interior samples.
+"""Core identifiers, triangle points, seeded interior samples and the one
+check of integer arguments.
 
 The library supports the 108 triangle partition maps with polynomial
 branch behavior.  A map is named by a triple of permutation labels
@@ -78,10 +79,24 @@ def supported_triples() -> list[tuple[str, str, str]]:
     return list(FORWARD.keys())
 
 
+def integer(name: str, value, low: int = 0) -> int:
+    """value as an int, where it is an int or a numpy integer, not a bool,
+    and at least low; else a ValueError that names the argument.  The one
+    check of every integer argument: a digit, a cutoff, a count or a seed."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if value < low:
+        raise ValueError(f"{name} must be non-negative" if low == 0
+                         else f"{name} must be at least {low}")
+    return value
+
+
 def interior_points(seed: int, count: int, margin: float = 1e-3) -> list[TrianglePoint]:
     """count seeded points with margin < y < x - margin and x < 1 - margin,
     drawn as sorted uniform pairs and kept by rejection.  No point
     satisfies those bounds once margin >= 1/3."""
+    seed, count = integer("seed", seed), integer("count", count)
     if not (0.0 <= margin < 1.0 / 3.0):
         raise ValueError("margin must lie in [0, 1/3)")
     rng = np.random.default_rng(seed)

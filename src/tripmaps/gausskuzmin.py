@@ -38,7 +38,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .domain import PermutationTriple, in_triangle
+from .domain import PermutationTriple, in_triangle, integer
 from .errors import EnvelopeExceeded, NoClosedLaw, NoDensity
 from .maps import K_MAX_DEFAULT, _solve, off_boundary
 from .specfun import dilog
@@ -187,8 +187,7 @@ def p_closed_eee(k: int) -> float:
     So written, p(k) stays within 1e-15 relative of the printed formula
     at 50 digits (k = 1..10, 50, 200, 1e3, 3e3, 1e4, 1e6, 1e9 tested).
     It is 12/pi^2 D(k), the law of 6 of the 18 rows (see _law)."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
+    k = integer("k", k)
     if k == 0:
         return 1.0 - (6.0 * dilog(0.25) + 12.0 * math.log(2.0) ** 2) / PI2
     return (6.0 / PI2) * (
@@ -215,8 +214,7 @@ def p_integral_e23e(k: int) -> float:
     1e4.  Beyond 1e4 this two-piece form drifts from it, by 3.9e-11
     relative at k = 1e6 and 4.7e-9 at 1e9, where p_closed_eee stays
     within 1e-15 of mpmath."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
+    k = integer("k", k)
     if k == 0:
         return 0.5
     if k == 1:
@@ -275,14 +273,7 @@ def empirical_digits(t: PermutationTriple, n: int, seed: int) -> EmpiricalStats:
     walkers step in lockstep, one maps._solve call per step.  An image
     that fails maps.off_boundary is not counted: the walker is replaced by
     a fresh draw, tallied in the restarts field."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise ValueError(f"n must be an integer, got {n!r}")
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
+    n, seed = integer("n", n, 1), integer("seed", seed)
     rng = np.random.Generator(np.random.Philox(seed))
     r = density(t)
     key = t.key
@@ -354,7 +345,7 @@ def invariance_check(t: PermutationTriple, abs_tol: float = 1e-6,
     pointwise eigen-residual of the density, ~1e-10, so a crude grid
     already lands far below abs_tol."""
     r = density(t)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(integer("seed", seed))
     pol = TruncationPolicy(eps=abs_tol / 100.0)
     grid_n = 6
     # one (rectangle, i, j) entry per midpoint, x from i and y from j

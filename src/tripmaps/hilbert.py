@@ -41,7 +41,7 @@ from typing import Callable
 
 import numpy as np
 
-from .domain import PermutationTriple, TrianglePoint
+from .domain import PermutationTriple, TrianglePoint, integer
 from .errors import DomainError, UnsupportedTriple
 from .specfun import (
     _eval_vec,
@@ -89,8 +89,7 @@ def _eta_rows(ks, s: np.ndarray) -> np.ndarray:
 
 def eta(k: int, s):
     """eta_k(s) = s^k e^{-s} / (k+1)!, one row of _eta_rows."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
+    k = integer("k", k)
     arr = np.asarray(s, dtype=float)
     # written so that nan fails it
     if not np.all(arr >= 0):
@@ -231,10 +230,7 @@ def laguerre_expansion_partial(t: PermutationTriple, phi: Profile,
     """sum_{k<=K} <phi, eta_k>_dm E_k(p), the series form of the kernel
     image; the profile is pinned to the branch-family transform argument
     exactly as in theorem31_rhs."""
-    if isinstance(K, bool) or not isinstance(K, (int, np.integer)):
-        raise ValueError(f"K must be an integer, got {K!r}")
-    if K < 0:
-        raise ValueError("K must be non-negative")
+    K = integer("K", K)
     row = hilbert_triple(t)
     c = row.arg(*branch_point(t, 0, p).xy)
     ips = integrate_dm(lambda s: phi(c, s) * _eta_rows(range(K + 1), s))

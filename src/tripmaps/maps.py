@@ -34,7 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .domain import PermutationTriple, TrianglePoint, in_triangle
+from .domain import PermutationTriple, TrianglePoint, in_triangle, integer
 from .errors import (
     AmbiguousDigit,
     BoundaryHit,
@@ -90,8 +90,7 @@ def _images(key, k, x, y):
 
 def apply_branch_formula(t: PermutationTriple, k: int, p: TrianglePoint):
     """Raw Appendix-table value; no membership check on the result."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
+    k = integer("k", k)
     xp, yp = _images(t.key, k, np.float64(p.x), np.float64(p.y))
     if not (np.isfinite(xp) and np.isfinite(yp)):
         raise EvaluationSingularity(
@@ -301,10 +300,9 @@ def digits(key, xs, ys, k_max: int = K_MAX_DEFAULT) -> np.ndarray:
     admits and AmbiguousDigit for one that admits branches far apart."""
     if key not in FORWARD:
         raise UnsupportedTriple(f"no forward row for {key}")
-    if isinstance(k_max, bool) or not isinstance(k_max, (int, np.integer)) or k_max >= 2 ** 63:
-        raise ValueError(f"k_max must be an integer below 2**63, got {k_max!r}")
-    if k_max < 0:
-        raise ValueError("k_max must be non-negative")
+    k_max = integer("k_max", k_max)
+    if k_max >= 2 ** 63:
+        raise ValueError(f"k_max must be below 2**63, got {k_max!r}")
     xs, ys = np.asarray(xs, dtype=float).ravel(), np.asarray(ys, dtype=float).ravel()
     if xs.size != ys.size:
         raise ValueError(f"xs and ys differ in size: {xs.size} and {ys.size}")
@@ -322,10 +320,7 @@ def branch_roundtrip(t: PermutationTriple, k_max: int,
     and whether the digit of every branch_k(p) is k.  The branch points
     are the leaves of a one-level preimage tree, point i's branch k at
     leaf i*(k_max + 1) + k."""
-    if isinstance(k_max, bool) or not isinstance(k_max, (int, np.integer)):
-        raise ValueError(f"k_max must be an integer, got {k_max!r}")
-    if k_max < 0:
-        raise ValueError("k_max must be non-negative")
+    k_max = integer("k_max", k_max)
     if not points:
         raise ValueError("no points")
     xs = np.array([p.x for p in points])

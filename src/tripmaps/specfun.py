@@ -43,6 +43,7 @@ from typing import Callable
 
 import numpy as np
 
+from .domain import integer
 from .errors import DomainError, NonConvergent, NotArrayNative
 
 PI2_6 = math.pi ** 2 / 6
@@ -219,16 +220,15 @@ def bessel_j1(x):
     return float(out[0]) if scalar else out.reshape(np.shape(x))
 
 
-def _laguerre1_rows(K: int, t: np.ndarray) -> np.ndarray:
-    """L_k^(1)(t) for k = 0..K by the three-term recurrence, row k of a
-    (K + 1,) + t.shape array."""
-    if K < 0:
-        raise ValueError("k must be non-negative")
-    rows = np.empty((K + 1,) + t.shape)
+def _laguerre1_rows(k: int, t: np.ndarray) -> np.ndarray:
+    """L_j^(1)(t) for j = 0..k by the three-term recurrence, row j of a
+    (k + 1,) + t.shape array."""
+    k = integer("k", k)
+    rows = np.empty((k + 1,) + t.shape)
     rows[0] = 1.0 + 0.0 * t
-    if K > 0:
+    if k > 0:
         rows[1] = 2.0 - t
-    for n in range(1, K):
+    for n in range(1, k):
         rows[n + 1] = ((2 * n + 2 - t) * rows[n] - (n + 1) * rows[n - 1]) / (n + 1)
     return rows
 
@@ -326,30 +326,27 @@ def integrate_halfline(fun: Callable, rate):
 
 
 _SQRT15 = math.sqrt(15.0)
-_TRI_WEIGHTS = (9 / 40,
-                (155 - _SQRT15) / 1200, (155 - _SQRT15) / 1200, (155 - _SQRT15) / 1200,
-                (155 + _SQRT15) / 1200, (155 + _SQRT15) / 1200, (155 + _SQRT15) / 1200)
+_TRI_WEIGHTS = np.array([9 / 40,
+                         (155 - _SQRT15) / 1200, (155 - _SQRT15) / 1200, (155 - _SQRT15) / 1200,
+                         (155 + _SQRT15) / 1200, (155 + _SQRT15) / 1200, (155 + _SQRT15) / 1200])
 _A1 = (6 - _SQRT15) / 21
 _A2 = (6 + _SQRT15) / 21
-_TRI_BARY = ((1 / 3, 1 / 3, 1 / 3),
-             (_A1, _A1, 1 - 2 * _A1), (_A1, 1 - 2 * _A1, _A1), (1 - 2 * _A1, _A1, _A1),
-             (_A2, _A2, 1 - 2 * _A2), (_A2, 1 - 2 * _A2, _A2), (1 - 2 * _A2, _A2, _A2))
+_TRI_BARY = np.array([   # (7, 3)
+    (1 / 3, 1 / 3, 1 / 3),
+    (_A1, _A1, 1 - 2 * _A1), (_A1, 1 - 2 * _A1, _A1), (1 - 2 * _A1, _A1, _A1),
+    (_A2, _A2, 1 - 2 * _A2), (_A2, 1 - 2 * _A2, _A2), (1 - 2 * _A2, _A2, _A2)])
 
 TRIANGLE_VERTICES = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0))
 
 
-_TRI_BARY_ARR = np.array(_TRI_BARY)          # (7, 3)
-_TRI_W_ARR = np.array(_TRI_WEIGHTS)          # (7,)
-
-
 def _quad_many(fun, tris: np.ndarray) -> np.ndarray:
     """Degree-5 rule of fun on a batch of triangles of shape (n, 3, 2)."""
-    xs = tris[:, :, 0] @ _TRI_BARY_ARR.T     # (n, 7)
-    ys = tris[:, :, 1] @ _TRI_BARY_ARR.T
+    xs = tris[:, :, 0] @ _TRI_BARY.T     # (n, 7)
+    ys = tris[:, :, 1] @ _TRI_BARY.T
     areas = 0.5 * np.abs(
         (tris[:, 1, 0] - tris[:, 0, 0]) * (tris[:, 2, 1] - tris[:, 0, 1])
         - (tris[:, 2, 0] - tris[:, 0, 0]) * (tris[:, 1, 1] - tris[:, 0, 1]))
-    return (_eval_vec(fun, xs, ys) @ _TRI_W_ARR) * areas
+    return (_eval_vec(fun, xs, ys) @ _TRI_WEIGHTS) * areas
 
 
 # the four children of a triangle (a, b, c), as rows of a, b, c and the

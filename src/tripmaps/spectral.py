@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import PermutationTriple, TrianglePoint
+from .domain import PermutationTriple, TrianglePoint, integer
 from .errors import NoBanachRow, NoEigenfunction, TruncationFailure
 from .tables.banach import BANACH
 from .tables.eigen import EIGENFUNCTIONS
@@ -36,8 +36,7 @@ class GridSpec:
     def __post_init__(self) -> None:
         if not (0.0 < self.margin < 1.0 / 3.0):
             raise ValueError("margin must lie in (0, 1/3)")
-        if self.density < 2:
-            raise ValueError("density must be at least 2")
+        object.__setattr__(self, "density", integer("density", self.density, 2))
 
     def points(self) -> list[TrianglePoint]:
         m, n = self.margin, self.density
@@ -134,12 +133,8 @@ def monotonicity_check(t: PermutationTriple, n: int = 2, trials: int = 20,
     The trials share trees, as many roots per tree as fit in the block
     budget of transfer (_blocks); a weight or branch point that is not
     finite, in any trial, raises EvaluationSingularity."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    if branches < 1:
-        raise ValueError("branches must be at least 1")
+    n, trials = integer("n", n, 1), integer("trials", trials, 1)
+    branches, seed = integer("branches", branches, 1), integer("seed", seed)
     xs, ys = _draw_trials(seed, trials)
     positive = True
     for roots in _blocks(trials, branches ** n):

@@ -47,7 +47,7 @@ from typing import Callable
 
 import numpy as np
 
-from .domain import PermutationTriple, TrianglePoint, in_triangle
+from .domain import PermutationTriple, TrianglePoint, in_triangle, integer
 from .errors import EvaluationSingularity, StencilOutOfDomain, TruncationFailure
 from .specfun import _eval_vec
 from .tables.transfer_rows import TRANSFER
@@ -79,8 +79,9 @@ class TruncationPolicy:
 
     def __post_init__(self) -> None:
         # written so that a nan eps fails too
-        if not (0.0 < self.eps < math.inf) or self.k_max < 1:
+        if not (0.0 < self.eps < math.inf):
             raise ValueError("invalid truncation policy")
+        object.__setattr__(self, "k_max", integer("k_max", self.k_max, 1))
 
 
 def _row(t: PermutationTriple):
@@ -111,8 +112,7 @@ def _inverse(row, k, x, y, s):
 def _checked(t: PermutationTriple, k: int, x, y):
     """_inverse of t's row at an integer k >= 0; raises
     EvaluationSingularity where w, a or b is not finite."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
+    k = integer("k", k)
     w, a, b = _inverse(_row(t), k, x, y, parity_sign(k))
     if not np.isfinite((w, a, b)).all():
         raise EvaluationSingularity(f"branch {k} of {t} singular at ({x}, {y})")

@@ -1,14 +1,18 @@
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from tripmaps import gausskuzmin, hilbert, maps, specfun, spectral, transfer
 from tripmaps.domain import (
     ERGODIC_TRIPLES,
     PERMUTATION_LABELS,
     PermutationTriple,
     TrianglePoint,
     in_triangle,
+    integer,
     interior_points,
     parse_triple,
     supported_triples,
@@ -129,3 +133,66 @@ def test_ergodic_triples_are_flagged():
 
 def test_labels():
     assert PERMUTATION_LABELS == ("e", "12", "13", "23", "123", "132")
+
+
+EEE = PermutationTriple("e", "e", "e")
+P = TrianglePoint(0.5, 0.25)
+
+# (name, lowest value, call) of every integer argument of the library
+# outside the CLI, which checks its settings itself
+_INTEGER_ARGUMENTS = {
+    "digits": ("k_max", 0, lambda v: maps.digits(EEE.key, [0.5], [0.25], v)),
+    "branch_roundtrip": ("k_max", 0, lambda v: maps.branch_roundtrip(EEE, v, [P])),
+    "apply_branch_formula": ("k", 0, lambda v: maps.apply_branch_formula(EEE, v, P)),
+    "branch_point": ("k", 0, lambda v: transfer.branch_point(EEE, v, P)),
+    "weight": ("k", 0, lambda v: transfer.weight(EEE, v, P)),
+    "jacobian_residual": ("k", 0, lambda v: transfer.jacobian_residual(EEE, v, P)),
+    "TruncationPolicy": ("k_max", 1, lambda v: transfer.TruncationPolicy(k_max=v)),
+    "empirical_digits-n": ("n", 1, lambda v: gausskuzmin.empirical_digits(EEE, v, 1)),
+    "empirical_digits-seed": ("seed", 0, lambda v: gausskuzmin.empirical_digits(EEE, 1, v)),
+    "p_closed_eee": ("k", 0, gausskuzmin.p_closed_eee),
+    "p_integral_e23e": ("k", 0, gausskuzmin.p_integral_e23e),
+    "invariance_check": ("seed", 0, lambda v: gausskuzmin.invariance_check(EEE, seed=v)),
+    "eta": ("k", 0, lambda v: hilbert.eta(v, 2.0)),
+    "laguerre_expansion_partial": ("K", 0, lambda v: hilbert.laguerre_expansion_partial(
+        EEE, hilbert.eta_profile(0), P, v)),
+    "_laguerre1_rows": ("k", 0, lambda v: specfun._laguerre1_rows(v, np.array([1.0]))),
+    "laguerre1": ("k", 0, lambda v: specfun.laguerre1(v, 1.0)),
+    "GridSpec": ("density", 2, lambda v: spectral.GridSpec(density=v)),
+    "monotonicity_check-n": ("n", 1, lambda v: spectral.monotonicity_check(EEE, n=v)),
+    "monotonicity_check-trials": ("trials", 1,
+                                  lambda v: spectral.monotonicity_check(EEE, trials=v)),
+    "monotonicity_check-branches": ("branches", 1,
+                                    lambda v: spectral.monotonicity_check(EEE, branches=v)),
+    "monotonicity_check-seed": ("seed", 0, lambda v: spectral.monotonicity_check(EEE, seed=v)),
+    "interior_points-seed": ("seed", 0, lambda v: interior_points(v, 1)),
+    "interior_points-count": ("count", 0, lambda v: interior_points(0, v)),
+}
+
+
+@pytest.mark.parametrize("bad", [True, 2.5, np.float64(2.0), "below"],
+                         ids=["bool", "float", "numpy-float", "below"])
+@pytest.mark.parametrize("argument", _INTEGER_ARGUMENTS)
+def test_integer_arguments_are_named(argument, bad):
+    # True ran as 1, 2.5 and 2.0 ran or raised errors that name no
+    # argument, and so did values below the bound where none was checked
+    name, low, call = _INTEGER_ARGUMENTS[argument]
+    if bad == "below":
+        bad = low - 1
+        message = f"{name} must be non-negative" if low == 0 else f"{name} must be at least {low}"
+    else:
+        message = f"{name} must be an integer, got {bad!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(bad)
+
+
+@pytest.mark.parametrize("value", [7, np.uint8(255), np.uint64(2 ** 64 - 1), 10 ** 30])
+def test_integer_returns_a_python_int(value):
+    got = integer("k", value)
+    assert type(got) is int and got == value
+
+
+@pytest.mark.parametrize("value", [np.bool_(True), None, "3", 3 + 0j, Fraction(3)])
+def test_integer_rejects_what_is_no_int(value):
+    with pytest.raises(ValueError, match=f"^k must be an integer, got {re.escape(repr(value))}$"):
+        integer("k", value)

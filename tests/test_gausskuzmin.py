@@ -445,6 +445,14 @@ def test_empirical_digits_takes_numpy_integer_n():
     assert sum(empirical_digits(EEE, np.int64(3), seed=1).counts.values()) == 3
 
 
+@pytest.mark.parametrize("n", [np.uint8(255), np.int16(30001)])
+def test_empirical_digits_takes_a_small_numpy_n(n):
+    # arithmetic in n's dtype wrapped around: uint8 255 raised "need at
+    # least one array to concatenate", int16 30001 "cannot reshape array
+    # of size 5376 into shape (20,256)"
+    assert empirical_digits(EEE, n, seed=1) == empirical_digits(EEE, int(n), seed=1)
+
+
 @pytest.mark.parametrize("t, seed, restarts, c0, c1, k_top, digest", [
     (EEE, 1, 0, 4981, 2794, 1223839,
      "ed1bcb22e9646db60869d7f13c4468ad4fa61bf3d25e2797e795a1a5618c7fa9"),

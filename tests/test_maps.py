@@ -500,6 +500,13 @@ def test_bad_input_is_named(sample_points, call, error, message):
         call(sample_points[:3])
 
 
+def test_branch_roundtrip_takes_a_small_numpy_k_max(sample_points):
+    # K = k_max + 1 wrapped to 0 in uint8, which raised numpy's "zero-size
+    # array to reduction operation maximum"
+    pts = sample_points[:3]
+    assert maps.branch_roundtrip(EEE, np.uint8(255), pts) == maps.branch_roundtrip(EEE, 255, pts)
+
+
 def test_digits_batch_matches_points_and_images(sample_points):
     # one batched call gives each point's digit, and an orbit step hands
     # back the same digit as an int, with the image of the accepted branch
